@@ -1,11 +1,13 @@
 """Certify a hole-size bound for the bundled 10-branch example map.
 
-Runs the full pipeline (Ulam matrix -> spectral data -> constant chain ->
-comparison and separation checks) at escape tolerance ell = 1/25 and mesh
-2e-4, then evaluates the certificate at a few concrete hole measures.
+Runs the full pipeline (Ulam matrix -> spectral data and spectral-radius
+gate -> constant chain -> comparison check) at escape tolerance ell = 1/25
+and mesh 2e-4, then evaluates the certificate at a few concrete hole
+measures.
 
-Cold runtime is dominated by one dense eigensolve of the 5000 x 5000
-matrix (about a minute); re-runs are instant with a cache directory, e.g.
+Cold runtime is dominated by exact assembly of the 5000 x 5000 matrix and
+the norms of its first six Q-powers (several seconds); re-runs are instant
+with a cache directory, e.g.
 
     HOLECERT_CACHE_DIR=~/.cache/holecert python demos/certify_bundled_map.py
 

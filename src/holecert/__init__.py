@@ -38,10 +38,10 @@ from .ulam import (
 from .spectral import (
     NeumannDivergenceError,
     ResolventBound,
-    SpectralData,
+    SpectralRecord,
     SpectralStructureError,
+    compute_record,
     dominant_left_eigenpair,
-    eigen_analysis,
     h_star,
     neumann_bound,
     operator_l1_norm,

@@ -2,10 +2,12 @@
 
 Matrices are keyed by (map fingerprint, bin count, mode, hole); spectral
 records by (map fingerprint, bin count) only, since everything they hold
-(eigenvalues, invariant density, power norms of the mass-free part) is
-independent of the peripheral threshold r and the separation delta.  The
-matrix power computations are by far the most expensive step, so a warm
-cache lets a second run at the same mesh do no matrix work at all.
+(unit eigenvalue, invariant density, power norms of the mass-free part)
+is independent of the peripheral threshold r and the separation delta.
+The matrix power computations are by far the most expensive step, so a
+warm cache lets a second run at the same mesh do no matrix work at all.
+A record file whose ``schema`` tag differs from :data:`RECORD_SCHEMA` was
+written by an older layout and is recomputed and overwritten.
 
 All writes are atomic (temp file + rename).  The cache directory comes
 from the HOLECERT_CACHE_DIR environment variable when not given
@@ -22,12 +24,16 @@ from pathlib import Path
 import numpy as np
 
 from .maps import PiecewiseMap
-from .spectral import SpectralData, SpectralRecord, compute_record, record_to_data
+from .spectral import SpectralRecord, compute_record
 from .ulam import Hole, UlamMatrix, UlamPartition, build_closed, build_open, load_matrix, save_matrix
 
 __all__ = ["PipelineCache", "default_cache_dir", "CACHE_ENV_VAR"]
 
 CACHE_ENV_VAR = "HOLECERT_CACHE_DIR"
+
+#: layout tag of ``.spectral.npz`` files; files without it hold the full
+#: eigenvalue list of the eigensolver-based layout
+RECORD_SCHEMA = 2
 
 
 def default_cache_dir() -> Path | None:
@@ -55,17 +61,15 @@ class PipelineCache:
     directory : path-like or None
         On-disk location; None keeps everything in memory for the
         process lifetime.
-    n_powers, dense_cutoff, block_size
+    n_powers, block_size
         Defaults handed to the spectral computation.
     """
 
-    def __init__(self, directory=None, *, n_powers: int = 6,
-                 dense_cutoff: int = 6000, block_size: int = 1024):
+    def __init__(self, directory=None, *, n_powers: int = 6, block_size: int = 1024):
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
         self.n_powers = n_powers
-        self.dense_cutoff = dense_cutoff
         self.block_size = block_size
         self._matrices: dict[tuple, UlamMatrix] = {}
         self._records: dict[tuple, SpectralRecord] = {}
@@ -140,24 +144,17 @@ class PipelineCache:
         path = self._record_path(tmap.fingerprint, n_bins)
         if path is not None and path.exists():
             record = _load_record(path)
-            if record.truncation_N + 1 >= n_powers:
+            if record is not None and record.truncation_N + 1 >= n_powers:
                 self._records[key] = record
                 self.stats["spectral_hits"] += 1
                 return record
-        record = compute_record(
-            self.closed_matrix(tmap, n_bins), n_powers=n_powers,
-            dense_cutoff=self.dense_cutoff, block_size=self.block_size,
-        )
+        record = compute_record(self.closed_matrix(tmap, n_bins), n_powers=n_powers,
+                                block_size=self.block_size)
         self.stats["spectral_builds"] += 1
         self._records[key] = record
         if path is not None:
             _atomic_write(path, lambda tmp: _save_record(record, tmp))
         return record
-
-    def spectral(self, tmap: PiecewiseMap, n_bins: int, r: float, *,
-                 n_powers: int | None = None) -> SpectralData:
-        record = self.spectral_record(tmap, n_bins, n_powers=n_powers)
-        return record_to_data(record, r, matrix=self.closed_matrix(tmap, n_bins))
 
     # -- maintenance ------------------------------------------------------------
 
@@ -192,16 +189,16 @@ class PipelineCache:
 
 def _save_record(record: SpectralRecord, path) -> None:
     meta = {
+        "schema": RECORD_SCHEMA,
         "n_bins": record.n_bins,
         "map_fingerprint": record.map_fingerprint,
-        "spectrum_complete": record.spectrum_complete,
+        "unit_eigenvalue": record.eigenvalues[0],
         "projection_norm": record.projection_norm,
         "unit_residual": record.unit_residual,
         "power_iterations": record.power_iterations,
     }
     np.savez(
         path,
-        eigenvalues=np.asarray(record.eigenvalues, dtype=complex),
         mass_vector=record.mass_vector,
         q_power_norms=np.asarray(record.q_power_norms),
         q_power_norms_colsum=np.asarray(record.q_power_norms_colsum),
@@ -213,14 +210,16 @@ def _save_record(record: SpectralRecord, path) -> None:
         os.replace(saved, path)
 
 
-def _load_record(path) -> SpectralRecord:
+def _load_record(path) -> SpectralRecord | None:
+    """The stored record, or None when the file has another layout."""
     with np.load(path, allow_pickle=False) as blob:
         meta = json.loads(str(blob["meta"]))
+        if meta.get("schema") != RECORD_SCHEMA:
+            return None
         return SpectralRecord(
             n_bins=int(meta["n_bins"]),
             map_fingerprint=meta["map_fingerprint"],
-            eigenvalues=tuple(complex(z) for z in blob["eigenvalues"]),
-            spectrum_complete=bool(meta["spectrum_complete"]),
+            eigenvalues=(float(meta["unit_eigenvalue"]),),
             mass_vector=np.asarray(blob["mass_vector"]),
             projection_norm=float(meta["projection_norm"]),
             q_power_norms=tuple(float(v) for v in blob["q_power_norms"]),

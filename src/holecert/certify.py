@@ -1,5 +1,4 @@
-"""Certification driver: mesh refinement, eigenvalue separation, and the
-hole-size certificate.
+"""Certification driver: mesh refinement and the hole-size certificate.
 
 Given a map with hole-uniform Lasota-Yorke constants (alpha0 < 1/3) and an
 escape tolerance ell, the driver fixes r = 1 - ell, picks delta = 1/k < ell,
@@ -8,19 +7,21 @@ and refines a uniform Ulam partition until
     mesh  <=  (2 Gamma)^-1 epsilon0(P_mesh, r, delta)          (comparison step)
 
 with epsilon0 evaluated through the computable resolvent surrogate of
-:func:`holecert.spectral.h_star`.  It then checks that every computed
-eigenvalue of modulus above r outside the delta-ball around 1 keeps its
-closed delta-ball disjoint from the one around 1 (separation step); on
-failure k doubles and the loop re-enters at the last mesh that passed the
-comparison.  A successful run certifies: every aligned hole H with
-lambda(H) <= Gamma * epsilon_com yields an open system with an accim,
-1 - e_H < delta_com, and escape rate below -ln(1 - ell).
+:func:`holecert.spectral.h_star`.  That surrogate is only issued when the
+spectral-radius bound of the mass-free part is at most r - delta, so the
+unit eigenvalue is simple and the only one of modulus above r - delta;
+the separation step (no other eigenvalue above r within 2 delta of 1)
+therefore holds on every pass that reaches the comparison, and the
+paper's delta-halving loop is not needed.  A successful run certifies:
+every aligned hole H with lambda(H) <= Gamma * epsilon_com yields an
+open system with an accim, 1 - e_H < delta_com, and escape rate below
+-ln(1 - ell).
 
 Refinement jumps straight to the smallest power-of-ten bin count whose
 mesh clears the current comparison value rather than halving blindly, and
 when the comparison fails but its closed-only (sharper-constants) variant
 passes, the fine mesh is covered by a resolvent bound transferred from
-the coarse mesh, skipping eigen-analysis at the fine mesh entirely.
+the coarse mesh, skipping spectral analysis at the fine mesh entirely.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .kl import (
     ly_constants,
 )
 from .maps import PiecewiseMap, as_rational
-from .spectral import SpectralData, h_star
+from .spectral import h_star, neumann_bound
 
 __all__ = [
     "CertificationConfig",
@@ -72,7 +73,6 @@ class CertificationConfig:
     bins_init: int = 1000
     bin_candidates: tuple[int, ...] | None = None
     max_inner: int = 12
-    max_outer: int = 8
     orientation: str = "column"
     n_powers: int = 6
     use_bootstrap: bool = True
@@ -100,7 +100,7 @@ class CertificationConfig:
 
 @dataclass
 class IterationRecord:
-    """One pass of the comparison/separation machinery (the audit trail)."""
+    """One pass of the comparison machinery (the audit trail)."""
 
     index: int
     n_bins: int
@@ -117,12 +117,11 @@ class IterationRecord:
     threshold: float            # (2 Gamma)^-1 epsilon0
     step7_pass: bool
     closed_only_threshold: float | None = None
-    eigenvalues: tuple | None = None
+    spectral_radius_bound: float | None = None   # None on bootstrap passes
     step10_pass: bool | None = None
-    separation_witness: complex | None = None
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "index": self.index,
             "n_bins": self.n_bins,
             "mesh": str(self.mesh),
@@ -138,14 +137,9 @@ class IterationRecord:
             "threshold": self.threshold,
             "step7_pass": self.step7_pass,
             "closed_only_threshold": self.closed_only_threshold,
+            "spectral_radius_bound": self.spectral_radius_bound,
             "step10_pass": self.step10_pass,
         }
-        if self.eigenvalues is not None:
-            d["eigenvalues"] = [[z.real, z.imag] for z in self.eigenvalues]
-        if self.separation_witness is not None:
-            d["separation_witness"] = [self.separation_witness.real,
-                                       self.separation_witness.imag]
-        return d
 
 
 @dataclass
@@ -204,6 +198,8 @@ def separation_check(eigenvalues, r, delta) -> SeparationResult:
     the unit eigenvalue itself keeps its closed delta-ball disjoint from
     the one around 1, i.e. |z - 1| > 2 delta.  The first violator is
     returned as witness; ``cluster`` reports everything within delta of 1.
+    :func:`run_certification` does not call it: the spectral gate of
+    :func:`holecert.spectral.h_star` already implies it.
     """
     r = float(r)
     delta = float(delta)
@@ -256,7 +252,7 @@ def refine_with_bootstrap(ly_hole: LYConstants, ly_closed: LYConstants,
     the BV resolvent bound transfers to every finer mesh; the plan then
     jumps straight to the smallest ladder mesh below the re-derived
     comparison value and carries the transferred bound so the fine-mesh
-    pass needs no eigen-analysis.  Otherwise the plan falls back to mesh
+    pass needs no spectral analysis.  Otherwise the plan falls back to mesh
     halving with a fresh analysis.
     """
     mesh_coarse = as_rational(mesh_coarse)
@@ -280,15 +276,13 @@ def refine_with_bootstrap(ly_hole: LYConstants, ly_closed: LYConstants,
 
 def run_certification(tmap: PiecewiseMap, config: CertificationConfig,
                       cache: PipelineCache | None = None) -> CertificationReport:
-    """Run the full certification loop on a map.
+    """Run the certification loop on a map.
 
     Returns a report whose status is "certified" on success (with
     delta_com, epsilon_com, and the hole bound Gamma * epsilon_com) or
     "failed" with the blocking comparison recorded.  Spectral-structure
     errors from the analysis propagate as exceptions; cap exhaustion does
-    not raise.  On a separation failure the loop re-enters at the last
-    mesh that passed the comparison (at its coarse ancestor when that
-    mesh was covered by a transferred bound).
+    not raise.
     """
     ly = ly_constants(tmap.alpha0, tmap.B0, HOLE_UNIFORM)
     ly_closed = ly_constants(tmap.alpha0, tmap.B0, CLOSED_ONLY)
@@ -315,99 +309,69 @@ def run_certification(tmap: PiecewiseMap, config: CertificationConfig,
     delta = config.initial_delta()
     n_bins = config.bins_init
     plan: RefinePlan | None = None      # active transferred-bound plan
-    coarse_bins: int | None = None      # ancestor mesh of the active plan
-    sep_data: SpectralData | None = None
-    index = 0
-
-    for _outer in range(config.max_outer):
-        passed: IterationRecord | None = None
-        for _inner in range(config.max_inner):
-            index += 1
-            mesh = Fraction(1, n_bins)
-            if plan is not None and plan.used_bootstrap and plan.n_bins == n_bins:
-                chain = plan.fine_constants
-                rec = IterationRecord(
-                    index=index, n_bins=n_bins, mesh=mesh, delta=delta,
-                    used_bootstrap=True, h_star=None,
-                    transferred_H=plan.transferred_H, neumann=None,
-                    neumann_rowsum=None, n1=chain.n1, n2=chain.n2,
-                    epsilon0=chain.epsilon0, threshold=chain.mesh_threshold,
-                    step7_pass=float(mesh) <= chain.mesh_threshold,
-                    closed_only_threshold=plan.closed_only_threshold,
-                )
-            else:
-                data = cache.spectral(tmap, n_bins, r,
-                                      n_powers=config.n_powers)
-                bound = h_star(data, r, float(delta), float(tmap.alpha0),
-                               float(tmap.B0), orientation=config.orientation)
-                bound_row = h_star(data, r, float(delta), float(tmap.alpha0),
-                                   float(tmap.B0), orientation="row")
-                chain = kl_constants(ly, r, delta, bound.h_star)
-                sep_data = data
-                coarse_bins = n_bins
-                plan = None
-                rec = IterationRecord(
-                    index=index, n_bins=n_bins, mesh=mesh, delta=delta,
-                    used_bootstrap=False, h_star=bound.h_star,
-                    transferred_H=None, neumann=bound.neumann_bound,
-                    neumann_rowsum=bound_row.neumann_bound,
-                    n1=chain.n1, n2=chain.n2, epsilon0=chain.epsilon0,
-                    threshold=chain.mesh_threshold,
-                    step7_pass=float(mesh) <= chain.mesh_threshold,
-                )
-            report.iterations.append(rec)
-            if rec.step7_pass:
-                passed = rec
-                report.final_constants = chain
-                break
-            # comparison failed: plan the refinement
-            if (config.use_bootstrap and not rec.used_bootstrap
-                    and rec.h_star is not None):
-                plan = refine_with_bootstrap(
-                    ly, ly_closed, r, delta, mesh, rec.h_star,
-                    bin_candidates=config.bin_candidates,
-                )
-                rec.closed_only_threshold = plan.closed_only_threshold
-                if plan.used_bootstrap:
-                    n_bins = plan.n_bins
-                    continue
-            # plain refinement: jump straight to the mesh the current
-            # comparison value predicts (never coarser than halving)
-            plan = None
-            try:
-                n_next = next_power_of_ten_bins(
-                    rec.threshold, candidates=config.bin_candidates)
-            except ValueError:
-                n_next = 2 * n_bins
-            n_bins = n_next if n_next > n_bins else 2 * n_bins
-        if passed is None:
-            last = report.iterations[-1]
-            report.reason = (
-                f"comparison never satisfied within {config.max_inner} inner "
-                f"iterations; last mesh {last.mesh} vs threshold {last.threshold}"
+    for index in range(1, config.max_inner + 1):
+        mesh = Fraction(1, n_bins)
+        if plan is not None and plan.used_bootstrap and plan.n_bins == n_bins:
+            chain = plan.fine_constants
+            rec = IterationRecord(
+                index=index, n_bins=n_bins, mesh=mesh, delta=delta,
+                used_bootstrap=True, h_star=None,
+                transferred_H=plan.transferred_H, neumann=None,
+                neumann_rowsum=None, n1=chain.n1, n2=chain.n2,
+                epsilon0=chain.epsilon0, threshold=chain.mesh_threshold,
+                step7_pass=float(mesh) <= chain.mesh_threshold,
+                closed_only_threshold=plan.closed_only_threshold,
             )
-            return report
-        if sep_data is None:
-            report.reason = "no spectral data available for the separation check"
-            return report
-        sep = separation_check(sep_data.eigenvalues_above_r, r, float(delta))
-        passed.eigenvalues = sep_data.eigenvalues_above_r
-        passed.step10_pass = sep.passed
-        passed.separation_witness = sep.witness
-        if sep.passed:
+        else:
+            record = cache.spectral_record(tmap, n_bins, n_powers=config.n_powers)
+            bound = h_star(record, r, float(delta), float(tmap.alpha0),
+                           float(tmap.B0), orientation=config.orientation)
+            chain = kl_constants(ly, r, delta, bound.h_star)
+            plan = None
+            rec = IterationRecord(
+                index=index, n_bins=n_bins, mesh=mesh, delta=delta,
+                used_bootstrap=False, h_star=bound.h_star,
+                transferred_H=None, neumann=bound.neumann_bound,
+                neumann_rowsum=neumann_bound(record, r, orientation="row"),
+                n1=chain.n1, n2=chain.n2, epsilon0=chain.epsilon0,
+                threshold=chain.mesh_threshold,
+                step7_pass=float(mesh) <= chain.mesh_threshold,
+                spectral_radius_bound=record.spectral_radius_bound,
+            )
+        report.iterations.append(rec)
+        if rec.step7_pass:
+            # h_star's gate already implies the separation step
+            rec.step10_pass = True
+            report.final_constants = chain
             report.status = "certified"
             report.delta_com = delta
-            report.epsilon_com = passed.mesh
-            report.hole_bound = gamma_frac * passed.mesh
+            report.epsilon_com = mesh
+            report.hole_bound = gamma_frac * mesh
             return report
-        # separation failed: halve delta, resume at the last comparison-passing
-        # mesh (its analyzed ancestor when it was covered by a transfer)
-        delta = Fraction(delta.numerator, delta.denominator * 2)
-        n_bins = coarse_bins if coarse_bins is not None else passed.n_bins
+        # comparison failed: plan the refinement
+        if (config.use_bootstrap and not rec.used_bootstrap
+                and rec.h_star is not None):
+            plan = refine_with_bootstrap(
+                ly, ly_closed, r, delta, mesh, rec.h_star,
+                bin_candidates=config.bin_candidates,
+            )
+            rec.closed_only_threshold = plan.closed_only_threshold
+            if plan.used_bootstrap:
+                n_bins = plan.n_bins
+                continue
+        # plain refinement: jump straight to the mesh the current
+        # comparison value predicts (never coarser than halving)
         plan = None
+        try:
+            n_next = next_power_of_ten_bins(
+                rec.threshold, candidates=config.bin_candidates)
+        except ValueError:
+            n_next = 2 * n_bins
+        n_bins = n_next if n_next > n_bins else 2 * n_bins
+    last = report.iterations[-1]
     report.reason = (
-        f"separation check kept failing down to delta = {delta} "
-        f"({config.max_outer} outer iterations)"
+        f"comparison never satisfied within {config.max_inner} inner "
+        f"iterations; last mesh {last.mesh} vs threshold {last.threshold}"
     )
     return report
 

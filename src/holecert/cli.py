@@ -30,7 +30,7 @@ from .certify import CertificationConfig, CertificationReport, run_certification
 from .escape import asymptotic_ratio, estimate_escape
 from .kl import CLOSED_ONLY, HOLE_UNIFORM, kl_constants, ly_constants
 from .maps import MapConfigError, as_rational, bundled_map_path, load_map
-from .spectral import eigen_analysis, h_star, neumann_bound
+from .spectral import compute_record, h_star, neumann_bound
 from .ulam import Hole, UlamPartition, build_closed, build_open, load_matrix, save_matrix
 
 __all__ = ["main", "REFERENCE_TABLES"]
@@ -149,25 +149,25 @@ def _cmd_spectral(args) -> int:
     matrix = load_matrix(args.matrix)
     manifest.map_fingerprint = matrix.map_fingerprint
     with _Phase(manifest, "analysis"):
-        data = eigen_analysis(matrix, float(args.r), n_powers=args.N + 1)
+        record = compute_record(matrix, n_powers=args.N + 1)
     payload = {
-        "n_bins": data.n_bins,
+        "n_bins": record.n_bins,
         "r": str(args.r),
         "delta": str(args.delta),
-        "eigenvalues_above_r": list(data.eigenvalues_above_r),
-        "residuals": list(data.residuals),
-        "subdominant_modulus": data.subdominant_modulus,
-        "projection_norm": data.projection_norm,
-        "q_power_norms": list(data.q_power_norms),
-        "q_power_norms_colsum": list(data.q_power_norms_colsum),
-        "truncation_N": data.truncation_N,
-        "invariant_density": data.invariant_density,
-        "neumann_bound": neumann_bound(data, float(args.r),
+        "unit_eigenvalue": record.eigenvalues[0],
+        "unit_residual": record.unit_residual,
+        "spectral_radius_bound": record.spectral_radius_bound,
+        "projection_norm": record.projection_norm,
+        "q_power_norms": list(record.q_power_norms),
+        "q_power_norms_colsum": list(record.q_power_norms_colsum),
+        "truncation_N": record.truncation_N,
+        "invariant_density": record.invariant_density,
+        "neumann_bound": neumann_bound(record, float(args.r),
                                        orientation=args.orientation),
     }
     if args.alpha0 is not None:
-        bound = h_star(data, float(args.r), float(args.delta),
-                       float(args.alpha0), float(args.B0 or 0),
+        bound = h_star(record, float(args.r), float(args.delta),
+                       float(args.alpha0), float(args.B0),
                        orientation=args.orientation)
         payload["resolvent_l1_bound"] = bound.resolvent_l1_bound
         payload["h_star"] = bound.h_star
@@ -211,8 +211,7 @@ def _iteration_table(report: CertificationReport) -> str:
             ("n2", str(it.n2)),
             ("(2G)^-1 eps0", f"{it.threshold:.10g}"),
             ("Loop I", "Pass" if it.step7_pass else "Fail: reduce epsilon"),
-            ("Loop II", "-" if it.step10_pass is None
-             else ("Pass" if it.step10_pass else "Fail: reduce delta")),
+            ("Loop II", "Pass" if it.step10_pass else "-"),
         ])
     lines = []
     for k, row in enumerate(rows):
@@ -235,14 +234,13 @@ def _cmd_certify(args) -> int:
         "map": str(args.map), "ell": str(args.ell),
         "delta_init": str(args.delta_init) if args.delta_init else None,
         "bins_init": args.bins_init, "max_inner": args.max_inner,
-        "max_outer": args.max_outer,
     })
     tmap = load_map(args.map)
     manifest.map_fingerprint = tmap.fingerprint
     cache = _make_cache(args)
     config = CertificationConfig(
         ell=args.ell, delta_init=args.delta_init, bins_init=args.bins_init,
-        max_inner=args.max_inner, max_outer=args.max_outer,
+        max_inner=args.max_inner,
     )
     with _Phase(manifest, "certification"):
         report = run_certification(tmap, config, cache=cache)
@@ -442,9 +440,11 @@ def _cmd_reproduce_tables(args) -> int:
             "table": which, "ell": str(spec["ell"]), "bins": args.bins,
         }, map_fingerprint=tmap.fingerprint)
         config = CertificationConfig(ell=spec["ell"], bins_init=args.bins)
+        before = dict(cache.stats)
         with _Phase(manifest, "certification"):
             report = run_certification(tmap, config, cache=cache)
-        manifest.cache_stats = dict(cache.stats)
+        # the tables share one cache: report this table's own lookups
+        manifest.cache_stats = {k: v - before[k] for k, v in cache.stats.items()}
         values = _table_values(report, which)
         diffs, ok = _diff_cells(values, spec["cells"])
         all_ok = all_ok and ok
@@ -503,7 +503,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-init", type=_rational, default=None)
     p.add_argument("--bins-init", type=int, default=1000)
     p.add_argument("--max-inner", type=int, default=12)
-    p.add_argument("--max-outer", type=int, default=8)
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_certify)
@@ -544,6 +543,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.subcommand == "spectral" and (args.alpha0 is None) != (args.B0 is None):
+        # h_star grows with B0: a defaulted constant would understate it
+        parser.error("spectral: --alpha0 and --B0 must be given together")
     try:
         return args.func(args)
     except (MapConfigError, ValueError, ArithmeticError, RuntimeError, OSError) as exc:

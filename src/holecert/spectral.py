@@ -1,5 +1,6 @@
-"""Spectral data of Ulam matrices: peripheral eigenvalues, the invariant
-density, norms of powers of the mass-free part, and resolvent bounds.
+"""Spectral data of Ulam matrices: the invariant density, norms of powers
+of the mass-free part, the spectral-radius bound they give, and resolvent
+bounds.
 
 Conventions
 -----------
@@ -22,6 +23,19 @@ reference outputs for the bundled example map were produced; the row
 family is the induced norm for the density action and is reported
 alongside for audit.  ``neumann_bound`` and ``h_star`` accept either.
 
+No eigensolver is needed for the spectral layout.  P is row-stochastic,
+so the sum-zero row vectors form an invariant subspace on which P acts as
+Q (for any u that sums to 1), while on the one-dimensional quotient P
+acts as 1.  Hence the spectrum of P is {1} together with the spectrum of
+P on sum-zero vectors, and every eigenvalue other than a simple 1 has
+modulus at most
+
+    rho(Q)  <=  min_{k >= 1} ||Q^k||^(1/k)          (either induced norm),
+
+the record's ``spectral_radius_bound``.  ``h_star`` requires it to be at
+most r - delta, which leaves 1 as the only eigenvalue of modulus above
+r - delta, and simple.
+
 The resolvent-sup surrogate combines a Neumann-series tail bound for
 R(z) = (z - Q)^-1 with the rank-one projection term:
 
@@ -36,12 +50,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .ulam import UlamMatrix
 
 __all__ = [
-    "SpectralData",
     "SpectralRecord",
     "ResolventBound",
     "SpectralStructureError",
@@ -49,8 +61,6 @@ __all__ = [
     "EigensolverResidualError",
     "NeumannDivergenceError",
     "compute_record",
-    "record_to_data",
-    "eigen_analysis",
     "neumann_bound",
     "h_star",
     "operator_l1_norm",
@@ -60,12 +70,10 @@ __all__ = [
 UNIT_EIGENVALUE_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
 SUBMULT_SLACK = 1e-10
-DENSE_CUTOFF = 6000
-MAX_TRUNCATION = 64
 
 
 class SpectralStructureError(RuntimeError):
-    """Eigenvalue layout does not support the rank-one resolvent split."""
+    """Spectral layout does not support the rank-one resolvent split."""
 
 
 class NoUnitEigenvalueError(SpectralStructureError):
@@ -77,7 +85,7 @@ class EigensolverResidualError(RuntimeError):
 
 
 class NeumannDivergenceError(ArithmeticError):
-    """Neumann tail ratio stayed >= 1 up to the truncation cap."""
+    """Neumann tail ratio q >= 1 at the record's truncation index."""
 
 
 def operator_l1_norm(matrix) -> float:
@@ -85,12 +93,6 @@ def operator_l1_norm(matrix) -> float:
     if sp.issparse(matrix):
         return float(np.abs(matrix).sum(axis=1).max())
     return float(np.abs(np.asarray(matrix)).sum(axis=1).max())
-
-
-def _colsum_norm(matrix) -> float:
-    if sp.issparse(matrix):
-        return float(np.abs(matrix).sum(axis=0).max())
-    return float(np.abs(np.asarray(matrix)).sum(axis=0).max())
 
 
 def dominant_left_eigenpair(P: sp.csr_matrix, tol: float = 1e-14,
@@ -128,14 +130,13 @@ def dominant_left_eigenpair(P: sp.csr_matrix, tol: float = 1e-14,
 class SpectralRecord:
     """r-independent spectral data of one closed Ulam matrix.
 
-    Cached between runs: the eigenvalue list (complete for dense solves),
-    the invariant mass vector, and both power-norm families of Q.
+    Cached between runs: the unit eigenvalue and invariant mass vector
+    from power iteration, and both power-norm families of Q.
     """
 
     n_bins: int
     map_fingerprint: str
-    eigenvalues: tuple[complex, ...]      # all of them (dense) or the top cluster
-    spectrum_complete: bool
+    eigenvalues: tuple[float, ...]        # (unit eigenvalue,); see spectral_radius_bound
     mass_vector: np.ndarray               # invariant probability masses, >= 0, sums to 1
     projection_norm: float                # ||Pi1||_1 = sum |mass|
     q_power_norms: tuple[float, ...]      # row family, [0] = ||1 - Pi1||
@@ -152,33 +153,19 @@ class SpectralRecord:
         """Piecewise-constant density values (integral 1)."""
         return self.mass_vector * self.n_bins
 
-    def subdominant_modulus(self, unit_index: int | None = None) -> float:
-        mods = np.abs(np.asarray(self.eigenvalues))
-        if len(mods) <= 1:
-            return 0.0
-        k = int(np.argmin(np.abs(np.asarray(self.eigenvalues) - 1.0))) if unit_index is None else unit_index
-        return float(np.max(np.delete(mods, k)))
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    """Spectral data of a closed Ulam matrix at a peripheral threshold r."""
-
-    n_bins: int
-    r: float
-    eigenvalues_above_r: tuple[complex, ...]
-    invariant_density: np.ndarray
-    projection_norm: float
-    q_power_norms: tuple[float, ...]
-    q_power_norms_colsum: tuple[float, ...]
-    truncation_N: int
-    residuals: tuple[float, ...]
-    subdominant_modulus: float
-    spectrum_complete: bool
-
     @property
-    def mass_vector(self) -> np.ndarray:
-        return self.invariant_density / self.n_bins
+    def spectral_radius_bound(self) -> float:
+        """min over k >= 1 and both families of ||Q^k||^(1/k), >= rho(Q).
+
+        Every eigenvalue of P other than a simple unit eigenvalue has
+        modulus at most this value; when it is below 1, ``eigenvalues``
+        is the whole spectrum outside the disc of this radius.  A NaN
+        norm propagates, so the gate in :func:`h_star` rejects it.
+        """
+        k = np.arange(1, len(self.q_power_norms))
+        roots = [np.asarray(norms[1:]) ** (1.0 / k)
+                 for norms in (self.q_power_norms, self.q_power_norms_colsum)]
+        return float(np.min(np.concatenate(roots)))
 
     def norms(self, orientation: str) -> tuple[float, ...]:
         if orientation == "column":
@@ -249,62 +236,14 @@ def _q_power_norms(P: sp.csr_matrix, u: np.ndarray, n_powers: int,
     return row_norms, col_norms
 
 
-def _left_residual(P: sp.csr_matrix, lam: complex) -> float:
-    """Residual of the left eigenpair for lam via sparse inverse iteration."""
-    n = P.shape[0]
-    A = (P.T - lam * sp.identity(n, format="csr", dtype=complex)).tocsc()
-    rng = np.random.default_rng(12345)
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    z /= np.abs(z).sum()
-    try:
-        lu = spla.splu(A + 1e-12 * sp.identity(n, format="csc", dtype=complex))
-    except RuntimeError:
-        lu = spla.splu(A + 1e-9 * sp.identity(n, format="csc", dtype=complex))
-    for _ in range(5):
-        z = lu.solve(z)
-        z /= np.abs(z).sum()
-    return float(np.abs(A @ z).sum() / np.abs(z).sum())
-
-
-def _dense_eigenvalues(P: sp.csr_matrix) -> np.ndarray:
-    return np.linalg.eigvals(P.toarray())
-
-
-def _iterative_eigenvalues(P: sp.csr_matrix, r: float) -> tuple[np.ndarray, bool]:
-    """Largest-modulus eigenvalues via ARPACK, growing k until below r.
-
-    Returns (eigenvalues, complete) where complete=False flags that only
-    the computed cluster is known; by construction every uncomputed
-    eigenvalue has modulus at most the smallest computed one.
-    """
-    n = P.shape[0]
-    PT = P.T.tocsr()
-    v0 = np.full(n, 1.0 / n)   # deterministic start: identical reruns
-    k = 16
-    while True:
-        k = min(k, n - 2)
-        try:
-            w = spla.eigs(PT, k=k, which="LM", return_eigenvectors=False,
-                          maxiter=max(5000, 40 * k), tol=1e-10, v0=v0)
-        except spla.ArpackNoConvergence as exc:
-            w = exc.eigenvalues
-            if w is None or len(w) == 0:
-                raise SpectralStructureError(
-                    f"ARPACK failed to converge any eigenvalue at n={n}"
-                ) from exc
-        if np.min(np.abs(w)) <= r or k >= min(256, n - 2):
-            return np.asarray(w), False
-        k *= 2
-
-
 def compute_record(matrix: UlamMatrix, *, n_powers: int = 6,
-                   dense_cutoff: int = DENSE_CUTOFF, block_size: int = 1024,
-                   power_tol: float = 1e-15, r_floor: float = 0.5) -> SpectralRecord:
+                   block_size: int = 1024, power_tol: float = 1e-15) -> SpectralRecord:
     """All r-independent spectral data of a closed Ulam matrix.
 
-    ``r_floor`` is the smallest peripheral threshold the iterative
-    eigensolver path must support; the dense path returns the complete
-    spectrum regardless.
+    Raises :class:`NoUnitEigenvalueError` when the power iteration's
+    eigenvalue is not within 1e-8 of 1 and
+    :class:`EigensolverResidualError` when the invariant density's
+    residual exceeds 1e-8.
     """
     if matrix.mode != "closed":
         raise ValueError("spectral analysis requires a closed-mode matrix")
@@ -330,12 +269,6 @@ def compute_record(matrix: UlamMatrix, *, n_powers: int = 6,
     u = u / u.sum()
     projection_norm = float(np.abs(u).sum())
 
-    if n <= dense_cutoff:
-        eigenvalues = _dense_eigenvalues(P)
-        complete = True
-    else:
-        eigenvalues, complete = _iterative_eigenvalues(P, r_floor)
-
     row_norms, col_norms = _q_power_norms(P, u, n_powers, block_size=block_size)
     _check_submultiplicative(row_norms, "row")
     _check_submultiplicative(col_norms, "column")
@@ -343,8 +276,7 @@ def compute_record(matrix: UlamMatrix, *, n_powers: int = 6,
     return SpectralRecord(
         n_bins=n,
         map_fingerprint=matrix.map_fingerprint,
-        eigenvalues=tuple(complex(w) for w in eigenvalues),
-        spectrum_complete=complete,
+        eigenvalues=(lam,),
         mass_vector=u,
         projection_norm=projection_norm,
         q_power_norms=tuple(row_norms),
@@ -354,108 +286,41 @@ def compute_record(matrix: UlamMatrix, *, n_powers: int = 6,
     )
 
 
-def record_to_data(record: SpectralRecord, r: float, *,
-                   matrix: UlamMatrix | None = None) -> SpectralData:
-    """Slice a record at a peripheral threshold r, with residual checks."""
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"need 0 < r < 1, got r={r}")
-    w = np.asarray(record.eigenvalues)
-    above = w[np.abs(w) > r]
-    if not np.any(np.abs(above - 1.0) <= UNIT_EIGENVALUE_TOL):
-        raise NoUnitEigenvalueError(
-            f"no eigenvalue within {UNIT_EIGENVALUE_TOL} of 1 above r={r}"
-        )
-    # order by modulus, largest first, for stable reporting
-    above = tuple(complex(z) for z in above[np.argsort(-np.abs(above))])
-    residuals = []
-    for z in above:
-        if abs(z - 1.0) <= UNIT_EIGENVALUE_TOL:
-            residuals.append(record.unit_residual)
-        elif matrix is not None:
-            residuals.append(_left_residual(matrix.matrix, z))
-        else:
-            residuals.append(float("nan"))
-    for z, res in zip(above, residuals):
-        if math.isfinite(res) and res > RESIDUAL_TOL:
-            raise EigensolverResidualError(
-                f"eigenpair at {z} has residual {res:.3e} > {RESIDUAL_TOL}"
-            )
-    return SpectralData(
-        n_bins=record.n_bins,
-        r=r,
-        eigenvalues_above_r=above,
-        invariant_density=record.invariant_density,
-        projection_norm=record.projection_norm,
-        q_power_norms=record.q_power_norms,
-        q_power_norms_colsum=record.q_power_norms_colsum,
-        truncation_N=record.truncation_N,
-        residuals=tuple(residuals),
-        subdominant_modulus=record.subdominant_modulus(),
-        spectrum_complete=record.spectrum_complete,
-    )
-
-
-def eigen_analysis(matrix: UlamMatrix, r: float, *, n_powers: int = 6,
-                   dense_cutoff: int = DENSE_CUTOFF, block_size: int = 1024) -> SpectralData:
-    """Eigenvalues above r, invariant density, and Q-power norms.
-
-    Dense eigensolve for n_bins <= ``dense_cutoff``; ARPACK with a growing
-    Krylov block above.  Raises :class:`NoUnitEigenvalueError` when no
-    eigenvalue sits within 1e-8 of 1 and
-    :class:`EigensolverResidualError` when a reported pair has residual
-    above 1e-8.
-    """
-    record = compute_record(matrix, n_powers=n_powers, dense_cutoff=dense_cutoff,
-                            block_size=block_size, r_floor=min(r, 0.5))
-    return record_to_data(record, r, matrix=matrix)
-
-
 # -- bounds --------------------------------------------------------------------
 
-def neumann_bound(data: SpectralData, r: float, *, orientation: str = "column",
-                  matrix: UlamMatrix | None = None, max_N: int = MAX_TRUNCATION) -> float:
+def neumann_bound(record: SpectralRecord, r: float, *, orientation: str = "column") -> float:
     """Uniform bound on ||R(z)||_1 over |z| >= r via the truncated series.
 
     With q = ||Q^(N+1)|| / r^(N+1) < 1 the value is
 
-        (1/r) * (sum_{k=0}^{N} ||Q^k|| / r^k) / (1 - q).
+        (1/r) * (sum_{k=0}^{N} ||Q^k|| / r^k) / (1 - q),
 
-    When the stored truncation gives q >= 1, N grows (recomputing powers
-    when ``matrix`` is supplied) up to ``max_N`` before raising
+    N being the record's truncation index; q >= 1 raises
     :class:`NeumannDivergenceError`.
     """
-    norms = list(data.norms(orientation))
-    N = data.truncation_N
-
-    def tail_ratio(norms, N):
-        return norms[N + 1] / r ** (N + 1)
-
-    while tail_ratio(norms, N) >= 1.0:
-        if N + 2 < len(norms):
-            N += 1
-            continue
-        if len(norms) - 1 >= max_N or matrix is None:
-            raise NeumannDivergenceError(
-                f"Neumann tail ratio q >= 1 at N={N} "
-                "(r too close to the essential spectrum, or no spectral gap)"
-            )
-        extended = _q_power_norms(matrix.matrix, data.mass_vector,
-                                  min(2 * (len(norms) - 1), max_N))
-        norms = list(extended[1] if orientation == "column" else extended[0])
-        norms[0] = data.norms(orientation)[0]
-    q = tail_ratio(norms, N)
+    if not 0.0 < r < 1.0:
+        raise ValueError(f"need 0 < r < 1, got r={r}")
+    norms = record.norms(orientation)
+    N = record.truncation_N
+    q = norms[N + 1] / r ** (N + 1)
+    if q >= 1.0:
+        raise NeumannDivergenceError(
+            f"Neumann tail ratio q = {q:.6g} >= 1 at N={N} "
+            "(r too close to the essential spectrum, or no spectral gap)"
+        )
     partial = math.fsum(norms[k] / r**k for k in range(N + 1))
     return (partial / r) / (1.0 - q)
 
 
-def h_star(data: SpectralData, r: float, delta: float, alpha0: float, B0: float,
+def h_star(record: SpectralRecord, r: float, delta: float, alpha0: float, B0: float,
            *, orientation: str = "column") -> ResolventBound:
     """Computable resolvent-sup surrogate for the certification chain.
 
     Requires the spectral layout that justifies the rank-one split: the
-    unit eigenvalue is the only one of modulus above r, it is simple, and
-    every other eigenvalue has modulus at most r - delta.  Violations
-    raise :class:`SpectralStructureError`.
+    unit eigenvalue is simple and every other eigenvalue has modulus at
+    most r - delta.  Both follow from ``record.spectral_radius_bound <=
+    r - delta`` (see the module docstring); otherwise
+    :class:`SpectralStructureError` is raised.
     """
     alpha0 = float(alpha0)
     B0 = float(B0)
@@ -467,25 +332,15 @@ def h_star(data: SpectralData, r: float, delta: float, alpha0: float, B0: float,
         raise ValueError(f"need delta > 0, got {delta}")
     if r <= alpha0:
         raise ValueError(f"need r > alpha0, got r={r}, alpha0={alpha0}")
-    if data.r > r + 1e-15:
-        raise ValueError(
-            f"spectral data was computed at threshold {data.r} > r = {r}; "
-            "recompute at or below r"
-        )
-    above = [z for z in data.eigenvalues_above_r if abs(z) > r]
-    unit = [z for z in above if abs(z - 1.0) <= UNIT_EIGENVALUE_TOL]
-    if len(unit) != 1 or len(above) != 1:
+    radius = record.spectral_radius_bound
+    if not radius <= r - delta:
         raise SpectralStructureError(
-            f"need exactly one simple eigenvalue (the unit one) above r={r}; "
-            f"found {above}"
+            f"spectral-radius bound {radius:.6g} of Q exceeds r - delta = "
+            f"{r - delta:.6g}: the unit eigenvalue is not certified simple and "
+            "alone outside the disc of radius r - delta"
         )
-    if data.subdominant_modulus > r - delta:
-        raise SpectralStructureError(
-            f"subdominant eigenvalue modulus {data.subdominant_modulus:.6g} "
-            f"exceeds r - delta = {r - delta:.6g}"
-        )
-    neumann = neumann_bound(data, r, orientation=orientation)
-    resolvent_l1 = data.projection_norm / delta + neumann
+    neumann = neumann_bound(record, r, orientation=orientation)
+    resolvent_l1 = record.projection_norm / delta + neumann
     value = (B0 / (r - alpha0) + 1.0) * resolvent_l1 + 1.0 / (r - alpha0) + 2.0 / r
     return ResolventBound(r=r, delta=delta, neumann_bound=neumann,
                           resolvent_l1_bound=resolvent_l1, h_star=value,

@@ -1,9 +1,12 @@
 import os
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 from fractions import Fraction
 
 import holecert as hc
+from holecert.ulam import UlamMatrix, UlamPartition
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +43,20 @@ def doubling():
 def bundled_spectral_5000(bundled_map, pipeline_cache):
     """Spectral record of the bundled map at mesh 2e-4 (heavy, shared)."""
     return pipeline_cache.spectral_record(bundled_map, 5000)
+
+
+@pytest.fixture(scope="session")
+def decoupled_blocks():
+    """Closed stochastic matrix with eigenvalues 1 and 0.97.
+
+    Two random 10-state blocks; every row leaks mass 0.015 evenly into the
+    other block, so the lumped two-state chain has eigenvalue 1 - 2 * 0.015.
+    """
+    rng = np.random.default_rng(97)
+    m, leak = 10, 0.015
+    blocks = rng.random((2, m, m)) + 0.05
+    blocks /= blocks.sum(axis=2, keepdims=True)
+    P = np.full((2 * m, 2 * m), leak / m)
+    P[:m, :m] = (1 - leak) * blocks[0]
+    P[m:, m:] = (1 - leak) * blocks[1]
+    return UlamMatrix(UlamPartition(2 * m), sp.csr_matrix(P), "closed", "decoupled")

@@ -1,0 +1,33 @@
+import json
+
+import numpy as np
+
+import holecert as hc
+
+
+def test_record_in_eigensolver_layout_is_recomputed(tmp_path, shift10):
+    # the eigensolver-based layout: full eigenvalue list, no schema tag
+    cache = hc.PipelineCache(tmp_path)
+    path = cache._record_path(shift10.fingerprint, 10)
+    meta = {"n_bins": 10, "map_fingerprint": shift10.fingerprint,
+            "spectrum_complete": True, "projection_norm": 1.0,
+            "unit_residual": 0.0, "power_iterations": 1}
+    with open(path, "wb") as fh:
+        np.savez(fh, eigenvalues=np.array([1.0, 0.5, 0.25], dtype=complex),
+                 mass_vector=np.full(10, 0.1), q_power_norms=np.zeros(7),
+                 q_power_norms_colsum=np.zeros(7), meta=json.dumps(meta))
+
+    record = cache.spectral_record(shift10, 10)
+    assert cache.stats["spectral_builds"] == 1
+    assert cache.stats["spectral_hits"] == 0
+    assert len(record.eigenvalues) == 1
+    assert record.q_power_norms[0] > 0
+
+    # the overwritten file now loads as a hit in a fresh cache
+    fresh = hc.PipelineCache(tmp_path)
+    reloaded = fresh.spectral_record(shift10, 10)
+    assert fresh.stats == {"matrix_hits": 0, "matrix_builds": 0,
+                           "spectral_hits": 1, "spectral_builds": 0}
+    assert reloaded.eigenvalues == record.eigenvalues
+    assert reloaded.q_power_norms == record.q_power_norms
+    assert np.array_equal(reloaded.mass_vector, record.mass_vector)

@@ -12,7 +12,7 @@ from holecert.certify import (
     separation_check,
 )
 from holecert.kl import CLOSED_ONLY, KLDomainError, kl_constants, ly_constants
-from holecert.spectral import ResolventBound, SpectralStructureError
+from holecert.spectral import SpectralStructureError, compute_record
 
 A0, B0 = F(1, 9), F(2, 9)
 
@@ -168,6 +168,14 @@ class TestRunCertification:
         assert rep.delta_com == F(1, 26)
         assert rep.epsilon_com is not None
         assert rep.hole_bound == F(11, 10) * rep.epsilon_com
+        # the spectral gate of every analyzed pass implies the separation step
+        assert rep.iterations[-1].step10_pass
+        for it in rep.iterations:
+            if it.used_bootstrap:
+                assert it.spectral_radius_bound is None
+            else:
+                assert it.spectral_radius_bound <= float(rep.r - it.delta)
+            assert it.to_dict()["spectral_radius_bound"] == it.spectral_radius_bound
 
     def test_internal_consistency(self, shift10_report):
         # oracle: recompute the constant chain from the logged resolvent
@@ -206,46 +214,20 @@ class TestRunCertification:
 
 
 class TestOuterLoop:
-    """Drive the separation-failure path with doctored spectral data."""
+    """A real spectrum that breaks the rank-one split stops the run."""
 
-    class DoctoredCache(hc.PipelineCache):
-        def __init__(self, eigenvalues):
+    class FixedRecordCache(hc.PipelineCache):
+        def __init__(self, matrix):
             super().__init__(None)
-            self._eigs = eigenvalues
+            self._matrix = matrix
 
-        def spectral(self, tmap, n_bins, r, n_powers=None):
-            data = super().spectral(tmap, n_bins, r, n_powers=n_powers)
-            return hc.SpectralData(
-                n_bins=data.n_bins, r=data.r,
-                eigenvalues_above_r=tuple(self._eigs),
-                invariant_density=data.invariant_density,
-                projection_norm=data.projection_norm,
-                q_power_norms=data.q_power_norms,
-                q_power_norms_colsum=data.q_power_norms_colsum,
-                truncation_N=data.truncation_N, residuals=data.residuals,
-                subdominant_modulus=data.subdominant_modulus,
-                spectrum_complete=data.spectrum_complete)
+        def spectral_record(self, tmap, n_bins, n_powers=None):
+            return compute_record(self._matrix)
 
-    def test_delta_halves_until_separation(self, shift10, monkeypatch):
-        fake_bound = ResolventBound(r=0.96, delta=1 / 26, neumann_bound=2.0,
-                                    resolvent_l1_bound=28.0, h_star=35.0,
-                                    orientation="column")
-        monkeypatch.setattr("holecert.certify.h_star",
-                            lambda *a, **kw: fake_bound)
-        cache = self.DoctoredCache([1.0, 0.97 + 0j])
-        config = CertificationConfig(ell=F(1, 25), bins_init=2500,
-                                     bin_candidates=(2500,))
-        rep = hc.run_certification(shift10, config, cache=cache)
-        # |0.97 - 1| = 0.03: fails at delta = 1/26 and 1/52, passes at 1/104
-        assert rep.certified
-        assert rep.delta_com == F(1, 104)
-        deltas = [it.delta for it in rep.iterations]
-        assert deltas == sorted(deltas, reverse=True)
-        ks = sorted({d.denominator for d in deltas})
-        assert ks == [26, 52, 104]
-
-    def test_extra_peripheral_eigenvalue_raises_without_doctoring(self, shift10):
-        cache = self.DoctoredCache([1.0, 0.97 + 0j])
+    def test_extra_peripheral_eigenvalue_raises_without_doctoring(
+            self, shift10, decoupled_blocks):
+        # eigenvalues 1 and 0.97: the bound exceeds r - delta = 24/25 - 1/26
+        cache = self.FixedRecordCache(decoupled_blocks)
         config = CertificationConfig(ell=F(1, 25), bins_init=100)
         with pytest.raises(SpectralStructureError):
             hc.run_certification(shift10, config, cache=cache)

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import holecert as hc
+from holecert import cli
 from holecert.cli import main
 
 
@@ -87,6 +88,20 @@ class TestMatrixAndSpectralCommands:
         assert doc["report"]["n_bins"] == 100
         assert doc["report"]["h_star"] > 0
         assert len(doc["report"]["invariant_density"]) == 100
+        assert doc["report"]["unit_eigenvalue"] == pytest.approx(1.0, abs=1e-12)
+        assert doc["report"]["spectral_radius_bound"] <= 24 / 25 - 1 / 26
+
+    @pytest.mark.parametrize("constant", [["--alpha0", "1/9"], ["--B0", "2/9"]])
+    def test_spectral_constants_all_or_nothing(self, tmp_path, shift_map_path,
+                                               constant):
+        # h_star grows with B0, so a defaulted B0 = 0 would understate it
+        out = tmp_path / "m.txt"
+        assert main(["ulam-matrix", "--map", shift_map_path, "--bins", "10",
+                     "--out", str(out)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["spectral", "--matrix", str(out), "--r", "24/25",
+                  "--delta", "1/26"] + constant)
+        assert exc.value.code == 2
 
     def test_open_matrix_with_hole(self, tmp_path, shift_map_path):
         out = tmp_path / "open.txt"
@@ -165,3 +180,25 @@ class TestCacheCommands:
         assert "purged" in capsys.readouterr().out
         assert main(["cache", "list", "--cache-dir", str(scratch)]) == 0
         assert "empty" in capsys.readouterr().out
+
+
+class TestReproduceTablesCommand:
+    def test_manifests_count_their_own_cache_lookups(self, tmp_path, shift_map_path,
+                                                     cache_dir, monkeypatch):
+        # the session cache keeps this cheap after the shift-map certifications
+        caches = []
+        make_cache = cli._make_cache
+
+        def recording_make_cache(args):
+            caches.append(make_cache(args))
+            return caches[-1]
+
+        monkeypatch.setattr(cli, "_make_cache", recording_make_cache)
+        rc = main(["reproduce-tables", "--map", shift_map_path, "--bins", "100",
+                   "--out-dir", str(tmp_path), "--cache-dir", cache_dir])
+        assert rc == 1          # the bundled map's reference cells do not fit
+        stats = [json.loads((tmp_path / f"{which}.json").read_text())["manifest"]["cache_stats"]
+                 for which in ("table1", "table2")]
+        assert len(caches) == 1
+        assert {key: stats[0][key] + stats[1][key] for key in stats[0]} == caches[0].stats
+        assert sum(stats[0].values()) >= 1 and sum(stats[1].values()) >= 1

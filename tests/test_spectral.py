@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -8,14 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 import holecert as hc
 from holecert.spectral import (
-    EigensolverResidualError,
     NeumannDivergenceError,
     NoUnitEigenvalueError,
-    SpectralData,
     SpectralStructureError,
     compute_record,
     dominant_left_eigenpair,
-    eigen_analysis,
     h_star,
     neumann_bound,
     operator_l1_norm,
@@ -73,18 +71,19 @@ class TestPowerIteration:
 
 class TestEigenAnalysis:
     def test_rank_one_doubling(self, doubling2):
-        data = eigen_analysis(doubling2, 0.5)
-        assert len(data.eigenvalues_above_r) == 1
-        assert data.eigenvalues_above_r[0] == pytest.approx(1.0, abs=1e-12)
+        data = compute_record(doubling2)
+        assert len(data.eigenvalues) == 1
+        assert data.eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
+        assert data.spectral_radius_bound <= 0.5
         # Q = P - Pi1 vanishes for the rank-one stochastic matrix
         assert data.q_power_norms[0] == pytest.approx(1.0, abs=1e-14)
         assert max(data.q_power_norms[1:]) <= 1e-14
         assert data.projection_norm == pytest.approx(1.0, abs=1e-14)
 
     def test_uniform_shift_spectrum(self, shift10_10):
-        data = eigen_analysis(shift10_10, 0.9)
-        assert len(data.eigenvalues_above_r) == 1
-        assert data.subdominant_modulus <= 1e-12
+        data = compute_record(shift10_10)
+        assert len(data.eigenvalues) == 1
+        assert data.spectral_radius_bound <= 1e-12
         # ||1 - Pi1|| = max row sum of I - uniform = 1.8
         assert data.q_power_norms[0] == pytest.approx(1.8, abs=1e-14)
         assert data.q_power_norms_colsum[0] == 1.0
@@ -92,7 +91,7 @@ class TestEigenAnalysis:
 
     def test_invariant_density_normalization(self, bundled_map):
         M = hc.build_closed(bundled_map, UlamPartition(100))
-        data = eigen_analysis(M, 0.9)
+        data = compute_record(M)
         density = data.invariant_density
         assert density.min() >= 0.0
         assert density.sum() / 100 == pytest.approx(1.0, abs=1e-13)
@@ -100,16 +99,16 @@ class TestEigenAnalysis:
     def test_requires_closed_mode(self, shift10):
         open_m = hc.build_open(shift10, UlamPartition(10), hc.Hole(F(0), F(1, 10)))
         with pytest.raises(ValueError):
-            eigen_analysis(open_m, 0.9)
+            compute_record(open_m)
 
     def test_no_unit_eigenvalue(self):
         M = hand_matrix([[0.5, 0.4], [0.4, 0.5]])
         with pytest.raises(NoUnitEigenvalueError):
-            eigen_analysis(M, 0.5)
+            compute_record(M)
 
     def test_submultiplicativity_of_stored_norms(self, bundled_map):
         M = hc.build_closed(bundled_map, UlamPartition(60))
-        data = eigen_analysis(M, 0.9)
+        data = compute_record(M)
         for norms in (data.q_power_norms, data.q_power_norms_colsum):
             for i in range(1, len(norms)):
                 for j in range(1, len(norms) - i):
@@ -121,42 +120,85 @@ class TestEigenAnalysis:
         rng = np.random.default_rng(seed)
         A = rng.random((12, 12)) + 0.05
         A /= A.sum(axis=1, keepdims=True)
-        data = eigen_analysis(hand_matrix(A), 0.95)
-        assert any(abs(z - 1) <= 1e-8 for z in data.eigenvalues_above_r)
+        data = compute_record(hand_matrix(A))
+        assert data.spectral_radius_bound <= 0.95
+        assert any(abs(z - 1) <= 1e-8 for z in data.eigenvalues)
+
+
+def _assert_bound_covers_eigvals(matrix):
+    """Every eigenvalue but the one nearest 1 lies in the bound's disc."""
+    bound = compute_record(matrix).spectral_radius_bound
+    w = np.linalg.eigvals(matrix.toarray())
+    others = np.delete(w, np.argmin(np.abs(w - 1.0)))
+    assert np.abs(others).max() <= bound + 1e-9
+    return bound, others
+
+
+class TestSpectralRadiusBound:
+    """The power-norm gate against the dense eigensolver it replaces."""
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_random_stochastic(self, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.random((12, 12)) * (rng.random((12, 12)) < 0.5) + 1e-3
+        A /= A.sum(axis=1, keepdims=True)
+        _assert_bound_covers_eigvals(hand_matrix(A))
+
+    @pytest.mark.parametrize("n_bins", [60, 100])
+    def test_bundled_map(self, bundled_map, n_bins):
+        _assert_bound_covers_eigvals(hc.build_closed(bundled_map, UlamPartition(n_bins)))
+
+    def test_full_branch_linear(self):
+        _assert_bound_covers_eigvals(
+            hc.build_closed(hc.full_branch_linear(3), UlamPartition(120)))
+
+    def test_nearly_decoupled(self, decoupled_blocks):
+        bound, others = _assert_bound_covers_eigvals(decoupled_blocks)
+        # the lumped two-state chain has eigenvalue 1 - 2 * leak = 0.97
+        assert np.abs(others - 0.97).min() <= 1e-12
+        assert bound >= 0.97 - 1e-12
+
+    @pytest.mark.parametrize("entries", [
+        [[0.99, 0.01], [0.01, 0.99]],
+        [[0.95, 0.05], [0.05, 0.95]],
+        np.eye(4),
+    ])
+    def test_hand_matrices(self, entries):
+        _assert_bound_covers_eigvals(hand_matrix(entries))
 
 
 class TestNeumannBound:
     def test_zero_q_trivial(self, doubling2):
-        data = eigen_analysis(doubling2, 0.5)
+        data = compute_record(doubling2)
         # only the leading term survives; both orientations have head 1 here
         assert neumann_bound(data, 24 / 25) == pytest.approx(25 / 24, rel=1e-14)
         assert neumann_bound(data, 24 / 25, orientation="row") == pytest.approx(25 / 24, rel=1e-14)
 
     def test_uniform_shift_row_head(self, shift10_10):
         # row family keeps the computed ||1 - Pi1|| = 1.8 as its head term
-        data = eigen_analysis(shift10_10, 0.9)
+        data = compute_record(shift10_10)
         assert neumann_bound(data, 0.9, orientation="row") == pytest.approx(2.0, rel=1e-12)
         assert neumann_bound(data, 0.9, orientation="column") == pytest.approx(1 / 0.9, rel=1e-12)
 
     def test_divergent_tail_raises(self, doubling2):
-        data = eigen_analysis(doubling2, 0.5)
-        bad = SpectralData(
-            n_bins=2, r=0.5, eigenvalues_above_r=data.eigenvalues_above_r,
-            invariant_density=data.invariant_density,
-            projection_norm=1.0,
+        data = compute_record(doubling2)
+        bad = dataclasses.replace(
+            data, projection_norm=1.0,
             q_power_norms=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
-            q_power_norms_colsum=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
-            truncation_N=5, residuals=(0.0,), subdominant_modulus=0.0,
-            spectrum_complete=True)
+            q_power_norms_colsum=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0))
         with pytest.raises(NeumannDivergenceError):
             neumann_bound(bad, 0.5)
+        # h_star's spectral gate (bound 2 > r - delta) fires before the series
+        with pytest.raises(SpectralStructureError):
+            h_star(bad, 0.5, 0.01, 0.1, 0.0)
 
 
 class TestHStar:
     def test_rank_one_hand_computation(self, doubling2):
         # independent arithmetic: neumann = (1/r) * 1, resolvent = 1/delta + that,
         # h = (B0/(r-a0)+1) * resolvent + 1/(r-a0) + 2/r with B0 = 0
-        data = eigen_analysis(doubling2, 0.5)
+        data = compute_record(doubling2)
         r, delta, a0, B0 = 0.96, 1 / 26, 0.1, 0.0
         bound = h_star(data, r, delta, a0, B0)
         neumann = (1 / r) * 1.0
@@ -166,31 +208,34 @@ class TestHStar:
         assert bound.resolvent_l1_bound == pytest.approx(resolvent, rel=1e-14)
 
     def test_monotone_in_delta(self, doubling2):
-        data = eigen_analysis(doubling2, 0.5)
+        data = compute_record(doubling2)
         values = [h_star(data, 0.96, d, 0.1, 0.0).h_star
                   for d in (0.01, 0.02, 0.05, 0.1, 0.2)]
         assert values == sorted(values, reverse=True)
 
     def test_rejects_extra_peripheral_eigenvalue(self):
         M = hand_matrix([[0.99, 0.01], [0.01, 0.99]])
-        data = eigen_analysis(M, 0.96)   # eigenvalues 1 and 0.98
+        data = compute_record(M)   # eigenvalues 1 and 0.98
+        assert data.spectral_radius_bound == pytest.approx(0.98, rel=1e-12)
         with pytest.raises(SpectralStructureError):
             h_star(data, 0.96, 1 / 26, 0.1, 0.0)
 
     def test_rejects_subdominant_near_r(self):
         M = hand_matrix([[0.95, 0.05], [0.05, 0.95]])  # eigenvalues 1 and 0.9
-        data = eigen_analysis(M, 0.96)
+        data = compute_record(M)
+        # below r, above r - delta: only the r - delta comparison rejects it
+        assert 0.96 - 0.1 < data.spectral_radius_bound < 0.96
         with pytest.raises(SpectralStructureError):
             h_star(data, 0.96, 0.1, 0.1, 0.0)
 
     def test_rejects_multiple_unit_eigenvalues(self):
         M = hand_matrix(np.eye(4))
-        data = eigen_analysis(M, 0.9)
+        data = compute_record(M)
         with pytest.raises(SpectralStructureError):
             h_star(data, 0.9, 0.01, 0.1, 0.0)
 
     def test_rejects_r_below_alpha0(self, doubling2):
-        data = eigen_analysis(doubling2, 0.5)
+        data = compute_record(doubling2)
         with pytest.raises(ValueError):
             h_star(data, 0.6, 0.01, 0.7, 0.0)
 
@@ -207,7 +252,7 @@ class TestResolventSpotCheck:
         m3 = hc.full_branch_linear(3)
         matrix = hc.build_closed(m3, UlamPartition(120))
         r, delta = 0.7, 0.05
-        data = eigen_analysis(matrix, r)
+        data = compute_record(matrix)
         bound_row = h_star(data, r, delta, float(m3.alpha0), 0.0, orientation="row")
         bound_col = h_star(data, r, delta, float(m3.alpha0), 0.0, orientation="column")
         P = matrix.toarray()
