@@ -32,8 +32,6 @@ from .ulam import (
     UlamPartition,
     build_closed,
     build_open,
-    load_matrix,
-    save_matrix,
 )
 from .spectral import (
     NeumannDivergenceError,
@@ -59,11 +57,9 @@ from .certify import (
     CertificationReport,
     CertificateBounds,
     RefinePlan,
-    SeparationResult,
     certificate_bounds,
     refine_with_bootstrap,
     run_certification,
-    separation_check,
 )
 from .escape import (
     AsymptoticRatioExperiment,

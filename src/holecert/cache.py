@@ -1,13 +1,14 @@
-"""Disk/memory cache for Ulam matrices and spectral records.
+"""Memory cache for closed Ulam matrices; memory/disk cache for spectral records.
 
-Matrices are keyed by (map fingerprint, bin count, mode, hole); spectral
-records by (map fingerprint, bin count) only, since everything they hold
-(unit eigenvalue, invariant density, power norms of the mass-free part)
-is independent of the peripheral threshold r and the separation delta.
-The matrix power computations are by far the most expensive step, so a
-warm cache lets a second run at the same mesh do no matrix work at all.
-A record file whose ``schema`` tag differs from :data:`RECORD_SCHEMA` was
-written by an older layout and is recomputed and overwritten.
+Closed matrices are keyed by (map fingerprint, bin count) and kept only
+for the process lifetime.  Spectral records are keyed the same way, since
+everything they hold (unit eigenvalue, invariant density, power norms of
+the mass-free part) is independent of the peripheral threshold r and the
+separation delta.  The matrix power computations are by far the most
+expensive step, so a warm record cache lets a second run at the same mesh
+do no matrix work at all.  A record file whose ``schema`` tag differs from
+:data:`RECORD_SCHEMA` was written by an older layout and is recomputed and
+overwritten.
 
 All writes are atomic (temp file + rename).  The cache directory comes
 from the HOLECERT_CACHE_DIR environment variable when not given
@@ -25,7 +26,7 @@ import numpy as np
 
 from .maps import PiecewiseMap
 from .spectral import SpectralRecord, compute_record
-from .ulam import Hole, UlamMatrix, UlamPartition, build_closed, build_open, load_matrix, save_matrix
+from .ulam import UlamMatrix, UlamPartition, build_closed
 
 __all__ = ["PipelineCache", "default_cache_dir", "CACHE_ENV_VAR"]
 
@@ -54,23 +55,19 @@ def _atomic_write(path: Path, writer) -> None:
 
 
 class PipelineCache:
-    """Caches closed/open matrices and spectral records for the pipeline.
+    """Caches closed matrices and spectral records for the pipeline.
 
     Parameters
     ----------
     directory : path-like or None
-        On-disk location; None keeps everything in memory for the
-        process lifetime.
-    n_powers, block_size
-        Defaults handed to the spectral computation.
+        On-disk location of the spectral records; None keeps them in
+        memory for the process lifetime.  Matrices are never written.
     """
 
-    def __init__(self, directory=None, *, n_powers: int = 6, block_size: int = 1024):
+    def __init__(self, directory=None):
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
-        self.n_powers = n_powers
-        self.block_size = block_size
         self._matrices: dict[tuple, UlamMatrix] = {}
         self._records: dict[tuple, SpectralRecord] = {}
         self.stats = {
@@ -80,15 +77,6 @@ class PipelineCache:
 
     # -- paths ------------------------------------------------------------
 
-    def _matrix_path(self, fingerprint: str, n_bins: int, mode: str,
-                     hole: Hole | None) -> Path | None:
-        if self.directory is None:
-            return None
-        tag = f"{mode}"
-        if hole is not None:
-            tag += f"_{hole.a}_{hole.b}".replace("/", "-")
-        return self.directory / f"{fingerprint}_{n_bins}_{tag}.matrix.txt"
-
     def _record_path(self, fingerprint: str, n_bins: int) -> Path | None:
         if self.directory is None:
             return None
@@ -97,45 +85,19 @@ class PipelineCache:
     # -- matrices -----------------------------------------------------------
 
     def closed_matrix(self, tmap: PiecewiseMap, n_bins: int) -> UlamMatrix:
-        key = (tmap.fingerprint, n_bins, "closed")
+        key = (tmap.fingerprint, n_bins)
         if key in self._matrices:
             self.stats["matrix_hits"] += 1
             return self._matrices[key]
-        path = self._matrix_path(tmap.fingerprint, n_bins, "closed", None)
-        if path is not None and path.exists():
-            m = load_matrix(path, expected_fingerprint=tmap.fingerprint)
-            self.stats["matrix_hits"] += 1
-        else:
-            m = build_closed(tmap, UlamPartition(n_bins))
-            self.stats["matrix_builds"] += 1
-            if path is not None:
-                _atomic_write(path, lambda tmp: save_matrix(m, tmp))
-        self._matrices[key] = m
-        return m
-
-    def open_matrix(self, tmap: PiecewiseMap, n_bins: int, hole: Hole) -> UlamMatrix:
-        key = (tmap.fingerprint, n_bins, "open", str(hole))
-        if key in self._matrices:
-            self.stats["matrix_hits"] += 1
-            return self._matrices[key]
-        path = self._matrix_path(tmap.fingerprint, n_bins, "open", hole)
-        if path is not None and path.exists():
-            m = load_matrix(path, expected_fingerprint=tmap.fingerprint)
-            self.stats["matrix_hits"] += 1
-        else:
-            m = build_open(tmap, UlamPartition(n_bins), hole,
-                           closed=self.closed_matrix(tmap, n_bins))
-            self.stats["matrix_builds"] += 1
-            if path is not None:
-                _atomic_write(path, lambda tmp: save_matrix(m, tmp))
+        m = build_closed(tmap, UlamPartition(n_bins))
+        self.stats["matrix_builds"] += 1
         self._matrices[key] = m
         return m
 
     # -- spectral records -----------------------------------------------------
 
     def spectral_record(self, tmap: PiecewiseMap, n_bins: int, *,
-                        n_powers: int | None = None) -> SpectralRecord:
-        n_powers = n_powers if n_powers is not None else self.n_powers
+                        n_powers: int = 6) -> SpectralRecord:
         key = (tmap.fingerprint, n_bins)
         record = self._records.get(key)
         if record is not None and record.truncation_N + 1 >= n_powers:
@@ -148,8 +110,7 @@ class PipelineCache:
                 self._records[key] = record
                 self.stats["spectral_hits"] += 1
                 return record
-        record = compute_record(self.closed_matrix(tmap, n_bins), n_powers=n_powers,
-                                block_size=self.block_size)
+        record = compute_record(self.closed_matrix(tmap, n_bins), n_powers=n_powers)
         self.stats["spectral_builds"] += 1
         self._records[key] = record
         if path is not None:
@@ -180,6 +141,7 @@ class PipelineCache:
         count = 0
         if self.directory is not None and self.directory.exists():
             for path in self.directory.iterdir():
+                # .matrix.txt: matrix files written by older versions
                 if path.is_file() and (path.name.endswith(".matrix.txt")
                                        or path.name.endswith(".spectral.npz")):
                     path.unlink()

@@ -199,7 +199,9 @@ def separation_check(eigenvalues, r, delta) -> SeparationResult:
     the one around 1, i.e. |z - 1| > 2 delta.  The first violator is
     returned as witness; ``cluster`` reports everything within delta of 1.
     :func:`run_certification` does not call it: the spectral gate of
-    :func:`holecert.spectral.h_star` already implies it.
+    :func:`holecert.spectral.h_star` already implies it.  It stays as the
+    reference arithmetic of the paper's separation step, which the
+    acceptance suite (criterion C7) checks.
     """
     r = float(r)
     delta = float(delta)

@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-One subcommand per pipeline stage: ``ulam-matrix``, ``spectral``,
-``kl-constants``, ``certify``, ``escape``, ``hole-asymptotics``,
-``reproduce-tables`` and ``cache``.  Rationals are written ``p/q`` and
-survive exactly into the reports.  Every JSON report embeds a run
+One subcommand per pipeline stage: ``spectral``, ``kl-constants``,
+``certify``, ``escape``, ``hole-asymptotics``, ``reproduce-tables`` and
+``cache``.  Ulam matrices are built in memory from a map and a bin count;
+only spectral records are cached on disk.  Rationals are written ``p/q``
+and survive exactly into the reports.  Every JSON report embeds a run
 manifest (resolved parameters, map fingerprint, tool version, per-phase
 timings, cache statistics); identical manifests and caches reproduce
 byte-identical reports apart from the timings block.
@@ -31,7 +32,7 @@ from .escape import asymptotic_ratio, estimate_escape
 from .kl import CLOSED_ONLY, HOLE_UNIFORM, kl_constants, ly_constants
 from .maps import MapConfigError, as_rational, bundled_map_path, load_map
 from .spectral import compute_record, h_star, neumann_bound
-from .ulam import Hole, UlamPartition, build_closed, build_open, load_matrix, save_matrix
+from .ulam import Hole, UlamPartition, build_closed
 
 __all__ = ["main", "REFERENCE_TABLES"]
 
@@ -121,33 +122,15 @@ def _make_cache(args) -> PipelineCache:
 
 # -- subcommands -----------------------------------------------------------------
 
-def _cmd_ulam_matrix(args) -> int:
-    manifest = RunManifest("ulam-matrix", {
-        "map": str(args.map), "bins": args.bins,
-        "hole": str(args.hole) if args.hole else None, "out": str(args.out),
+def _cmd_spectral(args) -> int:
+    manifest = RunManifest("spectral", {
+        "map": str(args.map), "bins": args.bins, "r": str(args.r),
+        "delta": str(args.delta), "N": args.N, "orientation": args.orientation,
     })
     tmap = load_map(args.map)
     manifest.map_fingerprint = tmap.fingerprint
-    part = UlamPartition(args.bins)
     with _Phase(manifest, "assembly"):
-        if args.hole is not None:
-            matrix = build_open(tmap, part, args.hole)
-        else:
-            matrix = build_closed(tmap, part)
-    with _Phase(manifest, "write"):
-        save_matrix(matrix, args.out)
-    print(f"wrote {matrix.mode} matrix ({matrix.n_bins} bins, "
-          f"{matrix.matrix.nnz} entries) to {args.out}")
-    return 0
-
-
-def _cmd_spectral(args) -> int:
-    manifest = RunManifest("spectral", {
-        "matrix": str(args.matrix), "r": str(args.r), "delta": str(args.delta),
-        "N": args.N, "orientation": args.orientation,
-    })
-    matrix = load_matrix(args.matrix)
-    manifest.map_fingerprint = matrix.map_fingerprint
+        matrix = build_closed(tmap, UlamPartition(args.bins))
     with _Phase(manifest, "analysis"):
         record = compute_record(matrix, n_powers=args.N + 1)
     payload = {
@@ -256,12 +239,8 @@ def _cmd_escape(args) -> int:
     })
     tmap = load_map(args.map)
     manifest.map_fingerprint = tmap.fingerprint
-    cache = _make_cache(args)
-    part = UlamPartition(args.bins)
     with _Phase(manifest, "escape"):
-        est = estimate_escape(tmap, part, args.hole,
-                              open_matrix=cache.open_matrix(tmap, args.bins, args.hole))
-    manifest.cache_stats = dict(cache.stats)
+        est = estimate_escape(tmap, UlamPartition(args.bins), args.hole)
     print(f"hole {args.hole}: e_H = {est.e_H:.12g}, escape rate = "
           f"{est.escape_rate:.12g}, residual = {est.solver_residual:.3g}")
     payload = {
@@ -470,15 +449,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"holecert {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("ulam-matrix", help="build and save an Ulam matrix")
+    p = sub.add_parser("spectral", help="spectral report for a map at a bin count")
     p.add_argument("--map", required=True)
     p.add_argument("--bins", type=int, required=True)
-    p.add_argument("--hole", type=_hole, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_ulam_matrix)
-
-    p = sub.add_parser("spectral", help="spectral report for a saved matrix")
-    p.add_argument("--matrix", required=True)
     p.add_argument("--r", type=_rational, required=True)
     p.add_argument("--delta", type=_rational, required=True)
     p.add_argument("--N", type=int, default=5, help="Neumann truncation index")
@@ -511,7 +484,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--bins", type=int, required=True)
     p.add_argument("--hole", type=_hole, required=True)
-    p.add_argument("--cache-dir", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_escape)
 
@@ -532,7 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=_cmd_reproduce_tables)
 
-    p = sub.add_parser("cache", help="list, inspect, or purge the cache")
+    p = sub.add_parser("cache", help="list, inspect, or purge the spectral-record cache")
     p.add_argument("action", choices=("list", "inspect", "purge"))
     p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=_cmd_cache)

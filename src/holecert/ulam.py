@@ -12,14 +12,13 @@ rows of all bins inside the hole zeroed; it is sub-stochastic and its
 dominant eigenvalue is the discrete escape factor.
 
 Matrices are plain ``scipy.sparse.csr_matrix`` wrapped with partition and
-provenance metadata, and round-trip through a small text format (header
-plus ``row col value`` triplets, 17 significant digits).
+provenance metadata.  They live only in the process that built them: the
+pipeline persists the spectral record of a closed matrix, never the matrix.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,12 +33,8 @@ __all__ = [
     "UlamMatrix",
     "UlamAssemblyError",
     "HoleAlignmentError",
-    "UlamIOError",
-    "FingerprintMismatchWarning",
     "build_closed",
     "build_open",
-    "save_matrix",
-    "load_matrix",
 ]
 
 #: closed rows may deviate from 1 by at most this much before renormalizing
@@ -52,14 +47,6 @@ class UlamAssemblyError(ArithmeticError):
 
 class HoleAlignmentError(ValueError):
     """Hole endpoints do not coincide with partition points."""
-
-
-class UlamIOError(ValueError):
-    """Malformed matrix cache file."""
-
-
-class FingerprintMismatchWarning(UserWarning):
-    """Loaded matrix was built from a different map config."""
 
 
 @dataclass(frozen=True)
@@ -267,76 +254,3 @@ def build_open(tmap: PiecewiseMap, partition: UlamPartition, hole: Hole,
     open_mat = sp.diags(keep).dot(closed.matrix).tocsr()
     open_mat.eliminate_zeros()
     return UlamMatrix(partition, open_mat, "open", tmap.fingerprint, hole=hole)
-
-
-# -- persistence --------------------------------------------------------------
-
-def save_matrix(m: UlamMatrix, path) -> None:
-    """Write the matrix as a text header plus ``row col value`` triplets."""
-    coo = m.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"n_bins {m.n_bins}\n")
-        fh.write(f"mode {m.mode}\n")
-        if m.hole is not None:
-            fh.write(f"hole {m.hole.a} {m.hole.b}\n")
-        fh.write(f"fingerprint {m.map_fingerprint}\n")
-        fh.write(f"nnz {coo.nnz}\n")
-        for k in order:
-            fh.write(f"{coo.row[k]} {coo.col[k]} {coo.data[k]:.17g}\n")
-
-
-def load_matrix(path, expected_fingerprint: str | None = None) -> UlamMatrix:
-    """Read a matrix written by :func:`save_matrix`.
-
-    A fingerprint different from ``expected_fingerprint`` only warns
-    (:class:`FingerprintMismatchWarning`); the matrix is still returned.
-    Structural problems raise :class:`UlamIOError`.
-    """
-    header: dict[str, str] = {}
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                parts = line.split()
-                if not parts:
-                    continue
-                if parts[0].isdigit() or (parts[0].lstrip("-").isdigit() and len(parts) == 3):
-                    r, c, v = parts
-                    rows.append(int(r))
-                    cols.append(int(c))
-                    vals.append(float(v))
-                elif parts[0] == "hole":
-                    header["hole_a"], header["hole_b"] = parts[1], parts[2]
-                else:
-                    header[parts[0]] = parts[1]
-        n = int(header["n_bins"])
-        mode = header["mode"]
-        nnz = int(header["nnz"])
-        fingerprint = header["fingerprint"]
-    except (KeyError, ValueError, IndexError) as exc:
-        raise UlamIOError(f"malformed matrix file {path}: {exc}") from exc
-    if len(vals) != nnz:
-        raise UlamIOError(
-            f"matrix file {path} truncated: header says {nnz} entries, found {len(vals)}"
-        )
-    if mode not in ("closed", "open"):
-        raise UlamIOError(f"matrix file {path}: unknown mode {mode!r}")
-    hole = None
-    if "hole_a" in header:
-        hole = Hole(as_rational(header["hole_a"]), as_rational(header["hole_b"]))
-    elif mode == "open":
-        raise UlamIOError(f"matrix file {path}: open mode without hole endpoints")
-    if expected_fingerprint is not None and fingerprint != expected_fingerprint:
-        warnings.warn(
-            f"matrix file {path} was built from map {fingerprint}, "
-            f"expected {expected_fingerprint}", FingerprintMismatchWarning,
-            stacklevel=2,
-        )
-    matrix = sp.csr_matrix(
-        (np.asarray(vals), (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
-        shape=(n, n),
-    )
-    return UlamMatrix(UlamPartition(n), matrix, mode, fingerprint, hole=hole)

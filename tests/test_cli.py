@@ -71,16 +71,9 @@ class TestKLConstantsCommand:
 
 
 class TestMatrixAndSpectralCommands:
-    def test_matrix_roundtrip_and_spectral(self, tmp_path, map_path):
-        out = tmp_path / "m.txt"
-        rc = main(["ulam-matrix", "--map", map_path, "--bins", "100",
-                   "--out", str(out)])
-        assert rc == 0
-        loaded = hc.load_matrix(out)
-        assert loaded.n_bins == 100
-
+    def test_spectral_from_map(self, tmp_path, map_path):
         report = tmp_path / "spectral.json"
-        rc = main(["spectral", "--matrix", str(out), "--r", "24/25",
+        rc = main(["spectral", "--map", map_path, "--bins", "100", "--r", "24/25",
                    "--delta", "1/26", "--alpha0", "1/9", "--B0", "2/9",
                    "--out", str(report)])
         assert rc == 0
@@ -91,28 +84,27 @@ class TestMatrixAndSpectralCommands:
         assert doc["report"]["unit_eigenvalue"] == pytest.approx(1.0, abs=1e-12)
         assert doc["report"]["spectral_radius_bound"] <= 24 / 25 - 1 / 26
 
+        # the report is the library pipeline on the in-memory matrix, bit for bit
+        record = hc.compute_record(
+            hc.build_closed(hc.load_map(map_path), hc.UlamPartition(100)), n_powers=6)
+        bound = hc.h_star(record, 24 / 25, 1 / 26, 1 / 9, 2 / 9, orientation="column")
+        assert doc["report"]["q_power_norms"] == list(record.q_power_norms)
+        assert doc["report"]["spectral_radius_bound"] == record.spectral_radius_bound
+        assert doc["report"]["neumann_bound"] == hc.neumann_bound(
+            record, 24 / 25, orientation="column")
+        assert doc["report"]["h_star"] == bound.h_star
+
     @pytest.mark.parametrize("constant", [["--alpha0", "1/9"], ["--B0", "2/9"]])
-    def test_spectral_constants_all_or_nothing(self, tmp_path, shift_map_path,
-                                               constant):
+    def test_spectral_constants_all_or_nothing(self, shift_map_path, constant):
         # h_star grows with B0, so a defaulted B0 = 0 would understate it
-        out = tmp_path / "m.txt"
-        assert main(["ulam-matrix", "--map", shift_map_path, "--bins", "10",
-                     "--out", str(out)]) == 0
         with pytest.raises(SystemExit) as exc:
-            main(["spectral", "--matrix", str(out), "--r", "24/25",
+            main(["spectral", "--map", shift_map_path, "--bins", "10", "--r", "24/25",
                   "--delta", "1/26"] + constant)
         assert exc.value.code == 2
 
-    def test_open_matrix_with_hole(self, tmp_path, shift_map_path):
-        out = tmp_path / "open.txt"
-        rc = main(["ulam-matrix", "--map", shift_map_path, "--bins", "10",
-                   "--hole", "0,1/10", "--out", str(out)])
-        assert rc == 0
-        assert hc.load_matrix(out).mode == "open"
-
     def test_misaligned_hole_fails(self, tmp_path, shift_map_path):
-        rc = main(["ulam-matrix", "--map", shift_map_path, "--bins", "10",
-                   "--hole", "0,1/7", "--out", str(tmp_path / "x.txt")])
+        rc = main(["escape", "--map", shift_map_path, "--bins", "10",
+                   "--hole", "0,1/7", "--out", str(tmp_path / "x.json")])
         assert rc == 1
 
 
@@ -150,6 +142,10 @@ class TestCertifyCommand:
         a = strip_timings(cli_certified["outs"][1].read_text())
         b = strip_timings(cli_certified["outs"][2].read_text())
         assert a == b
+        # a warm run reads spectral records and builds no matrix
+        stats = json.loads(b)["manifest"]["cache_stats"]
+        assert stats["matrix_builds"] == 0
+        assert stats["spectral_hits"] >= 1
 
     def test_human_table(self, cli_certified, capsys):
         rc = main(cli_certified["args"] + ["--out",
@@ -163,21 +159,25 @@ class TestCertifyCommand:
 
 class TestCacheCommands:
     def test_list_inspect(self, cli_certified, capsys):
+        # only spectral records reach the disk; matrices stay in memory
         assert main(["cache", "list", "--cache-dir", cli_certified["cache_dir"]]) == 0
         listing = capsys.readouterr().out
-        assert ".matrix.txt" in listing and ".spectral.npz" in listing
+        assert ".spectral.npz" in listing and ".matrix.txt" not in listing
         assert main(["cache", "inspect", "--cache-dir", cli_certified["cache_dir"]]) == 0
         inspected = capsys.readouterr().out
-        assert "spectral" in inspected and "matrix" in inspected
+        assert "spectral" in inspected and "matrix" not in inspected
 
     def test_purge_on_scratch_dir(self, tmp_path, shift_map_path, capsys):
         scratch = tmp_path / "scratch-cache"
-        main(["escape", "--map", shift_map_path, "--bins", "10",
-              "--hole", "0,1/10", "--cache-dir", str(scratch),
-              "--out", str(tmp_path / "e.json")])
+        # one inner pass at 10 bins writes a record and stops uncertified
+        main(["certify", "--map", shift_map_path, "--ell", "1/25",
+              "--bins-init", "10", "--max-inner", "1", "--cache-dir", str(scratch),
+              "--out", str(tmp_path / "c.json")])
+        # cache directories of older versions also hold text matrices
+        (scratch / "x.matrix.txt").write_text("n_bins 1\n")
         capsys.readouterr()
         assert main(["cache", "purge", "--cache-dir", str(scratch)]) == 0
-        assert "purged" in capsys.readouterr().out
+        assert "purged 2 cached files" in capsys.readouterr().out
         assert main(["cache", "list", "--cache-dir", str(scratch)]) == 0
         assert "empty" in capsys.readouterr().out
 

@@ -7,12 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import holecert as hc
 from holecert.maps import ExpansionWarning, LinearBranch
-from holecert.ulam import (
-    FingerprintMismatchWarning,
-    HoleAlignmentError,
-    UlamIOError,
-    UlamPartition,
-)
+from holecert.ulam import HoleAlignmentError, UlamPartition
 
 
 def brute_force_entry(tmap, n, i, j, samples=4000):
@@ -162,45 +157,3 @@ class TestPartitionAndHole:
     def test_hole_bin_range(self):
         part = UlamPartition(10)
         assert list(hc.Hole(F(1, 5), F(1, 2)).bin_range(part)) == [2, 3, 4]
-
-
-class TestPersistence:
-    def test_round_trip_bitwise(self, tmp_path, doubling):
-        M = hc.build_closed(doubling, UlamPartition(4))
-        path = tmp_path / "m.txt"
-        hc.save_matrix(M, path)
-        back = hc.load_matrix(path, expected_fingerprint=doubling.fingerprint)
-        assert np.array_equal(back.toarray(), M.toarray())
-        assert back.mode == "closed"
-        assert back.map_fingerprint == M.map_fingerprint
-
-    def test_open_round_trip(self, tmp_path, shift10):
-        M = hc.build_open(shift10, UlamPartition(10), hc.Hole(F(1, 10), F(1, 5)))
-        path = tmp_path / "open.txt"
-        hc.save_matrix(M, path)
-        back = hc.load_matrix(path)
-        assert back.hole == M.hole
-        assert np.array_equal(back.toarray(), M.toarray())
-
-    def test_wrong_fingerprint_warns(self, tmp_path, doubling):
-        M = hc.build_closed(doubling, UlamPartition(4))
-        path = tmp_path / "m.txt"
-        hc.save_matrix(M, path)
-        with pytest.warns(FingerprintMismatchWarning):
-            back = hc.load_matrix(path, expected_fingerprint="deadbeef")
-        assert back.n_bins == 4
-
-    def test_truncated_file_rejected(self, tmp_path, doubling):
-        M = hc.build_closed(doubling, UlamPartition(4))
-        path = tmp_path / "m.txt"
-        hc.save_matrix(M, path)
-        text = path.read_text().splitlines()
-        path.write_text("\n".join(text[:-2]))
-        with pytest.raises(UlamIOError):
-            hc.load_matrix(path)
-
-    def test_garbage_file_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("just some words\n")
-        with pytest.raises(UlamIOError):
-            hc.load_matrix(path)
