@@ -15,7 +15,6 @@ from .maps import (
     Branch,
     LinearBranch,
     MoebiusBranch,
-    TabulatedBranch,
     PiecewiseMap,
     MapConfigError,
     MapDomainError,
@@ -27,7 +26,6 @@ from .maps import (
 from .ulam import (
     Hole,
     HoleAlignmentError,
-    UlamAssemblyError,
     UlamMatrix,
     UlamPartition,
     build_closed,

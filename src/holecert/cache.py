@@ -36,6 +36,10 @@ CACHE_ENV_VAR = "HOLECERT_CACHE_DIR"
 #: eigenvalue list of the eigensolver-based layout
 RECORD_SCHEMA = 2
 
+#: kind of each file the cache owns, by suffix (older versions wrote text
+#: matrices); anything else in the directory is left alone
+CACHED_KINDS = {".spectral.npz": "spectral", ".matrix.txt": "legacy matrix"}
+
 
 def default_cache_dir() -> Path | None:
     """Directory named by HOLECERT_CACHE_DIR, or None (memory-only)."""
@@ -119,34 +123,27 @@ class PipelineCache:
 
     # -- maintenance ------------------------------------------------------------
 
-    def entries(self) -> list[dict]:
-        """One dict per cached file (empty for memory-only caches)."""
+    def _cached_files(self) -> list[tuple[Path, str]]:
+        """(path, kind) of each file the cache owns, sorted by name."""
         if self.directory is None or not self.directory.exists():
             return []
-        out = []
-        for path in sorted(self.directory.iterdir()):
-            if path.suffix == ".tmp" or not path.is_file():
-                continue
-            out.append({
-                "file": path.name,
-                "bytes": path.stat().st_size,
-                "kind": "spectral" if path.name.endswith(".spectral.npz") else "matrix",
-            })
-        return out
+        return [(path, kind) for path in sorted(self.directory.iterdir())
+                for suffix, kind in CACHED_KINDS.items()
+                if path.name.endswith(suffix) and path.is_file()]
+
+    def entries(self) -> list[dict]:
+        """One dict per cached file (empty for memory-only caches)."""
+        return [{"file": path.name, "bytes": path.stat().st_size, "kind": kind}
+                for path, kind in self._cached_files()]
 
     def purge(self) -> int:
         """Remove every cached file and in-memory entry; returns file count."""
         self._matrices.clear()
         self._records.clear()
-        count = 0
-        if self.directory is not None and self.directory.exists():
-            for path in self.directory.iterdir():
-                # .matrix.txt: matrix files written by older versions
-                if path.is_file() and (path.name.endswith(".matrix.txt")
-                                       or path.name.endswith(".spectral.npz")):
-                    path.unlink()
-                    count += 1
-        return count
+        files = self._cached_files()
+        for path, _ in files:
+            path.unlink()
+        return len(files)
 
 
 def _save_record(record: SpectralRecord, path) -> None:

@@ -313,7 +313,7 @@ def _cmd_cache(args) -> int:
         return 0
     for entry in entries:
         if args.action == "inspect":
-            print(f"{entry['kind']:9s} {entry['bytes']:>12d}  {entry['file']}")
+            print(f"{entry['kind']:13s} {entry['bytes']:>12d}  {entry['file']}")
         else:
             print(entry["file"])
     return 0

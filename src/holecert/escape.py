@@ -124,13 +124,13 @@ def classify_point(tmap: PiecewiseMap, y, *, max_period: int = PERIOD_SEARCH_LIM
                    tol: float = ORBIT_RETURN_TOL) -> PointClassification:
     """Classify y as periodic (with period and cycle derivative) or not.
 
-    Rational y on an exact map is decided exactly up to ``max_period``;
-    otherwise the orbit runs in floats and an approach within ``tol`` of
-    the start without an exact return raises
+    Rational y is decided exactly up to ``max_period`` (every map is
+    exact).  A float y such as sqrt(2) - 1 runs its orbit in floats, and
+    an approach within ``tol`` of the start without an exact return raises
     :class:`ClassificationAmbiguityWarning` (and is classified periodic
     at the closest-return period).
     """
-    exact = tmap.is_exact and isinstance(y, Rational)
+    exact = isinstance(y, Rational)
     point = Fraction(y) if exact else float(y)
     orbit = [point]
     for _ in range(max_period):

@@ -1,10 +1,12 @@
 """Piecewise expanding interval maps on [0, 1) with exact branch inverses.
 
 A map is a finite ordered list of strictly monotone branches whose
-half-open domains partition [0, 1).  Branch endpoints, and the parameters
-of the closed-form branch kinds, are exact rationals; preimages of
-rational intervals under linear and Moebius branches are therefore exact
-rationals, which is what makes exact Ulam matrices possible downstream.
+half-open domains partition [0, 1) and whose images lie in [0, 1].
+Branches are linear or Moebius, with exact rational endpoints and
+coefficients, so each is a Moebius map x -> (p x + q)/(r x + s) with
+rational p, q, r, s (``Branch.moebius``).  Preimages of rational points
+are therefore exact rationals, which is what makes every Ulam matrix
+exact downstream.
 
 Each map carries the constants (alpha0, B0) of the variation inequality
 
@@ -27,13 +29,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from numbers import Rational
-from typing import Callable, Sequence
+from typing import Sequence
 
 __all__ = [
     "Branch",
     "LinearBranch",
     "MoebiusBranch",
-    "TabulatedBranch",
     "PiecewiseMap",
     "MapConfigError",
     "MapDomainError",
@@ -48,7 +49,7 @@ __all__ = [
     "map_to_dict",
 ]
 
-#: endpoint / inverse agreement tolerance used by construction-time checks
+#: tolerance of the sampled inverse round trip checked at construction
 ENDPOINT_TOL = 1e-12
 ROUNDTRIP_SAMPLES = 32
 
@@ -92,12 +93,13 @@ class Branch:
     """One strictly monotone branch of a piecewise map.
 
     Subclasses provide ``__call__`` (forward map), ``inverse``,
-    ``derivative``, and serialization.  ``lo``/``hi`` bound the half-open
-    domain [lo, hi).  ``image`` is the closure of the image interval.
+    ``derivative``, ``moebius`` (the coefficients (p, q, r, s) of
+    x -> (p x + q)/(r x + s)), and serialization.  ``lo``/``hi`` bound the
+    half-open domain [lo, hi).  ``image`` is the closure of the image
+    interval.
     """
 
     kind = "abstract"
-    exact = False
 
     lo: Fraction
     hi: Fraction
@@ -159,7 +161,6 @@ class LinearBranch(Branch):
     intercept: Fraction
 
     kind = "linear"
-    exact = True
 
     def __post_init__(self):
         if self.slope == 0:
@@ -179,6 +180,10 @@ class LinearBranch(Branch):
     def increasing(self) -> bool:
         return self.slope > 0
 
+    @property
+    def moebius(self) -> tuple:
+        return (self.slope, self.intercept, Fraction(0), Fraction(1))
+
     def params(self):
         return {"slope": self.slope, "intercept": self.intercept}
 
@@ -195,7 +200,6 @@ class MoebiusBranch(Branch):
     s: Fraction
 
     kind = "moebius"
-    exact = True
 
     def __post_init__(self):
         det = self.p * self.s - self.q * self.r
@@ -225,71 +229,12 @@ class MoebiusBranch(Branch):
     def increasing(self) -> bool:
         return self.p * self.s - self.q * self.r > 0
 
+    @property
+    def moebius(self) -> tuple:
+        return (self.p, self.q, self.r, self.s)
+
     def params(self):
         return {"p": self.p, "q": self.q, "r": self.r, "s": self.s}
-
-
-class TabulatedBranch(Branch):
-    """Branch given by a monotone callable, inverted by bisection if needed.
-
-    ``forward`` must be strictly monotone on [lo, hi].  When no closed-form
-    ``inverse`` is supplied, a bracketed bisection (certified to land within
-    ``tol`` of the preimage) is used.  Such branches are not exact: Ulam
-    rows built from them are checked and renormalized in floating point.
-    """
-
-    kind = "tabulated-inverse"
-    exact = False
-
-    def __init__(self, lo, hi, forward: Callable[[float], float],
-                 inverse: Callable[[float], float] | None = None,
-                 derivative: Callable[[float], float] | None = None,
-                 tol: float = 1e-14):
-        self.lo = as_rational(lo)
-        self.hi = as_rational(hi)
-        self._forward = forward
-        self._inverse = inverse
-        self._derivative = derivative
-        self.tol = tol
-        self._validate()
-
-    def __call__(self, x):
-        return self._forward(float(x))
-
-    def inverse(self, y):
-        if self._inverse is not None:
-            return self._inverse(float(y))
-        return self._bisect(float(y))
-
-    def derivative(self, x):
-        if self._derivative is not None:
-            return self._derivative(float(x))
-        h = 1e-7
-        x = float(x)
-        a, b = max(x - h, float(self.lo)), min(x + h, float(self.hi))
-        return (self._forward(b) - self._forward(a)) / (b - a)
-
-    def _bisect(self, y: float) -> float:
-        a, b = float(self.lo), float(self.hi)
-        fa = self._forward(a)
-        inc = self.increasing
-        lo, hi = a, b
-        for _ in range(200):
-            if hi - lo <= self.tol:
-                break
-            mid = 0.5 * (lo + hi)
-            if (self._forward(mid) < y) == inc:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    @property
-    def increasing(self) -> bool:
-        return self._forward(float(self.hi) - 1e-12) > self._forward(float(self.lo))
-
-    def params(self):
-        raise MapConfigError("tabulated-inverse branches cannot be serialized to a config")
 
 
 def _branch_from_dict(d: dict) -> Branch:
@@ -320,10 +265,12 @@ class PiecewiseMap:
         Identifier used in fingerprints and reports.
 
     The constructor verifies the partition, branch monotonicity, the
-    closed-form inverses, and samples the derivative; a sampled minimum
-    |T'| <= 1 raises :class:`ExpansionWarning` (certification requires
-    expansion separately via alpha0 < 1/3, so non-expanding maps remain
-    usable for plumbing such as identity-map tests).
+    closed-form inverses, that every branch image lies in [0, 1] (an
+    exact comparison, so each Ulam row sums to 1 exactly), and samples
+    the derivative; a sampled minimum |T'| <= 1 raises
+    :class:`ExpansionWarning` (certification requires expansion
+    separately via alpha0 < 1/3, so non-expanding maps remain usable for
+    plumbing such as identity-map tests).
     """
 
     def __init__(self, branches: Sequence[Branch], alpha0, B0, label: str = "map"):
@@ -339,7 +286,7 @@ class PiecewiseMap:
                 )
         for b in branches:
             ylo, yhi = b.image
-            if float(ylo) < -ENDPOINT_TOL or float(yhi) > 1 + ENDPOINT_TOL:
+            if ylo < 0 or yhi > 1:
                 raise MapConfigError(
                     f"branch image [{ylo}, {yhi}] leaves [0, 1]: not a self-map"
                 )
@@ -365,11 +312,6 @@ class PiecewiseMap:
     def n_branches(self) -> int:
         return len(self.branches)
 
-    @property
-    def is_exact(self) -> bool:
-        """True when every branch supports exact rational preimages."""
-        return all(b.exact for b in self.branches)
-
     def branch_index_of(self, x) -> int:
         """Index of the branch whose domain contains x (exact comparison)."""
         if isinstance(x, float):
@@ -384,7 +326,7 @@ class PiecewiseMap:
     def evaluate(self, x):
         """Apply the map: T(x) via the unique branch containing x.
 
-        Rational input with exact branches gives a rational result.
+        Rational input gives a rational result.
         """
         b = self.branches[self.branch_index_of(x)]
         return b(x if _is_rational(x) else float(x))
@@ -396,7 +338,7 @@ class PiecewiseMap:
         return b.derivative(x if _is_rational(x) else float(x))
 
     def orbit(self, x, length: int) -> list:
-        """x, T(x), ..., T^(length-1)(x); exact for rational x on exact maps."""
+        """x, T(x), ..., T^(length-1)(x); exact for rational x."""
         pts = [x]
         for _ in range(length - 1):
             pts.append(self.evaluate(pts[-1]))
@@ -411,46 +353,6 @@ class PiecewiseMap:
                 x = lo + (hi - lo) * (k + 0.5) / samples
                 out = min(out, abs(float(b.derivative(x))))
         return out
-
-    # -- preimages ---------------------------------------------------------
-
-    def branch_preimage(self, branch_index: int, interval):
-        """Preimage of an interval under one branch, as an ordered pair.
-
-        Parameters
-        ----------
-        branch_index : int
-        interval : pair (lo, hi) with lo <= hi, a subinterval of [0, 1],
-            or None/empty for the empty set.
-
-        Returns
-        -------
-        (xlo, xhi) with xlo <= xhi, or None when the interval misses the
-        branch range.  Monotonicity makes the preimage a single interval.
-        Rational input on exact branches gives exact rational output.
-        """
-        if interval is None:
-            return None
-        jlo, jhi = interval
-        if jhi < jlo:
-            raise ValueError(f"interval endpoints out of order: {interval}")
-        if jhi == jlo:
-            return None
-        b = self.branches[branch_index]
-        ylo, yhi = b.image
-        lo = max(jlo, ylo)
-        hi = min(jhi, yhi)
-        if hi <= lo:
-            return None
-        p, q = b.inverse(lo), b.inverse(hi)
-        if not b.increasing:
-            p, q = q, p
-        # clip the tiny numerical spill outside the domain for inexact kinds
-        p = max(p, b.lo)
-        q = min(q, b.hi)
-        if q < p:
-            return None
-        return (p, q)
 
     # -- serialization -----------------------------------------------------
 

@@ -4,9 +4,12 @@ The closed-system matrix has entries
 
     P[i, j] = lambda(bin_i  intersect  T^-1 bin_j) / lambda(bin_i),
 
-assembled branch by branch from exact rational preimages whenever the map
-supports them (linear and Moebius branches), so closed rows sum to 1
-exactly before the single rounding to float64.  The open-system matrix
+assembled branch by branch in one vectorised pass over Python integers.
+Every branch is a Moebius map (p, q, r, s) (a linear branch has r = 0,
+s = 1); with integer coefficients P, Q, R, S the preimage of the grid
+point j/n is (S j - Q n)/(P n - R j), so every entry is an exact rational,
+rounded once to float64.  Closed rows sum to 1 exactly before that
+rounding, because the map is a self-map of [0, 1].  The open-system matrix
 for a hole aligned with the partition equals the closed matrix with the
 rows of all bins inside the hole zeroed; it is sub-stochastic and its
 dominant eigenvalue is the discrete escape factor.
@@ -31,19 +34,10 @@ __all__ = [
     "UlamPartition",
     "Hole",
     "UlamMatrix",
-    "UlamAssemblyError",
     "HoleAlignmentError",
     "build_closed",
     "build_open",
 ]
-
-#: closed rows may deviate from 1 by at most this much before renormalizing
-ROW_SUM_TOL = 1e-9
-
-
-class UlamAssemblyError(ArithmeticError):
-    """A closed row sum deviated from 1 beyond the renormalization budget."""
-
 
 class HoleAlignmentError(ValueError):
     """Hole endpoints do not coincide with partition points."""
@@ -134,103 +128,80 @@ class UlamMatrix:
 
 # -- assembly ------------------------------------------------------------------
 
-def _row_entries(tmap: PiecewiseMap, part: UlamPartition, i: int) -> dict[int, Fraction]:
-    """One closed row as {column: exact preimage-fraction} (exact maps)."""
-    n = part.n_bins
-    lo, hi = part.bin_interval(i)
-    row: dict[int, Fraction] = {}
-    for bi, branch in enumerate(tmap.branches):
-        a = max(lo, branch.lo)
-        b = min(hi, branch.hi)
-        if b <= a:
-            continue
-        ya, yb = branch(a), branch(b)
-        if ya > yb:
-            ya, yb = yb, ya
-        j0 = int(ya * n)
-        ybn = yb * n
-        j1 = int(ybn) - 1 if ybn.denominator == 1 else int(ybn)
-        j1 = min(j1, n - 1)
-        for j in range(j0, j1 + 1):
-            seg = tmap.branch_preimage(bi, (max(ya, Fraction(j, n)),
-                                            min(yb, Fraction(j + 1, n))))
-            if seg is None:
-                continue
-            length = seg[1] - seg[0]
-            if length > 0:
-                row[j] = row.get(j, Fraction(0)) + length * n
-    return row
+def _branch_cells(branch, n: int):
+    """Nonzero cells of one branch on the n-bin grid, exactly.
 
-
-def _row_entries_float(tmap: PiecewiseMap, part: UlamPartition, i: int) -> dict[int, float]:
-    """One closed row in float arithmetic (maps with tabulated branches)."""
-    n = part.n_bins
-    lo, hi = (float(x) for x in part.bin_interval(i))
-    row: dict[int, float] = {}
-    for bi, branch in enumerate(tmap.branches):
-        a = max(lo, float(branch.lo))
-        b = min(hi, float(branch.hi))
-        if b <= a:
-            continue
-        ya, yb = float(branch(a)), float(branch(b))
-        if ya > yb:
-            ya, yb = yb, ya
-        j0 = max(int(math.floor(ya * n)), 0)
-        j1 = min(int(math.ceil(yb * n)), n)
-        for j in range(j0, j1):
-            seg = tmap.branch_preimage(bi, (max(ya, j / n), min(yb, (j + 1) / n)))
-            if seg is None:
-                continue
-            length = float(seg[1]) - float(seg[0])
-            if length > 0:
-                row[j] = row.get(j, 0.0) + length * n
-    return row
+    Returns int64 ``rows`` and ``cols`` and Python-int object arrays
+    ``num``, ``den`` with n * lambda(bin_row & branch^-1 bin_col) = num/den.
+    """
+    p, q, r, s = branch.moebius
+    ylo, yhi = branch.image
+    # integer coefficients; floor division and the cell lengths below are
+    # right for either sign of the denominators
+    scale = math.lcm(*(c.denominator for c in (p, q, r, s)))
+    P, Q, R, S = (int(c * scale) for c in (p, q, r, s))
+    # the grid points k/n inside the image cut it into the y-bins j0 .. j1-1
+    j0, j1 = math.floor(ylo * n), math.ceil(yhi * n)
+    k = np.array(range(j0 + 1, j1), dtype=object)
+    cols = np.arange(j0, j1, dtype=np.int64)
+    pre_num, pre_den = S * k - Q * n, P * n - R * k
+    if not branch.increasing:
+        pre_num, pre_den, cols = pre_num[::-1], pre_den[::-1], cols[::-1]
+    # breakpoints u_t in increasing x; [u_t, u_t+1] is the preimage of bin cols[t]
+    u_num = np.concatenate(([branch.lo.numerator], pre_num, [branch.hi.numerator]))
+    u_den = np.concatenate(([branch.lo.denominator], pre_den, [branch.hi.denominator]))
+    first = (n * u_num[:-1]) // u_den[:-1]             # floor(n u_t)
+    last = -((-n * u_num[1:]) // u_den[1:]) - 1        # ceil(n u_t+1) - 1
+    counts = (last - first + 1).astype(np.int64)
+    starts = np.cumsum(counts) - counts
+    t = np.repeat(np.arange(len(counts)), counts)
+    rows = first.astype(np.int64)[t] + np.arange(len(t)) - starts[t]
+    # a cell spans max(u_t, row/n) .. min(u_t+1, (row+1)/n)
+    lnum, lden = rows.astype(object), np.full(len(t), n, dtype=object)
+    rnum, rden = lnum + 1, lden.copy()
+    lnum[starts], lden[starts] = u_num[:-1], u_den[:-1]
+    ends = starts + counts - 1
+    rnum[ends], rden[ends] = u_num[1:], u_den[1:]
+    return rows, cols[t], n * (rnum * lden - lnum * rden), rden * lden
 
 
 def build_closed(tmap: PiecewiseMap, partition: UlamPartition) -> UlamMatrix:
     """Assemble the row-stochastic Ulam matrix of the closed system.
 
-    Exact maps are assembled in rational arithmetic (each row sums to 1
-    exactly, then is rounded once to float64); otherwise rows are float
-    and a deviation of the row sum beyond 1e-9 raises
-    :class:`UlamAssemblyError`, below which the row is renormalized.
+    Every entry is an exact rational from integer preimages of the grid
+    points, rounded once to float64 (Python int division is correctly
+    rounded).  A row whose ``math.fsum`` is not 1.0 after that rounding is
+    divided by it.
     """
     n = partition.n_bins
     if n < tmap.n_branches:
         raise ValueError(
             f"partition too coarse: {n} bins < {tmap.n_branches} branches"
         )
-    exact = tmap.is_exact
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
+    rows, cols, data = [], [], []
+    shared: dict[tuple[int, int], Fraction] = {}
+    for branch in tmap.branches:
+        r, c, num, den = _branch_cells(branch, n)
+        # only a branch's end rows can meet another branch: sum those exactly
+        edge = (r == r[0]) | (r == r[-1])
+        for key, a, b in zip(zip(r[edge].tolist(), c[edge].tolist()), num[edge], den[edge]):
+            shared[key] = shared.get(key, 0) + Fraction(a, b)
+        rows.append(r[~edge])
+        cols.append(c[~edge])
+        data.append((num[~edge] / den[~edge]).astype(np.float64))
+    rows.append(np.array([i for i, _ in shared], dtype=np.int64))
+    cols.append(np.array([j for _, j in shared], dtype=np.int64))
+    data.append(np.array([float(v) for v in shared.values()]))
+    rows, cols, data = (np.concatenate(a) for a in (rows, cols, data))
+    order = np.lexsort((cols, rows))
+    cols, data = cols[order], data[order]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    bounds, values = indptr.tolist(), data.tolist()
     for i in range(n):
-        row = _row_entries(tmap, partition, i) if exact else _row_entries_float(tmap, partition, i)
-        if exact:
-            total = sum(row.values())
-            if total != 1:
-                raise UlamAssemblyError(
-                    f"row {i}: exact row sum {total} != 1 (map does not cover [0,1)?)"
-                )
-            cols = sorted(row)
-            vals = [float(row[j]) for j in cols]
-        else:
-            cols = sorted(row)
-            vals = [row[j] for j in cols]
-        s = math.fsum(vals)
-        if abs(s - 1.0) > ROW_SUM_TOL:
-            raise UlamAssemblyError(
-                f"row {i}: row sum {s!r} deviates from 1 beyond {ROW_SUM_TOL}"
-            )
+        s = math.fsum(values[bounds[i]:bounds[i + 1]])
         if s != 1.0:
-            vals = [v / s for v in vals]
-        indices.extend(cols)
-        data.extend(vals)
-        indptr.append(len(indices))
-    matrix = sp.csr_matrix(
-        (np.asarray(data), np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
-        shape=(n, n),
-    )
+            data[bounds[i]:bounds[i + 1]] /= s
+    matrix = sp.csr_matrix((data, cols, indptr), shape=(n, n))
     return UlamMatrix(partition, matrix, "closed", tmap.fingerprint)
 
 

@@ -175,11 +175,17 @@ class TestCacheCommands:
               "--out", str(tmp_path / "c.json")])
         # cache directories of older versions also hold text matrices
         (scratch / "x.matrix.txt").write_text("n_bins 1\n")
+        # a file the cache does not own is neither listed nor purged
+        (scratch / "notes.txt").write_text("keep me\n")
         capsys.readouterr()
+        assert main(["cache", "inspect", "--cache-dir", str(scratch)]) == 0
+        inspected = capsys.readouterr().out
+        assert "legacy matrix" in inspected and "notes.txt" not in inspected
         assert main(["cache", "purge", "--cache-dir", str(scratch)]) == 0
         assert "purged 2 cached files" in capsys.readouterr().out
         assert main(["cache", "list", "--cache-dir", str(scratch)]) == 0
         assert "empty" in capsys.readouterr().out
+        assert (scratch / "notes.txt").exists()
 
 
 class TestReproduceTablesCommand:

@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import holecert as hc
+from ulam_oracle import branch_preimage
 from holecert.maps import (
     ExpansionWarning,
     LinearBranch,
     MapConfigError,
     MapDomainError,
     MoebiusBranch,
-    TabulatedBranch,
     as_rational,
     linear_onto_constants,
     map_from_dict,
@@ -70,30 +70,30 @@ class TestEvaluate:
 class TestBranchPreimage:
     def test_moebius_interval(self, bundled_map):
         # inverse of 9x/(1-x) is y/(9+y); preimage of [0, 1/10] is [0, 1/91]
-        seg = bundled_map.branch_preimage(0, (F(0), F(1, 10)))
+        seg = branch_preimage(bundled_map, 0, (F(0), F(1, 10)))
         assert seg == (F(0), F(1, 91))
         # verify by forward evaluation of the endpoint
         assert bundled_map.evaluate(F(1, 91)) == F(1, 10)
 
     def test_linear_interval(self, bundled_map):
         # branch over [3/10, 2/5): inverse of 10x-3 is (y+3)/10
-        seg = bundled_map.branch_preimage(3, (F(1, 2), F(3, 5)))
+        seg = branch_preimage(bundled_map, 3, (F(1, 2), F(3, 5)))
         assert seg == (F(7, 20), F(9, 25))
 
     def test_empty_interval(self, bundled_map):
-        assert bundled_map.branch_preimage(0, None) is None
-        assert bundled_map.branch_preimage(0, (F(1, 2), F(1, 2))) is None
+        assert branch_preimage(bundled_map, 0, None) is None
+        assert branch_preimage(bundled_map, 0, (F(1, 2), F(1, 2))) is None
 
     def test_interval_missing_range(self):
         # branch [0, 1/2) -> [0, 1): preimage of anything above 1 is empty
         m = hc.full_branch_linear(2)
-        assert m.branch_preimage(0, (F(2), F(3))) is None
+        assert branch_preimage(m, 0, (F(2), F(3))) is None
 
     def test_preimage_measure_matches_quadrature(self, bundled_map):
         # lambda(preimage) = integral over J of 1/|T'(T^-1 y)| dy
         branch = bundled_map.branches[0]
         J = (0.2, 0.7)
-        seg = bundled_map.branch_preimage(0, J)
+        seg = branch_preimage(bundled_map, 0, J)
         measure = float(seg[1] - seg[0])
         integrand = lambda y: 1.0 / abs(float(branch.derivative(float(branch.inverse(y)))))
         oracle, err = quad(integrand, J[0], J[1], epsabs=1e-12, epsrel=1e-12)
@@ -128,6 +128,11 @@ class TestValidation:
         with pytest.raises(MapConfigError):
             hc.PiecewiseMap([LinearBranch(F(0), F(1), F(2), F(0))],
                             alpha0=F(1, 2), B0=0)
+        # the image overshoots 1 by 5e-15: rejected by the exact comparison
+        with pytest.raises(MapConfigError):
+            hc.PiecewiseMap([LinearBranch(F(0), F(1, 2), 2 + F(1, 10**14), F(0)),
+                             LinearBranch(F(1, 2), F(1), F(2), F(-1))],
+                            alpha0=F(1, 2), B0=0)
 
     def test_degenerate_moebius(self):
         with pytest.raises(MapConfigError):
@@ -157,7 +162,7 @@ class TestDecreasingBranches:
              LinearBranch(F(1, 2), F(1), F(-2), F(2))],
             alpha0=F(1, 2), B0=1, label="tent")
         assert tent.evaluate(F(3, 4)) == F(1, 2)
-        seg = tent.branch_preimage(1, (F(0), F(1, 2)))
+        seg = branch_preimage(tent, 1, (F(0), F(1, 2)))
         assert seg == (F(3, 4), F(1))
 
     def test_decreasing_preimage_order(self):
@@ -165,21 +170,8 @@ class TestDecreasingBranches:
             [LinearBranch(F(0), F(1, 2), F(2), F(0)),
              LinearBranch(F(1, 2), F(1), F(-2), F(2))],
             alpha0=F(1, 2), B0=1, label="tent")
-        lo, hi = tent.branch_preimage(1, (F(1, 4), F(3, 4)))
+        lo, hi = branch_preimage(tent, 1, (F(1, 4), F(3, 4)))
         assert lo < hi
-
-
-class TestTabulatedBranch:
-    def test_bisection_inverse(self):
-        b = TabulatedBranch(F(0), F(1), lambda x: x * x * 0.5 + 1.5 * x,
-                            derivative=lambda x: x + 1.5)
-        y = b(0.3)
-        assert abs(b.inverse(y) - 0.3) <= 1e-12
-
-    def test_explicit_inverse_used(self):
-        b = TabulatedBranch(F(0), F(1, 2), lambda x: 2.0 * x,
-                            inverse=lambda y: y / 2.0)
-        assert b.inverse(0.5) == 0.25
 
 
 class TestConfigIO:

@@ -1,12 +1,14 @@
 import math
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import holecert as hc
-from holecert.maps import ExpansionWarning, LinearBranch
+import ulam_oracle
+from holecert.maps import ExpansionWarning, LinearBranch, MoebiusBranch
 from holecert.ulam import HoleAlignmentError, UlamPartition
 
 
@@ -97,6 +99,77 @@ class TestBuildClosed:
         m = hc.PiecewiseMap(branches, alpha0=F(1, 2), B0=0, label="uneven")
         M = hc.build_closed(m, UlamPartition(n))
         assert np.abs(M.row_sums() - 1.0).max() <= 1e-12
+
+
+def onto_branch(kind, a, b, ya, yb, increasing, c=F(1, 2)):
+    """Branch mapping [a, b) onto [ya, yb]; Moebius ones bend by c != 1.
+
+    The Moebius branch is the affine image of t -> t/(t + c(1 - t)) on
+    the unit interval, which fixes 0 and 1, composed with t = (x - a)/(b - a).
+    """
+    base, h = (ya, yb - ya) if increasing else (yb, ya - yb)
+    if kind == "linear":
+        slope = h / (b - a)
+        return LinearBranch(a, b, slope, base - slope * a)
+    s = c * (b - a) - (1 - c) * a
+    return MoebiusBranch(a, b, base * (1 - c) + h, base * s - h * a, 1 - c, s)
+
+
+HUGE = F(11400714819323198485, 2**64 + 13)  # about 0.618, denominator above 2^64
+#: the first branch, a decreasing Moebius one, has coefficient denominators above 2^64
+HUGE_BRANCHES = [onto_branch("moebius", F(0), F(2, 7), F(0), F(1), False, HUGE),
+                 onto_branch("linear", F(2, 7), F(1), F(1, 3), HUGE, True)]
+#: at 12 bins, row 2 of this map's rounded entries does not sum to 1.0
+ROW_RULE_BRANCHES = [onto_branch("moebius", F(0), F(3, 7), F(0), F(1), True, F(1, 3)),
+                     onto_branch("linear", F(3, 7), F(1), F(0), F(1), False)]
+
+
+@st.composite
+def random_branches(draw):
+    """1-5 linear/Moebius branches, either orientation, cut off the grid."""
+    k = draw(st.integers(min_value=1, max_value=5))
+    inner = draw(st.lists(st.fractions(F(1, 997), F(996, 997), max_denominator=997),
+                          min_size=k - 1, max_size=k - 1, unique=True))
+    cuts = [F(0)] + sorted(inner) + [F(1)]
+    branches = []
+    for a, b in zip(cuts, cuts[1:]):
+        # full images keep most branches expanding; others are narrower
+        ends = draw(st.lists(st.fractions(0, 1, max_denominator=13)
+                             | st.sampled_from([F(0), F(1), HUGE]),
+                             min_size=2, max_size=2, unique=True))
+        c = draw(st.sampled_from([F(1, 3), F(3, 2), F(5, 2), HUGE]))
+        branches.append(onto_branch(draw(st.sampled_from(["linear", "moebius"])),
+                                    a, b, min(ends), max(ends), draw(st.booleans()), c))
+    return branches
+
+
+class TestExactOracle:
+    """build_closed against the row-by-row Fraction assembly of ulam_oracle."""
+
+    @given(random_branches(), st.integers(min_value=5, max_value=80))
+    @example(HUGE_BRANCHES, 37)
+    @example(ROW_RULE_BRANCHES, 12)
+    @settings(max_examples=50, deadline=None)
+    def test_bit_identical_to_oracle(self, branches, n):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            m = hc.PiecewiseMap(branches, alpha0=F(1, 2), B0=0, label="random")
+        if any(isinstance(b, LinearBranch) and abs(b.slope) <= 1 for b in branches):
+            assert any(w.category is ExpansionWarning for w in caught)
+        M = hc.build_closed(m, UlamPartition(n)).matrix
+        indptr, indices, data = ulam_oracle.closed_csr(m, n)
+        assert M.indptr.tolist() == indptr
+        assert M.indices.tolist() == indices
+        assert M.data.tolist() == data
+        for i in range(n):
+            assert sum(ulam_oracle.row_entries(m, n, i).values()) == 1
+
+    def test_examples_pass_int64_and_renormalize(self):
+        assert max(v.denominator for v in HUGE_BRANCHES[0].moebius) > 2**64
+        with pytest.warns(ExpansionWarning):   # the Moebius branch is flat near 3/7
+            m = hc.PiecewiseMap(ROW_RULE_BRANCHES, alpha0=F(1, 2), B0=0)
+        row = ulam_oracle.row_entries(m, 12, 2)
+        assert math.fsum(float(v) for v in row.values()) != 1.0
 
 
 class TestBuildOpen:
