@@ -5,9 +5,9 @@ gate -> constant chain -> comparison check) at escape tolerance ell = 1/25
 and mesh 2e-4, then evaluates the certificate at a few concrete hole
 measures.
 
-Cold runtime is dominated by exact assembly of the 5000 x 5000 matrix and
-the norms of its first six Q-powers (several seconds); re-runs are instant
-with a cache directory, e.g.
+Cold runtime is dominated by the norms of the first six Q-powers of the
+5000 x 5000 matrix (several seconds); re-runs are instant with a cache
+directory, e.g.
 
     HOLECERT_CACHE_DIR=~/.cache/holecert python demos/certify_bundled_map.py
 

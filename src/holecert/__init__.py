@@ -46,7 +46,6 @@ from .kl import (
     KLConstants,
     KLDomainError,
     LYConstants,
-    bootstrap_resolvent_bound,
     kl_constants,
     ly_constants,
 )
@@ -54,9 +53,7 @@ from .certify import (
     CertificationConfig,
     CertificationReport,
     CertificateBounds,
-    RefinePlan,
     certificate_bounds,
-    refine_with_bootstrap,
     run_certification,
 )
 from .escape import (

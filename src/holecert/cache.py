@@ -7,7 +7,9 @@ the mass-free part) is independent of the peripheral threshold r and the
 separation delta.  The matrix power computations are by far the most
 expensive step, so a warm record cache lets a second run at the same mesh
 do no matrix work at all.  A record file whose ``schema`` tag differs from
-:data:`RECORD_SCHEMA` was written by an older layout and is recomputed and
+:data:`RECORD_SCHEMA` was written by an older layout, and one whose map
+fingerprint, bin count, mass-vector length or power count does not fit
+its key is not the record asked for; either is recomputed and
 overwritten.
 
 All writes are atomic (temp file + rename).  The cache directory comes
@@ -25,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .maps import PiecewiseMap
-from .spectral import SpectralRecord, compute_record
+from .spectral import N_POWERS, SpectralRecord, compute_record
 from .ulam import UlamMatrix, UlamPartition, build_closed
 
 __all__ = ["PipelineCache", "default_cache_dir", "CACHE_ENV_VAR"]
@@ -100,21 +102,18 @@ class PipelineCache:
 
     # -- spectral records -----------------------------------------------------
 
-    def spectral_record(self, tmap: PiecewiseMap, n_bins: int, *,
-                        n_powers: int = 6) -> SpectralRecord:
+    def spectral_record(self, tmap: PiecewiseMap, n_bins: int) -> SpectralRecord:
         key = (tmap.fingerprint, n_bins)
         record = self._records.get(key)
-        if record is not None and record.truncation_N + 1 >= n_powers:
+        path = self._record_path(tmap.fingerprint, n_bins)
+        if record is None and path is not None and path.exists():
+            record = _load_record(path, key)
+            if record is not None:
+                self._records[key] = record
+        if record is not None:
             self.stats["spectral_hits"] += 1
             return record
-        path = self._record_path(tmap.fingerprint, n_bins)
-        if path is not None and path.exists():
-            record = _load_record(path)
-            if record is not None and record.truncation_N + 1 >= n_powers:
-                self._records[key] = record
-                self.stats["spectral_hits"] += 1
-                return record
-        record = compute_record(self.closed_matrix(tmap, n_bins), n_powers=n_powers)
+        record = compute_record(self.closed_matrix(tmap, n_bins))
         self.stats["spectral_builds"] += 1
         self._records[key] = record
         if path is not None:
@@ -169,13 +168,18 @@ def _save_record(record: SpectralRecord, path) -> None:
         os.replace(saved, path)
 
 
-def _load_record(path) -> SpectralRecord | None:
-    """The stored record, or None when the file has another layout."""
+def _load_record(path, key: tuple[str, int]) -> SpectralRecord | None:
+    """The stored record, or None when it is not the one to serve.
+
+    That is when the file has another layout, or does not hold the record
+    of ``key`` = (map fingerprint, bin count) with at least
+    :data:`holecert.spectral.N_POWERS` power norms.
+    """
     with np.load(path, allow_pickle=False) as blob:
         meta = json.loads(str(blob["meta"]))
         if meta.get("schema") != RECORD_SCHEMA:
             return None
-        return SpectralRecord(
+        record = SpectralRecord(
             n_bins=int(meta["n_bins"]),
             map_fingerprint=meta["map_fingerprint"],
             eigenvalues=(float(meta["unit_eigenvalue"]),),
@@ -186,3 +190,7 @@ def _load_record(path) -> SpectralRecord | None:
             unit_residual=float(meta["unit_residual"]),
             power_iterations=int(meta["power_iterations"]),
         )
+    fits = ((record.map_fingerprint, record.n_bins) == key
+            and len(record.mass_vector) == record.n_bins
+            and record.truncation_N + 1 >= N_POWERS)
+    return record if fits else None

@@ -17,11 +17,13 @@ every aligned hole H with lambda(H) <= Gamma * epsilon_com yields an
 open system with an accim, 1 - e_H < delta_com, and escape rate below
 -ln(1 - ell).
 
-Refinement jumps straight to the smallest power-of-ten bin count whose
-mesh clears the current comparison value rather than halving blindly, and
-when the comparison fails but its closed-only (sharper-constants) variant
-passes, the fine mesh is covered by a resolvent bound transferred from
-the coarse mesh, skipping spectral analysis at the fine mesh entirely.
+A failed pass makes one refinement decision.  When the closed-only
+(sharper-constants) comparison holds at the analysed mesh, its resolvent
+bound transfers to every finer mesh, and the next pass runs at the
+smallest power-of-ten bin count whose mesh clears the transferred
+comparison, with no spectral analysis there.  Otherwise the next pass
+analyses the smallest power-of-ten bin count whose mesh clears the
+current comparison value.
 """
 
 from __future__ import annotations
@@ -48,14 +50,15 @@ __all__ = [
     "CertificationReport",
     "CertificateBounds",
     "IterationRecord",
-    "RefinePlan",
     "SeparationResult",
     "certificate_bounds",
     "next_power_of_ten_bins",
-    "refine_with_bootstrap",
     "run_certification",
     "separation_check",
 ]
+
+#: largest bin count of the power-of-ten refinement ladder
+LADDER_CAP = 10**8
 
 
 @dataclass(frozen=True)
@@ -64,18 +67,13 @@ class CertificationConfig:
 
     ``ell`` is the escape tolerance (the certificate guarantees escape
     rate below -ln(1-ell)); ``delta_init`` must be of the form 1/k and
-    below ell (default: k = ceil(1/ell) + 1).  ``bin_candidates``, when
-    given, replaces the power-of-ten refinement ladder.
+    below ell (default: k = ceil(1/ell) + 1).
     """
 
     ell: Fraction
     delta_init: Fraction | None = None
     bins_init: int = 1000
-    bin_candidates: tuple[int, ...] | None = None
     max_inner: int = 12
-    orientation: str = "column"
-    n_powers: int = 6
-    use_bootstrap: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "ell", as_rational(self.ell))
@@ -215,65 +213,16 @@ def separation_check(eigenvalues, r, delta) -> SeparationResult:
     return SeparationResult(True, None, cluster)
 
 
-def next_power_of_ten_bins(bound: float, *, candidates=None, cap: int = 10**8) -> int:
-    """Smallest bin count from the ladder whose mesh is at most ``bound``."""
+def next_power_of_ten_bins(bound: float) -> int:
+    """Smallest power-of-ten bin count whose mesh is at most ``bound``."""
     if bound <= 0 or not math.isfinite(bound):
         raise ValueError(f"mesh bound must be positive and finite, got {bound}")
-    if candidates is not None:
-        for n in sorted(candidates):
-            if 1.0 / n <= bound:
-                return int(n)
-        raise ValueError(f"no bin candidate has mesh <= {bound}")
     n = 1
     while 1.0 / n > bound:
         n *= 10
-        if n > cap:
-            raise ValueError(f"required bin count exceeds cap {cap}")
+        if n > LADDER_CAP:
+            raise ValueError(f"required bin count exceeds cap {LADDER_CAP}")
     return n
-
-
-@dataclass(frozen=True)
-class RefinePlan:
-    """Next inner-loop move after a failed comparison."""
-
-    used_bootstrap: bool
-    n_bins: int
-    mesh: Fraction
-    transferred_H: float | None
-    closed_only_threshold: float | None
-    fine_constants: KLConstants | None
-
-
-def refine_with_bootstrap(ly_hole: LYConstants, ly_closed: LYConstants,
-                          r, target_delta, mesh_coarse, h_star_coarse: float,
-                          *, bin_candidates=None) -> RefinePlan:
-    """Plan the next mesh, transferring the coarse resolvent bound if valid.
-
-    When the closed-only comparison holds at the coarse mesh
-    (2 Gamma mesh < epsilon0 with the sharper alpha0/B_hat constants),
-    the BV resolvent bound transfers to every finer mesh; the plan then
-    jumps straight to the smallest ladder mesh below the re-derived
-    comparison value and carries the transferred bound so the fine-mesh
-    pass needs no spectral analysis.  Otherwise the plan falls back to mesh
-    halving with a fresh analysis.
-    """
-    mesh_coarse = as_rational(mesh_coarse)
-    coarse_bins = int(1 / mesh_coarse) if (1 / mesh_coarse).denominator == 1 else None
-    chain_closed = kl_constants(ly_closed, r, target_delta, h_star_coarse)
-    closed_threshold = chain_closed.mesh_threshold
-    if not float(mesh_coarse) < closed_threshold:
-        n_new = 2 * coarse_bins if coarse_bins else int(math.ceil(2 / float(mesh_coarse)))
-        return RefinePlan(False, n_new, Fraction(1, n_new), None,
-                          closed_threshold, None)
-    transferred = chain_closed.resolvent_transfer_bound
-    chain_fine = kl_constants(ly_hole, r, target_delta, transferred)
-    if float(mesh_coarse) <= chain_fine.mesh_threshold and coarse_bins:
-        # the coarse mesh already clears the transferred comparison
-        return RefinePlan(True, coarse_bins, mesh_coarse, transferred,
-                          closed_threshold, chain_fine)
-    n_new = next_power_of_ten_bins(chain_fine.mesh_threshold, candidates=bin_candidates)
-    return RefinePlan(True, n_new, Fraction(1, n_new), transferred,
-                      closed_threshold, chain_fine)
 
 
 def run_certification(tmap: PiecewiseMap, config: CertificationConfig,
@@ -310,26 +259,26 @@ def run_certification(tmap: PiecewiseMap, config: CertificationConfig,
 
     delta = config.initial_delta()
     n_bins = config.bins_init
-    plan: RefinePlan | None = None      # active transferred-bound plan
+    # hole-uniform chain at a resolvent bound transferred from the last
+    # analysed mesh, when the next pass runs on it
+    transferred: KLConstants | None = None
     for index in range(1, config.max_inner + 1):
         mesh = Fraction(1, n_bins)
-        if plan is not None and plan.used_bootstrap and plan.n_bins == n_bins:
-            chain = plan.fine_constants
+        if transferred is not None:
+            chain = transferred
             rec = IterationRecord(
                 index=index, n_bins=n_bins, mesh=mesh, delta=delta,
-                used_bootstrap=True, h_star=None,
-                transferred_H=plan.transferred_H, neumann=None,
-                neumann_rowsum=None, n1=chain.n1, n2=chain.n2,
+                used_bootstrap=True, h_star=None, transferred_H=chain.H,
+                neumann=None, neumann_rowsum=None, n1=chain.n1, n2=chain.n2,
                 epsilon0=chain.epsilon0, threshold=chain.mesh_threshold,
                 step7_pass=float(mesh) <= chain.mesh_threshold,
-                closed_only_threshold=plan.closed_only_threshold,
+                closed_only_threshold=report.iterations[-1].closed_only_threshold,
             )
         else:
-            record = cache.spectral_record(tmap, n_bins, n_powers=config.n_powers)
+            record = cache.spectral_record(tmap, n_bins)
             bound = h_star(record, r, float(delta), float(tmap.alpha0),
-                           float(tmap.B0), orientation=config.orientation)
+                           float(tmap.B0))
             chain = kl_constants(ly, r, delta, bound.h_star)
-            plan = None
             rec = IterationRecord(
                 index=index, n_bins=n_bins, mesh=mesh, delta=delta,
                 used_bootstrap=False, h_star=bound.h_star,
@@ -350,26 +299,22 @@ def run_certification(tmap: PiecewiseMap, config: CertificationConfig,
             report.epsilon_com = mesh
             report.hole_bound = gamma_frac * mesh
             return report
-        # comparison failed: plan the refinement
-        if (config.use_bootstrap and not rec.used_bootstrap
-                and rec.h_star is not None):
-            plan = refine_with_bootstrap(
-                ly, ly_closed, r, delta, mesh, rec.h_star,
-                bin_candidates=config.bin_candidates,
-            )
-            rec.closed_only_threshold = plan.closed_only_threshold
-            if plan.used_bootstrap:
-                n_bins = plan.n_bins
-                continue
-        # plain refinement: jump straight to the mesh the current
-        # comparison value predicts (never coarser than halving)
-        plan = None
+        # only an analysed pass can fail (a transfer pass runs at a ladder
+        # mesh at or below its threshold).  The closed-only comparison at
+        # this mesh decides whether its bound transfers to every finer mesh.
+        closed = kl_constants(ly_closed, r, delta, rec.h_star)
+        rec.closed_only_threshold = closed.mesh_threshold
+        if float(mesh) < closed.mesh_threshold:
+            transferred = kl_constants(ly, r, delta, closed.resolvent_transfer_bound)
+            n_bins = next_power_of_ten_bins(transferred.mesh_threshold)
+            continue
+        # otherwise analyse the ladder mesh the comparison value predicts
+        # (finer than this one, which failed it), or twice the bin count
+        # past the ladder's cap
         try:
-            n_next = next_power_of_ten_bins(
-                rec.threshold, candidates=config.bin_candidates)
+            n_bins = next_power_of_ten_bins(rec.threshold)
         except ValueError:
-            n_next = 2 * n_bins
-        n_bins = n_next if n_next > n_bins else 2 * n_bins
+            n_bins *= 2
     last = report.iterations[-1]
     report.reason = (
         f"comparison never satisfied within {config.max_inner} inner "

@@ -38,7 +38,6 @@ __all__ = [
 
 RESIDUAL_LIMIT = 1e-10
 RATIO_TOL = 1e-12
-MAX_ITERATIONS = 10**6
 PERIOD_SEARCH_LIMIT = 32
 ORBIT_RETURN_TOL = 1e-9
 
@@ -66,28 +65,21 @@ class EscapeEstimate:
 
 
 def estimate_escape(tmap: PiecewiseMap, partition: UlamPartition, hole: Hole, *,
-                    closed: UlamMatrix | None = None,
-                    open_matrix: UlamMatrix | None = None,
-                    tol: float = RATIO_TOL, maxit: int = MAX_ITERATIONS) -> EscapeEstimate:
+                    closed: UlamMatrix | None = None) -> EscapeEstimate:
     """Escape factor and accim density of the open system for one hole.
 
     Power iteration on the sub-stochastic matrix (the dominant eigenpair of
     a nonnegative matrix is exactly what the iteration delivers, and the
     accim density comes for free); successive eigenvalue ratios must agree
-    within ``tol`` and the final residual within 1e-10, else
+    within 1e-12 and the final residual within 1e-10, else
     :class:`PowerIterationError`.  A hole that swallows everything
     reachable yields e_H = 0 with ``total_escape`` set.
 
-    ``closed`` / ``open_matrix`` allow reuse of previously built matrices
-    (checked against the map fingerprint).
+    ``closed`` reuses a previously built closed matrix (checked against
+    the map fingerprint).
     """
-    if open_matrix is None:
-        open_matrix = build_open(tmap, partition, hole, closed=closed)
-    elif (open_matrix.mode != "open" or open_matrix.hole != hole
-          or open_matrix.partition != partition):
-        raise ValueError("supplied open matrix does not match the request")
-    lam, x, residual, iters = dominant_left_eigenpair(
-        open_matrix.matrix, tol=tol, maxit=maxit)
+    open_matrix = build_open(tmap, partition, hole, closed=closed)
+    lam, x, residual, iters = dominant_left_eigenpair(open_matrix.matrix, tol=RATIO_TOL)
     if lam == 0.0:
         return EscapeEstimate(hole=hole, n_bins=partition.n_bins, e_H=0.0,
                               escape_rate=math.inf,
@@ -120,32 +112,31 @@ class PointClassification:
     exact: bool                   # classified with exact rational arithmetic
 
 
-def classify_point(tmap: PiecewiseMap, y, *, max_period: int = PERIOD_SEARCH_LIMIT,
-                   tol: float = ORBIT_RETURN_TOL) -> PointClassification:
+def classify_point(tmap: PiecewiseMap, y) -> PointClassification:
     """Classify y as periodic (with period and cycle derivative) or not.
 
-    Rational y is decided exactly up to ``max_period`` (every map is
-    exact).  A float y such as sqrt(2) - 1 runs its orbit in floats, and
-    an approach within ``tol`` of the start without an exact return raises
+    Rational y is decided exactly up to period 32 (every map is exact).
+    A float y such as sqrt(2) - 1 runs its orbit in floats, and an
+    approach within 1e-9 of the start without an exact return raises
     :class:`ClassificationAmbiguityWarning` (and is classified periodic
     at the closest-return period).
     """
     exact = isinstance(y, Rational)
     point = Fraction(y) if exact else float(y)
     orbit = [point]
-    for _ in range(max_period):
+    for _ in range(PERIOD_SEARCH_LIMIT):
         orbit.append(tmap.evaluate(orbit[-1]))
     if exact:
-        for p in range(1, max_period + 1):
+        for p in range(1, PERIOD_SEARCH_LIMIT + 1):
             if orbit[p] == point:
                 deriv = 1.0
                 for k in range(p):
                     deriv *= float(tmap.derivative(orbit[k]))
                 return PointClassification("periodic", p, deriv, False, True)
         return PointClassification("non-periodic", None, None, False, True)
-    dists = [abs(orbit[p] - point) for p in range(1, max_period + 1)]
+    dists = [abs(orbit[p] - point) for p in range(1, PERIOD_SEARCH_LIMIT + 1)]
     p_best = int(np.argmin(dists)) + 1
-    if dists[p_best - 1] < tol:
+    if dists[p_best - 1] < ORBIT_RETURN_TOL:
         warnings.warn(
             f"orbit of y = {point} returns within {dists[p_best - 1]:.3e} of its "
             f"start at step {p_best} without an exact return; classification "
@@ -208,7 +199,7 @@ def _nested_aligned_hole(y: Fraction, n: int, k: int,
 
 def asymptotic_ratio(tmap: PiecewiseMap, y, widths, bins_per_hole: int, *,
                      f_star_value: float | None = None,
-                     tol: float = RATIO_TOL, cache=None) -> AsymptoticRatioExperiment:
+                     cache=None) -> AsymptoticRatioExperiment:
     """Run the shrinking-hole experiment at a point.
 
     Parameters
@@ -261,7 +252,7 @@ def asymptotic_ratio(tmap: PiecewiseMap, y, widths, bins_per_hole: int, *,
         part = UlamPartition(n)
         hole = _nested_aligned_hole(y_frac, n, bins_per_hole, previous)
         closed = build_closed(tmap, part) if cache is None else cache.closed_matrix(tmap, n)
-        est = estimate_escape(tmap, part, hole, closed=closed, tol=tol)
+        est = estimate_escape(tmap, part, hole, closed=closed)
         holes.append(hole)
         bins.append(n)
         evals.append(est.e_H)

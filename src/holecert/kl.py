@@ -51,7 +51,6 @@ __all__ = [
     "LYModeError",
     "ly_constants",
     "kl_constants",
-    "bootstrap_resolvent_bound",
 ]
 
 HOLE_UNIFORM = "hole-uniform"
@@ -60,8 +59,6 @@ CLOSED_ONLY = "closed-only"
 #: the leading Lasota-Yorke coefficient; unit by construction of the
 #: inequalities this chain is built on, carried symbolically for audit
 A_COEFF = 1.0
-
-CROSSCHECK_TOL = 1e-14
 
 
 class KLDomainError(ValueError):
@@ -130,12 +127,6 @@ def ly_constants(alpha0, B0, mode: str = HOLE_UNIFORM) -> LYConstants:
             )
         alpha = 3 * a0
         B = (1 - a0 + b0) / (1 - alpha)
-        # same constant via the inequality's own form; the two must agree
-        B_alt = 1 + (2 * a0 + b0) / (1 - alpha)
-        if abs(float(B) - float(B_alt)) > CROSSCHECK_TOL:
-            raise AssertionError(
-                f"B cross-check failed: {float(B)} vs {float(B_alt)}"
-            )
     else:
         alpha = a0
         B = B_hat
@@ -227,29 +218,3 @@ def _validate_chain(k: KLConstants) -> None:
         if not (math.isfinite(v) and v > 0):
             raise AssertionError(f"{name} = {v} is not finite and positive")
 
-
-def bootstrap_resolvent_bound(ly_closed: LYConstants, r, delta, H_coarse,
-                              mesh_coarse=None) -> float:
-    """BV-resolvent bound valid on every mesh at least as fine as the coarse one.
-
-    Runs the closed-only chain on the coarse-mesh surrogate ``H_coarse``
-    and returns ``4(A+B)/(1-r) r^-n1 + 1/(2 eps1)``.  Validity requires
-    the closed-only comparison to hold at the coarse mesh,
-
-        2 Gamma mesh_coarse < epsilon0(closed-only, H_coarse);
-
-    pass ``mesh_coarse`` to have that checked here (a failure raises
-    KLDomainError with both sides), or leave it None when the caller has
-    already verified it.
-    """
-    if ly_closed.mode != CLOSED_ONLY:
-        raise LYModeError("bootstrap transfer runs on closed-only constants")
-    chain = kl_constants(ly_closed, r, delta, H_coarse)
-    if mesh_coarse is not None:
-        mesh = float(as_rational(mesh_coarse))
-        if not mesh < chain.mesh_threshold:
-            raise KLDomainError(
-                "closed-only comparison failed at the coarse mesh: "
-                f"mesh {mesh} >= (2 Gamma)^-1 epsilon0 = {chain.mesh_threshold}"
-            )
-    return chain.resolvent_transfer_bound

@@ -17,11 +17,11 @@ are computed in a single blockwise pass and stored:
 * ``q_power_norms``         row family; entry 0 is the computed ||1 - Pi1||.
 * ``q_power_norms_colsum``  column family (matrix 1-norm); entry 0 is 1.
 
-The certification pipeline consumes the column family by default
-(``orientation="column"``), which is the convention under which the
-reference outputs for the bundled example map were produced; the row
-family is the induced norm for the density action and is reported
-alongside for audit.  ``neumann_bound`` and ``h_star`` accept either.
+The certification pipeline bounds the resolvent with the column family,
+the convention under which the reference outputs for the bundled example
+map were produced; the row family is the induced norm for the density
+action and its Neumann bound is reported alongside for audit.
+``neumann_bound`` and ``h_star`` accept either (``orientation``).
 
 No eigensolver is needed for the spectral layout.  P is row-stochastic,
 so the sum-zero row vectors form an invariant subspace on which P acts as
@@ -67,6 +67,8 @@ __all__ = [
     "dominant_left_eigenpair",
 ]
 
+#: a record holds the norms of Q^1 .. Q^N_POWERS (truncation index N_POWERS - 1)
+N_POWERS = 6
 UNIT_EIGENVALUE_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
 SUBMULT_SLACK = 1e-10
@@ -95,21 +97,21 @@ def operator_l1_norm(matrix) -> float:
     return float(np.abs(np.asarray(matrix)).sum(axis=1).max())
 
 
-def dominant_left_eigenpair(P: sp.csr_matrix, tol: float = 1e-14,
-                            maxit: int = 10**6, start: np.ndarray | None = None):
+def dominant_left_eigenpair(P: sp.csr_matrix, tol: float = 1e-14):
     """Power iteration for the dominant left eigenpair of a nonnegative matrix.
 
-    Iterates ``x -> x @ P`` with L1 normalization from a positive start and
-    returns ``(value, vector, residual, iterations)``; the eigenvalue
-    estimate is the mass ratio per step and convergence is declared when
-    successive ratios agree within ``tol``.  The value 0.0 with a zero
-    vector signals total mass loss (all-escape open matrices).
+    Iterates ``x -> x @ P`` with L1 normalization from the uniform vector
+    for at most 10^6 steps and returns ``(value, vector, residual,
+    iterations)``; the eigenvalue estimate is the mass ratio per step and
+    convergence is declared when successive ratios agree within ``tol``.
+    The value 0.0 with a zero vector signals total mass loss (all-escape
+    open matrices).
     """
     n = P.shape[0]
-    x = np.full(n, 1.0 / n) if start is None else np.asarray(start, dtype=float) / np.abs(start).sum()
+    x = np.full(n, 1.0 / n)
     lam_prev = np.inf
     lam = 0.0
-    for it in range(1, maxit + 1):
+    for it in range(1, 10**6 + 1):
         y = x @ P
         lam = float(np.abs(y).sum())
         if lam <= 1e-300:
@@ -236,8 +238,7 @@ def _q_power_norms(P: sp.csr_matrix, u: np.ndarray, n_powers: int,
     return row_norms, col_norms
 
 
-def compute_record(matrix: UlamMatrix, *, n_powers: int = 6,
-                   block_size: int = 1024, power_tol: float = 1e-15) -> SpectralRecord:
+def compute_record(matrix: UlamMatrix, *, n_powers: int = N_POWERS) -> SpectralRecord:
     """All r-independent spectral data of a closed Ulam matrix.
 
     Raises :class:`NoUnitEigenvalueError` when the power iteration's
@@ -250,7 +251,7 @@ def compute_record(matrix: UlamMatrix, *, n_powers: int = 6,
     P = matrix.matrix
     n = matrix.n_bins
 
-    lam, u, residual, iterations = dominant_left_eigenpair(P, tol=power_tol)
+    lam, u, residual, iterations = dominant_left_eigenpair(P, tol=1e-15)
     if abs(lam - 1.0) > UNIT_EIGENVALUE_TOL:
         raise NoUnitEigenvalueError(
             f"dominant eigenvalue {lam} is not within {UNIT_EIGENVALUE_TOL} of 1"
@@ -269,7 +270,7 @@ def compute_record(matrix: UlamMatrix, *, n_powers: int = 6,
     u = u / u.sum()
     projection_norm = float(np.abs(u).sum())
 
-    row_norms, col_norms = _q_power_norms(P, u, n_powers, block_size=block_size)
+    row_norms, col_norms = _q_power_norms(P, u, n_powers)
     _check_submultiplicative(row_norms, "row")
     _check_submultiplicative(col_norms, "column")
 

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 
@@ -31,3 +32,22 @@ def test_record_in_eigensolver_layout_is_recomputed(tmp_path, shift10):
     assert reloaded.eigenvalues == record.eigenvalues
     assert reloaded.q_power_norms == record.q_power_norms
     assert np.array_equal(reloaded.mass_vector, record.mass_vector)
+
+
+def test_record_filed_under_another_mesh_is_recomputed(tmp_path, shift10):
+    # a 100-bin record copied to the 200-bin name is not the 200-bin record
+    cache = hc.PipelineCache(tmp_path)
+    cache.spectral_record(shift10, 100)
+    shutil.copy(cache._record_path(shift10.fingerprint, 100),
+                cache._record_path(shift10.fingerprint, 200))
+
+    fresh = hc.PipelineCache(tmp_path)
+    record = fresh.spectral_record(shift10, 200)
+    assert record.n_bins == 200
+    assert len(record.mass_vector) == 200
+    assert fresh.stats["spectral_hits"] == 0
+    assert fresh.stats["spectral_builds"] == 1
+
+    # the overwritten file now holds the 200-bin record
+    again = hc.PipelineCache(tmp_path).spectral_record(shift10, 200)
+    assert again.n_bins == 200

@@ -6,9 +6,7 @@ import pytest
 import holecert as hc
 from holecert.certify import (
     CertificationConfig,
-    RefinePlan,
     next_power_of_ten_bins,
-    refine_with_bootstrap,
     separation_check,
 )
 from holecert.kl import CLOSED_ONLY, KLDomainError, kl_constants, ly_constants
@@ -53,44 +51,50 @@ class TestBinLadder:
         assert next_power_of_ten_bins(2e-4) == 10000
         assert next_power_of_ten_bins(1e-4) == 10000
 
-    def test_candidates_override(self):
-        assert next_power_of_ten_bins(4.8e-4, candidates=(2500, 5000)) == 2500
-        with pytest.raises(ValueError):
-            next_power_of_ten_bins(1e-5, candidates=(2500, 5000))
-
     def test_rejects_bad_bound(self):
         with pytest.raises(ValueError):
             next_power_of_ten_bins(0.0)
 
 
-class TestRefineWithBootstrap:
-    def setup_method(self):
-        self.ly = ly_constants(A0, B0)
-        self.ly_closed = ly_constants(A0, B0, CLOSED_ONLY)
+class FixedRecordCache(hc.PipelineCache):
+    """Serves the record of one fixed matrix at every requested mesh."""
 
+    def __init__(self, matrix):
+        super().__init__(None)
+        self._record = compute_record(matrix)
+
+    def spectral_record(self, tmap, n_bins):
+        return self._record
+
+
+class TestRefinementStep:
     def test_reference_transfer(self):
-        plan = refine_with_bootstrap(self.ly, self.ly_closed, F(39, 40),
-                                     F(1, 41), F(1, 5000), 63.73181657)
-        assert plan.used_bootstrap
-        assert abs(plan.transferred_H / 1036.693385 - 1) <= 0.10
-        assert plan.fine_constants.n2 == 11
-        assert plan.fine_constants.mesh_threshold >= 1.216687545e-5
-        assert plan.n_bins == 100000
-        assert plan.mesh == F(1, 100000)
+        # the closed-only comparison holds at mesh 1/5000, so its resolvent
+        # bound transfers and the ladder jumps to the transferred threshold
+        ly, ly_closed = ly_constants(A0, B0), ly_constants(A0, B0, CLOSED_ONLY)
+        closed = kl_constants(ly_closed, F(39, 40), F(1, 41), 63.73181657)
+        assert 1 / 5000 < closed.mesh_threshold
+        transferred = closed.resolvent_transfer_bound
+        assert abs(transferred / 1036.693385 - 1) <= 0.10
+        fine = kl_constants(ly, F(39, 40), F(1, 41), transferred)
+        assert fine.n2 == 11
+        assert fine.mesh_threshold >= 1.216687545e-5
+        assert next_power_of_ten_bins(fine.mesh_threshold) == 100000
 
-    def test_fallback_to_halving(self):
-        # a coarse mesh that fails even the closed-only comparison
-        plan = refine_with_bootstrap(self.ly, self.ly_closed, F(39, 40),
-                                     F(1, 41), F(1, 1000), 63.73181657)
-        assert not plan.used_bootstrap
-        assert plan.n_bins == 2000
-        assert plan.transferred_H is None
-
-    def test_reuse_when_already_fine_enough(self):
-        plan = refine_with_bootstrap(self.ly, self.ly_closed, F(39, 40),
-                                     F(1, 41), F(1, 10**6), 63.73181657)
-        assert plan.used_bootstrap
-        assert plan.n_bins == 10**6          # no refinement needed
+    def test_closed_only_failure_refines_on_ladder(self, bundled_map):
+        # mesh 1/1000 fails even the closed-only comparison: no transfer,
+        # the next pass analyses the ladder mesh the comparison predicts
+        cache = FixedRecordCache(
+            hc.build_closed(bundled_map, hc.UlamPartition(1000)))
+        config = CertificationConfig(ell=F(1, 40), max_inner=2)
+        rep = hc.run_certification(bundled_map, config, cache=cache)
+        first, second = rep.iterations
+        assert first.n_bins == 1000 and not first.step7_pass
+        assert first.closed_only_threshold == pytest.approx(2.511e-4, rel=1e-3)
+        assert first.closed_only_threshold < 1e-3
+        assert second.n_bins == 10000
+        assert not second.used_bootstrap
+        assert second.transferred_H is None
 
 
 class TestCertificateBounds:
@@ -198,12 +202,11 @@ class TestRunCertification:
             hc.run_certification(shift10, CertificationConfig(ell=F(4, 5)))
 
     def test_iteration_cap_failure(self, shift10):
-        config = CertificationConfig(ell=F(1, 25), bins_init=10,
-                                     bin_candidates=(10, 20), max_inner=2)
+        config = CertificationConfig(ell=F(1, 25), bins_init=10, max_inner=1)
         rep = hc.run_certification(shift10, config)
         assert not rep.certified
         assert "comparison" in rep.reason
-        assert len(rep.iterations) == 2
+        assert len(rep.iterations) == 1
 
     def test_rejects_large_alpha0(self, bundled_map):
         from holecert.kl import LYModeError
@@ -216,18 +219,10 @@ class TestRunCertification:
 class TestOuterLoop:
     """A real spectrum that breaks the rank-one split stops the run."""
 
-    class FixedRecordCache(hc.PipelineCache):
-        def __init__(self, matrix):
-            super().__init__(None)
-            self._matrix = matrix
-
-        def spectral_record(self, tmap, n_bins, n_powers=None):
-            return compute_record(self._matrix)
-
     def test_extra_peripheral_eigenvalue_raises_without_doctoring(
             self, shift10, decoupled_blocks):
         # eigenvalues 1 and 0.97: the bound exceeds r - delta = 24/25 - 1/26
-        cache = self.FixedRecordCache(decoupled_blocks)
+        cache = FixedRecordCache(decoupled_blocks)
         config = CertificationConfig(ell=F(1, 25), bins_init=100)
         with pytest.raises(SpectralStructureError):
             hc.run_certification(shift10, config, cache=cache)

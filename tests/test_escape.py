@@ -51,13 +51,6 @@ class TestEstimateEscape:
             evals.append(est.e_H)
         assert all(b <= a + 1e-14 for a, b in zip(evals, evals[1:]))
 
-    def test_open_matrix_reuse_must_match(self, shift10):
-        part = UlamPartition(10)
-        other = hc.build_open(shift10, part, hc.Hole(F(1, 10), F(1, 5)))
-        with pytest.raises(ValueError):
-            estimate_escape(shift10, part, hc.Hole(F(0), F(1, 10)),
-                            open_matrix=other)
-
 
 class TestClassifyPoint:
     def test_fixed_point_exact(self, shift10):

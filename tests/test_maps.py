@@ -134,6 +134,12 @@ class TestValidation:
                              LinearBranch(F(1, 2), F(1), F(2), F(-1))],
                             alpha0=F(1, 2), B0=0)
 
+    def test_slow_exact_branch_accepted(self):
+        # slope 1e-5 away from 0: exact branches need no float round trip
+        branch = LinearBranch(F(0), F(1), F(1, 10**5), F(1, 2))
+        assert branch.image == (F(1, 2), F(1, 2) + F(1, 10**5))
+        assert branch.inverse(branch(F(1, 3))) == F(1, 3)
+
     def test_degenerate_moebius(self):
         with pytest.raises(MapConfigError):
             MoebiusBranch(F(0), F(1, 2), F(1), F(0), F(1), F(0))
