@@ -13,8 +13,6 @@ __version__ = "0.1.0"
 
 from .maps import (
     Branch,
-    LinearBranch,
-    MoebiusBranch,
     PiecewiseMap,
     MapConfigError,
     MapDomainError,

@@ -91,8 +91,6 @@ class _Phase:
 def _jsonify(obj):
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
     if isinstance(obj, np.ndarray):
         return [float(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
@@ -125,14 +123,14 @@ def _make_cache(args) -> PipelineCache:
 def _cmd_spectral(args) -> int:
     manifest = RunManifest("spectral", {
         "map": str(args.map), "bins": args.bins, "r": str(args.r),
-        "delta": str(args.delta), "N": args.N, "orientation": args.orientation,
+        "delta": str(args.delta), "orientation": args.orientation,
     })
     tmap = load_map(args.map)
     manifest.map_fingerprint = tmap.fingerprint
     with _Phase(manifest, "assembly"):
         matrix = build_closed(tmap, UlamPartition(args.bins))
     with _Phase(manifest, "analysis"):
-        record = compute_record(matrix, n_powers=args.N + 1)
+        record = compute_record(matrix)
     payload = {
         "n_bins": record.n_bins,
         "r": str(args.r),
@@ -274,8 +272,7 @@ def _cmd_hole_asymptotics(args) -> int:
     for w, n, e, ratio in zip(exp.widths, exp.n_bins, exp.e_values, exp.ratios):
         print(f"  width {str(w):>10s}  bins {n:>8d}  e_H {e:.12g}  ratio {ratio:.8g}")
     print(f"  extrapolated limit {exp.extrapolated_limit:.8g}"
-          + (f"  (predicted {exp.predicted_limit:.8g}, f* from {exp.f_star_source})"
-             if exp.predicted_limit is not None else ""))
+          f"  (predicted {exp.predicted_limit:.8g}, f* from {exp.f_star_source})")
     payload = {
         "point": exp.point,
         "widths": [str(w) for w in exp.widths],
@@ -454,7 +451,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, required=True)
     p.add_argument("--r", type=_rational, required=True)
     p.add_argument("--delta", type=_rational, required=True)
-    p.add_argument("--N", type=int, default=5, help="Neumann truncation index")
     p.add_argument("--orientation", choices=("column", "row"), default="column")
     p.add_argument("--alpha0", type=_rational, default=None)
     p.add_argument("--B0", type=_rational, default=None)

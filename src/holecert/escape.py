@@ -21,7 +21,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .maps import LinearBranch, PiecewiseMap, as_rational
+from .maps import PiecewiseMap, affine_onto, as_rational
 from .spectral import dominant_left_eigenpair
 from .ulam import Hole, UlamMatrix, UlamPartition, build_closed, build_open
 
@@ -123,9 +123,7 @@ def classify_point(tmap: PiecewiseMap, y) -> PointClassification:
     """
     exact = isinstance(y, Rational)
     point = Fraction(y) if exact else float(y)
-    orbit = [point]
-    for _ in range(PERIOD_SEARCH_LIMIT):
-        orbit.append(tmap.evaluate(orbit[-1]))
+    orbit = tmap.orbit(point, PERIOD_SEARCH_LIMIT + 1)
     if exact:
         for p in range(1, PERIOD_SEARCH_LIMIT + 1):
             if orbit[p] == point:
@@ -162,20 +160,9 @@ class AsymptoticRatioExperiment:
     extrapolated_limit: float
     low_confidence: bool
     classification: PointClassification
-    f_star_value: float | None
-    f_star_source: str | None            # "uniform-exact" | "supplied" | "ulam-advisory"
-    predicted_limit: float | None
-
-
-def _uniform_density_is_exact(tmap: PiecewiseMap) -> bool:
-    """True when Lebesgue measure is invariant: all-linear, all branches onto."""
-    for b in tmap.branches:
-        if not isinstance(b, LinearBranch):
-            return False
-        ylo, yhi = b.image
-        if not (ylo == 0 and yhi == 1):
-            return False
-    return True
+    f_star_value: float
+    f_star_source: str                   # "uniform-exact" | "ulam-advisory"
+    predicted_limit: float
 
 
 def _nested_aligned_hole(y: Fraction, n: int, k: int,
@@ -198,7 +185,6 @@ def _nested_aligned_hole(y: Fraction, n: int, k: int,
 
 
 def asymptotic_ratio(tmap: PiecewiseMap, y, widths, bins_per_hole: int, *,
-                     f_star_value: float | None = None,
                      cache=None) -> AsymptoticRatioExperiment:
     """Run the shrinking-hole experiment at a point.
 
@@ -211,18 +197,16 @@ def asymptotic_ratio(tmap: PiecewiseMap, y, widths, bins_per_hole: int, *,
         bins_per_hole / w integral so the hole spans exactly
         ``bins_per_hole`` bins of its own partition.
     bins_per_hole : number of partition bins each hole spans.
-    f_star_value : pointwise invariant-density value at y, when known.
-        Left unset, it is 1 exactly for full-branch piecewise-linear maps;
-        otherwise it is read off the finest closed Ulam density, which has
-        L1 but no pointwise control, so the resulting predicted limit is
-        advisory only.
     cache : optional :class:`holecert.cache.PipelineCache` supplying the
         closed matrices (they are shared between experiments at the same
         widths).
 
     The extrapolated limit is the intercept of a least-squares line of
     ratio against hole measure (a single width is returned as-is and
-    flagged low confidence).
+    flagged low confidence).  The predicted limit uses f*(y) = 1 exactly
+    for full-branch piecewise-affine maps; otherwise f*(y) is read off the
+    finest closed Ulam density, which has L1 but no pointwise control, so
+    the prediction is advisory only.
     """
     y_input = as_rational(y) if isinstance(y, (Rational, str)) else float(y)
     y_frac = y_input if isinstance(y_input, Rational) else as_rational(y_input)
@@ -270,10 +254,7 @@ def asymptotic_ratio(tmap: PiecewiseMap, y, widths, bins_per_hole: int, *,
 
     classification = classify_point(tmap, y_input)
 
-    source: str | None
-    if f_star_value is not None:
-        source = "supplied"
-    elif _uniform_density_is_exact(tmap):
+    if affine_onto(tmap.branches):
         f_star_value, source = 1.0, "uniform-exact"
     else:
         lam, mass, _res, _it = dominant_left_eigenpair(last_closed.matrix)
@@ -281,12 +262,9 @@ def asymptotic_ratio(tmap: PiecewiseMap, y, widths, bins_per_hole: int, *,
         density = density / density.sum() * last_closed.n_bins
         f_star_value = float(density[int(y_frac * last_closed.n_bins)])
         source = "ulam-advisory"
-    predicted = None
-    if f_star_value is not None:
-        if classification.kind == "periodic":
-            predicted = f_star_value * (1.0 - 1.0 / abs(classification.derivative))
-        else:
-            predicted = f_star_value
+    predicted = f_star_value
+    if classification.kind == "periodic":
+        predicted *= 1.0 - 1.0 / abs(classification.derivative)
 
     return AsymptoticRatioExperiment(
         point=float(y_frac), widths=tuple(widths), holes=tuple(holes),

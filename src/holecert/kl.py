@@ -87,10 +87,6 @@ class LYConstants:
     D: float
     Gamma: float
 
-    @property
-    def hole_uniform(self) -> bool:
-        return self.mode == HOLE_UNIFORM
-
 
 def ly_constants(alpha0, B0, mode: str = HOLE_UNIFORM) -> LYConstants:
     """Constant set for the common Lasota-Yorke inequality.

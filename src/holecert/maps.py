@@ -1,12 +1,11 @@
-"""Piecewise expanding interval maps on [0, 1) with exact branch inverses.
+"""Piecewise expanding interval maps on [0, 1) with exact Moebius branches.
 
 A map is a finite ordered list of strictly monotone branches whose
 half-open domains partition [0, 1) and whose images lie in [0, 1].
-Branches are linear or Moebius, with exact rational endpoints and
-coefficients, so each is a Moebius map x -> (p x + q)/(r x + s) with
-rational p, q, r, s (``Branch.moebius``).  Preimages of rational points
-are therefore exact rationals, which is what makes every Ulam matrix
-exact downstream.
+Each branch is a Moebius map x -> (p x + q)/(r x + s) with exact rational
+endpoints and coefficients (r = 0, s = 1 for an affine branch).
+Preimages of rational points are therefore exact rationals, which is
+what makes every Ulam matrix exact downstream.
 
 Each map carries the constants (alpha0, B0) of the variation inequality
 
@@ -14,7 +13,7 @@ Each map carries the constants (alpha0, B0) of the variation inequality
 
 satisfied by its transfer operator P.  These are trusted inputs: deriving
 sharp constants for a general piecewise C^2 map is out of scope.  For
-piecewise-linear maps whose branches are all onto [0, 1) the helper
+piecewise-affine maps whose branches are all onto [0, 1) the helper
 ``linear_onto_constants`` supplies alpha0 = 1/beta (beta the minimum
 slope magnitude) and B0 = 0.
 """
@@ -27,18 +26,18 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 from numbers import Rational
 from typing import Sequence
 
 __all__ = [
     "Branch",
-    "LinearBranch",
-    "MoebiusBranch",
     "PiecewiseMap",
     "MapConfigError",
     "MapDomainError",
     "ExpansionWarning",
+    "affine_onto",
     "as_rational",
     "bundled_map_path",
     "full_branch_linear",
@@ -46,11 +45,7 @@ __all__ = [
     "load_map",
     "save_map",
     "map_from_dict",
-    "map_to_dict",
 ]
-
-#: derivative samples per branch of the expansion check at construction
-EXPANSION_SAMPLES = 32
 
 
 class MapConfigError(ValueError):
@@ -62,7 +57,7 @@ class MapDomainError(ValueError):
 
 
 class ExpansionWarning(UserWarning):
-    """The sampled derivative magnitude did not exceed 1 everywhere."""
+    """The minimum derivative magnitude min |T'| is at most 1."""
 
 
 def as_rational(value) -> Fraction:
@@ -88,132 +83,47 @@ def _is_rational(x) -> bool:
     return isinstance(x, Rational)
 
 
+@dataclass(frozen=True)
 class Branch:
-    """One strictly monotone branch of a piecewise map.
+    """Strictly monotone branch x -> (p x + q)/(r x + s) on [lo, hi).
 
-    Subclasses provide ``__call__`` (forward map), ``inverse``,
-    ``derivative``, ``moebius`` (the coefficients (p, q, r, s) of
-    x -> (p x + q)/(r x + s)), and serialization.  ``lo``/``hi`` bound the
-    half-open domain [lo, hi).  ``image`` is the closure of the image
-    interval.
+    Endpoints and coefficients are exact rationals with ps - qr != 0 and
+    no pole in the closed domain.  The defaults r = 0, s = 1 give the
+    affine branch x -> p x + q, written as a ``"linear"`` config entry.
     """
-
-    kind = "abstract"
-
-    lo: Fraction
-    hi: Fraction
-
-    def __call__(self, x):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def inverse(self, y):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def derivative(self, x):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    @property
-    def increasing(self) -> bool:
-        return self(self.hi) > self(self.lo)
-
-    @property
-    def image(self) -> tuple:
-        """Closure of the image of the domain, as an ordered pair."""
-        a, b = self(self.lo), self(self.hi)
-        return (a, b) if a <= b else (b, a)
-
-    def params(self) -> dict:
-        raise NotImplementedError
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "domain": [str(self.lo), str(self.hi)]}
-        d.update({k: str(v) for k, v in self.params().items()})
-        return d
-
-    def contains(self, x) -> bool:
-        return self.lo <= x < self.hi
-
-    def _validate(self):
-        if not (0 <= self.lo < self.hi <= 1):
-            raise MapConfigError(
-                f"branch domain [{self.lo}, {self.hi}) is not a subinterval of [0, 1)"
-            )
-        # strict monotonicity at the endpoints
-        if self(self.lo) == self(self.hi):
-            raise MapConfigError("branch is not strictly monotone on its domain")
-
-
-@dataclass(frozen=True)
-class LinearBranch(Branch):
-    """Affine branch x -> slope*x + intercept."""
-
-    lo: Fraction
-    hi: Fraction
-    slope: Fraction
-    intercept: Fraction
-
-    kind = "linear"
-
-    def __post_init__(self):
-        if self.slope == 0:
-            raise MapConfigError("linear branch must have nonzero slope")
-        self._validate()
-
-    def __call__(self, x):
-        return self.slope * x + self.intercept
-
-    def inverse(self, y):
-        return (y - self.intercept) / self.slope
-
-    def derivative(self, x):
-        return self.slope
-
-    @property
-    def increasing(self) -> bool:
-        return self.slope > 0
-
-    @property
-    def moebius(self) -> tuple:
-        return (self.slope, self.intercept, Fraction(0), Fraction(1))
-
-    def params(self):
-        return {"slope": self.slope, "intercept": self.intercept}
-
-
-@dataclass(frozen=True)
-class MoebiusBranch(Branch):
-    """Fractional-linear branch x -> (p*x + q)/(r*x + s)."""
 
     lo: Fraction
     hi: Fraction
     p: Fraction
     q: Fraction
-    r: Fraction
-    s: Fraction
-
-    kind = "moebius"
+    r: Fraction = Fraction(0)
+    s: Fraction = Fraction(1)
 
     def __post_init__(self):
-        det = self.p * self.s - self.q * self.r
-        if det == 0:
-            raise MapConfigError("moebius branch is degenerate (ps - qr = 0)")
-        # the pole must lie outside the closed domain
-        for x in (self.lo, self.hi):
-            if self.r * x + self.s == 0:
-                raise MapConfigError("moebius branch has a pole at a domain endpoint")
-        if self.r != 0:
-            pole = -self.s / self.r
-            if self.lo < pole < self.hi:
-                raise MapConfigError("moebius branch has a pole inside its domain")
-        self._validate()
+        if not (0 <= self.lo < self.hi <= 1):
+            raise MapConfigError(
+                f"branch domain [{self.lo}, {self.hi}) is not a subinterval of [0, 1)"
+            )
+        if self.p * self.s - self.q * self.r == 0:
+            raise MapConfigError("branch is constant (ps - qr = 0)")
+        # r x + s is affine, so it vanishes on [lo, hi] iff its end values
+        # do not share a strict sign
+        if (self.r * self.lo + self.s) * (self.r * self.hi + self.s) <= 0:
+            raise MapConfigError("branch has a pole in its closed domain")
+
+    @cached_property
+    def linear(self) -> bool:
+        """r = 0 and s = 1, the form of a ``"linear"`` entry: x -> p x + q."""
+        return self.r == 0 and self.s == 1
 
     def __call__(self, x):
+        if self.linear:
+            return self.p * x + self.q
         return (self.p * x + self.q) / (self.r * x + self.s)
 
-    def inverse(self, y):
-        return (self.s * y - self.q) / (self.p - self.r * y)
-
     def derivative(self, x):
+        if self.linear:
+            return self.p
         den = self.r * x + self.s
         return (self.p * self.s - self.q * self.r) / (den * den)
 
@@ -222,24 +132,33 @@ class MoebiusBranch(Branch):
         return self.p * self.s - self.q * self.r > 0
 
     @property
-    def moebius(self) -> tuple:
-        return (self.p, self.q, self.r, self.s)
+    def image(self) -> tuple:
+        """Closure of the image of the domain, as an ordered pair."""
+        a, b = self(self.lo), self(self.hi)
+        return (a, b) if a <= b else (b, a)
 
-    def params(self):
-        return {"p": self.p, "q": self.q, "r": self.r, "s": self.s}
+    def contains(self, x) -> bool:
+        return self.lo <= x < self.hi
+
+    def to_dict(self) -> dict:
+        if self.linear:
+            coeffs = {"kind": "linear", "slope": self.p, "intercept": self.q}
+        else:
+            coeffs = {"kind": "moebius", "p": self.p, "q": self.q, "r": self.r, "s": self.s}
+        return {"domain": [str(self.lo), str(self.hi)],
+                **{k: str(v) for k, v in coeffs.items()}}
 
 
 def _branch_from_dict(d: dict) -> Branch:
     try:
         kind = d["kind"]
         lo, hi = (as_rational(v) for v in d["domain"])
+        if kind == "linear":
+            return Branch(lo, hi, as_rational(d["slope"]), as_rational(d["intercept"]))
+        if kind == "moebius":
+            return Branch(lo, hi, *(as_rational(d[k]) for k in "pqrs"))
     except KeyError as exc:
         raise MapConfigError(f"branch entry missing field {exc}") from exc
-    if kind == "linear":
-        return LinearBranch(lo, hi, as_rational(d["slope"]), as_rational(d["intercept"]))
-    if kind == "moebius":
-        return MoebiusBranch(lo, hi, as_rational(d["p"]), as_rational(d["q"]),
-                             as_rational(d["r"]), as_rational(d["s"]))
     raise MapConfigError(f"unknown branch kind {kind!r} in config")
 
 
@@ -256,13 +175,12 @@ class PiecewiseMap:
     label : str
         Identifier used in fingerprints and reports.
 
-    The constructor verifies the partition, branch monotonicity, that
-    every branch image lies in [0, 1] (an
-    exact comparison, so each Ulam row sums to 1 exactly), and samples
-    the derivative; a sampled minimum |T'| <= 1 raises
-    :class:`ExpansionWarning` (certification requires expansion
-    separately via alpha0 < 1/3, so non-expanding maps remain usable for
-    plumbing such as identity-map tests).
+    The constructor verifies the partition and that every branch image
+    lies in [0, 1] (an exact comparison, so each Ulam row sums to 1
+    exactly); an exact minimum |T'| <= 1 raises :class:`ExpansionWarning`
+    (certification requires expansion separately via alpha0 < 1/3, so
+    non-expanding maps remain usable for plumbing such as identity-map
+    tests).
     """
 
     def __init__(self, branches: Sequence[Branch], alpha0, B0, label: str = "map"):
@@ -291,10 +209,10 @@ class PiecewiseMap:
             raise MapConfigError(f"B0 must be nonnegative, got {self.B0}")
         self.label = str(label)
         self._breaks = [b.lo for b in branches]  # exact Fractions, sorted
-        slope_min = self.min_derivative(samples=EXPANSION_SAMPLES)
-        if slope_min <= 1.0:
+        slope_min = self.min_derivative()
+        if slope_min <= 1:
             warnings.warn(
-                f"map {self.label!r}: sampled min |T'| = {slope_min:.6g} <= 1 "
+                f"map {self.label!r}: min |T'| = {float(slope_min):.6g} <= 1 "
                 "(not expanding)", ExpansionWarning, stacklevel=2,
             )
 
@@ -336,15 +254,13 @@ class PiecewiseMap:
             pts.append(self.evaluate(pts[-1]))
         return pts
 
-    def min_derivative(self, samples: int = 1000) -> float:
-        """Minimum sampled |T'| over all branches (expansion check)."""
-        out = float("inf")
-        for b in self.branches:
-            lo, hi = float(b.lo), float(b.hi)
-            for k in range(samples):
-                x = lo + (hi - lo) * (k + 0.5) / samples
-                out = min(out, abs(float(b.derivative(x))))
-        return out
+    def min_derivative(self) -> Fraction:
+        """Exact infimum of |T'| over all branches (expansion check).
+
+        |T'| = |ps - qr|/(r x + s)^2 is monotone on a pole-free branch, so
+        each branch's infimum sits at an endpoint of its domain.
+        """
+        return min(abs(b.derivative(x)) for b in self.branches for x in (b.lo, b.hi))
 
     # -- serialization -----------------------------------------------------
 
@@ -383,13 +299,9 @@ def map_from_dict(cfg: dict) -> PiecewiseMap:
         except MapConfigError as exc:
             raise MapConfigError(
                 "config omits alpha0/B0 and the default only applies to "
-                "piecewise-linear maps with every branch onto [0, 1)"
+                "piecewise-affine maps with every branch onto [0, 1)"
             ) from exc
     return PiecewiseMap(branches, alpha0, B0, label)
-
-
-def map_to_dict(m: PiecewiseMap) -> dict:
-    return m.to_dict()
 
 
 def load_map(path) -> PiecewiseMap:
@@ -415,33 +327,35 @@ def bundled_map_path() -> str:
 
 # -- helpers -----------------------------------------------------------------
 
-def linear_onto_constants(branches: Sequence[Branch]) -> tuple[Fraction, Fraction]:
-    """Default (alpha0, B0) = (1/beta, 0) for piecewise-linear onto maps.
+def affine_onto(branches: Sequence[Branch]) -> bool:
+    """True when every branch is affine (r = 0) and maps onto [0, 1].
 
-    Applies only when every branch is linear and maps its domain onto the
-    whole interval [0, 1]; beta is the minimum |slope|.  Anything else
-    raises, because no generic sharp constant is available.
+    Lebesgue measure is then invariant, so the invariant density is 1.
     """
-    slopes = []
-    for b in branches:
-        if not isinstance(b, LinearBranch):
-            raise MapConfigError("default constants need all-linear branches")
-        ylo, yhi = b.image
-        if not (ylo == 0 and yhi == 1):
-            raise MapConfigError("default constants need every branch onto [0, 1]")
-        slopes.append(abs(b.slope))
-    beta = min(slopes)
+    return all(b.r == 0 and b.image == (0, 1) for b in branches)
+
+
+def linear_onto_constants(branches: Sequence[Branch]) -> tuple[Fraction, Fraction]:
+    """Default (alpha0, B0) = (1/beta, 0) for piecewise-affine onto maps.
+
+    Applies only when :func:`affine_onto` holds; beta is the minimum
+    |slope|.  Anything else raises, because no generic sharp constant is
+    available.
+    """
+    if not affine_onto(branches):
+        raise MapConfigError("default constants need every branch affine and onto [0, 1]")
+    beta = min(abs(b.p / b.s) for b in branches)
     if beta <= 1:
         raise MapConfigError("map is not expanding (some |slope| <= 1)")
-    return (Fraction(1, 1) / beta, Fraction(0))
+    return (1 / beta, Fraction(0))
 
 
 def full_branch_linear(k: int, label: str | None = None) -> PiecewiseMap:
-    """The full shift x -> k*x mod 1 with k onto linear branches."""
+    """The full shift x -> k*x mod 1 with k onto affine branches."""
     if k < 2:
         raise MapConfigError("need at least 2 branches for an expanding full shift")
     branches = [
-        LinearBranch(Fraction(i, k), Fraction(i + 1, k), Fraction(k), Fraction(-i))
+        Branch(Fraction(i, k), Fraction(i + 1, k), Fraction(k), Fraction(-i))
         for i in range(k)
     ]
     alpha0, B0 = linear_onto_constants(branches)

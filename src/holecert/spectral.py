@@ -238,7 +238,7 @@ def _q_power_norms(P: sp.csr_matrix, u: np.ndarray, n_powers: int,
     return row_norms, col_norms
 
 
-def compute_record(matrix: UlamMatrix, *, n_powers: int = N_POWERS) -> SpectralRecord:
+def compute_record(matrix: UlamMatrix) -> SpectralRecord:
     """All r-independent spectral data of a closed Ulam matrix.
 
     Raises :class:`NoUnitEigenvalueError` when the power iteration's
@@ -270,7 +270,7 @@ def compute_record(matrix: UlamMatrix, *, n_powers: int = N_POWERS) -> SpectralR
     u = u / u.sum()
     projection_norm = float(np.abs(u).sum())
 
-    row_norms, col_norms = _q_power_norms(P, u, n_powers)
+    row_norms, col_norms = _q_power_norms(P, u, N_POWERS)
     _check_submultiplicative(row_norms, "row")
     _check_submultiplicative(col_norms, "column")
 

@@ -134,7 +134,7 @@ def _branch_cells(branch, n: int):
     Returns int64 ``rows`` and ``cols`` and Python-int object arrays
     ``num``, ``den`` with n * lambda(bin_row & branch^-1 bin_col) = num/den.
     """
-    p, q, r, s = branch.moebius
+    p, q, r, s = branch.p, branch.q, branch.r, branch.s
     ylo, yhi = branch.image
     # integer coefficients; floor division and the cell lengths below are
     # right for either sign of the denominators

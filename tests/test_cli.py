@@ -86,7 +86,7 @@ class TestMatrixAndSpectralCommands:
 
         # the report is the library pipeline on the in-memory matrix, bit for bit
         record = hc.compute_record(
-            hc.build_closed(hc.load_map(map_path), hc.UlamPartition(100)), n_powers=6)
+            hc.build_closed(hc.load_map(map_path), hc.UlamPartition(100)))
         bound = hc.h_star(record, 24 / 25, 1 / 26, 1 / 9, 2 / 9, orientation="column")
         assert doc["report"]["q_power_norms"] == list(record.q_power_norms)
         assert doc["report"]["spectral_radius_bound"] == record.spectral_radius_bound

@@ -124,8 +124,3 @@ class TestAsymptoticRatio:
         exp = hc.asymptotic_ratio(bundled_map, F(1, 2), [F(1, 50)], 5)
         assert exp.f_star_source == "ulam-advisory"
         assert exp.predicted_limit is not None
-
-    def test_supplied_density_value(self, shift10):
-        exp = hc.asymptotic_ratio(shift10, F(0), [F(1, 100)], 10, f_star_value=2.0)
-        assert exp.f_star_source == "supplied"
-        assert exp.predicted_limit == pytest.approx(2.0 * 0.9)

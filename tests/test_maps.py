@@ -7,13 +7,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import holecert as hc
-from ulam_oracle import branch_preimage
+from ulam_oracle import branch_preimage, inverse
 from holecert.maps import (
+    Branch,
     ExpansionWarning,
-    LinearBranch,
     MapConfigError,
     MapDomainError,
-    MoebiusBranch,
     as_rational,
     linear_onto_constants,
     map_from_dict,
@@ -22,7 +21,7 @@ from holecert.maps import (
 
 def identity_map():
     with pytest.warns(ExpansionWarning):
-        return hc.PiecewiseMap([LinearBranch(F(0), F(1), F(1), F(0))],
+        return hc.PiecewiseMap([Branch(F(0), F(1), F(1), F(0))],
                                alpha0=F(1, 2), B0=0, label="identity")
 
 
@@ -95,7 +94,7 @@ class TestBranchPreimage:
         J = (0.2, 0.7)
         seg = branch_preimage(bundled_map, 0, J)
         measure = float(seg[1] - seg[0])
-        integrand = lambda y: 1.0 / abs(float(branch.derivative(float(branch.inverse(y)))))
+        integrand = lambda y: 1.0 / abs(float(branch.derivative(float(inverse(branch, y)))))
         oracle, err = quad(integrand, J[0], J[1], epsabs=1e-12, epsrel=1e-12)
         assert measure == pytest.approx(oracle, abs=1e-9)
 
@@ -107,7 +106,7 @@ class TestBranchPreimage:
             ylo, yhi = (float(v) for v in branch.image)
             if not ylo <= y <= yhi:
                 continue
-            x = branch.inverse(y)
+            x = inverse(branch, y)
             assert abs(float(branch(x)) - y) <= 1e-12
 
 
@@ -115,38 +114,42 @@ class TestValidation:
     def test_gap_rejected(self):
         with pytest.raises(MapConfigError):
             hc.PiecewiseMap(
-                [LinearBranch(F(0), F(1, 3), F(3), F(0)),
-                 LinearBranch(F(1, 2), F(1), F(2), F(-1))],
+                [Branch(F(0), F(1, 3), F(3), F(0)),
+                 Branch(F(1, 2), F(1), F(2), F(-1))],
                 alpha0=F(1, 3), B0=0)
 
     def test_not_covering_unit_interval(self):
         with pytest.raises(MapConfigError):
-            hc.PiecewiseMap([LinearBranch(F(0), F(1, 2), F(2), F(0))],
+            hc.PiecewiseMap([Branch(F(0), F(1, 2), F(2), F(0))],
                             alpha0=F(1, 2), B0=0)
 
     def test_image_leaving_interval(self):
         with pytest.raises(MapConfigError):
-            hc.PiecewiseMap([LinearBranch(F(0), F(1), F(2), F(0))],
+            hc.PiecewiseMap([Branch(F(0), F(1), F(2), F(0))],
                             alpha0=F(1, 2), B0=0)
         # the image overshoots 1 by 5e-15: rejected by the exact comparison
         with pytest.raises(MapConfigError):
-            hc.PiecewiseMap([LinearBranch(F(0), F(1, 2), 2 + F(1, 10**14), F(0)),
-                             LinearBranch(F(1, 2), F(1), F(2), F(-1))],
+            hc.PiecewiseMap([Branch(F(0), F(1, 2), 2 + F(1, 10**14), F(0)),
+                             Branch(F(1, 2), F(1), F(2), F(-1))],
                             alpha0=F(1, 2), B0=0)
 
     def test_slow_exact_branch_accepted(self):
-        # slope 1e-5 away from 0: exact branches need no float round trip
-        branch = LinearBranch(F(0), F(1), F(1, 10**5), F(1, 2))
+        # slope 1e-5 with its image away from 0: accepted, and exact
+        branch = Branch(F(0), F(1), F(1, 10**5), F(1, 2))
         assert branch.image == (F(1, 2), F(1, 2) + F(1, 10**5))
-        assert branch.inverse(branch(F(1, 3))) == F(1, 3)
+        assert branch(F(1, 3)) == F(1, 2) + F(1, 3 * 10**5)
 
     def test_degenerate_moebius(self):
         with pytest.raises(MapConfigError):
-            MoebiusBranch(F(0), F(1, 2), F(1), F(0), F(1), F(0))
+            Branch(F(0), F(1, 2), F(1), F(0), F(1), F(0))
+        with pytest.raises(MapConfigError):   # slope 0
+            Branch(F(0), F(1), F(0), F(1, 2))
 
     def test_pole_inside_domain(self):
         with pytest.raises(MapConfigError):
-            MoebiusBranch(F(0), F(1), F(1), F(0), F(-2), F(1))
+            Branch(F(0), F(1), F(1), F(0), F(-2), F(1))
+        with pytest.raises(MapConfigError):   # pole at the right endpoint
+            Branch(F(0), F(1, 2), F(1), F(0), F(-2), F(1))
 
     def test_bad_alpha0(self):
         branches = hc.full_branch_linear(2).branches
@@ -156,16 +159,17 @@ class TestValidation:
     def test_expansion_warning_for_identity(self):
         identity_map()  # asserts the warning internally
 
-    def test_expansion_sampled_above_one(self, bundled_map, shift10):
-        assert bundled_map.min_derivative(1000) > 1
-        assert shift10.min_derivative(1000) > 1
+    def test_min_derivative_exact(self, bundled_map, shift10):
+        # 9x/(1-x) has T' = 9/(1-x)^2, smallest at its left endpoint 0
+        assert bundled_map.min_derivative() == 9
+        assert shift10.min_derivative() == 10
 
 
 class TestDecreasingBranches:
     def test_tent_map_evaluates(self):
         tent = hc.PiecewiseMap(
-            [LinearBranch(F(0), F(1, 2), F(2), F(0)),
-             LinearBranch(F(1, 2), F(1), F(-2), F(2))],
+            [Branch(F(0), F(1, 2), F(2), F(0)),
+             Branch(F(1, 2), F(1), F(-2), F(2))],
             alpha0=F(1, 2), B0=1, label="tent")
         assert tent.evaluate(F(3, 4)) == F(1, 2)
         seg = branch_preimage(tent, 1, (F(0), F(1, 2)))
@@ -173,8 +177,8 @@ class TestDecreasingBranches:
 
     def test_decreasing_preimage_order(self):
         tent = hc.PiecewiseMap(
-            [LinearBranch(F(0), F(1, 2), F(2), F(0)),
-             LinearBranch(F(1, 2), F(1), F(-2), F(2))],
+            [Branch(F(0), F(1, 2), F(2), F(0)),
+             Branch(F(1, 2), F(1), F(-2), F(2))],
             alpha0=F(1, 2), B0=1, label="tent")
         lo, hi = branch_preimage(tent, 1, (F(1, 4), F(3, 4)))
         assert lo < hi
@@ -211,6 +215,19 @@ class TestConfigIO:
         again = hc.load_map(hc.bundled_map_path())
         assert again.fingerprint == bundled_map.fingerprint
 
+    def test_fingerprints_pinned(self, bundled_map, shift10):
+        # the canonical config form names cache files and is quoted in reports
+        assert bundled_map.fingerprint == "f063b0a9b04c5287"
+        assert shift10.fingerprint == "e83ffca75c4e6b1a"
+
+    def test_branch_kinds_roundtrip(self):
+        cfg = json.loads(open(hc.bundled_map_path()).read())
+        assert map_from_dict(cfg).to_dict()["branches"] == cfg["branches"]
+        # "linear" is shorthand for r = 0, s = 1 and is written exactly then
+        assert Branch(F(0), F(1, 2), F(2), F(0), F(0), F(1)).to_dict() == {
+            "kind": "linear", "domain": ["0", "1/2"], "slope": "2", "intercept": "0"}
+        assert Branch(F(0), F(1, 2), F(4), F(0), F(0), F(2)).to_dict()["kind"] == "moebius"
+
 
 class TestHelpers:
     def test_linear_onto_constants(self, shift10):
@@ -220,7 +237,7 @@ class TestHelpers:
 
     def test_linear_onto_rejects_non_expanding(self):
         with pytest.raises(MapConfigError):
-            linear_onto_constants([LinearBranch(F(0), F(1), F(1), F(0))])
+            linear_onto_constants([Branch(F(0), F(1), F(1), F(0))])
 
     def test_linear_onto_rejects_moebius(self, bundled_map):
         with pytest.raises(MapConfigError):

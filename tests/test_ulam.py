@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import holecert as hc
 import ulam_oracle
-from holecert.maps import ExpansionWarning, LinearBranch, MoebiusBranch
+from holecert.maps import Branch, ExpansionWarning
 from holecert.ulam import HoleAlignmentError, UlamPartition
 
 
@@ -42,7 +42,7 @@ class TestBuildClosed:
 
     def test_identity_matrix(self):
         with pytest.warns(ExpansionWarning):
-            ident = hc.PiecewiseMap([LinearBranch(F(0), F(1), F(1), F(0))],
+            ident = hc.PiecewiseMap([Branch(F(0), F(1), F(1), F(0))],
                                     alpha0=F(1, 2), B0=0, label="identity")
         M = hc.build_closed(ident, UlamPartition(7)).toarray()
         assert np.array_equal(M, np.eye(7))
@@ -95,7 +95,7 @@ class TestBuildClosed:
         branches = []
         for a, b in zip(cuts, cuts[1:]):
             slope = 1 / (b - a)
-            branches.append(LinearBranch(a, b, slope, -a * slope))
+            branches.append(Branch(a, b, slope, -a * slope))
         m = hc.PiecewiseMap(branches, alpha0=F(1, 2), B0=0, label="uneven")
         M = hc.build_closed(m, UlamPartition(n))
         assert np.abs(M.row_sums() - 1.0).max() <= 1e-12
@@ -110,9 +110,9 @@ def onto_branch(kind, a, b, ya, yb, increasing, c=F(1, 2)):
     base, h = (ya, yb - ya) if increasing else (yb, ya - yb)
     if kind == "linear":
         slope = h / (b - a)
-        return LinearBranch(a, b, slope, base - slope * a)
+        return Branch(a, b, slope, base - slope * a)
     s = c * (b - a) - (1 - c) * a
-    return MoebiusBranch(a, b, base * (1 - c) + h, base * s - h * a, 1 - c, s)
+    return Branch(a, b, base * (1 - c) + h, base * s - h * a, 1 - c, s)
 
 
 HUGE = F(11400714819323198485, 2**64 + 13)  # about 0.618, denominator above 2^64
@@ -154,7 +154,7 @@ class TestExactOracle:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             m = hc.PiecewiseMap(branches, alpha0=F(1, 2), B0=0, label="random")
-        if any(isinstance(b, LinearBranch) and abs(b.slope) <= 1 for b in branches):
+        if any(b.r == 0 and abs(b.p / b.s) <= 1 for b in branches):
             assert any(w.category is ExpansionWarning for w in caught)
         M = hc.build_closed(m, UlamPartition(n)).matrix
         indptr, indices, data = ulam_oracle.closed_csr(m, n)
@@ -165,7 +165,8 @@ class TestExactOracle:
             assert sum(ulam_oracle.row_entries(m, n, i).values()) == 1
 
     def test_examples_pass_int64_and_renormalize(self):
-        assert max(v.denominator for v in HUGE_BRANCHES[0].moebius) > 2**64
+        b = HUGE_BRANCHES[0]
+        assert max(v.denominator for v in (b.p, b.q, b.r, b.s)) > 2**64
         with pytest.warns(ExpansionWarning):   # the Moebius branch is flat near 3/7
             m = hc.PiecewiseMap(ROW_RULE_BRANCHES, alpha0=F(1, 2), B0=0)
         row = ulam_oracle.row_entries(m, 12, 2)

@@ -4,8 +4,9 @@ The row-by-row ``Fraction`` assembly that ``holecert.ulam.build_closed``
 used before its vectorised integer assembly, kept as the reference the
 tests compare that assembly against bit for bit.  It imports nothing from
 ``holecert``: a map is any object with a ``branches`` sequence whose
-branches have ``lo``, ``hi``, ``image``, ``increasing``, ``inverse`` and a
-forward call, all exact on ``Fraction`` input.
+branches have ``lo``, ``hi``, Moebius coefficients ``p``, ``q``, ``r``,
+``s``, ``image``, ``increasing`` and a forward call, all exact on
+``Fraction`` input.  Preimages come from the inverse formula here.
 
 Each entry n * lambda(bin_i intersect T^-1 bin_j) is an exact ``Fraction``
 rounded once to float; a row whose ``math.fsum`` is not 1.0 is then
@@ -14,6 +15,11 @@ divided by that sum.
 
 import math
 from fractions import Fraction
+
+
+def inverse(branch, y):
+    """Preimage (s y - q)/(p - r y) of y under x -> (p x + q)/(r x + s)."""
+    return (branch.s * y - branch.q) / (branch.p - branch.r * y)
 
 
 def branch_preimage(tmap, branch_index: int, interval):
@@ -36,7 +42,7 @@ def branch_preimage(tmap, branch_index: int, interval):
     hi = min(jhi, yhi)
     if hi <= lo:
         return None
-    p, q = b.inverse(lo), b.inverse(hi)
+    p, q = inverse(b, lo), inverse(b, hi)
     if not b.increasing:
         p, q = q, p
     # clip to the domain (a no-op for exact inverses)
