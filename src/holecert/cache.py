@@ -7,10 +7,10 @@ the mass-free part) is independent of the peripheral threshold r and the
 separation delta.  The matrix power computations are by far the most
 expensive step, so a warm record cache lets a second run at the same mesh
 do no matrix work at all.  A record file whose ``schema`` tag differs from
-:data:`RECORD_SCHEMA` was written by an older layout, and one whose map
-fingerprint, bin count, mass-vector length or power count does not fit
-its key is not the record asked for; either is recomputed and
-overwritten.
+:data:`RECORD_SCHEMA` was written by an older layout or older norm code,
+and one whose map fingerprint, bin count, mass-vector length or power
+count does not fit its key is not the record asked for; either is
+recomputed and overwritten.
 
 All writes are atomic (temp file + rename).  The cache directory comes
 from the HOLECERT_CACHE_DIR environment variable when not given
@@ -34,9 +34,11 @@ __all__ = ["PipelineCache", "default_cache_dir", "CACHE_ENV_VAR"]
 
 CACHE_ENV_VAR = "HOLECERT_CACHE_DIR"
 
-#: layout tag of ``.spectral.npz`` files; files without it hold the full
-#: eigenvalue list of the eigensolver-based layout
-RECORD_SCHEMA = 2
+#: layout tag of ``.spectral.npz`` files, raised whenever the code that
+#: fills a record changes; files without it hold the full eigenvalue list
+#: of the eigensolver-based layout, and schema 2 holds power norms from the
+#: row-block evaluation
+RECORD_SCHEMA = 3
 
 #: kind of each file the cache owns, by suffix (older versions wrote text
 #: matrices); anything else in the directory is left alone

@@ -174,10 +174,6 @@ def build_closed(tmap: PiecewiseMap, partition: UlamPartition) -> UlamMatrix:
     divided by it.
     """
     n = partition.n_bins
-    if n < tmap.n_branches:
-        raise ValueError(
-            f"partition too coarse: {n} bins < {tmap.n_branches} branches"
-        )
     rows, cols, data = [], [], []
     shared: dict[tuple[int, int], Fraction] = {}
     for branch in tmap.branches:

@@ -51,3 +51,30 @@ def test_record_filed_under_another_mesh_is_recomputed(tmp_path, shift10):
     # the overwritten file now holds the 200-bin record
     again = hc.PipelineCache(tmp_path).spectral_record(shift10, 200)
     assert again.n_bins == 200
+
+
+def test_record_from_older_norm_code_is_recomputed(tmp_path, shift10):
+    # a schema-2 record: written by the row-block norm code, same layout
+    cache = hc.PipelineCache(tmp_path)
+    record = cache.spectral_record(shift10, 100)
+    path = cache._record_path(shift10.fingerprint, 100)
+    with np.load(path) as blob:
+        arrays = {key: blob[key] for key in blob.files}
+    meta = json.loads(str(arrays.pop("meta")))
+    assert meta["schema"] == hc.cache.RECORD_SCHEMA == 3
+    meta["schema"] = 2
+    arrays["q_power_norms"] = np.full(7, 0.5)
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=json.dumps(meta), **arrays)
+
+    rebuilt = hc.PipelineCache(tmp_path)
+    again = rebuilt.spectral_record(shift10, 100)
+    assert rebuilt.stats["spectral_builds"] == 1
+    assert rebuilt.stats["spectral_hits"] == 0
+    assert again.q_power_norms == record.q_power_norms
+
+    # the overwritten file now loads as a hit
+    fresh = hc.PipelineCache(tmp_path)
+    assert fresh.spectral_record(shift10, 100).q_power_norms == record.q_power_norms
+    assert fresh.stats["spectral_hits"] == 1
+    assert fresh.stats["spectral_builds"] == 0

@@ -8,10 +8,15 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import holecert as hc
+import norm_oracle
+import spectral_oracle
+from holecert.maps import Branch
 from holecert.spectral import (
+    N_POWERS,
     NeumannDivergenceError,
     NoUnitEigenvalueError,
     SpectralStructureError,
+    _q_power_norms,
     compute_record,
     dominant_left_eigenpair,
     h_star,
@@ -166,6 +171,86 @@ class TestSpectralRadiusBound:
     ])
     def test_hand_matrices(self, entries):
         _assert_bound_covers_eigvals(hand_matrix(entries))
+
+
+def kfold_moebius(k):
+    """x -> (k-1)x/(1-x) on [0, 1/k) plus k-1 slope-k branches (k = 10 is bundled)."""
+    branches = [Branch(F(0), F(1, k), k - 1, 0, -1, 1)]
+    branches += [Branch(F(i, k), F(i + 1, k), k, -i) for i in range(1, k)]
+    return hc.PiecewiseMap(branches, alpha0=F(1, k - 1), B0=F(2, k - 1), label=f"{k}fold")
+
+
+def random_stochastic(seed, n, density):
+    """n x n row-stochastic matrix; every row keeps at least one nonzero."""
+    rng = np.random.default_rng(seed)
+    A = rng.random((n, n)) * (rng.random((n, n)) < density)
+    A[np.arange(n), rng.integers(0, n, n)] += rng.random(n) + 1e-3
+    return A / A.sum(axis=1, keepdims=True)
+
+
+def _assert_norms_match(P, u, expected, atol):
+    got = _q_power_norms(sp.csr_matrix(P), u)
+    for family, reference in zip(got, expected):
+        assert len(family) == N_POWERS + 1
+        assert all(math.isfinite(v) and v >= 0.0 for v in family)
+        assert max(abs(a - float(b)) for a, b in zip(family, reference)) <= atol
+
+
+class TestQPowerNorms:
+    """The two-phase norms against the row-block code and exact Fractions.
+
+    Tolerances are absolute: for 10x mod 1, Q^k = 0 for k >= 4 at every
+    mesh, and the computed values there are roundoff.
+    """
+
+    @pytest.mark.parametrize("label, n_bins", [
+        ("bundled", 1000), ("bundled", 200), ("bundled", 700), ("kfold20", 300),
+        ("shift3", 90), ("shift10", 10), ("shift10", 1000),
+    ])
+    def test_matches_row_block_code(self, bundled_map, label, n_bins):
+        tmap = {"bundled": bundled_map, "kfold20": kfold_moebius(20),
+                "shift3": hc.full_branch_linear(3),
+                "shift10": hc.full_branch_linear(10)}[label]
+        M = hc.build_closed(tmap, UlamPartition(n_bins))
+        P, u = M.matrix, compute_record(M).mass_vector
+        _assert_norms_match(P, u, spectral_oracle.q_power_norms(P, u, N_POWERS), 1e-12)
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(1, 300),
+           st.sampled_from([1.0, 0.3, 0.02]))
+    @settings(max_examples=30, deadline=None)
+    def test_random_stochastic_matches_row_block_code(self, seed, n, density):
+        P = random_stochastic(seed, n, density)
+        u = np.random.default_rng(seed + 1).random(n)
+        u /= u.sum()
+        _assert_norms_match(P, u, spectral_oracle.q_power_norms(sp.csr_matrix(P), u, N_POWERS),
+                            1e-12)
+
+    def test_zero_powers_clamped(self, shift10_10):
+        # P = 1 u exactly, so Q = 0 and the sparse phase cancels to roundoff
+        record = compute_record(shift10_10)
+        for norms in (record.q_power_norms, record.q_power_norms_colsum):
+            assert all(0.0 <= v <= 1e-15 for v in norms[1:])
+        assert 0.0 <= record.spectral_radius_bound <= 1e-5
+
+    @pytest.mark.parametrize("label, n_bins", [
+        ("bundled", 20), ("bundled", 40), ("doubling", 2), ("doubling", 16),
+        ("shift10", 10), ("shift10", 20),
+    ])
+    def test_exact_oracle(self, bundled_map, doubling, shift10, label, n_bins):
+        tmap = {"bundled": bundled_map, "doubling": doubling, "shift10": shift10}[label]
+        M = hc.build_closed(tmap, UlamPartition(n_bins))
+        u = compute_record(M).mass_vector
+        exact = norm_oracle.q_power_norms(M.toarray().tolist(), u.tolist(), N_POWERS)
+        _assert_norms_match(M.matrix, u, exact, 1e-13)
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([1.0, 0.3]))
+    @settings(max_examples=15, deadline=None)
+    def test_random_stochastic_exact_oracle(self, seed, density):
+        P = random_stochastic(seed, 12, density)
+        u = np.random.default_rng(seed + 1).random(12)
+        u /= u.sum()
+        exact = norm_oracle.q_power_norms(P.tolist(), u.tolist(), N_POWERS)
+        _assert_norms_match(P, u, exact, 1e-13)
 
 
 class TestNeumannBound:

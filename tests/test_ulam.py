@@ -55,9 +55,14 @@ class TestBuildClosed:
         M = hc.build_closed(bundled_map, UlamPartition(137))
         assert np.abs(M.row_sums() - 1.0).max() <= 1e-12
 
-    def test_too_coarse_partition(self, bundled_map):
-        with pytest.raises(ValueError):
-            hc.build_closed(bundled_map, UlamPartition(7))
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 9])
+    def test_fewer_bins_than_branches(self, bundled_map, n):
+        # several of the 10 branches share a bin; the assembly is still exact
+        M = hc.build_closed(bundled_map, UlamPartition(n)).matrix
+        indptr, indices, data = ulam_oracle.closed_csr(bundled_map, n)
+        assert M.indptr.tolist() == indptr
+        assert M.indices.tolist() == indices
+        assert M.data.tolist() == data
 
     def test_mass_conservation(self, bundled_map):
         M = hc.build_closed(bundled_map, UlamPartition(50))
