@@ -36,9 +36,9 @@ CACHE_ENV_VAR = "HOLECERT_CACHE_DIR"
 
 #: layout tag of ``.spectral.npz`` files, raised whenever the code that
 #: fills a record changes; files without it hold the full eigenvalue list
-#: of the eigensolver-based layout, and schema 2 holds power norms from the
-#: row-block evaluation
-RECORD_SCHEMA = 3
+#: of the eigensolver-based layout; schema 2 holds power norms from the
+#: row-block evaluation and schema 3 from the global-P^2 evaluation
+RECORD_SCHEMA = 4
 
 #: kind of each file the cache owns, by suffix (older versions wrote text
 #: matrices); anything else in the directory is left alone

@@ -272,7 +272,7 @@ class PiecewiseMap:
             "branches": [b.to_dict() for b in self.branches],
         }
 
-    @property
+    @cached_property
     def fingerprint(self) -> str:
         """Stable hash of the canonical config (16 hex chars)."""
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -18,8 +18,9 @@ that is x Q = x P - (sum x) u P, are stored:
 * ``q_power_norms_colsum``  column family (matrix 1-norm); entry 0 is 1.
 
 P is row-stochastic and u sums to 1, so e_i Q^k = e_i P^k - u P^k exactly:
-the first two powers are normed from the nonzeros of the sparse P^k, the
-later ones on dense column blocks of (Q^k)^T stepped by the CSR matrix P^T.
+Q is normed from the nonzeros of P, the later powers on narrow dense column
+blocks of (P^k)^T over the distinct rows of P, seeded with the block's rows
+of P^2 and stepped by the CSR matrix P^T (P^2 is never formed whole).
 
 The certification pipeline bounds the resolvent with the column family,
 the convention under which the reference outputs for the bundled example
@@ -76,10 +77,8 @@ N_POWERS = 6
 UNIT_EIGENVALUE_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
 SUBMULT_SLACK = 1e-10
-#: powers of Q normed from sparse P^k; the rest step dense column blocks
-_SPARSE_POWERS = 2
 #: columns per dense block (wider blocks raise peak memory, not speed)
-_BLOCK = 256
+_BLOCK = 64
 
 
 class SpectralStructureError(RuntimeError):
@@ -217,53 +216,54 @@ def _check_submultiplicative(norms, label: str) -> None:
 
 
 def _q_power_norms(P: sp.csr_matrix, u: np.ndarray) -> tuple[list[float], list[float]]:
-    """Row- and column-family norms of Q^k, k = 0..N_POWERS, in two phases.
+    """Row- and column-family norms of Q^k, k = 0..N_POWERS.
 
     Q = (1 - Pi1) P, i.e. x Q = x P - (sum x) u P.  P is row-stochastic
-    and u sums to 1, so e_i Q^k = e_i P^k - u P^k.
+    and u sums to 1, so e_i Q^k = e_i P^k - w_k with w_k = u P^k.
 
-    Sparse phase, k <= ``_SPARSE_POWERS``: with w = u P^k, row i of Q^k
-    has L1 norm sum over the support of row i of P^k of
-    (|P^k_ij - w_j| - |w_j|), plus ||w||_1; column j has the same sum
-    down column j, plus n |w_j|.  Only the nonzeros of P^k are touched.
+    k = 1 from the nonzeros of P: row i of Q has L1 norm sum over the
+    support of row i of (|P_ij - w_j| - |w_j|), plus ||w||_1; column j has
+    the same sum down column j, plus n |w_j| (w = w_1).
 
-    Dense phase, the later powers: blocks of ``_BLOCK`` columns
-    Y = (e_i Q^k)^T, seeded from rows of the last sparse P^k minus w, step
-    as Y <- P^T Y - (u P) (x) colsums(Y) with P^T in CSR, so each product
-    is sparse-times-dense.  Column sums of |Y| are row-family norms, and
-    row sums of |Y| accumulate over blocks to the column family.
+    k >= 2 in fused blocks of ``_BLOCK`` distinct rows i of P: Z = (rows i
+    of P^2)^T, from those rows of P alone, steps as Z <- P^T Z (P^T in CSR)
+    and stays nonnegative, with no rank-one correction.  Column sums of
+    |Z - w_k| are row-family norms; its row sums, weighted by each row's
+    count in P and added over the blocks in order, are the column family.
     """
     n = P.shape[0]
-    uP = u @ P
+    w = [u]
+    for _ in range(N_POWERS):
+        w.append(w[-1] @ P)
     row_norms = [float(np.max(np.abs(1.0 - u) + (np.abs(u).sum() - np.abs(u))))]
     col_norms = [1.0]
-    ones = np.ones(n)
-    Pk, w = sp.identity(n, format="csr"), u
-    for _ in range(_SPARSE_POWERS):
-        Pk, w = Pk @ P, w @ P
-        wj = w[Pk.indices]
-        excess = sp.csr_matrix((np.abs(Pk.data - wj) - np.abs(wj), Pk.indices,
-                                Pk.indptr), shape=(n, n))
-        # Q^k = 0 cancels to roundoff of either sign; a norm is >= 0
-        row_norms.append(max(0.0, float(np.max(excess @ ones + np.abs(w).sum()))))
-        col_norms.append(max(0.0, float(np.max(ones @ excess + n * np.abs(w)))))
-    dense = N_POWERS - _SPARSE_POWERS
-    PT = P.T.tocsr()
-    row_maxima = np.zeros(dense)
-    col_partial = np.zeros((dense, n))
-    buf = np.empty((n, min(_BLOCK, n)))
-    for start in range(0, n, _BLOCK):
-        Y = Pk[start:start + _BLOCK].T.toarray(order="C")
-        Y -= w[:, None]
-        scratch = buf[:, :Y.shape[1]]
-        for k in range(dense):
-            Y = PT @ Y
-            Y -= np.outer(uP, Y.sum(axis=0), out=scratch)
-            np.abs(Y, out=scratch)
-            row_maxima[k] = max(row_maxima[k], float(scratch.sum(axis=0).max()))
-            col_partial[k] += scratch.sum(axis=1)
+    wj = w[1][P.indices]
+    excess = sp.csr_matrix((np.abs(P.data - wj) - np.abs(wj), P.indices, P.indptr),
+                           shape=(n, n))
+    # Q = 0 cancels to roundoff of either sign; a norm is >= 0
+    row_norms.append(max(0.0, float(np.max(excess.sum(axis=1) + np.abs(w[1]).sum()))))
+    col_norms.append(max(0.0, float(np.max(excess.sum(axis=0) + n * np.abs(w[1])))))
+    # equal rows of P have equal rows of every P^k (the linear branches of
+    # a map repeat theirs), so each distinct row is stepped once
+    keys = [P.indices[lo:hi].tobytes() + P.data[lo:hi].tobytes()
+            for lo, hi in zip(P.indptr[:-1], P.indptr[1:])]
+    _, first, copies = np.unique(np.array(keys, dtype=object), return_index=True,
+                                 return_counts=True)
+    distinct, PT = P[first], P.T.tocsr()
+    row_maxima = np.zeros(N_POWERS - 1)
+    col_sums = np.zeros((N_POWERS - 1, n))
+    buf = np.empty((n, min(_BLOCK, len(first))))
+    for start in range(0, len(first), _BLOCK):
+        Z = (distinct[start:start + _BLOCK] @ P).T.toarray(order="C")
+        dev = buf[:, :Z.shape[1]]
+        for k in range(N_POWERS - 1):
+            if k:
+                Z = PT @ Z
+            np.abs(np.subtract(Z, w[k + 2][:, None], out=dev), out=dev)
+            row_maxima[k] = max(row_maxima[k], dev.sum(axis=0).max())
+            col_sums[k] += dev @ copies[start:start + _BLOCK]
     row_norms += row_maxima.tolist()
-    col_norms += col_partial.max(axis=1).tolist()
+    col_norms += col_sums.max(axis=1).tolist()
     return row_norms, col_norms
 
 

@@ -54,15 +54,15 @@ def test_record_filed_under_another_mesh_is_recomputed(tmp_path, shift10):
 
 
 def test_record_from_older_norm_code_is_recomputed(tmp_path, shift10):
-    # a schema-2 record: written by the row-block norm code, same layout
+    # a schema-3 record: written by the global-P^2 norm code, same layout
     cache = hc.PipelineCache(tmp_path)
     record = cache.spectral_record(shift10, 100)
     path = cache._record_path(shift10.fingerprint, 100)
     with np.load(path) as blob:
         arrays = {key: blob[key] for key in blob.files}
     meta = json.loads(str(arrays.pop("meta")))
-    assert meta["schema"] == hc.cache.RECORD_SCHEMA == 3
-    meta["schema"] = 2
+    assert meta["schema"] == hc.cache.RECORD_SCHEMA == 4
+    meta["schema"] = 3
     arrays["q_power_norms"] = np.full(7, 0.5)
     with open(path, "wb") as fh:
         np.savez(fh, meta=json.dumps(meta), **arrays)

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -201,7 +202,7 @@ class TestConfigIO:
         assert m.B0 == 0
 
     def test_default_constants_rejected_for_moebius(self):
-        cfg = json.loads(open(hc.bundled_map_path()).read())
+        cfg = json.loads(Path(hc.bundled_map_path()).read_text())
         del cfg["alpha0"], cfg["B0"]
         with pytest.raises(MapConfigError):
             map_from_dict(cfg)
@@ -221,7 +222,7 @@ class TestConfigIO:
         assert shift10.fingerprint == "e83ffca75c4e6b1a"
 
     def test_branch_kinds_roundtrip(self):
-        cfg = json.loads(open(hc.bundled_map_path()).read())
+        cfg = json.loads(Path(hc.bundled_map_path()).read_text())
         assert map_from_dict(cfg).to_dict()["branches"] == cfg["branches"]
         # "linear" is shorthand for r = 0, s = 1 and is written exactly then
         assert Branch(F(0), F(1, 2), F(2), F(0), F(0), F(1)).to_dict() == {

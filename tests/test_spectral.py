@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -16,6 +17,7 @@ from holecert.spectral import (
     NeumannDivergenceError,
     NoUnitEigenvalueError,
     SpectralStructureError,
+    _BLOCK,
     _q_power_norms,
     compute_record,
     dominant_left_eigenpair,
@@ -197,7 +199,8 @@ def _assert_norms_match(P, u, expected, atol):
 
 
 class TestQPowerNorms:
-    """The two-phase norms against the row-block code and exact Fractions.
+    """The sparse k = 1 norms and fused column blocks against the row-block
+    code and exact Fractions.
 
     Tolerances are absolute: for 10x mod 1, Q^k = 0 for k >= 4 at every
     mesh, and the computed values there are roundoff.
@@ -206,27 +209,54 @@ class TestQPowerNorms:
     @pytest.mark.parametrize("label, n_bins", [
         ("bundled", 1000), ("bundled", 200), ("bundled", 700), ("kfold20", 300),
         ("shift3", 90), ("shift10", 10), ("shift10", 1000),
+    ] + [(label, n_bins) for label in ("bundled", "kfold20")
+         for n_bins in (1, 63, 64, 65, 129)] + [
+        ("bundled", 320), ("bundled", 640), ("kfold20", 640), ("kfold20", 660),
     ])
     def test_matches_row_block_code(self, bundled_map, label, n_bins):
+        # blocks of 64 run over the distinct rows of P: 63 and 129 bins have
+        # that many, the last four cases 64, 128, 64 and 66 (rows repeat)
         tmap = {"bundled": bundled_map, "kfold20": kfold_moebius(20),
                 "shift3": hc.full_branch_linear(3),
                 "shift10": hc.full_branch_linear(10)}[label]
         M = hc.build_closed(tmap, UlamPartition(n_bins))
         P, u = M.matrix, compute_record(M).mass_vector
         _assert_norms_match(P, u, spectral_oracle.q_power_norms(P, u, N_POWERS), 1e-12)
+        if n_bins == 1:
+            # P = [[1]], so Q = 0 and only the column family's head is 1
+            assert P.toarray().tolist() == [[1.0]]
+            row_norms, col_norms = _q_power_norms(P, u)
+            assert row_norms == [0.0] * (N_POWERS + 1)
+            assert col_norms == [1.0] + [0.0] * N_POWERS
+
+    @pytest.mark.parametrize("n_bins", [600, 1500])
+    def test_memory_stays_in_column_blocks(self, n_bins):
+        # no global P^2: a few dense n x _BLOCK blocks plus O(nnz(P)) arrays
+        M = hc.build_closed(kfold_moebius(20), UlamPartition(n_bins))
+        P, u = M.matrix, compute_record(M).mass_vector
+        tracemalloc.start()
+        try:
+            _q_power_norms(P, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n_bins * _BLOCK * 8 + 64 * P.nnz
 
     @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(1, 300),
-           st.sampled_from([1.0, 0.3, 0.02]))
+           st.sampled_from([1.0, 0.3, 0.02]), st.booleans())
     @settings(max_examples=30, deadline=None)
-    def test_random_stochastic_matches_row_block_code(self, seed, n, density):
+    def test_random_stochastic_matches_row_block_code(self, seed, n, density, repeat):
         P = random_stochastic(seed, n, density)
+        if repeat:
+            # rows drawn with replacement: many equal rows, still stochastic
+            P = P[np.random.default_rng(seed + 2).integers(0, n, n)]
         u = np.random.default_rng(seed + 1).random(n)
         u /= u.sum()
         _assert_norms_match(P, u, spectral_oracle.q_power_norms(sp.csr_matrix(P), u, N_POWERS),
                             1e-12)
 
     def test_zero_powers_clamped(self, shift10_10):
-        # P = 1 u exactly, so Q = 0 and the sparse phase cancels to roundoff
+        # P = 1 u exactly, so Q = 0 and the sparse k = 1 formula cancels to roundoff
         record = compute_record(shift10_10)
         for norms in (record.q_power_norms, record.q_power_norms_colsum):
             assert all(0.0 <= v <= 1e-15 for v in norms[1:])
