@@ -38,7 +38,6 @@ from .spectral import (
     dominant_left_eigenpair,
     h_star,
     neumann_bound,
-    operator_l1_norm,
 )
 from .kl import (
     KLConstants,

@@ -116,7 +116,6 @@ class IterationRecord:
     step7_pass: bool
     closed_only_threshold: float | None = None
     spectral_radius_bound: float | None = None   # None on bootstrap passes
-    step10_pass: bool | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -136,7 +135,6 @@ class IterationRecord:
             "step7_pass": self.step7_pass,
             "closed_only_threshold": self.closed_only_threshold,
             "spectral_radius_bound": self.spectral_radius_bound,
-            "step10_pass": self.step10_pass,
         }
 
 
@@ -292,7 +290,6 @@ def run_certification(tmap: PiecewiseMap, config: CertificationConfig,
         report.iterations.append(rec)
         if rec.step7_pass:
             # h_star's gate already implies the separation step
-            rec.step10_pass = True
             report.final_constants = chain
             report.status = "certified"
             report.delta_com = delta

@@ -163,7 +163,7 @@ def _cmd_kl_constants(args) -> int:
     rows = [
         ("mode", ly.mode), ("alpha0", ly.alpha0), ("B0", ly.B0),
         ("alpha", ly.alpha), ("B", ly.B), ("B_hat", ly.B_hat), ("D", ly.D),
-        ("Gamma", ly.Gamma), ("A", ly.A), ("r", chain.r), ("delta", chain.delta),
+        ("Gamma", ly.Gamma), ("r", chain.r), ("delta", chain.delta),
         ("H", chain.H), ("n1", chain.n1), ("C", chain.C), ("n2", chain.n2),
         ("gamma", chain.gamma), ("epsilon1", chain.epsilon1),
         ("epsilon0", chain.epsilon0), ("a", chain.a), ("b", chain.b),
@@ -192,7 +192,6 @@ def _iteration_table(report: CertificationReport) -> str:
             ("n2", str(it.n2)),
             ("(2G)^-1 eps0", f"{it.threshold:.10g}"),
             ("Loop I", "Pass" if it.step7_pass else "Fail: reduce epsilon"),
-            ("Loop II", "Pass" if it.step10_pass else "-"),
         ])
     lines = []
     for k, row in enumerate(rows):

@@ -23,6 +23,8 @@ and the transferred BV-resolvent bound
     4 (A+B) / (1-r) * r^-n1  +  1 / (2 eps1),
 
 which is what lets a coarse-mesh computation cover every finer mesh.
+The leading coefficient is A = 1 for the inequalities used here, and the
+code evaluates these formulas with A = 1 substituted.
 
 Constant sets come in two modes.  ``hole-uniform`` covers the closed
 operator, its Ulam discretizations, and every open (hole) operator at
@@ -56,10 +58,6 @@ __all__ = [
 HOLE_UNIFORM = "hole-uniform"
 CLOSED_ONLY = "closed-only"
 
-#: the leading Lasota-Yorke coefficient; unit by construction of the
-#: inequalities this chain is built on, carried symbolically for audit
-A_COEFF = 1.0
-
 
 class KLDomainError(ValueError):
     """Parameters outside the admissible region (e.g. r <= alpha)."""
@@ -80,7 +78,6 @@ class LYConstants:
     alpha0: float
     B0: float
     mode: str
-    A: float
     alpha: float
     B: float
     B_hat: float
@@ -126,9 +123,9 @@ def ly_constants(alpha0, B0, mode: str = HOLE_UNIFORM) -> LYConstants:
     else:
         alpha = a0
         B = B_hat
-    D = A_COEFF * (A_COEFF + float(B) + 2)
+    D = 1 + float(B) + 2                 # A (A + B + 2) with A = 1
     return LYConstants(
-        alpha0=float(a0), B0=float(b0), mode=mode, A=A_COEFF,
+        alpha0=float(a0), B0=float(b0), mode=mode,
         alpha=float(alpha), B=float(B), B_hat=float(B_hat), D=float(D),
         Gamma=float(Gamma),
     )
@@ -169,7 +166,7 @@ def kl_constants(ly: LYConstants, r, delta, H) -> KLConstants:
     r = float(r)
     delta = float(delta)
     H = float(H)
-    A, alpha, B, D = ly.A, ly.alpha, ly.B, ly.D
+    alpha, B, D = ly.alpha, ly.B, ly.D
     if not alpha < r < 1:
         raise KLDomainError(f"need alpha < r < 1, got alpha={alpha}, r={r}")
     if delta <= 0:
@@ -178,20 +175,20 @@ def kl_constants(ly: LYConstants, r, delta, H) -> KLConstants:
         raise KLDomainError(f"need H > 0, got {H}")
 
     log_ratio = math.log(r / alpha)
-    n1 = math.ceil(math.log(2 * A) / log_ratio)
+    n1 = math.ceil(math.log(2) / log_ratio)
     C = r ** (-n1)
     n2 = math.ceil(math.log(8 * B * D * C * H) / log_ratio)
     gamma = log_ratio / math.log(1 / alpha)
     one_minus_r_inv = 1.0 / (1.0 - r)
 
     epsilon1 = r ** (n1 + n2) / (8 * B * (H * B + one_minus_r_inv))
-    base = r ** n1 / (4 * B * (H * (D + B) + 2 * A * (A + B) + one_minus_r_inv))
+    base = r ** n1 / (4 * B * (H * (D + B) + 2 * (1 + B) + one_minus_r_inv))
     epsilon0 = min(epsilon1, base ** gamma)
 
-    a = (8 * (2 * A * (A + B) + one_minus_r_inv) * (A + B) ** 2 * r ** (-n1) + 1) / (1 - r)
-    b = 2 * ((4 * (A + B) ** 2 * (D + B) + B) * one_minus_r_inv * r ** (-n1) + B)
+    a = (8 * (2 * (1 + B) + one_minus_r_inv) * (1 + B) ** 2 * r ** (-n1) + 1) / (1 - r)
+    b = 2 * ((4 * (1 + B) ** 2 * (D + B) + B) * one_minus_r_inv * r ** (-n1) + B)
 
-    transfer = 4 * (A + B) / (1 - r) * r ** (-n1) + 1 / (2 * epsilon1)
+    transfer = 4 * (1 + B) / (1 - r) * r ** (-n1) + 1 / (2 * epsilon1)
 
     out = KLConstants(ly=ly, r=r, delta=delta, H=H, n1=n1, C=C, n2=n2,
                       gamma=gamma, epsilon1=epsilon1, epsilon0=epsilon0,
@@ -206,9 +203,9 @@ def _validate_chain(k: KLConstants) -> None:
         raise AssertionError(f"gamma = {k.gamma} outside (0, 1)")
     if k.epsilon0 > k.epsilon1 * (1 + 1e-15):
         raise AssertionError(f"epsilon0 = {k.epsilon0} exceeds epsilon1 = {k.epsilon1}")
-    # defining property of n1: A alpha^n1 <= r^n1 / 2
-    if ly.A * ly.alpha ** k.n1 > k.r ** k.n1 / 2 + 1e-14:
-        raise AssertionError(f"n1 = {k.n1} violates A alpha^n1 <= r^n1/2")
+    # defining property of n1: alpha^n1 <= r^n1 / 2 (A = 1)
+    if ly.alpha ** k.n1 > k.r ** k.n1 / 2 + 1e-14:
+        raise AssertionError(f"n1 = {k.n1} violates alpha^n1 <= r^n1/2")
     for name in ("epsilon1", "epsilon0", "a", "b", "resolvent_transfer_bound", "C"):
         v = getattr(k, name)
         if not (math.isfinite(v) and v > 0):

@@ -63,12 +63,11 @@ __all__ = [
     "ResolventBound",
     "SpectralStructureError",
     "NoUnitEigenvalueError",
-    "EigensolverResidualError",
+    "InvariantDensityError",
     "NeumannDivergenceError",
     "compute_record",
     "neumann_bound",
     "h_star",
-    "operator_l1_norm",
     "dominant_left_eigenpair",
 ]
 
@@ -89,19 +88,12 @@ class NoUnitEigenvalueError(SpectralStructureError):
     """No eigenvalue within tolerance of 1 (matrix not stochastic?)."""
 
 
-class EigensolverResidualError(RuntimeError):
-    """A reported eigenpair failed its residual check."""
+class InvariantDensityError(RuntimeError):
+    """The invariant density failed its residual or nonnegativity check."""
 
 
 class NeumannDivergenceError(ArithmeticError):
     """Neumann tail ratio q >= 1 at the record's truncation index."""
-
-
-def operator_l1_norm(matrix) -> float:
-    """Induced L1 norm in the row-vector convention: max absolute row sum."""
-    if sp.issparse(matrix):
-        return float(np.abs(matrix).sum(axis=1).max())
-    return float(np.abs(np.asarray(matrix)).sum(axis=1).max())
 
 
 def dominant_left_eigenpair(P: sp.csr_matrix, tol: float = 1e-14):
@@ -271,9 +263,9 @@ def compute_record(matrix: UlamMatrix) -> SpectralRecord:
     """All r-independent spectral data of a closed Ulam matrix.
 
     Raises :class:`NoUnitEigenvalueError` when the power iteration's
-    eigenvalue is not within 1e-8 of 1 and
-    :class:`EigensolverResidualError` when the invariant density's
-    residual exceeds 1e-8.
+    eigenvalue is not within 1e-8 of 1 and :class:`InvariantDensityError`
+    when the invariant density's residual exceeds 1e-8 or it has an entry
+    below -1e-12.
     """
     if matrix.mode != "closed":
         raise ValueError("spectral analysis requires a closed-mode matrix")
@@ -286,13 +278,13 @@ def compute_record(matrix: UlamMatrix) -> SpectralRecord:
             f"dominant eigenvalue {lam} is not within {UNIT_EIGENVALUE_TOL} of 1"
         )
     if residual > RESIDUAL_TOL:
-        raise EigensolverResidualError(
+        raise InvariantDensityError(
             f"invariant-density residual {residual:.3e} exceeds {RESIDUAL_TOL}"
         )
     below = u < 0.0
     if below.any():
         if u.min() < -1e-12:
-            raise EigensolverResidualError(
+            raise InvariantDensityError(
                 f"invariant density has entries below -1e-12 (min {u.min():.3e})"
             )
         u = np.where(below, 0.0, u)

@@ -4,12 +4,14 @@ The closed-system matrix has entries
 
     P[i, j] = lambda(bin_i  intersect  T^-1 bin_j) / lambda(bin_i),
 
-assembled branch by branch in one vectorised pass over Python integers.
+assembled branch by branch in one vectorised integer pass: int64 when an
+a-priori bound keeps every integer below 2^53, Python integers otherwise.
 Every branch is a Moebius map (p, q, r, s) (a linear branch has r = 0,
 s = 1); with integer coefficients P, Q, R, S the preimage of the grid
 point j/n is (S j - Q n)/(P n - R j), so every entry is an exact rational,
-rounded once to float64.  Closed rows sum to 1 exactly before that
-rounding, because the map is a self-map of [0, 1].  The open-system matrix
+rounded once to float64.  Rows where branches meet are summed exactly in
+``Fraction`` before that rounding.  Closed rows sum to 1 exactly before
+it, because the map is a self-map of [0, 1].  The open-system matrix
 for a hole aligned with the partition equals the closed matrix with the
 rows of all bins inside the hole zeroed; it is sub-stochastic and its
 dominant eigenvalue is the discrete escape factor.
@@ -56,11 +58,6 @@ class UlamPartition:
     @property
     def mesh(self) -> Fraction:
         return Fraction(1, self.n_bins)
-
-    def bin_interval(self, i: int) -> tuple[Fraction, Fraction]:
-        if not 0 <= i < self.n_bins:
-            raise IndexError(f"bin index {i} out of range")
-        return (Fraction(i, self.n_bins), Fraction(i + 1, self.n_bins))
 
     def is_partition_point(self, x) -> bool:
         return (as_rational(x) * self.n_bins).denominator == 1
@@ -131,25 +128,32 @@ class UlamMatrix:
 def _branch_cells(branch, n: int):
     """Nonzero cells of one branch on the n-bin grid, exactly.
 
-    Returns int64 ``rows`` and ``cols`` and Python-int object arrays
-    ``num``, ``den`` with n * lambda(bin_row & branch^-1 bin_col) = num/den.
+    Returns int64 ``rows`` and ``cols`` and integer arrays ``num``, ``den``
+    with n * lambda(bin_row & branch^-1 bin_col) = num/den.  Every integer
+    is bounded by ``2 n big^2`` (``big`` below); when that is under 2^53,
+    ``num`` and ``den`` are int64, exact in float64, so ``num / den`` is the
+    correctly rounded quotient.  Otherwise they are Python-int object arrays.
     """
     p, q, r, s = branch.p, branch.q, branch.r, branch.s
+    lo, hi = branch.lo, branch.hi
     ylo, yhi = branch.image
     # integer coefficients; floor division and the cell lengths below are
     # right for either sign of the denominators
     scale = math.lcm(*(c.denominator for c in (p, q, r, s)))
     P, Q, R, S = (int(c * scale) for c in (p, q, r, s))
+    big = max((abs(P) + abs(Q) + abs(R) + abs(S)) * n, n + 1,
+              lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+    dtype = np.int64 if 2 * n * big * big < 2**53 else object
     # the grid points k/n inside the image cut it into the y-bins j0 .. j1-1
     j0, j1 = math.floor(ylo * n), math.ceil(yhi * n)
-    k = np.array(range(j0 + 1, j1), dtype=object)
+    k = np.arange(j0 + 1, j1).astype(dtype)
     cols = np.arange(j0, j1, dtype=np.int64)
     pre_num, pre_den = S * k - Q * n, P * n - R * k
     if not branch.increasing:
         pre_num, pre_den, cols = pre_num[::-1], pre_den[::-1], cols[::-1]
     # breakpoints u_t in increasing x; [u_t, u_t+1] is the preimage of bin cols[t]
-    u_num = np.concatenate(([branch.lo.numerator], pre_num, [branch.hi.numerator]))
-    u_den = np.concatenate(([branch.lo.denominator], pre_den, [branch.hi.denominator]))
+    u_num = np.concatenate(([lo.numerator], pre_num, [hi.numerator]))
+    u_den = np.concatenate(([lo.denominator], pre_den, [hi.denominator]))
     first = (n * u_num[:-1]) // u_den[:-1]             # floor(n u_t)
     last = -((-n * u_num[1:]) // u_den[1:]) - 1        # ceil(n u_t+1) - 1
     counts = (last - first + 1).astype(np.int64)
@@ -157,7 +161,7 @@ def _branch_cells(branch, n: int):
     t = np.repeat(np.arange(len(counts)), counts)
     rows = first.astype(np.int64)[t] + np.arange(len(t)) - starts[t]
     # a cell spans max(u_t, row/n) .. min(u_t+1, (row+1)/n)
-    lnum, lden = rows.astype(object), np.full(len(t), n, dtype=object)
+    lnum, lden = rows.astype(dtype), np.full(len(t), n, dtype=dtype)
     rnum, rden = lnum + 1, lden.copy()
     lnum[starts], lden[starts] = u_num[:-1], u_den[:-1]
     ends = starts + counts - 1
@@ -169,18 +173,24 @@ def build_closed(tmap: PiecewiseMap, partition: UlamPartition) -> UlamMatrix:
     """Assemble the row-stochastic Ulam matrix of the closed system.
 
     Every entry is an exact rational from integer preimages of the grid
-    points, rounded once to float64 (Python int division is correctly
-    rounded).  A row whose ``math.fsum`` is not 1.0 after that rounding is
-    divided by it.
+    points (int64 where an a-priori bound allows, see :func:`_branch_cells`),
+    rounded once to float64.  Only a row that is an end row of two or more
+    branches can hold a cell of each; its cells are summed as ``Fraction``
+    before rounding.  A row whose ``math.fsum`` is not 1.0 after that
+    rounding is divided by it.
     """
     n = partition.n_bins
+    # the distinct end rows of each branch; one counted twice is shared
+    ends = [i for b in tmap.branches
+            for i in {math.floor(b.lo * n), math.ceil(b.hi * n) - 1}]
+    shared_rows = np.bincount(ends, minlength=n) > 1
     rows, cols, data = [], [], []
     shared: dict[tuple[int, int], Fraction] = {}
     for branch in tmap.branches:
         r, c, num, den = _branch_cells(branch, n)
-        # only a branch's end rows can meet another branch: sum those exactly
-        edge = (r == r[0]) | (r == r[-1])
-        for key, a, b in zip(zip(r[edge].tolist(), c[edge].tolist()), num[edge], den[edge]):
+        edge = shared_rows[r]
+        for key, a, b in zip(zip(r[edge].tolist(), c[edge].tolist()),
+                             num[edge].tolist(), den[edge].tolist()):
             shared[key] = shared.get(key, 0) + Fraction(a, b)
         rows.append(r[~edge])
         cols.append(c[~edge])

@@ -32,7 +32,6 @@ class TestLYConstants:
         assert ly.B == pytest.approx(5 / 3, abs=1e-15)
         assert ly.D == pytest.approx(14 / 3, abs=1e-15)
         assert ly.B_hat == pytest.approx(5 / 4, abs=1e-15)
-        assert ly.A == 1.0
 
     def test_linear_map_values(self):
         ly = ly_constants(F(1, 10), 0)
@@ -133,9 +132,9 @@ class TestKLChain:
         assert chain.epsilon0 <= chain.epsilon1 * (1 + 1e-15)
         assert chain.a > 0 and chain.b > 0
         # ceiling tightness of n1
-        assert ly.A * ly.alpha ** chain.n1 <= r ** chain.n1 / 2 + 1e-14
+        assert ly.alpha ** chain.n1 <= r ** chain.n1 / 2 + 1e-14
         if chain.n1 > 1:
-            assert ly.A * ly.alpha ** (chain.n1 - 1) > r ** (chain.n1 - 1) / 2
+            assert ly.alpha ** (chain.n1 - 1) > r ** (chain.n1 - 1) / 2
 
     def test_monotone_decreasing_in_H(self):
         ly = ly_constants(A0, B0)

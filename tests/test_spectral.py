@@ -14,6 +14,7 @@ import spectral_oracle
 from holecert.maps import Branch
 from holecert.spectral import (
     N_POWERS,
+    InvariantDensityError,
     NeumannDivergenceError,
     NoUnitEigenvalueError,
     SpectralStructureError,
@@ -23,7 +24,6 @@ from holecert.spectral import (
     dominant_left_eigenpair,
     h_star,
     neumann_bound,
-    operator_l1_norm,
 )
 from holecert.ulam import UlamMatrix, UlamPartition
 
@@ -43,19 +43,35 @@ def shift10_10(shift10):
     return hc.build_closed(shift10, UlamPartition(10))
 
 
+def max_row_sum(M):
+    """Induced L1 norm of x -> x @ M, densely."""
+    return float(np.abs(M).sum(axis=1).max())
+
+
 class TestOperatorNorm:
+    """Row-family norms are induced norms of the density action x -> x @ M."""
+
     def test_identity(self):
-        assert operator_l1_norm(np.eye(5)) == 1.0
+        # entry 0 is ||1 - Pi1|| with u uniform: 4/5 + 4 * 1/5
+        rec = compute_record(hand_matrix(np.eye(5)))
+        assert rec.q_power_norms[0] == pytest.approx(1.6, abs=1e-15)
+        assert rec.q_power_norms[1] == pytest.approx(1.6, abs=1e-15)
 
     def test_stochastic(self):
-        assert operator_l1_norm(np.array([[0.5, 0.5], [0.5, 0.5]])) == 1.0
+        rec = compute_record(hand_matrix([[0.5, 0.5], [0.5, 0.5]]))
+        assert rec.q_power_norms[0] == 1.0
+        assert rec.q_power_norms[1:] == (0.0,) * N_POWERS
 
     def test_identity_minus_uniform(self):
-        M = np.eye(10) - np.full((10, 10), 0.1)
-        assert operator_l1_norm(M) == pytest.approx(1.8, abs=1e-15)
+        rec = compute_record(hand_matrix(np.full((10, 10), 0.1)))
+        assert rec.q_power_norms[0] == pytest.approx(
+            max_row_sum(np.eye(10) - np.full((10, 10), 0.1)), abs=1e-15)
 
     def test_sparse_input(self):
-        assert operator_l1_norm(sp.csr_matrix(np.array([[1.0, -2.0], [0.0, 0.5]]))) == 3.0
+        P = np.array([[0.5, 0.5], [0.25, 0.75]])
+        rec = compute_record(hand_matrix(P))
+        Q = P - np.outer(np.ones(2), rec.mass_vector @ P)
+        assert rec.q_power_norms[1] == pytest.approx(max_row_sum(Q), abs=1e-15)
 
 
 class TestPowerIteration:
@@ -112,6 +128,17 @@ class TestEigenAnalysis:
         M = hand_matrix([[0.5, 0.4], [0.4, 0.5]])
         with pytest.raises(NoUnitEigenvalueError):
             compute_record(M)
+
+    @pytest.mark.parametrize("residual, mass, match", [
+        (1e-6, [0.5, 0.5], "residual"),
+        (0.0, [1.0 + 1e-9, -1e-9], "below -1e-12"),
+    ])
+    def test_invariant_density_checks(self, monkeypatch, residual, mass, match):
+        # a power iteration that hands back a bad residual or a negative mass
+        monkeypatch.setattr("holecert.spectral.dominant_left_eigenpair",
+                            lambda P, tol: (1.0, np.array(mass), residual, 1))
+        with pytest.raises(InvariantDensityError, match=match):
+            compute_record(hand_matrix([[0.5, 0.5], [0.5, 0.5]]))
 
     def test_submultiplicativity_of_stored_norms(self, bundled_map):
         M = hc.build_closed(bundled_map, UlamPartition(60))

@@ -4,12 +4,12 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import holecert as hc
 import ulam_oracle
 from holecert.maps import Branch, ExpansionWarning
-from holecert.ulam import HoleAlignmentError, UlamPartition
+from holecert.ulam import HoleAlignmentError, UlamPartition, _branch_cells
 
 
 def brute_force_entry(tmap, n, i, j, samples=4000):
@@ -22,6 +22,14 @@ def brute_force_entry(tmap, n, i, j, samples=4000):
         if j / n <= y < (j + 1) / n:
             hits += 1
     return hits / samples
+
+
+def assert_matches_oracle(tmap, n):
+    M = hc.build_closed(tmap, UlamPartition(n)).matrix
+    indptr, indices, data = ulam_oracle.closed_csr(tmap, n)
+    assert M.indptr.tolist() == indptr
+    assert M.indices.tolist() == indices
+    assert M.data.tolist() == data
 
 
 class TestBuildClosed:
@@ -58,11 +66,7 @@ class TestBuildClosed:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 9])
     def test_fewer_bins_than_branches(self, bundled_map, n):
         # several of the 10 branches share a bin; the assembly is still exact
-        M = hc.build_closed(bundled_map, UlamPartition(n)).matrix
-        indptr, indices, data = ulam_oracle.closed_csr(bundled_map, n)
-        assert M.indptr.tolist() == indptr
-        assert M.indices.tolist() == indices
-        assert M.data.tolist() == data
+        assert_matches_oracle(bundled_map, n)
 
     def test_mass_conservation(self, bundled_map):
         M = hc.build_closed(bundled_map, UlamPartition(50))
@@ -130,19 +134,24 @@ ROW_RULE_BRANCHES = [onto_branch("moebius", F(0), F(3, 7), F(0), F(1), True, F(1
 
 
 @st.composite
-def random_branches(draw):
-    """1-5 linear/Moebius branches, either orientation, cut off the grid."""
+def random_branches(draw, cut_den=997, end_den=13, extra=(HUGE,)):
+    """1-5 linear/Moebius branches, either orientation, cut off the grid.
+
+    Cuts have denominators up to ``cut_den``, image ends up to ``end_den``;
+    ``extra`` values may serve as image ends and bends.
+    """
     k = draw(st.integers(min_value=1, max_value=5))
-    inner = draw(st.lists(st.fractions(F(1, 997), F(996, 997), max_denominator=997),
+    inner = draw(st.lists(st.fractions(F(1, cut_den), F(cut_den - 1, cut_den),
+                                       max_denominator=cut_den),
                           min_size=k - 1, max_size=k - 1, unique=True))
     cuts = [F(0)] + sorted(inner) + [F(1)]
     branches = []
     for a, b in zip(cuts, cuts[1:]):
         # full images keep most branches expanding; others are narrower
-        ends = draw(st.lists(st.fractions(0, 1, max_denominator=13)
-                             | st.sampled_from([F(0), F(1), HUGE]),
+        ends = draw(st.lists(st.fractions(0, 1, max_denominator=end_den)
+                             | st.sampled_from([F(0), F(1), *extra]),
                              min_size=2, max_size=2, unique=True))
-        c = draw(st.sampled_from([F(1, 3), F(3, 2), F(5, 2), HUGE]))
+        c = draw(st.sampled_from([F(1, 3), F(3, 2), F(5, 2), *extra]))
         branches.append(onto_branch(draw(st.sampled_from(["linear", "moebius"])),
                                     a, b, min(ends), max(ends), draw(st.booleans()), c))
     return branches
@@ -161,11 +170,7 @@ class TestExactOracle:
             m = hc.PiecewiseMap(branches, alpha0=F(1, 2), B0=0, label="random")
         if any(b.r == 0 and abs(b.p / b.s) <= 1 for b in branches):
             assert any(w.category is ExpansionWarning for w in caught)
-        M = hc.build_closed(m, UlamPartition(n)).matrix
-        indptr, indices, data = ulam_oracle.closed_csr(m, n)
-        assert M.indptr.tolist() == indptr
-        assert M.indices.tolist() == indices
-        assert M.data.tolist() == data
+        assert_matches_oracle(m, n)
         for i in range(n):
             assert sum(ulam_oracle.row_entries(m, n, i).values()) == 1
 
@@ -176,6 +181,73 @@ class TestExactOracle:
             m = hc.PiecewiseMap(ROW_RULE_BRANCHES, alpha0=F(1, 2), B0=0)
         row = ulam_oracle.row_entries(m, 12, 2)
         assert math.fsum(float(v) for v in row.values()) != 1.0
+
+
+def cell_dtypes(tmap, n):
+    return {_branch_cells(b, n)[2].dtype for b in tmap.branches}
+
+
+def fits_int64(branch, n):
+    """The a-priori bound under which a branch's cells are assembled in int64."""
+    scale = math.lcm(*(c.denominator for c in (branch.p, branch.q, branch.r, branch.s)))
+    coeffs = sum(abs(c * scale) for c in (branch.p, branch.q, branch.r, branch.s))
+    big = max(coeffs * n, n + 1, branch.lo.numerator, branch.lo.denominator,
+              branch.hi.numerator, branch.hi.denominator)
+    return 2 * n * big**2 < 2**53
+
+
+def split_map(a):
+    """Two increasing linear branches onto [0, 1], split at a."""
+    return hc.PiecewiseMap([onto_branch("linear", F(0), a, F(0), F(1), True),
+                            onto_branch("linear", a, F(1), F(0), F(1), True)],
+                           alpha0=F(1, 2), B0=0, label="split")
+
+
+class TestAssemblyDtype:
+    """The int64 and Python-int assemblies against the Fraction oracle."""
+
+    # small coefficients, which keep (nearly) every drawn map on the int64 path
+    @given(random_branches(cut_den=29, end_den=7, extra=()),
+           st.integers(min_value=1, max_value=80))
+    @settings(max_examples=40, deadline=None)
+    def test_int64_path_bit_identical(self, branches, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExpansionWarning)
+            m = hc.PiecewiseMap(branches, alpha0=F(1, 2), B0=0, label="small")
+        assume(all(fits_int64(b, n) for b in m.branches))
+        assert cell_dtypes(m, n) == {np.dtype(np.int64)}
+        assert_matches_oracle(m, n)
+
+    @pytest.mark.parametrize("n", [3, 10, 77])
+    def test_object_path_bit_identical(self, n):
+        # the breakpoint denominator 2 * 3^25 puts both branches past 2^53
+        m = split_map(F(1, 2) + F(1, 3**25))
+        assert cell_dtypes(m, n) == {np.dtype(object)}
+        assert_matches_oracle(m, n)
+
+    def test_huge_coefficients_take_object_path(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExpansionWarning)
+            m = hc.PiecewiseMap(HUGE_BRANCHES, alpha0=F(1, 2), B0=0, label="huge")
+        assert np.dtype(object) in cell_dtypes(m, 5)
+        assert_matches_oracle(m, 5)
+
+    @pytest.mark.parametrize("n", [60, 61])
+    def test_either_side_of_the_switch(self, n):
+        # the second branch, x -> (72001 x - 36001)/36000, leaves int64 at 61 bins
+        m = split_map(F(36001, 72001))
+        second = m.branches[1]
+        assert fits_int64(second, 60) and not fits_int64(second, 61)
+        assert _branch_cells(second, n)[2].dtype == (np.int64 if n == 60 else object)
+        assert_matches_oracle(m, n)
+
+    def test_benchmark_map_uses_int64(self):
+        k = 20
+        m = hc.PiecewiseMap(
+            [Branch(F(0), F(1, k), F(k - 1), F(0), F(-1), F(1))]
+            + [Branch(F(i, k), F(i + 1, k), F(k), F(-i)) for i in range(1, k)],
+            alpha0=F(1, k - 1), B0=F(2, k - 1), label=f"{k}fold-moebius")
+        assert all(_branch_cells(b, 1500)[2].dtype == np.int64 for b in m.branches)
 
 
 class TestBuildOpen:
@@ -226,7 +298,8 @@ class TestPartitionAndHole:
         assert UlamPartition(5000).mesh * 5000 == 1
 
     def test_bin_interval(self):
-        assert UlamPartition(4).bin_interval(2) == (F(1, 2), F(3, 4))
+        # bin 2 of 4 is [1/2, 3/4)
+        assert hc.Hole(F(1, 2), F(3, 4)).bin_range(UlamPartition(4)) == range(2, 3)
 
     def test_hole_alignment(self):
         part = UlamPartition(10)
