@@ -10,7 +10,7 @@ do no matrix work at all.  A record file whose ``schema`` tag differs from
 :data:`RECORD_SCHEMA` was written by an older layout or older norm code,
 and one whose map fingerprint, bin count, mass-vector length or power
 count does not fit its key is not the record asked for; either is
-recomputed and overwritten.
+recomputed and overwritten, as is a file that cannot be read or parsed.
 
 All writes are atomic (temp file + rename).  The cache directory comes
 from the HOLECERT_CACHE_DIR environment variable when not given
@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import uuid
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -35,10 +36,10 @@ __all__ = ["PipelineCache", "default_cache_dir", "CACHE_ENV_VAR"]
 CACHE_ENV_VAR = "HOLECERT_CACHE_DIR"
 
 #: layout tag of ``.spectral.npz`` files, raised whenever the code that
-#: fills a record changes; files without it hold the full eigenvalue list
-#: of the eigensolver-based layout; schema 2 holds power norms from the
-#: row-block evaluation and schema 3 from the global-P^2 evaluation
-RECORD_SCHEMA = 4
+#: fills a record changes; untagged files hold the eigensolver layout's
+#: eigenvalue list, schemas 2 and 3 row-block and global-P^2 power norms,
+#: schema 4 norms of matrices whose rows were rescaled by their float sum
+RECORD_SCHEMA = 5
 
 #: kind of each file the cache owns, by suffix (older versions wrote text
 #: matrices); anything else in the directory is left alone
@@ -52,10 +53,11 @@ def default_cache_dir() -> Path | None:
 
 
 def _atomic_write(path: Path, writer) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    os.close(fd)
+    """Call ``writer`` on an open temp file beside ``path``, then rename it."""
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
     try:
-        writer(tmp)
+        with open(tmp, "xb") as fh:    # created with the umask's mode
+            writer(fh)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -119,7 +121,7 @@ class PipelineCache:
         self.stats["spectral_builds"] += 1
         self._records[key] = record
         if path is not None:
-            _atomic_write(path, lambda tmp: _save_record(record, tmp))
+            _save_record(record, path)
         return record
 
     # -- maintenance ------------------------------------------------------------
@@ -147,7 +149,7 @@ class PipelineCache:
         return len(files)
 
 
-def _save_record(record: SpectralRecord, path) -> None:
+def _save_record(record: SpectralRecord, path: Path) -> None:
     meta = {
         "schema": RECORD_SCHEMA,
         "n_bins": record.n_bins,
@@ -157,41 +159,40 @@ def _save_record(record: SpectralRecord, path) -> None:
         "unit_residual": record.unit_residual,
         "power_iterations": record.power_iterations,
     }
-    np.savez(
-        path,
+    _atomic_write(path, lambda fh: np.savez(
+        fh,
         mass_vector=record.mass_vector,
         q_power_norms=np.asarray(record.q_power_norms),
         q_power_norms_colsum=np.asarray(record.q_power_norms_colsum),
         meta=json.dumps(meta),
-    )
-    # numpy appends .npz when missing; normalize for the atomic rename
-    saved = path if str(path).endswith(".npz") else str(path) + ".npz"
-    if saved != str(path):
-        os.replace(saved, path)
+    ))
 
 
 def _load_record(path, key: tuple[str, int]) -> SpectralRecord | None:
     """The stored record, or None when it is not the one to serve.
 
-    That is when the file has another layout, or does not hold the record
-    of ``key`` = (map fingerprint, bin count) with at least
-    :data:`holecert.spectral.N_POWERS` power norms.
+    That is when the file cannot be read or parsed, has another layout, or
+    does not hold the record of ``key`` = (map fingerprint, bin count) with
+    at least :data:`holecert.spectral.N_POWERS` power norms.
     """
-    with np.load(path, allow_pickle=False) as blob:
-        meta = json.loads(str(blob["meta"]))
-        if meta.get("schema") != RECORD_SCHEMA:
-            return None
-        record = SpectralRecord(
-            n_bins=int(meta["n_bins"]),
-            map_fingerprint=meta["map_fingerprint"],
-            eigenvalues=(float(meta["unit_eigenvalue"]),),
-            mass_vector=np.asarray(blob["mass_vector"]),
-            projection_norm=float(meta["projection_norm"]),
-            q_power_norms=tuple(float(v) for v in blob["q_power_norms"]),
-            q_power_norms_colsum=tuple(float(v) for v in blob["q_power_norms_colsum"]),
-            unit_residual=float(meta["unit_residual"]),
-            power_iterations=int(meta["power_iterations"]),
-        )
+    try:
+        with np.load(path, allow_pickle=False) as blob:
+            meta = json.loads(str(blob["meta"]))
+            if meta.get("schema") != RECORD_SCHEMA:
+                return None
+            record = SpectralRecord(
+                n_bins=int(meta["n_bins"]),
+                map_fingerprint=meta["map_fingerprint"],
+                eigenvalues=(float(meta["unit_eigenvalue"]),),
+                mass_vector=np.asarray(blob["mass_vector"]),
+                projection_norm=float(meta["projection_norm"]),
+                q_power_norms=tuple(float(v) for v in blob["q_power_norms"]),
+                q_power_norms_colsum=tuple(float(v) for v in blob["q_power_norms_colsum"]),
+                unit_residual=float(meta["unit_residual"]),
+                power_iterations=int(meta["power_iterations"]),
+            )
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
+        return None
     fits = ((record.map_fingerprint, record.n_bins) == key
             and len(record.mass_vector) == record.n_bins
             and record.truncation_N + 1 >= N_POWERS)

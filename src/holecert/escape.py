@@ -21,9 +21,10 @@ from numbers import Rational
 
 import numpy as np
 
+from .cache import PipelineCache
 from .maps import PiecewiseMap, affine_onto, as_rational
-from .spectral import dominant_left_eigenpair
-from .ulam import Hole, UlamMatrix, UlamPartition, build_closed, build_open
+from .spectral import dominant_left_eigenpair, invariant_density
+from .ulam import Hole, UlamMatrix, UlamPartition, build_open
 
 __all__ = [
     "EscapeEstimate",
@@ -199,7 +200,7 @@ def asymptotic_ratio(tmap: PiecewiseMap, y, widths, bins_per_hole: int, *,
     bins_per_hole : number of partition bins each hole spans.
     cache : optional :class:`holecert.cache.PipelineCache` supplying the
         closed matrices (they are shared between experiments at the same
-        widths).
+        widths); a memory-only one when omitted.
 
     The extrapolated limit is the intercept of a least-squares line of
     ratio against hole measure (a single width is returned as-is and
@@ -219,11 +220,12 @@ def asymptotic_ratio(tmap: PiecewiseMap, y, widths, bins_per_hole: int, *,
         raise ValueError(f"widths must be strictly decreasing, got {widths}")
     if bins_per_hole < 1:
         raise ValueError("bins_per_hole must be positive")
+    if cache is None:
+        cache = PipelineCache()
 
     holes: list[Hole] = []
     bins: list[int] = []
     evals: list[float] = []
-    last_closed = None
     previous: Hole | None = None
     for w in widths:
         n_frac = bins_per_hole / w
@@ -235,13 +237,12 @@ def asymptotic_ratio(tmap: PiecewiseMap, y, widths, bins_per_hole: int, *,
         n = int(n_frac)
         part = UlamPartition(n)
         hole = _nested_aligned_hole(y_frac, n, bins_per_hole, previous)
-        closed = build_closed(tmap, part) if cache is None else cache.closed_matrix(tmap, n)
+        closed = cache.closed_matrix(tmap, n)
         est = estimate_escape(tmap, part, hole, closed=closed)
         holes.append(hole)
         bins.append(n)
         evals.append(est.e_H)
         previous = hole
-        last_closed = closed
 
     measures = np.array([float(w) for w in widths])
     ratios = (1.0 - np.array(evals)) / measures
@@ -257,10 +258,9 @@ def asymptotic_ratio(tmap: PiecewiseMap, y, widths, bins_per_hole: int, *,
     if affine_onto(tmap.branches):
         f_star_value, source = 1.0, "uniform-exact"
     else:
-        lam, mass, _res, _it = dominant_left_eigenpair(last_closed.matrix)
-        density = np.where(mass < 0, 0.0, mass)
-        density = density / density.sum() * last_closed.n_bins
-        f_star_value = float(density[int(y_frac * last_closed.n_bins)])
+        # the finest partition's density, read in the bin of y
+        _lam, u, _res, _it = invariant_density(closed.matrix)
+        f_star_value = float(u[int(y_frac * n)] * n)
         source = "ulam-advisory"
     predicted = f_star_value
     if classification.kind == "periodic":

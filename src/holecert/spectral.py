@@ -259,19 +259,12 @@ def _q_power_norms(P: sp.csr_matrix, u: np.ndarray) -> tuple[list[float], list[f
     return row_norms, col_norms
 
 
-def compute_record(matrix: UlamMatrix) -> SpectralRecord:
-    """All r-independent spectral data of a closed Ulam matrix.
-
-    Raises :class:`NoUnitEigenvalueError` when the power iteration's
-    eigenvalue is not within 1e-8 of 1 and :class:`InvariantDensityError`
-    when the invariant density's residual exceeds 1e-8 or it has an entry
-    below -1e-12.
-    """
-    if matrix.mode != "closed":
-        raise ValueError("spectral analysis requires a closed-mode matrix")
-    P = matrix.matrix
-    n = matrix.n_bins
-
+def invariant_density(P: sp.csr_matrix):
+    """``(eigenvalue, u, residual, iterations)`` of a closed Ulam matrix, u
+    its invariant mass vector clamped at 0 and summing to 1.  Raises
+    :class:`NoUnitEigenvalueError` when the eigenvalue is more than 1e-8 off
+    1, :class:`InvariantDensityError` when the residual exceeds 1e-8 or u
+    has an entry below -1e-12."""
     lam, u, residual, iterations = dominant_left_eigenpair(P, tol=1e-15)
     if abs(lam - 1.0) > UNIT_EIGENVALUE_TOL:
         raise NoUnitEigenvalueError(
@@ -281,26 +274,31 @@ def compute_record(matrix: UlamMatrix) -> SpectralRecord:
         raise InvariantDensityError(
             f"invariant-density residual {residual:.3e} exceeds {RESIDUAL_TOL}"
         )
-    below = u < 0.0
-    if below.any():
-        if u.min() < -1e-12:
-            raise InvariantDensityError(
-                f"invariant density has entries below -1e-12 (min {u.min():.3e})"
-            )
-        u = np.where(below, 0.0, u)
-    u = u / u.sum()
-    projection_norm = float(np.abs(u).sum())
+    if u.min() < -1e-12:
+        raise InvariantDensityError(
+            f"invariant density has entries below -1e-12 (min {u.min():.3e})"
+        )
+    u = np.maximum(u, 0.0)
+    return lam, u / u.sum(), residual, iterations
 
+
+def compute_record(matrix: UlamMatrix) -> SpectralRecord:
+    """All r-independent spectral data of a closed Ulam matrix; raises as
+    :func:`invariant_density` does."""
+    if matrix.mode != "closed":
+        raise ValueError("spectral analysis requires a closed-mode matrix")
+    P = matrix.matrix
+    lam, u, residual, iterations = invariant_density(P)
     row_norms, col_norms = _q_power_norms(P, u)
     _check_submultiplicative(row_norms, "row")
     _check_submultiplicative(col_norms, "column")
 
     return SpectralRecord(
-        n_bins=n,
+        n_bins=matrix.n_bins,
         map_fingerprint=matrix.map_fingerprint,
         eigenvalues=(lam,),
         mass_vector=u,
-        projection_norm=projection_norm,
+        projection_norm=float(np.abs(u).sum()),
         q_power_norms=tuple(row_norms),
         q_power_norms_colsum=tuple(col_norms),
         unit_residual=residual,

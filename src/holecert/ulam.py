@@ -9,12 +9,13 @@ a-priori bound keeps every integer below 2^53, Python integers otherwise.
 Every branch is a Moebius map (p, q, r, s) (a linear branch has r = 0,
 s = 1); with integer coefficients P, Q, R, S the preimage of the grid
 point j/n is (S j - Q n)/(P n - R j), so every entry is an exact rational,
-rounded once to float64.  Rows where branches meet are summed exactly in
-``Fraction`` before that rounding.  Closed rows sum to 1 exactly before
-it, because the map is a self-map of [0, 1].  The open-system matrix
-for a hole aligned with the partition equals the closed matrix with the
-rows of all bins inside the hole zeroed; it is sub-stochastic and its
-dominant eigenvalue is the discrete escape factor.
+rounded once to float64 and never rescaled.  Rows where branches meet
+are summed exactly in ``Fraction`` before that rounding.  Closed rows sum
+to 1 exactly before it (the map is a self-map of [0, 1]), so a rounded
+row's exact sum is within 2^-53 of 1.  The open-system matrix for a hole
+aligned with the partition equals the closed matrix with the rows of all
+bins inside the hole zeroed; it is sub-stochastic and its dominant
+eigenvalue is the discrete escape factor.
 
 Matrices are plain ``scipy.sparse.csr_matrix`` wrapped with partition and
 provenance metadata.  They live only in the process that built them: the
@@ -129,10 +130,12 @@ def _branch_cells(branch, n: int):
     """Nonzero cells of one branch on the n-bin grid, exactly.
 
     Returns int64 ``rows`` and ``cols`` and integer arrays ``num``, ``den``
-    with n * lambda(bin_row & branch^-1 bin_col) = num/den.  Every integer
-    is bounded by ``2 n big^2`` (``big`` below); when that is under 2^53,
-    ``num`` and ``den`` are int64, exact in float64, so ``num / den`` is the
-    correctly rounded quotient.  Otherwise they are Python-int object arrays.
+    with n * lambda(bin_row & branch^-1 bin_col) = num/den <= 1 (a cell lies
+    inside one bin).  Every breakpoint numerator and denominator is at most
+    ``big`` (below), so |num| <= |den| <= big^2 and no intermediate exceeds
+    big^2; when that is under 2^53 they are int64, exact in float64, and
+    ``num / den`` is the correctly rounded quotient.  Otherwise they are
+    Python-int object arrays.
     """
     p, q, r, s = branch.p, branch.q, branch.r, branch.s
     lo, hi = branch.lo, branch.hi
@@ -143,7 +146,7 @@ def _branch_cells(branch, n: int):
     P, Q, R, S = (int(c * scale) for c in (p, q, r, s))
     big = max((abs(P) + abs(Q) + abs(R) + abs(S)) * n, n + 1,
               lo.numerator, lo.denominator, hi.numerator, hi.denominator)
-    dtype = np.int64 if 2 * n * big * big < 2**53 else object
+    dtype = np.int64 if big * big < 2**53 else object
     # the grid points k/n inside the image cut it into the y-bins j0 .. j1-1
     j0, j1 = math.floor(ylo * n), math.ceil(yhi * n)
     k = np.arange(j0 + 1, j1).astype(dtype)
@@ -176,8 +179,7 @@ def build_closed(tmap: PiecewiseMap, partition: UlamPartition) -> UlamMatrix:
     points (int64 where an a-priori bound allows, see :func:`_branch_cells`),
     rounded once to float64.  Only a row that is an end row of two or more
     branches can hold a cell of each; its cells are summed as ``Fraction``
-    before rounding.  A row whose ``math.fsum`` is not 1.0 after that
-    rounding is divided by it.
+    before rounding.
     """
     n = partition.n_bins
     # the distinct end rows of each branch; one counted twice is shared
@@ -202,11 +204,6 @@ def build_closed(tmap: PiecewiseMap, partition: UlamPartition) -> UlamMatrix:
     order = np.lexsort((cols, rows))
     cols, data = cols[order], data[order]
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    bounds, values = indptr.tolist(), data.tolist()
-    for i in range(n):
-        s = math.fsum(values[bounds[i]:bounds[i + 1]])
-        if s != 1.0:
-            data[bounds[i]:bounds[i + 1]] /= s
     matrix = sp.csr_matrix((data, cols, indptr), shape=(n, n))
     return UlamMatrix(partition, matrix, "closed", tmap.fingerprint)
 

@@ -1,7 +1,10 @@
+import errno
 import json
+import os
 import shutil
 
 import numpy as np
+import pytest
 
 import holecert as hc
 
@@ -54,15 +57,15 @@ def test_record_filed_under_another_mesh_is_recomputed(tmp_path, shift10):
 
 
 def test_record_from_older_norm_code_is_recomputed(tmp_path, shift10):
-    # a schema-3 record: written by the global-P^2 norm code, same layout
+    # a schema-4 record: written from row-renormalised matrices, same layout
     cache = hc.PipelineCache(tmp_path)
     record = cache.spectral_record(shift10, 100)
     path = cache._record_path(shift10.fingerprint, 100)
     with np.load(path) as blob:
         arrays = {key: blob[key] for key in blob.files}
     meta = json.loads(str(arrays.pop("meta")))
-    assert meta["schema"] == hc.cache.RECORD_SCHEMA == 4
-    meta["schema"] = 3
+    assert meta["schema"] == hc.cache.RECORD_SCHEMA == 5
+    meta["schema"] = 4
     arrays["q_power_norms"] = np.full(7, 0.5)
     with open(path, "wb") as fh:
         np.savez(fh, meta=json.dumps(meta), **arrays)
@@ -78,3 +81,40 @@ def test_record_from_older_norm_code_is_recomputed(tmp_path, shift10):
     assert fresh.spectral_record(shift10, 100).q_power_norms == record.q_power_norms
     assert fresh.stats["spectral_hits"] == 1
     assert fresh.stats["spectral_builds"] == 0
+
+
+def test_record_file_mode_follows_umask(tmp_path, shift10):
+    umask = os.umask(0)
+    os.umask(umask)
+    cache = hc.PipelineCache(tmp_path)
+    cache.spectral_record(shift10, 10)
+    mode = cache._record_path(shift10.fingerprint, 10).stat().st_mode & 0o777
+    assert mode == 0o666 & ~umask
+
+
+def test_failed_record_write_leaves_no_file(tmp_path, shift10, monkeypatch):
+    # the disk fills up while the first array is written
+    def no_space(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(np.lib.format, "write_array", no_space)
+    cache = hc.PipelineCache(tmp_path)
+    with pytest.raises(OSError):
+        cache.spectral_record(shift10, 10)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("content", [b"", b"not a record"], ids=["empty", "garbage"])
+def test_unreadable_record_is_recomputed(tmp_path, shift10, content):
+    cache = hc.PipelineCache(tmp_path)
+    path = cache._record_path(shift10.fingerprint, 10)
+    path.write_bytes(content)
+
+    record = cache.spectral_record(shift10, 10)
+    assert cache.stats["spectral_builds"] == 1
+    assert cache.stats["spectral_hits"] == 0
+
+    # the overwritten file now loads as a hit
+    fresh = hc.PipelineCache(tmp_path)
+    assert fresh.spectral_record(shift10, 10).q_power_norms == record.q_power_norms
+    assert fresh.stats["spectral_hits"] == 1

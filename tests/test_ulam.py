@@ -128,7 +128,7 @@ HUGE = F(11400714819323198485, 2**64 + 13)  # about 0.618, denominator above 2^6
 #: the first branch, a decreasing Moebius one, has coefficient denominators above 2^64
 HUGE_BRANCHES = [onto_branch("moebius", F(0), F(2, 7), F(0), F(1), False, HUGE),
                  onto_branch("linear", F(2, 7), F(1), F(1, 3), HUGE, True)]
-#: at 12 bins, row 2 of this map's rounded entries does not sum to 1.0
+#: at 12 bins, the float sum of row 2's rounded entries is not 1.0
 ROW_RULE_BRANCHES = [onto_branch("moebius", F(0), F(3, 7), F(0), F(1), True, F(1, 3)),
                      onto_branch("linear", F(3, 7), F(1), F(0), F(1), False)]
 
@@ -174,13 +174,18 @@ class TestExactOracle:
         for i in range(n):
             assert sum(ulam_oracle.row_entries(m, n, i).values()) == 1
 
-    def test_examples_pass_int64_and_renormalize(self):
+    def test_examples_pass_int64_and_round_once(self):
         b = HUGE_BRANCHES[0]
         assert max(v.denominator for v in (b.p, b.q, b.r, b.s)) > 2**64
         with pytest.warns(ExpansionWarning):   # the Moebius branch is flat near 3/7
             m = hc.PiecewiseMap(ROW_RULE_BRANCHES, alpha0=F(1, 2), B0=0)
         row = ulam_oracle.row_entries(m, 12, 2)
-        assert math.fsum(float(v) for v in row.values()) != 1.0
+        rounded = [float(row[j]) for j in sorted(row)]
+        assert math.fsum(rounded) != 1.0
+        # each entry is its exact value rounded once; the row is not rescaled
+        M = hc.build_closed(m, UlamPartition(12)).matrix
+        assert M.indices[M.indptr[2]:M.indptr[3]].tolist() == sorted(row)
+        assert M.data[M.indptr[2]:M.indptr[3]].tolist() == rounded
 
 
 def cell_dtypes(tmap, n):
@@ -193,7 +198,7 @@ def fits_int64(branch, n):
     coeffs = sum(abs(c * scale) for c in (branch.p, branch.q, branch.r, branch.s))
     big = max(coeffs * n, n + 1, branch.lo.numerator, branch.lo.denominator,
               branch.hi.numerator, branch.hi.denominator)
-    return 2 * n * big**2 < 2**53
+    return big**2 < 2**53
 
 
 def split_map(a):
@@ -232,14 +237,32 @@ class TestAssemblyDtype:
         assert np.dtype(object) in cell_dtypes(m, 5)
         assert_matches_oracle(m, 5)
 
-    @pytest.mark.parametrize("n", [60, 61])
+    @pytest.mark.parametrize("n", [659, 660])
     def test_either_side_of_the_switch(self, n):
-        # the second branch, x -> (72001 x - 36001)/36000, leaves int64 at 61 bins
+        # the second branch, x -> (72001 x - 36001)/36000, leaves int64 at 660 bins
         m = split_map(F(36001, 72001))
         second = m.branches[1]
-        assert fits_int64(second, 60) and not fits_int64(second, 61)
-        assert _branch_cells(second, n)[2].dtype == (np.int64 if n == 60 else object)
+        assert fits_int64(second, 659) and not fits_int64(second, 660)
+        assert _branch_cells(second, n)[2].dtype == (np.int64 if n == 659 else object)
         assert_matches_oracle(m, n)
+
+    @pytest.mark.parametrize("name", ["bundled_map", "shift10"])
+    def test_real_maps_use_int64_at_100000_bins(self, name, request):
+        assert cell_dtypes(request.getfixturevalue(name), 100_000) == {np.dtype(np.int64)}
+
+    @pytest.mark.parametrize("name, n", [("shift10", 100_000), ("bundled_map", 40_000)])
+    def test_sampled_rows_match_oracle_at_large_n(self, name, n, request):
+        tmap = request.getfixturevalue(name)
+        assert cell_dtypes(tmap, n) == {np.dtype(np.int64)}
+        ends = {i for b in tmap.branches
+                for i in (math.floor(b.lo * n), math.ceil(b.hi * n) - 1)}
+        interior = np.random.default_rng(12).integers(0, n, size=40).tolist()
+        rows = sorted(ends | set(interior))
+        sampled = hc.build_closed(tmap, UlamPartition(n)).matrix[rows]
+        indptr, indices, data = ulam_oracle.rows_csr(tmap, n, rows)
+        assert sampled.indptr.tolist() == indptr
+        assert sampled.indices.tolist() == indices
+        assert sampled.data.tolist() == data
 
     def test_benchmark_map_uses_int64(self):
         k = 20

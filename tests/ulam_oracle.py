@@ -9,11 +9,10 @@ branches have ``lo``, ``hi``, Moebius coefficients ``p``, ``q``, ``r``,
 ``Fraction`` input.  Preimages come from the inverse formula here.
 
 Each entry n * lambda(bin_i intersect T^-1 bin_j) is an exact ``Fraction``
-rounded once to float; a row whose ``math.fsum`` is not 1.0 is then
-divided by that sum.
+rounded once to float.  ``rows_csr`` assembles only the rows asked for, so
+a test at a large bin count can sample rows instead of building all n.
 """
 
-import math
 from fractions import Fraction
 
 
@@ -80,17 +79,18 @@ def row_entries(tmap, n: int, i: int) -> dict:
     return row
 
 
-def closed_csr(tmap, n: int) -> tuple[list, list, list]:
-    """CSR arrays (indptr, indices, data) of the n-bin closed matrix."""
+def rows_csr(tmap, n: int, rows) -> tuple[list, list, list]:
+    """CSR arrays (indptr, indices, data) of the given rows, in that order."""
     indptr, indices, data = [0], [], []
-    for i in range(n):
+    for i in rows:
         row = row_entries(tmap, n, i)
         cols = sorted(row)
-        vals = [float(row[j]) for j in cols]
-        s = math.fsum(vals)
-        if s != 1.0:
-            vals = [v / s for v in vals]
         indices.extend(cols)
-        data.extend(vals)
+        data.extend(float(row[j]) for j in cols)
         indptr.append(len(indices))
     return indptr, indices, data
+
+
+def closed_csr(tmap, n: int) -> tuple[list, list, list]:
+    """CSR arrays (indptr, indices, data) of the n-bin closed matrix."""
+    return rows_csr(tmap, n, range(n))
