@@ -8,9 +8,10 @@ separation delta.  The matrix power computations are by far the most
 expensive step, so a warm record cache lets a second run at the same mesh
 do no matrix work at all.  A record file whose ``schema`` tag differs from
 :data:`RECORD_SCHEMA` was written by an older layout or older norm code,
-and one whose map fingerprint, bin count, mass-vector length or power
-count does not fit its key is not the record asked for; either is
-recomputed and overwritten, as is a file that cannot be read or parsed.
+and one whose map fingerprint, bin count, mass-vector length or the
+length of either power-norm family does not fit is not the record asked
+for; either is recomputed and overwritten, as is a file that cannot be
+read or parsed.
 
 All writes are atomic (temp file + rename).  The cache directory comes
 from the HOLECERT_CACHE_DIR environment variable when not given
@@ -38,8 +39,9 @@ CACHE_ENV_VAR = "HOLECERT_CACHE_DIR"
 #: layout tag of ``.spectral.npz`` files, raised whenever the code that
 #: fills a record changes; untagged files hold the eigensolver layout's
 #: eigenvalue list, schemas 2 and 3 row-block and global-P^2 power norms,
-#: schema 4 norms of matrices whose rows were rescaled by their float sum
-RECORD_SCHEMA = 5
+#: schema 4 norms of matrices whose rows were rescaled by their float sum,
+#: schema 5 norms whose powers were stepped over all bins, not the quotient
+RECORD_SCHEMA = 6
 
 #: kind of each file the cache owns, by suffix (older versions wrote text
 #: matrices); anything else in the directory is left alone
@@ -173,7 +175,7 @@ def _load_record(path, key: tuple[str, int]) -> SpectralRecord | None:
 
     That is when the file cannot be read or parsed, has another layout, or
     does not hold the record of ``key`` = (map fingerprint, bin count) with
-    at least :data:`holecert.spectral.N_POWERS` power norms.
+    exactly :data:`holecert.spectral.N_POWERS` + 1 norms in each family.
     """
     try:
         with np.load(path, allow_pickle=False) as blob:
@@ -195,5 +197,6 @@ def _load_record(path, key: tuple[str, int]) -> SpectralRecord | None:
         return None
     fits = ((record.map_fingerprint, record.n_bins) == key
             and len(record.mass_vector) == record.n_bins
-            and record.truncation_N + 1 >= N_POWERS)
+            and len(record.q_power_norms) == len(record.q_power_norms_colsum)
+            == N_POWERS + 1)
     return record if fits else None

@@ -17,10 +17,15 @@ that is x Q = x P - (sum x) u P, are stored:
 * ``q_power_norms``         row family; entry 0 is the computed ||1 - Pi1||.
 * ``q_power_norms_colsum``  column family (matrix 1-norm); entry 0 is 1.
 
-P is row-stochastic and u sums to 1, so e_i Q^k = e_i P^k - u P^k exactly:
-Q is normed from the nonzeros of P, the later powers on narrow dense column
-blocks of (P^k)^T over the distinct rows of P, seeded with the block's rows
-of P^2 and stepped by the CSR matrix P^T (P^2 is never formed whole).
+P is row-stochastic and u sums to 1, so e_i Q^k = e_i P^k - u P^k exactly.
+Q is normed from the nonzeros of P.  The later powers are taken in the
+quotient chain of P's equal rows, which is exactly lumpable (Kemeny-Snell):
+with B the m distinct rows of P and A the n x m 0/1 class membership,
+P = A B, so the distinct rows of P^k are M^(k-1) B with M = B A (m x m).
+Narrow dense column blocks of the quotient iterate are stepped by the CSR
+matrix M^T and expanded by B^T only to take |e_i P^k - w_k|; w_k = u P^k
+follows the same recurrence from A^T u, so equal rows cancel it exactly.
+No power of P is formed, and every product multiplies nonnegative numbers.
 
 The certification pipeline bounds the resolvent with the column family,
 the convention under which the reference outputs for the bundled example
@@ -99,19 +104,20 @@ class NeumannDivergenceError(ArithmeticError):
 def dominant_left_eigenpair(P: sp.csr_matrix, tol: float = 1e-14):
     """Power iteration for the dominant left eigenpair of a nonnegative matrix.
 
-    Iterates ``x -> x @ P`` with L1 normalization from the uniform vector
-    for at most 10^6 steps and returns ``(value, vector, residual,
-    iterations)``; the eigenvalue estimate is the mass ratio per step and
-    convergence is declared when successive ratios agree within ``tol``.
-    The value 0.0 with a zero vector signals total mass loss (all-escape
-    open matrices).
+    Iterates ``x -> x @ P``, as ``P^T x`` with P^T in CSR, with L1
+    normalization from the uniform vector for at most 10^6 steps and
+    returns ``(value, vector, residual, iterations)``; the eigenvalue
+    estimate is the mass ratio per step and convergence is declared when
+    successive ratios agree within ``tol``.  The value 0.0 with a zero
+    vector signals total mass loss (all-escape open matrices).
     """
     n = P.shape[0]
+    PT = P.T.tocsr()      # x @ P as PT @ x, without a transpose per step
     x = np.full(n, 1.0 / n)
     lam_prev = np.inf
     lam = 0.0
     for it in range(1, 10**6 + 1):
-        y = x @ P
+        y = PT @ x
         lam = float(np.abs(y).sum())
         if lam <= 1e-300:
             return 0.0, np.zeros(n), 0.0, it
@@ -123,7 +129,7 @@ def dominant_left_eigenpair(P: sp.csr_matrix, tol: float = 1e-14):
             break
         lam_prev = lam
         x = y
-    residual = float(np.abs(x @ P - lam * x).sum())
+    residual = float(np.abs(PT @ x - lam * x).sum())
     return lam, x, residual, it
 
 
@@ -217,16 +223,17 @@ def _q_power_norms(P: sp.csr_matrix, u: np.ndarray) -> tuple[list[float], list[f
     support of row i of (|P_ij - w_j| - |w_j|), plus ||w||_1; column j has
     the same sum down column j, plus n |w_j| (w = w_1).
 
-    k >= 2 in fused blocks of ``_BLOCK`` distinct rows i of P: Z = (rows i
-    of P^2)^T, from those rows of P alone, steps as Z <- P^T Z (P^T in CSR)
-    and stays nonnegative, with no rank-one correction.  Column sums of
-    |Z - w_k| are row-family norms; its row sums, weighted by each row's
-    count in P and added over the blocks in order, are the column family.
+    k >= 2 in the quotient of the m distinct rows of P: P = A B with
+    B = P[first] and A the n x m 0/1 class membership, so the distinct rows
+    of P^k are M^(k-1) B with M = B A.  Per block of ``_BLOCK`` distinct
+    rows, S = (M^T)[:, block] steps as S <- M^T S (CSR, dense m x block)
+    and Z = B^T S = (those rows of P^k)^T; w_k = B^T v with v = A^T u
+    stepped the same way.  Column sums of |Z - w_k| are row-family norms;
+    its row sums, weighted by each row's count in P and added over the
+    blocks in order, are the column family.
     """
     n = P.shape[0]
-    w = [u]
-    for _ in range(N_POWERS):
-        w.append(w[-1] @ P)
+    w = [u, u @ P]
     row_norms = [float(np.max(np.abs(1.0 - u) + (np.abs(u).sum() - np.abs(u))))]
     col_norms = [1.0]
     wj = w[1][P.indices]
@@ -235,23 +242,31 @@ def _q_power_norms(P: sp.csr_matrix, u: np.ndarray) -> tuple[list[float], list[f
     # Q = 0 cancels to roundoff of either sign; a norm is >= 0
     row_norms.append(max(0.0, float(np.max(excess.sum(axis=1) + np.abs(w[1]).sum()))))
     col_norms.append(max(0.0, float(np.max(excess.sum(axis=0) + n * np.abs(w[1])))))
-    # equal rows of P have equal rows of every P^k (the linear branches of
-    # a map repeat theirs), so each distinct row is stepped once
+    # classes of equal rows of P (the linear branches of a map repeat theirs)
     keys = [P.indices[lo:hi].tobytes() + P.data[lo:hi].tobytes()
             for lo, hi in zip(P.indptr[:-1], P.indptr[1:])]
-    _, first, copies = np.unique(np.array(keys, dtype=object), return_index=True,
-                                 return_counts=True)
-    distinct, PT = P[first], P.T.tocsr()
+    _, first, classes, copies = np.unique(np.array(keys, dtype=object), return_index=True,
+                                          return_inverse=True, return_counts=True)
+    B = P[first]
+    M = sp.csr_matrix((B.data, classes[B.indices], B.indptr), shape=(len(first),) * 2,
+                      copy=True)    # summing duplicates sorts in place; B keeps its order
+    M.sum_duplicates()
+    BT, MT = B.T.tocsr(), M.T.tocsr()
+    # w_k = u A M^(k-1) B on the same path, so equal rows cancel w_k exactly
+    v = np.bincount(classes, weights=u, minlength=len(first))
+    for _ in range(N_POWERS - 1):
+        v = MT @ v
+        w.append(BT @ v)
     row_maxima = np.zeros(N_POWERS - 1)
     col_sums = np.zeros((N_POWERS - 1, n))
     buf = np.empty((n, min(_BLOCK, len(first))))
     for start in range(0, len(first), _BLOCK):
-        Z = (distinct[start:start + _BLOCK] @ P).T.toarray(order="C")
-        dev = buf[:, :Z.shape[1]]
+        S = M[start:start + _BLOCK].T.toarray(order="C")
+        dev = buf[:, :S.shape[1]]
         for k in range(N_POWERS - 1):
             if k:
-                Z = PT @ Z
-            np.abs(np.subtract(Z, w[k + 2][:, None], out=dev), out=dev)
+                S = MT @ S
+            np.abs(np.subtract(BT @ S, w[k + 2][:, None], out=dev), out=dev)
             row_maxima[k] = max(row_maxima[k], dev.sum(axis=0).max())
             col_sums[k] += dev @ copies[start:start + _BLOCK]
     row_norms += row_maxima.tolist()

@@ -223,8 +223,9 @@ def build_open(tmap: PiecewiseMap, partition: UlamPartition, hole: Hole,
             raise ValueError("supplied matrix is not a closed matrix on this partition")
         if closed.map_fingerprint != tmap.fingerprint:
             raise ValueError("supplied closed matrix was built from a different map")
-    keep = np.ones(partition.n_bins)
-    keep[list(hole_bins)] = 0.0
-    open_mat = sp.diags(keep).dot(closed.matrix).tocsr()
-    open_mat.eliminate_zeros()
+    # drop the hole's stretch of indices/data; its rows become empty
+    P = closed.matrix
+    lo, hi = P.indptr[hole_bins.start], P.indptr[hole_bins.stop]
+    open_mat = sp.csr_matrix((np.delete(P.data, np.s_[lo:hi]), np.delete(P.indices, np.s_[lo:hi]),
+                              P.indptr - np.clip(P.indptr - lo, 0, hi - lo)), shape=P.shape)
     return UlamMatrix(partition, open_mat, "open", tmap.fingerprint, hole=hole)

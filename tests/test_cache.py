@@ -56,19 +56,26 @@ def test_record_filed_under_another_mesh_is_recomputed(tmp_path, shift10):
     assert again.n_bins == 200
 
 
+def _rewrite_record(path, schema=None, **arrays):
+    """Rewrite a record file with its meta's schema and some arrays replaced."""
+    with np.load(path) as blob:
+        stored = {key: blob[key] for key in blob.files}
+    meta = json.loads(str(stored.pop("meta")))
+    if schema is not None:
+        meta["schema"] = schema
+    stored.update(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=json.dumps(meta), **stored)
+
+
 def test_record_from_older_norm_code_is_recomputed(tmp_path, shift10):
-    # a schema-4 record: written from row-renormalised matrices, same layout
+    # a schema-5 record: powers stepped over all bins, same layout
     cache = hc.PipelineCache(tmp_path)
     record = cache.spectral_record(shift10, 100)
     path = cache._record_path(shift10.fingerprint, 100)
     with np.load(path) as blob:
-        arrays = {key: blob[key] for key in blob.files}
-    meta = json.loads(str(arrays.pop("meta")))
-    assert meta["schema"] == hc.cache.RECORD_SCHEMA == 5
-    meta["schema"] = 4
-    arrays["q_power_norms"] = np.full(7, 0.5)
-    with open(path, "wb") as fh:
-        np.savez(fh, meta=json.dumps(meta), **arrays)
+        assert json.loads(str(blob["meta"]))["schema"] == hc.cache.RECORD_SCHEMA == 6
+    _rewrite_record(path, schema=5, q_power_norms=np.full(7, 0.5))
 
     rebuilt = hc.PipelineCache(tmp_path)
     again = rebuilt.spectral_record(shift10, 100)
@@ -117,4 +124,29 @@ def test_unreadable_record_is_recomputed(tmp_path, shift10, content):
     # the overwritten file now loads as a hit
     fresh = hc.PipelineCache(tmp_path)
     assert fresh.spectral_record(shift10, 10).q_power_norms == record.q_power_norms
+    assert fresh.stats["spectral_hits"] == 1
+
+
+@pytest.mark.parametrize("family, length", [
+    ("q_power_norms_colsum", 3), ("q_power_norms", 3), ("q_power_norms_colsum", 8),
+])
+def test_record_with_wrong_family_length_is_recomputed(tmp_path, bundled_map, family, length):
+    # a current-schema file whose norm families differ in length used to
+    # load, and then broke the spectral-radius bound of every certify run
+    cache = hc.PipelineCache(tmp_path)
+    record = cache.spectral_record(bundled_map, 40)
+    path = cache._record_path(bundled_map.fingerprint, 40)
+    _rewrite_record(path, **{family: np.resize(getattr(record, family), length)})
+
+    rebuilt = hc.PipelineCache(tmp_path)
+    again = rebuilt.spectral_record(bundled_map, 40)
+    assert rebuilt.stats["spectral_builds"] == 1
+    assert rebuilt.stats["spectral_hits"] == 0
+    assert again.q_power_norms == record.q_power_norms
+    assert again.q_power_norms_colsum == record.q_power_norms_colsum
+    assert again.spectral_radius_bound == record.spectral_radius_bound
+
+    # the overwritten file now loads as a hit
+    fresh = hc.PipelineCache(tmp_path)
+    assert fresh.spectral_record(bundled_map, 40).q_power_norms_colsum == record.q_power_norms_colsum
     assert fresh.stats["spectral_hits"] == 1

@@ -91,6 +91,49 @@ class TestPowerIteration:
         lam, x, res, it = dominant_left_eigenpair(sp.csr_matrix((3, 3)))
         assert lam == 0.0
 
+    @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(1, 40),
+           st.sampled_from(["closed", "open", "zero", "hole"]), st.sampled_from([1e-14, 1e-12]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_row_vector_loop(self, seed, n, kind, tol):
+        # the transposed-CSR iteration against the x @ P loop it replaced
+        rng = np.random.default_rng(seed)
+        A = rng.random((n, n)) * (rng.random((n, n)) < 0.4) + 1e-3
+        A /= A.sum(axis=1, keepdims=True)
+        if kind == "open":
+            lo = int(rng.integers(0, n))
+            A[lo:int(rng.integers(lo, n)) + 1] = 0.0
+        elif kind == "zero":
+            A[:] = 0.0
+        P = sp.csr_matrix(A)
+        if kind == "hole":
+            part = UlamPartition(10 * n)
+            lo = int(rng.integers(0, 10 * n))
+            P = hc.build_open(hc.full_branch_linear(10), part,
+                              hc.Hole(F(lo, 10 * n), F(lo + 1, 10 * n))).matrix
+        lam, x, res, it = dominant_left_eigenpair(P, tol)
+        ref_lam, ref_x, ref_res, ref_it = _row_vector_power_iteration(P, tol)
+        assert (lam, res, it) == (ref_lam, ref_res, ref_it)
+        assert x.tobytes() == ref_x.tobytes()
+
+
+def _row_vector_power_iteration(P, tol):
+    """The power iteration with ``x @ P`` on every step."""
+    n = P.shape[0]
+    x = np.full(n, 1.0 / n)
+    lam_prev, lam = np.inf, 0.0
+    for it in range(1, 10**6 + 1):
+        y = x @ P
+        lam = float(np.abs(y).sum())
+        if lam <= 1e-300:
+            return 0.0, np.zeros(n), 0.0, it
+        y /= lam
+        if abs(lam - lam_prev) <= tol and float(np.abs(y - x).sum()) <= tol:
+            x = y
+            break
+        lam_prev = lam
+        x = y
+    return lam, x, float(np.abs(x @ P - lam * x).sum()), it
+
 
 class TestEigenAnalysis:
     def test_rank_one_doubling(self, doubling2):
@@ -239,10 +282,12 @@ class TestQPowerNorms:
     ] + [(label, n_bins) for label in ("bundled", "kfold20")
          for n_bins in (1, 63, 64, 65, 129)] + [
         ("bundled", 320), ("bundled", 640), ("kfold20", 640), ("kfold20", 660),
+        ("kfold20", 1500),
     ])
     def test_matches_row_block_code(self, bundled_map, label, n_bins):
         # blocks of 64 run over the distinct rows of P: 63 and 129 bins have
-        # that many, the last four cases 64, 128, 64 and 66 (rows repeat)
+        # that many, the next four cases 64, 128, 64 and 66 (rows repeat);
+        # kfold20 at 1500 bins is the benchmark's matrix (150 distinct rows)
         tmap = {"bundled": bundled_map, "kfold20": kfold_moebius(20),
                 "shift3": hc.full_branch_linear(3),
                 "shift10": hc.full_branch_linear(10)}[label]
@@ -281,6 +326,20 @@ class TestQPowerNorms:
         u /= u.sum()
         _assert_norms_match(P, u, spectral_oracle.q_power_norms(sp.csr_matrix(P), u, N_POWERS),
                             1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 65, 200, 1500])
+    def test_equal_rows_cancel(self, n):
+        # every row equal (m = 1): P = 1 r, u P^k = (sum u) s^(k-1) r with s
+        # the sum of r, so Q^k = 0 for k >= 2 once u sums to 1 in floats.
+        # Dyadic u sums to exactly 1 in any order; r is rounded.
+        rng = np.random.default_rng(n)
+        r = np.zeros(n)
+        r[rng.choice(n, min(n, 40), replace=False)] = rng.random(min(n, 40)) + 0.01
+        P = sp.csr_matrix(np.tile(r / r.sum(), (n, 1)))
+        u = rng.multinomial(2**40, np.full(n, 1.0 / n)) / 2.0**40
+        assert u.sum() == 1.0 and np.add.accumulate(u)[-1] == 1.0
+        for norms in _q_power_norms(P, u):
+            assert all(0.0 <= v <= 1e-15 for v in norms[2:])
 
     def test_zero_powers_clamped(self, shift10_10):
         # P = 1 u exactly, so Q = 0 and the sparse k = 1 formula cancels to roundoff

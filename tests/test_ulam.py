@@ -298,6 +298,26 @@ class TestBuildOpen:
             else:
                 assert np.array_equal(O[i], C[i])
 
+    @pytest.mark.parametrize("label, n_bins", [("shift10", 10), ("shift10", 100), ("bundled", 40),
+                                               ("bundled", 1000)])
+    @pytest.mark.parametrize("where", ["first", "last", "all"])
+    def test_rows_dropped_from_csr(self, bundled_map, shift10, label, n_bins, where):
+        # the closed matrix with the hole's rows emptied, indices sorted
+        tmap = {"shift10": shift10, "bundled": bundled_map}[label]
+        part = UlamPartition(n_bins)
+        closed = hc.build_closed(tmap, part).matrix
+        a, b = {"first": (0, 3), "last": (n_bins - 3, n_bins), "all": (0, n_bins)}[where]
+        open_m = hc.build_open(tmap, part, hc.Hole(F(a, n_bins), F(b, n_bins))).matrix
+        expected = closed.toarray()
+        expected[a:b] = 0.0
+        assert np.array_equal(open_m.toarray(), expected)
+        assert open_m.has_sorted_indices
+        assert open_m.nnz == closed.nnz - (closed.indptr[b] - closed.indptr[a])
+        assert open_m.indptr.dtype == closed.indptr.dtype
+        assert open_m.indices.dtype == closed.indices.dtype
+        if where == "all":
+            assert open_m.nnz == 0
+
     def test_degenerate_hole_rejected(self):
         with pytest.raises(ValueError):
             hc.Hole(F(1, 2), F(1, 2))
