@@ -19,11 +19,12 @@ open system with an accim, 1 - e_H < delta_com, and escape rate below
 
 A failed pass makes one refinement decision.  When the closed-only
 (sharper-constants) comparison holds at the analysed mesh, its resolvent
-bound transfers to every finer mesh, and the next pass runs at the
-smallest power-of-ten bin count whose mesh clears the transferred
-comparison, with no spectral analysis there.  Otherwise the next pass
-analyses the smallest power-of-ten bin count whose mesh clears the
-current comparison value.
+bound transfers to every finer mesh: the run certifies at the smallest
+power-of-ten bin count whose mesh clears the transferred comparison,
+with no spectral analysis there.  Otherwise the next pass analyses the
+smallest power-of-ten bin count whose mesh clears the current comparison
+value.  A decision that needs more than ``LADDER_CAP`` bins ends the run
+with a failed report naming the cap and the threshold.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ class CertificationConfig:
     ell: Fraction
     delta_init: Fraction | None = None
     bins_init: int = 1000
-    max_inner: int = 12
 
     def __post_init__(self):
         object.__setattr__(self, "ell", as_rational(self.ell))
@@ -218,8 +218,6 @@ def next_power_of_ten_bins(bound: float) -> int:
     n = 1
     while 1.0 / n > bound:
         n *= 10
-        if n > LADDER_CAP:
-            raise ValueError(f"required bin count exceeds cap {LADDER_CAP}")
     return n
 
 
@@ -257,66 +255,58 @@ def run_certification(tmap: PiecewiseMap, config: CertificationConfig,
 
     delta = config.initial_delta()
     n_bins = config.bins_init
-    # hole-uniform chain at a resolvent bound transferred from the last
-    # analysed mesh, when the next pass runs on it
-    transferred: KLConstants | None = None
-    for index in range(1, config.max_inner + 1):
+    # every failed pass either certifies by transfer or moves to the ladder
+    # mesh its threshold predicts, strictly finer than the one that failed;
+    # so at most 1 + log10(LADDER_CAP) passes run before the cap ends the run
+    while True:
         mesh = Fraction(1, n_bins)
-        if transferred is not None:
-            chain = transferred
-            rec = IterationRecord(
-                index=index, n_bins=n_bins, mesh=mesh, delta=delta,
+        record = cache.spectral_record(tmap, n_bins)
+        bound = h_star(record, r, float(delta), float(tmap.alpha0), float(tmap.B0))
+        chain = kl_constants(ly, r, delta, bound.h_star)
+        rec = IterationRecord(
+            index=len(report.iterations) + 1, n_bins=n_bins, mesh=mesh,
+            delta=delta, used_bootstrap=False, h_star=bound.h_star,
+            transferred_H=None, neumann=bound.neumann_bound,
+            neumann_rowsum=neumann_bound(record.q_power_norms, r),
+            n1=chain.n1, n2=chain.n2, epsilon0=chain.epsilon0,
+            threshold=chain.mesh_threshold,
+            step7_pass=float(mesh) <= chain.mesh_threshold,
+            spectral_radius_bound=record.spectral_radius_bound,
+        )
+        report.iterations.append(rec)
+        if rec.step7_pass:
+            break
+        # the closed-only comparison at this mesh decides whether its bound
+        # transfers to every finer mesh
+        closed = kl_constants(ly_closed, r, delta, rec.h_star)
+        rec.closed_only_threshold = closed.mesh_threshold
+        transfer = float(mesh) < closed.mesh_threshold
+        if transfer:
+            chain = kl_constants(ly, r, delta, closed.resolvent_transfer_bound)
+        n_bins = next_power_of_ten_bins(chain.mesh_threshold)
+        if n_bins > LADDER_CAP:
+            report.reason = (
+                f"{'transferred ' if transfer else ''}threshold {chain.mesh_threshold} "
+                f"needs {n_bins} bins, past the ladder cap of {LADDER_CAP}"
+            )
+            return report
+        if transfer:
+            # the ladder mesh lies at or below the transferred threshold
+            mesh = Fraction(1, n_bins)
+            report.iterations.append(IterationRecord(
+                index=rec.index + 1, n_bins=n_bins, mesh=mesh, delta=delta,
                 used_bootstrap=True, h_star=None, transferred_H=chain.H,
                 neumann=None, neumann_rowsum=None, n1=chain.n1, n2=chain.n2,
                 epsilon0=chain.epsilon0, threshold=chain.mesh_threshold,
-                step7_pass=float(mesh) <= chain.mesh_threshold,
-                closed_only_threshold=report.iterations[-1].closed_only_threshold,
-            )
-        else:
-            record = cache.spectral_record(tmap, n_bins)
-            bound = h_star(record, r, float(delta), float(tmap.alpha0),
-                           float(tmap.B0))
-            chain = kl_constants(ly, r, delta, bound.h_star)
-            rec = IterationRecord(
-                index=index, n_bins=n_bins, mesh=mesh, delta=delta,
-                used_bootstrap=False, h_star=bound.h_star,
-                transferred_H=None, neumann=bound.neumann_bound,
-                neumann_rowsum=neumann_bound(record, r, orientation="row"),
-                n1=chain.n1, n2=chain.n2, epsilon0=chain.epsilon0,
-                threshold=chain.mesh_threshold,
-                step7_pass=float(mesh) <= chain.mesh_threshold,
-                spectral_radius_bound=record.spectral_radius_bound,
-            )
-        report.iterations.append(rec)
-        if rec.step7_pass:
-            # h_star's gate already implies the separation step
-            report.final_constants = chain
-            report.status = "certified"
-            report.delta_com = delta
-            report.epsilon_com = mesh
-            report.hole_bound = gamma_frac * mesh
-            return report
-        # only an analysed pass can fail (a transfer pass runs at a ladder
-        # mesh at or below its threshold).  The closed-only comparison at
-        # this mesh decides whether its bound transfers to every finer mesh.
-        closed = kl_constants(ly_closed, r, delta, rec.h_star)
-        rec.closed_only_threshold = closed.mesh_threshold
-        if float(mesh) < closed.mesh_threshold:
-            transferred = kl_constants(ly, r, delta, closed.resolvent_transfer_bound)
-            n_bins = next_power_of_ten_bins(transferred.mesh_threshold)
-            continue
-        # otherwise analyse the ladder mesh the comparison value predicts
-        # (finer than this one, which failed it), or twice the bin count
-        # past the ladder's cap
-        try:
-            n_bins = next_power_of_ten_bins(rec.threshold)
-        except ValueError:
-            n_bins *= 2
-    last = report.iterations[-1]
-    report.reason = (
-        f"comparison never satisfied within {config.max_inner} inner "
-        f"iterations; last mesh {last.mesh} vs threshold {last.threshold}"
-    )
+                step7_pass=True, closed_only_threshold=closed.mesh_threshold,
+            ))
+            break
+    # h_star's gate already implies the separation step
+    report.final_constants = chain
+    report.status = "certified"
+    report.delta_com = delta
+    report.epsilon_com = mesh
+    report.hole_bound = gamma_frac * mesh
     return report
 
 

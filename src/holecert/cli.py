@@ -123,7 +123,7 @@ def _make_cache(args) -> PipelineCache:
 def _cmd_spectral(args) -> int:
     manifest = RunManifest("spectral", {
         "map": str(args.map), "bins": args.bins, "r": str(args.r),
-        "delta": str(args.delta), "orientation": args.orientation,
+        "delta": str(args.delta),
     })
     tmap = load_map(args.map)
     manifest.map_fingerprint = tmap.fingerprint
@@ -143,13 +143,11 @@ def _cmd_spectral(args) -> int:
         "q_power_norms_colsum": list(record.q_power_norms_colsum),
         "truncation_N": record.truncation_N,
         "invariant_density": record.invariant_density,
-        "neumann_bound": neumann_bound(record, float(args.r),
-                                       orientation=args.orientation),
+        "neumann_bound": neumann_bound(record.q_power_norms_colsum, float(args.r)),
     }
     if args.alpha0 is not None:
         bound = h_star(record, float(args.r), float(args.delta),
-                       float(args.alpha0), float(args.B0),
-                       orientation=args.orientation)
+                       float(args.alpha0), float(args.B0))
         payload["resolvent_l1_bound"] = bound.resolvent_l1_bound
         payload["h_star"] = bound.h_star
     _write_report(args.out, manifest, payload)
@@ -213,15 +211,13 @@ def _cmd_certify(args) -> int:
     manifest = RunManifest("certify", {
         "map": str(args.map), "ell": str(args.ell),
         "delta_init": str(args.delta_init) if args.delta_init else None,
-        "bins_init": args.bins_init, "max_inner": args.max_inner,
+        "bins_init": args.bins_init,
     })
     tmap = load_map(args.map)
     manifest.map_fingerprint = tmap.fingerprint
     cache = _make_cache(args)
     config = CertificationConfig(
-        ell=args.ell, delta_init=args.delta_init, bins_init=args.bins_init,
-        max_inner=args.max_inner,
-    )
+        ell=args.ell, delta_init=args.delta_init, bins_init=args.bins_init)
     with _Phase(manifest, "certification"):
         report = run_certification(tmap, config, cache=cache)
     manifest.cache_stats = dict(cache.stats)
@@ -450,7 +446,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, required=True)
     p.add_argument("--r", type=_rational, required=True)
     p.add_argument("--delta", type=_rational, required=True)
-    p.add_argument("--orientation", choices=("column", "row"), default="column")
     p.add_argument("--alpha0", type=_rational, default=None)
     p.add_argument("--B0", type=_rational, default=None)
     p.add_argument("--out", default=None)
@@ -470,7 +465,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=_rational, required=True)
     p.add_argument("--delta-init", type=_rational, default=None)
     p.add_argument("--bins-init", type=int, default=1000)
-    p.add_argument("--max-inner", type=int, default=12)
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_certify)

@@ -27,11 +27,11 @@ matrix M^T and expanded by B^T only to take |e_i P^k - w_k|; w_k = u P^k
 follows the same recurrence from A^T u, so equal rows cancel it exactly.
 No power of P is formed, and every product multiplies nonnegative numbers.
 
-The certification pipeline bounds the resolvent with the column family,
-the convention under which the reference outputs for the bundled example
-map were produced; the row family is the induced norm for the density
-action and its Neumann bound is reported alongside for audit.
-``neumann_bound`` and ``h_star`` accept either (``orientation``).
+``h_star`` bounds the resolvent with the column family, the convention
+under which the reference outputs for the bundled example map were
+produced.  The row family is the induced norm for the density action;
+``neumann_bound`` takes either family, and certification reports the
+row family's Neumann bound alongside for audit.
 
 No eigensolver is needed for the spectral layout.  P is row-stochastic,
 so the sum-zero row vectors form an invariant subspace on which P acts as
@@ -174,13 +174,6 @@ class SpectralRecord:
                  for norms in (self.q_power_norms, self.q_power_norms_colsum)]
         return float(np.min(np.concatenate(roots)))
 
-    def norms(self, orientation: str) -> tuple[float, ...]:
-        if orientation == "column":
-            return self.q_power_norms_colsum
-        if orientation == "row":
-            return self.q_power_norms
-        raise ValueError(f"orientation must be 'row' or 'column', got {orientation!r}")
-
 
 @dataclass(frozen=True)
 class ResolventBound:
@@ -191,7 +184,6 @@ class ResolventBound:
     neumann_bound: float          # uniform bound on ||R(z)||_1 over |z| >= r
     resolvent_l1_bound: float     # ||Pi1||/delta + neumann_bound
     h_star: float
-    orientation: str
 
     def __post_init__(self):
         for name in ("neumann_bound", "resolvent_l1_bound", "h_star"):
@@ -323,20 +315,20 @@ def compute_record(matrix: UlamMatrix) -> SpectralRecord:
 
 # -- bounds --------------------------------------------------------------------
 
-def neumann_bound(record: SpectralRecord, r: float, *, orientation: str = "column") -> float:
+def neumann_bound(norms, r: float) -> float:
     """Uniform bound on ||R(z)||_1 over |z| >= r via the truncated series.
 
-    With q = ||Q^(N+1)|| / r^(N+1) < 1 the value is
+    ``norms`` is one family of ||Q^k||, k = 0..N+1 (a record's
+    ``q_power_norms`` or ``q_power_norms_colsum``).  With
+    q = ||Q^(N+1)|| / r^(N+1) < 1 the value is
 
-        (1/r) * (sum_{k=0}^{N} ||Q^k|| / r^k) / (1 - q),
+        (1/r) * (sum_{k=0}^{N} ||Q^k|| / r^k) / (1 - q);
 
-    N being the record's truncation index; q >= 1 raises
-    :class:`NeumannDivergenceError`.
+    q >= 1 raises :class:`NeumannDivergenceError`.
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"need 0 < r < 1, got r={r}")
-    norms = record.norms(orientation)
-    N = record.truncation_N
+    N = len(norms) - 2
     q = norms[N + 1] / r ** (N + 1)
     if q >= 1.0:
         raise NeumannDivergenceError(
@@ -347,8 +339,8 @@ def neumann_bound(record: SpectralRecord, r: float, *, orientation: str = "colum
     return (partial / r) / (1.0 - q)
 
 
-def h_star(record: SpectralRecord, r: float, delta: float, alpha0: float, B0: float,
-           *, orientation: str = "column") -> ResolventBound:
+def h_star(record: SpectralRecord, r: float, delta: float, alpha0: float,
+           B0: float) -> ResolventBound:
     """Computable resolvent-sup surrogate for the certification chain.
 
     Requires the spectral layout that justifies the rank-one split: the
@@ -374,9 +366,8 @@ def h_star(record: SpectralRecord, r: float, delta: float, alpha0: float, B0: fl
             f"{r - delta:.6g}: the unit eigenvalue is not certified simple and "
             "alone outside the disc of radius r - delta"
         )
-    neumann = neumann_bound(record, r, orientation=orientation)
+    neumann = neumann_bound(record.q_power_norms_colsum, r)
     resolvent_l1 = record.projection_norm / delta + neumann
     value = (B0 / (r - alpha0) + 1.0) * resolvent_l1 + 1.0 / (r - alpha0) + 2.0 / r
     return ResolventBound(r=r, delta=delta, neumann_bound=neumann,
-                          resolvent_l1_bound=resolvent_l1, h_star=value,
-                          orientation=orientation)
+                          resolvent_l1_bound=resolvent_l1, h_star=value)

@@ -86,7 +86,7 @@ class TestRefinementStep:
         # the next pass analyses the ladder mesh the comparison predicts
         cache = FixedRecordCache(
             hc.build_closed(bundled_map, hc.UlamPartition(1000)))
-        config = CertificationConfig(ell=F(1, 40), max_inner=2)
+        config = CertificationConfig(ell=F(1, 40))
         rep = hc.run_certification(bundled_map, config, cache=cache)
         first, second = rep.iterations
         assert first.n_bins == 1000 and not first.step7_pass
@@ -95,6 +95,44 @@ class TestRefinementStep:
         assert second.n_bins == 10000
         assert not second.used_bootstrap
         assert second.transferred_H is None
+        # the same record at the finer mesh clears the same threshold
+        assert second.step7_pass
+        assert rep.certified and rep.epsilon_com == F(1, 10000)
+
+
+class TestLadderCap:
+    """A refinement past LADDER_CAP ends the run with a failed report."""
+
+    @pytest.fixture
+    def capped(self, monkeypatch, bundled_map):
+        monkeypatch.setattr(hc.certify, "LADDER_CAP", 10**4)
+        return FixedRecordCache(hc.build_closed(bundled_map, hc.UlamPartition(1000)))
+
+    def test_analysed_path(self, capped, bundled_map):
+        # no transfer at mesh 1/1000, and the threshold needs 100 000 bins
+        config = CertificationConfig(ell=F(1, 100), bins_init=1000)
+        rep = hc.run_certification(bundled_map, config, cache=capped)
+        assert rep.status == "failed"
+        (only,) = rep.iterations
+        assert not only.step7_pass
+        assert float(only.mesh) >= only.closed_only_threshold
+        assert "cap of 10000" in rep.reason and str(only.threshold) in rep.reason
+        assert "transferred" not in rep.reason
+
+    def test_transfer_path(self, capped, bundled_map):
+        # the closed-only comparison holds at mesh 1/5000, but the
+        # transferred threshold needs 100 000 bins
+        config = CertificationConfig(ell=F(1, 40), bins_init=5000)
+        rep = hc.run_certification(bundled_map, config, cache=capped)
+        assert rep.status == "failed"
+        (only,) = rep.iterations
+        assert float(only.mesh) < only.closed_only_threshold
+        closed = kl_constants(ly_constants(A0, B0, CLOSED_ONLY), rep.r, only.delta,
+                              only.h_star)
+        transferred = kl_constants(ly_constants(A0, B0), rep.r, only.delta,
+                                   closed.resolvent_transfer_bound)
+        assert "cap of 10000" in rep.reason
+        assert f"transferred threshold {transferred.mesh_threshold}" in rep.reason
 
 
 class TestCertificateBounds:
@@ -191,20 +229,14 @@ class TestRunCertification:
 
     def test_mesh_monotone(self, shift10_report):
         meshes = [it.mesh for it in shift10_report.iterations]
-        assert all(b <= a for a, b in zip(meshes, meshes[1:]))
+        # each pass is strictly finer than the last: this bounds the loop
+        assert all(b < a for a, b in zip(meshes, meshes[1:]))
         deltas = [it.delta for it in shift10_report.iterations]
         assert all(b <= a for a, b in zip(deltas, deltas[1:]))
 
     def test_escape_tolerance_domain(self, shift10):
         with pytest.raises(KLDomainError):
             hc.run_certification(shift10, CertificationConfig(ell=F(4, 5)))
-
-    def test_iteration_cap_failure(self, shift10):
-        config = CertificationConfig(ell=F(1, 25), bins_init=10, max_inner=1)
-        rep = hc.run_certification(shift10, config)
-        assert not rep.certified
-        assert "comparison" in rep.reason
-        assert len(rep.iterations) == 1
 
     def test_rejects_large_alpha0(self, bundled_map):
         from holecert.kl import LYModeError

@@ -87,11 +87,11 @@ class TestMatrixAndSpectralCommands:
         # the report is the library pipeline on the in-memory matrix, bit for bit
         record = hc.compute_record(
             hc.build_closed(hc.load_map(map_path), hc.UlamPartition(100)))
-        bound = hc.h_star(record, 24 / 25, 1 / 26, 1 / 9, 2 / 9, orientation="column")
+        bound = hc.h_star(record, 24 / 25, 1 / 26, 1 / 9, 2 / 9)
         assert doc["report"]["q_power_norms"] == list(record.q_power_norms)
         assert doc["report"]["spectral_radius_bound"] == record.spectral_radius_bound
         assert doc["report"]["neumann_bound"] == hc.neumann_bound(
-            record, 24 / 25, orientation="column")
+            record.q_power_norms_colsum, 24 / 25)
         assert doc["report"]["h_star"] == bound.h_star
 
     @pytest.mark.parametrize("constant", [["--alpha0", "1/9"], ["--B0", "2/9"]])
@@ -156,6 +156,20 @@ class TestCertifyCommand:
         assert "Output I" in table
         assert "epsilon_com" in table
 
+    def test_ladder_cap_writes_failed_report(self, tmp_path, map_path, monkeypatch,
+                                             capsys):
+        # the transferred threshold needs 100 000 bins, past the cap
+        monkeypatch.setattr(hc.certify, "LADDER_CAP", 10**4)
+        out = tmp_path / "capped.json"
+        rc = main(["certify", "--map", map_path, "--ell", "1/40",
+                   "--bins-init", "5000", "--cache-dir", str(tmp_path / "cache"),
+                   "--out", str(out)])
+        assert rc == 1
+        doc = json.loads(out.read_text())
+        assert doc["report"]["status"] == "failed"
+        assert "cap of 10000" in doc["report"]["reason"]
+        assert "FAILED" in capsys.readouterr().out
+
 
 class TestCacheCommands:
     def test_list_inspect(self, cli_certified, capsys):
@@ -167,11 +181,13 @@ class TestCacheCommands:
         inspected = capsys.readouterr().out
         assert "spectral" in inspected and "matrix" not in inspected
 
-    def test_purge_on_scratch_dir(self, tmp_path, shift_map_path, capsys):
+    def test_purge_on_scratch_dir(self, tmp_path, shift_map_path, capsys, monkeypatch):
         scratch = tmp_path / "scratch-cache"
-        # one inner pass at 10 bins writes a record and stops uncertified
+        # one pass at 10 bins writes a record; the next ladder mesh (10 000
+        # bins) is past this cap, so the run stops uncertified
+        monkeypatch.setattr(hc.certify, "LADDER_CAP", 10)
         main(["certify", "--map", shift_map_path, "--ell", "1/25",
-              "--bins-init", "10", "--max-inner", "1", "--cache-dir", str(scratch),
+              "--bins-init", "10", "--cache-dir", str(scratch),
               "--out", str(tmp_path / "c.json")])
         # cache directories of older versions also hold text matrices
         (scratch / "x.matrix.txt").write_text("n_bins 1\n")

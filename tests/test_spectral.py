@@ -372,15 +372,18 @@ class TestQPowerNorms:
 class TestNeumannBound:
     def test_zero_q_trivial(self, doubling2):
         data = compute_record(doubling2)
-        # only the leading term survives; both orientations have head 1 here
-        assert neumann_bound(data, 24 / 25) == pytest.approx(25 / 24, rel=1e-14)
-        assert neumann_bound(data, 24 / 25, orientation="row") == pytest.approx(25 / 24, rel=1e-14)
+        # only the leading term survives; both families have head 1 here
+        assert neumann_bound(data.q_power_norms_colsum, 24 / 25) == pytest.approx(
+            25 / 24, rel=1e-14)
+        assert neumann_bound(data.q_power_norms, 24 / 25) == pytest.approx(
+            25 / 24, rel=1e-14)
 
     def test_uniform_shift_row_head(self, shift10_10):
         # row family keeps the computed ||1 - Pi1|| = 1.8 as its head term
         data = compute_record(shift10_10)
-        assert neumann_bound(data, 0.9, orientation="row") == pytest.approx(2.0, rel=1e-12)
-        assert neumann_bound(data, 0.9, orientation="column") == pytest.approx(1 / 0.9, rel=1e-12)
+        assert neumann_bound(data.q_power_norms, 0.9) == pytest.approx(2.0, rel=1e-12)
+        assert neumann_bound(data.q_power_norms_colsum, 0.9) == pytest.approx(
+            1 / 0.9, rel=1e-12)
 
     def test_divergent_tail_raises(self, doubling2):
         data = compute_record(doubling2)
@@ -389,7 +392,7 @@ class TestNeumannBound:
             q_power_norms=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
             q_power_norms_colsum=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0))
         with pytest.raises(NeumannDivergenceError):
-            neumann_bound(bad, 0.5)
+            neumann_bound(bad.q_power_norms_colsum, 0.5)
         # h_star's spectral gate (bound 2 > r - delta) fires before the series
         with pytest.raises(SpectralStructureError):
             h_star(bad, 0.5, 0.01, 0.1, 0.0)
@@ -454,8 +457,8 @@ class TestResolventSpotCheck:
         matrix = hc.build_closed(m3, UlamPartition(120))
         r, delta = 0.7, 0.05
         data = compute_record(matrix)
-        bound_row = h_star(data, r, delta, float(m3.alpha0), 0.0, orientation="row")
-        bound_col = h_star(data, r, delta, float(m3.alpha0), 0.0, orientation="column")
+        row_bound = data.projection_norm / delta + neumann_bound(data.q_power_norms, r)
+        bound_col = h_star(data, r, delta, float(m3.alpha0), 0.0)
         P = matrix.toarray()
         eye = np.eye(120)
         rng = np.random.default_rng(42)
@@ -468,6 +471,6 @@ class TestResolventSpotCheck:
             v /= np.abs(v).sum()
             A = z * eye - P
             x = np.linalg.solve(A.T, v)         # row action: x (z - P) = v
-            assert np.abs(x).sum() <= bound_row.resolvent_l1_bound + 1e-9
+            assert np.abs(x).sum() <= row_bound + 1e-9
             y = np.linalg.solve(A, v)           # column action: (z - P) y = v
             assert np.abs(y).sum() <= bound_col.resolvent_l1_bound + 1e-9
