@@ -122,17 +122,20 @@ def classify_point(tmap: PiecewiseMap, y) -> PointClassification:
     :class:`ClassificationAmbiguityWarning` (and is classified periodic
     at the closest-return period).
     """
-    exact = isinstance(y, Rational)
-    point = Fraction(y) if exact else float(y)
-    orbit = tmap.orbit(point, PERIOD_SEARCH_LIMIT + 1)
-    if exact:
+    if isinstance(y, Rational):
+        # stop at the first return: a returning orbit cycles, so it never
+        # leaves the domain later
+        orbit = [Fraction(y)]
         for p in range(1, PERIOD_SEARCH_LIMIT + 1):
-            if orbit[p] == point:
+            orbit.append(tmap.evaluate(orbit[-1]))
+            if orbit[p] == orbit[0]:
                 deriv = 1.0
                 for k in range(p):
                     deriv *= float(tmap.derivative(orbit[k]))
                 return PointClassification("periodic", p, deriv, False, True)
         return PointClassification("non-periodic", None, None, False, True)
+    point = float(y)
+    orbit = tmap.orbit(point, PERIOD_SEARCH_LIMIT + 1)
     dists = [abs(orbit[p] - point) for p in range(1, PERIOD_SEARCH_LIMIT + 1)]
     p_best = int(np.argmin(dists)) + 1
     if dists[p_best - 1] < ORBIT_RETURN_TOL:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -127,15 +128,29 @@ class Branch:
         den = self.r * x + self.s
         return (self.p * self.s - self.q * self.r) / (den * den)
 
-    @property
+    @cached_property
     def increasing(self) -> bool:
         return self.p * self.s - self.q * self.r > 0
 
-    @property
+    @cached_property
     def image(self) -> tuple:
         """Closure of the image of the domain, as an ordered pair."""
         a, b = self(self.lo), self(self.hi)
         return (a, b) if a <= b else (b, a)
+
+    @cached_property
+    def _integers(self) -> tuple:
+        """Exact integer data for grid arithmetic, computed on first use.
+
+        ``(P, Q, R, S)``, the coefficients scaled by the lcm of their
+        denominators (the same map), then the numerator and denominator of
+        ``lo``, ``hi`` and both image ends, in that order.
+        """
+        coeffs = (self.p, self.q, self.r, self.s)
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        ends = (self.lo, self.hi, *self.image)
+        return (*(c.numerator * (scale // c.denominator) for c in coeffs),
+                *(v for e in ends for v in (e.numerator, e.denominator)))
 
     def contains(self, x) -> bool:
         return self.lo <= x < self.hi

@@ -3,10 +3,13 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import holecert as hc
 from holecert.escape import (
+    PERIOD_SEARCH_LIMIT,
     ClassificationAmbiguityWarning,
+    PointClassification,
     classify_point,
     estimate_escape,
 )
@@ -82,6 +85,45 @@ class TestClassifyPoint:
             cls = classify_point(doubling, 1 / 3 + 1e-10)
         assert cls.ambiguous
         assert cls.kind == "periodic" and cls.period == 2
+
+
+def classify_full_orbit(tmap, y):
+    """The rational branch of classify_point as it was: the whole orbit of
+    PERIOD_SEARCH_LIMIT + 1 points first, then the first return."""
+    point = F(y)
+    orbit = tmap.orbit(point, PERIOD_SEARCH_LIMIT + 1)
+    for p in range(1, PERIOD_SEARCH_LIMIT + 1):
+        if orbit[p] == point:
+            deriv = 1.0
+            for k in range(p):
+                deriv *= float(tmap.derivative(orbit[k]))
+            return PointClassification("periodic", p, deriv, False, True)
+    return PointClassification("non-periodic", None, None, False, True)
+
+
+class TestFirstReturn:
+    """Rational points stop at their first return; the result is unchanged."""
+
+    @given(st.sampled_from(["shift10", "doubling", "bundled"]),
+           st.fractions(0, 1, max_denominator=200).filter(lambda y: y < 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_orbit(self, shift10, doubling, bundled_map, label, y):
+        tmap = {"shift10": shift10, "doubling": doubling, "bundled": bundled_map}[label]
+        outcomes = []
+        for classify in (classify_point, classify_full_orbit):
+            try:
+                outcomes.append(classify(tmap, y))
+            except hc.MapDomainError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    def test_fixed_point_stops_after_one_step(self, shift10, monkeypatch):
+        calls = []
+        evaluate = type(shift10).evaluate
+        monkeypatch.setattr(type(shift10), "evaluate",
+                            lambda self, x: calls.append(x) or evaluate(self, x))
+        assert classify_point(shift10, F(0)).period == 1
+        assert calls == [0]
 
 
 class TestAsymptoticRatio:

@@ -1,5 +1,10 @@
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,3 +17,37 @@ MODULES = ["holecert"] + [f"holecert.{m.name}" for m in pkgutil.iter_modules(hol
 def test_all_names_resolve(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+#: prints, as JSON, the top-level names of the modules that importing the
+#: modules named in argv adds to a fresh interpreter, and the numpy and
+#: scipy modules among everything then loaded
+FOOTPRINT = """
+import importlib, json, sys
+before = set(sys.modules)
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+added = set(sys.modules) - before
+print(json.dumps([sorted({m.partition(".")[0] for m in added}),
+                  sorted(m for m in added if m.partition(".")[0] in ("numpy", "scipy"))]))
+"""
+
+
+def _footprint(*modules):
+    src = Path(holecert.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", FOOTPRINT, *modules], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
+
+
+def test_import_footprint_is_stdlib_numpy_scipy():
+    # the dependency rule: holecert imports the standard library, numpy and
+    # scipy only; what the numpy and scipy modules it loads import in turn
+    # (Cython runtimes, optional helpers) is theirs
+    added, deps = _footprint("holecert.cli")
+    theirs = set(_footprint(*deps)[0])
+    foreign = [m for m in added if m not in sys.stdlib_module_names
+               and m not in ("numpy", "scipy", "holecert") and m not in theirs]
+    assert "holecert" in added and "numpy" in added
+    assert foreign == []

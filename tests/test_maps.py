@@ -14,6 +14,7 @@ from holecert.maps import (
     ExpansionWarning,
     MapConfigError,
     MapDomainError,
+    affine_onto,
     as_rational,
     linear_onto_constants,
     map_from_dict,
@@ -247,3 +248,17 @@ class TestHelpers:
     def test_orbit_exact(self, shift10):
         orbit = shift10.orbit(F(1, 3), 4)
         assert orbit == [F(1, 3), F(1, 3), F(1, 3), F(1, 3)]
+
+    def test_affine_onto_reads_cached_images(self, monkeypatch):
+        # images and orientations are computed once, when the map is built
+        m = hc.full_branch_linear(7)
+        decreasing = Branch(F(0), F(1), F(-1, 2), F(1, 2))
+        assert not decreasing.increasing and decreasing.image == (F(0), F(1, 2))
+
+        def refuse(self, x):
+            raise AssertionError("branch evaluated again")
+
+        monkeypatch.setattr(Branch, "__call__", refuse)
+        assert affine_onto(m.branches)
+        assert all(b.image == (0, 1) and b.increasing for b in m.branches)
+        assert decreasing.image == (F(0), F(1, 2))

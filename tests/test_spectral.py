@@ -6,11 +6,12 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st, target
 
 import holecert as hc
 import norm_oracle
 import spectral_oracle
+from holecert import spectral
 from holecert.maps import Branch
 from holecert.spectral import (
     N_POWERS,
@@ -19,6 +20,7 @@ from holecert.spectral import (
     NoUnitEigenvalueError,
     SpectralStructureError,
     _BLOCK,
+    _equal_rows,
     _q_power_norms,
     compute_record,
     dominant_left_eigenpair,
@@ -369,6 +371,55 @@ class TestQPowerNorms:
         _assert_norms_match(P, u, exact, 1e-13)
 
 
+def _byte_key_classes(P):
+    """Equal-row classes from one byte key per row, the loop _equal_rows replaced."""
+    keys = [P.indices[lo:hi].tobytes() + P.data[lo:hi].tobytes()
+            for lo, hi in zip(P.indptr[:-1], P.indptr[1:])]
+    _, first, classes, copies = np.unique(np.array(keys, dtype=object), return_index=True,
+                                          return_inverse=True, return_counts=True)
+    return first, classes, copies
+
+
+class TestEqualRows:
+    """Hashed equal-row classes against the byte-key loop, bit for bit."""
+
+    @staticmethod
+    def matrix(label, bundled_map):
+        if label == "all-equal":
+            return sp.csr_matrix(np.tile(random_stochastic(5, 300, 0.1)[0], (300, 1)))
+        if label == "all-distinct":
+            return sp.csr_matrix(random_stochastic(6, 300, 0.1))
+        tmap, n = {"kfold20": (kfold_moebius(20), 1500), "bundled": (bundled_map, 5000),
+                   "shift10": (hc.full_branch_linear(10), 10_000)}[label]
+        return hc.build_closed(tmap, UlamPartition(n)).matrix
+
+    @pytest.mark.parametrize("label", ["kfold20", "bundled", "shift10", "all-equal",
+                                       "all-distinct"])
+    def test_matches_byte_keys(self, bundled_map, monkeypatch, label):
+        P = self.matrix(label, bundled_map)
+        got, ref = _equal_rows(P), _byte_key_classes(P)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert len(got[0]) == {"all-equal": 1, "all-distinct": 300}.get(label, len(got[0]))
+        u = np.full(P.shape[0], 1.0 / P.shape[0])
+        norms = _q_power_norms(P, u)
+        monkeypatch.setattr(spectral, "_equal_rows", _byte_key_classes)
+        assert _q_power_norms(P, u) == norms
+
+    @pytest.mark.parametrize("label", ["kfold20", "all-distinct"])
+    def test_hash_collisions_split_but_never_merge(self, bundled_map, monkeypatch, label):
+        # every row hashes alike: only rows equal to the first share its class
+        P = self.matrix(label, bundled_map)
+        monkeypatch.setattr(spectral, "_mix", lambda x: np.zeros_like(x))
+        first, classes, copies = _equal_rows(P)
+        assert (P[first][classes] != P).nnz == 0
+        assert copies.sum() == P.shape[0]
+        equal_to_row0 = (P[np.zeros(P.shape[0], dtype=int)] != P).getnnz(axis=1) == 0
+        assert copies.max() == equal_to_row0.sum()
+        u = np.full(P.shape[0], 1.0 / P.shape[0])
+        _assert_norms_match(P, u, spectral_oracle.q_power_norms(P, u, N_POWERS), 1e-12)
+
+
 class TestNeumannBound:
     def test_zero_q_trivial(self, doubling2):
         data = compute_record(doubling2)
@@ -474,3 +525,50 @@ class TestResolventSpotCheck:
             assert np.abs(x).sum() <= row_bound + 1e-9
             y = np.linalg.solve(A, v)           # column action: (z - P) y = v
             assert np.abs(y).sum() <= bound_col.resolvent_l1_bound + 1e-9
+
+
+def resolvent_norms(P, z):
+    """Max row and max column sums of |(z I - P)^-1|, densely."""
+    R = np.abs(np.linalg.inv(z * np.eye(len(P)) - P))
+    return float(R.sum(axis=1).max()), float(R.sum(axis=0).max())
+
+
+class TestResolventL1Bound:
+    """The row-family resolvent bound against numpy on small dense matrices.
+
+    ``projection_norm / delta + neumann_bound(q_power_norms, r)`` bounds the
+    induced L1 norm of the density action x -> x (z - P)^-1, the max row sum,
+    wherever |z| >= r and |z - 1| > delta, once spectral_radius_bound <=
+    r - delta.  The column family is probed the same way without an
+    assertion; a drawn point where its bound falls short is reported as an
+    event and steered towards by ``target``.
+    """
+
+    @given(st.integers(2, 12), st.integers(0, 2**31 - 1), st.floats(0.05, 1.0),
+           st.floats(0.01, 0.95), st.floats(0.0, 0.99), st.booleans(),
+           st.floats(0.0, 2.0), st.floats(0.0, 2 * math.pi))
+    @settings(max_examples=150, deadline=None)
+    def test_row_family_bounds_the_resolvent(self, n, seed, mixing, d, t, near_one, s, theta):
+        rng = np.random.default_rng(seed)
+        A = rng.random((n, n)) + 1e-3
+        A /= A.sum(axis=1, keepdims=True)
+        P = (1 - mixing) * np.eye(n) + mixing * A      # positive, row-stochastic
+        record = compute_record(hand_matrix(P))
+        N = record.truncation_N
+        floor = max([record.spectral_radius_bound]
+                    + [norms[N + 1] ** (1 / (N + 1))
+                       for norms in (record.q_power_norms, record.q_power_norms_colsum)])
+        assume(floor < 0.98)
+        delta = d * (1 - floor)
+        r = floor + delta + t * (1 - floor - delta)
+        assert record.spectral_radius_bound <= r - delta and r < 1
+        z = (1 + delta * (1 + s) * np.exp(1j * theta) if near_one
+             else r * (1 + s) * np.exp(1j * theta))
+        assume(abs(z) >= r and abs(z - 1) > delta)
+        rows, cols = resolvent_norms(P, z)
+        bound = record.projection_norm / delta + neumann_bound(record.q_power_norms, r)
+        assert rows <= bound * (1 + 1e-9)
+        col_bound = record.projection_norm / delta + neumann_bound(record.q_power_norms_colsum, r)
+        target(cols / col_bound, label="column resolvent / column bound")
+        if cols > col_bound:
+            event("column family bound below the max column sum")

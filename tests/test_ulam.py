@@ -7,9 +7,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import holecert as hc
+import ulam_branchwise
 import ulam_oracle
+from holecert import ulam
 from holecert.maps import Branch, ExpansionWarning
-from holecert.ulam import HoleAlignmentError, UlamPartition, _branch_cells
+from holecert.ulam import HoleAlignmentError, UlamPartition, _cells, _grid, _groups, _int_dtype
 
 
 def brute_force_entry(tmap, n, i, j, samples=4000):
@@ -189,7 +191,10 @@ class TestExactOracle:
 
 
 def cell_dtypes(tmap, n):
-    return {_branch_cells(b, n)[2].dtype for b in tmap.branches}
+    """dtypes of the integer cell arrays that build_closed assembles."""
+    branches, dtype = tmap.branches, _int_dtype(tmap.branches, n)
+    grids = [_grid(b, n) for b in branches]
+    return {_cells(branches[a:b], grids[a:b], n, dtype)[2].dtype for a, b in _groups(grids)}
 
 
 def fits_int64(branch, n):
@@ -209,7 +214,10 @@ def split_map(a):
 
 
 class TestAssemblyDtype:
-    """The int64 and Python-int assemblies against the Fraction oracle."""
+    """The int64 and Python-int assemblies against the Fraction oracle.
+
+    One decision per assembly: int64 when every branch fits (``fits_int64``).
+    """
 
     # small coefficients, which keep (nearly) every drawn map on the int64 path
     @given(random_branches(cut_den=29, end_den=7, extra=()),
@@ -243,7 +251,9 @@ class TestAssemblyDtype:
         m = split_map(F(36001, 72001))
         second = m.branches[1]
         assert fits_int64(second, 659) and not fits_int64(second, 660)
-        assert _branch_cells(second, n)[2].dtype == (np.int64 if n == 659 else object)
+        assert fits_int64(m.branches[0], 660)
+        # the whole assembly switches with the second branch
+        assert cell_dtypes(m, n) == {np.dtype(np.int64 if n == 659 else object)}
         assert_matches_oracle(m, n)
 
     @pytest.mark.parametrize("name", ["bundled_map", "shift10"])
@@ -270,7 +280,90 @@ class TestAssemblyDtype:
             [Branch(F(0), F(1, k), F(k - 1), F(0), F(-1), F(1))]
             + [Branch(F(i, k), F(i + 1, k), F(k), F(-i)) for i in range(1, k)],
             alpha0=F(1, k - 1), B0=F(2, k - 1), label=f"{k}fold-moebius")
-        assert all(_branch_cells(b, 1500)[2].dtype == np.int64 for b in m.branches)
+        assert cell_dtypes(m, 1500) == {np.dtype(np.int64)}
+
+
+def kfold_moebius(k):
+    """x -> (k-1)x/(1-x) on [0, 1/k) plus k-1 slope-k branches (the bench map is k = 20)."""
+    return hc.PiecewiseMap(
+        [Branch(F(0), F(1, k), F(k - 1), F(0), F(-1), F(1))]
+        + [Branch(F(i, k), F(i + 1, k), F(k), F(-i)) for i in range(1, k)],
+        alpha0=F(1, k - 1), B0=F(2, k - 1), label=f"{k}fold-moebius")
+
+
+#: a decreasing linear branch, then an increasing Moebius one, meeting at 2/7:
+#: off every grid but multiples of 7, so that bin is an end row of both
+SHARED_ROW_BRANCHES = [onto_branch("linear", F(0), F(2, 7), F(0), F(1), False),
+                       onto_branch("moebius", F(2, 7), F(1), F(0), F(1), True, F(5, 4))]
+
+
+def assert_matches_branchwise(tmap, n):
+    M = hc.build_closed(tmap, UlamPartition(n)).matrix
+    for got, ref in zip((M.indptr, M.indices, M.data), ulam_branchwise.closed_csr(tmap, n)):
+        assert got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+
+
+def n_groups(tmap, n):
+    return len(list(_groups([_grid(b, n) for b in tmap.branches])))
+
+
+class TestGroupedAssembly:
+    """Runs of branches in one pass against the branch-by-branch assembly."""
+
+    @pytest.mark.parametrize("label, n", [
+        ("kfold20", n) for n in (1, 3, 7, 19, 20, 21, 100, 1500, 1501)
+    ] + [
+        ("bundled", n) for n in (1, 2, 3, 7, 9, 10, 1000, 4330, 5000, 40_000)
+    ] + [
+        ("shift10", n) for n in (10, 11, 100, 1000, 2000, 100_000)
+    ])
+    def test_bit_identical_to_branchwise(self, bundled_map, shift10, label, n):
+        tmap = {"kfold20": kfold_moebius(20), "bundled": bundled_map, "shift10": shift10}[label]
+        assert_matches_branchwise(tmap, n)
+
+    @pytest.mark.parametrize("label, n", [
+        ("kfold20", 1500), ("shift10", 2000), ("bundled", 5000), ("shift10", 100_000),
+    ])
+    def test_group_boundaries_between_branches(self, bundled_map, shift10, label, n):
+        # the cases above that split the branches into several passes
+        tmap = {"kfold20": kfold_moebius(20), "bundled": bundled_map, "shift10": shift10}[label]
+        assert 1 < n_groups(tmap, n) <= tmap.n_branches
+        assert n_groups(tmap, 100) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 37, 100, 1000])
+    @pytest.mark.parametrize("budget", [1, 40, ulam._GROUP_CELLS])
+    def test_shared_end_rows(self, monkeypatch, n, budget):
+        monkeypatch.setattr(ulam, "_GROUP_CELLS", budget)
+        m = hc.PiecewiseMap(SHARED_ROW_BRANCHES, alpha0=F(1, 2), B0=0, label="shared")
+        assert not m.branches[0].increasing
+        if n % 7:
+            assert _grid(m.branches[0], n)[3] == _grid(m.branches[1], n)[2]
+        assert_matches_branchwise(m, n)
+        if n <= 100:
+            assert_matches_oracle(m, n)
+
+    @pytest.mark.parametrize("budget", [1, 100, 3000])
+    def test_small_budgets(self, bundled_map, monkeypatch, budget):
+        # one branch per pass, or a few, on maps with and without a Moebius branch
+        monkeypatch.setattr(ulam, "_GROUP_CELLS", budget)
+        for tmap in (bundled_map, kfold_moebius(20), hc.full_branch_linear(7)):
+            for n in (13, 200, 1001):
+                assert_matches_branchwise(tmap, n)
+
+    def test_repeat_build_uses_cached_branch_data(self, monkeypatch):
+        m = kfold_moebius(20)
+        assert all("_integers" not in b.__dict__ for b in m.branches)   # lazy
+        first = hc.build_closed(m, UlamPartition(150)).matrix
+
+        def refuse(self, x):
+            raise AssertionError("branch evaluated during a repeat build")
+
+        monkeypatch.setattr(Branch, "__call__", refuse)
+        again = hc.build_closed(m, UlamPartition(150)).matrix
+        for a, b in zip((first.indptr, first.indices, first.data),
+                        (again.indptr, again.indices, again.data)):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestBuildOpen:
