@@ -117,26 +117,6 @@ class IterationRecord:
     closed_only_threshold: float | None = None
     spectral_radius_bound: float | None = None   # None on bootstrap passes
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "n_bins": self.n_bins,
-            "mesh": str(self.mesh),
-            "delta": str(self.delta),
-            "used_bootstrap": self.used_bootstrap,
-            "h_star": self.h_star,
-            "transferred_H": self.transferred_H,
-            "neumann": self.neumann,
-            "neumann_rowsum": self.neumann_rowsum,
-            "n1": self.n1,
-            "n2": self.n2,
-            "epsilon0": self.epsilon0,
-            "threshold": self.threshold,
-            "step7_pass": self.step7_pass,
-            "closed_only_threshold": self.closed_only_threshold,
-            "spectral_radius_bound": self.spectral_radius_bound,
-        }
-
 
 @dataclass
 class CertificationReport:
@@ -161,23 +141,6 @@ class CertificationReport:
     @property
     def certified(self) -> bool:
         return self.status == "certified"
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "reason": self.reason,
-            "map_label": self.map_label,
-            "map_fingerprint": self.map_fingerprint,
-            "ell": str(self.ell),
-            "r": str(self.r),
-            "Gamma": str(self.Gamma),
-            "escape_coefficient": self.escape_coefficient,
-            "escape_guarantee": self.escape_guarantee,
-            "delta_com": None if self.delta_com is None else str(self.delta_com),
-            "epsilon_com": None if self.epsilon_com is None else str(self.epsilon_com),
-            "hole_bound": None if self.hole_bound is None else str(self.hole_bound),
-            "iterations": [it.to_dict() for it in self.iterations],
-        }
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,16 @@ One subcommand per pipeline stage: ``spectral``, ``kl-constants``,
 ``certify``, ``escape``, ``hole-asymptotics``, ``reproduce-tables`` and
 ``cache``.  Ulam matrices are built in memory from a map and a bin count;
 only spectral records are cached on disk.  Rationals are written ``p/q``
-and survive exactly into the reports.  Every JSON report embeds a run
-manifest (resolved parameters, map fingerprint, tool version, per-phase
+and survive exactly into the reports.  A report is its result dataclass
+walked field by field (:func:`_jsonify`), so a new field reaches the JSON
+with no serialiser edit; ``spectral`` writes the record's fields
+(``power_iterations`` among them) plus its derived values.
+Every JSON report embeds a run manifest (every computation parameter
+but no output location, map fingerprint, tool version, per-phase
 timings, cache statistics); identical manifests and caches reproduce
-byte-identical reports apart from the timings block.
+byte-identical reports apart from the timings block.  ``kl-constants``
+prints the LY and KL constant fields in dataclass order, then
+``mesh_threshold``.
 
 Exit codes: 0 success, 1 validation/tolerance failure, 2 usage error.
 """
@@ -19,7 +25,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,15 +68,14 @@ class RunManifest:
     timings: dict = field(default_factory=dict)
     cache_stats: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "parameters": self.parameters,
-            "map_fingerprint": self.map_fingerprint,
-            "version": self.version,
-            "timings": self.timings,
-            "cache_stats": self.cache_stats,
-        }
+
+#: argparse keys that place or dispatch a run rather than parametrise it
+_NOT_PARAMETERS = {"func", "subcommand", "out", "out_dir", "cache_dir"}
+
+
+def _manifest(args, tmap, **extra) -> RunManifest:
+    parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
+    return RunManifest(args.subcommand, {**parameters, **extra}, tmap.fingerprint)
 
 
 class _Phase:
@@ -88,24 +93,40 @@ class _Phase:
         return False
 
 
+#: dataclass fields a report leaves out: the constant sets behind the
+#: logged iterations, and the record's fingerprint (in the manifest) and
+#: raw spectral data (reported through derived values)
+_OMITTED = {
+    "CertificationReport": {"ly", "final_constants"},
+    "SpectralRecord": {"map_fingerprint", "mass_vector", "eigenvalues"},
+}
+
+
 def _jsonify(obj):
+    """JSON-ready copy of a report value; a dataclass becomes a dict of its fields."""
+    if obj is None or isinstance(obj, (str, int)):
+        return obj
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, np.ndarray):
         return [float(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else repr(obj)
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
-    return obj
+    if isinstance(obj, Hole):
+        return [str(obj.a), str(obj.b)]
+    omitted = _OMITTED.get(type(obj).__name__, ())
+    return {f.name: _jsonify(getattr(obj, f.name))
+            for f in fields(obj) if f.name not in omitted}
 
 
-def _write_report(path, manifest: RunManifest, payload: dict) -> None:
-    doc = {"manifest": _jsonify(manifest.to_dict()), "report": _jsonify(payload)}
+def _write_report(path, manifest: RunManifest, payload) -> None:
+    doc = _jsonify({"manifest": manifest, "report": payload})
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -121,35 +142,23 @@ def _make_cache(args) -> PipelineCache:
 # -- subcommands -----------------------------------------------------------------
 
 def _cmd_spectral(args) -> int:
-    manifest = RunManifest("spectral", {
-        "map": str(args.map), "bins": args.bins, "r": str(args.r),
-        "delta": str(args.delta),
-    })
     tmap = load_map(args.map)
-    manifest.map_fingerprint = tmap.fingerprint
+    manifest = _manifest(args, tmap)
     with _Phase(manifest, "assembly"):
         matrix = build_closed(tmap, UlamPartition(args.bins))
     with _Phase(manifest, "analysis"):
         record = compute_record(matrix)
-    payload = {
-        "n_bins": record.n_bins,
-        "r": str(args.r),
-        "delta": str(args.delta),
-        "unit_eigenvalue": record.eigenvalues[0],
-        "unit_residual": record.unit_residual,
-        "spectral_radius_bound": record.spectral_radius_bound,
-        "projection_norm": record.projection_norm,
-        "q_power_norms": list(record.q_power_norms),
-        "q_power_norms_colsum": list(record.q_power_norms_colsum),
-        "truncation_N": record.truncation_N,
-        "invariant_density": record.invariant_density,
-        "neumann_bound": neumann_bound(record.q_power_norms_colsum, float(args.r)),
-    }
+    payload = dict(
+        _jsonify(record), r=args.r, delta=args.delta,
+        unit_eigenvalue=record.eigenvalues[0],
+        spectral_radius_bound=record.spectral_radius_bound,
+        truncation_N=record.truncation_N,
+        invariant_density=record.invariant_density,
+        neumann_bound=neumann_bound(record.q_power_norms_colsum, float(args.r)))
     if args.alpha0 is not None:
         bound = h_star(record, float(args.r), float(args.delta),
                        float(args.alpha0), float(args.B0))
-        payload["resolvent_l1_bound"] = bound.resolvent_l1_bound
-        payload["h_star"] = bound.h_star
+        payload.update(resolvent_l1_bound=bound.resolvent_l1_bound, h_star=bound.h_star)
     _write_report(args.out, manifest, payload)
     return 0
 
@@ -158,17 +167,9 @@ def _cmd_kl_constants(args) -> int:
     mode = CLOSED_ONLY if args.closed_only else HOLE_UNIFORM
     ly = ly_constants(args.alpha0, args.B0, mode)
     chain = kl_constants(ly, args.r, args.delta, args.H)
-    rows = [
-        ("mode", ly.mode), ("alpha0", ly.alpha0), ("B0", ly.B0),
-        ("alpha", ly.alpha), ("B", ly.B), ("B_hat", ly.B_hat), ("D", ly.D),
-        ("Gamma", ly.Gamma), ("r", chain.r), ("delta", chain.delta),
-        ("H", chain.H), ("n1", chain.n1), ("C", chain.C), ("n2", chain.n2),
-        ("gamma", chain.gamma), ("epsilon1", chain.epsilon1),
-        ("epsilon0", chain.epsilon0), ("a", chain.a), ("b", chain.b),
-        ("resolvent_transfer_bound", chain.resolvent_transfer_bound),
-        ("mesh_threshold", chain.mesh_threshold),
-    ]
-    for name, value in rows:
+    rows = [(f.name, getattr(obj, f.name))
+            for obj in (ly, chain) for f in fields(obj) if f.name != "ly"]
+    for name, value in rows + [("mesh_threshold", chain.mesh_threshold)]:
         if isinstance(value, float):
             print(f"{name:26s} {value:.12g}")
         else:
@@ -208,13 +209,8 @@ def _iteration_table(report: CertificationReport) -> str:
 
 
 def _cmd_certify(args) -> int:
-    manifest = RunManifest("certify", {
-        "map": str(args.map), "ell": str(args.ell),
-        "delta_init": str(args.delta_init) if args.delta_init else None,
-        "bins_init": args.bins_init,
-    })
     tmap = load_map(args.map)
-    manifest.map_fingerprint = tmap.fingerprint
+    manifest = _manifest(args, tmap)
     cache = _make_cache(args)
     config = CertificationConfig(
         ell=args.ell, delta_init=args.delta_init, bins_init=args.bins_init)
@@ -222,42 +218,24 @@ def _cmd_certify(args) -> int:
         report = run_certification(tmap, config, cache=cache)
     manifest.cache_stats = dict(cache.stats)
     print(_iteration_table(report))
-    _write_report(args.out, manifest, report.to_dict())
+    _write_report(args.out, manifest, report)
     return 0 if report.certified else 1
 
 
 def _cmd_escape(args) -> int:
-    manifest = RunManifest("escape", {
-        "map": str(args.map), "bins": args.bins, "hole": str(args.hole),
-    })
     tmap = load_map(args.map)
-    manifest.map_fingerprint = tmap.fingerprint
+    manifest = _manifest(args, tmap)
     with _Phase(manifest, "escape"):
         est = estimate_escape(tmap, UlamPartition(args.bins), args.hole)
     print(f"hole {args.hole}: e_H = {est.e_H:.12g}, escape rate = "
           f"{est.escape_rate:.12g}, residual = {est.solver_residual:.3g}")
-    payload = {
-        "hole": [str(args.hole.a), str(args.hole.b)],
-        "n_bins": est.n_bins,
-        "e_H": est.e_H,
-        "escape_rate": est.escape_rate,
-        "total_escape": est.total_escape,
-        "solver_residual": est.solver_residual,
-        "iterations": est.iterations,
-        "accim_density": est.accim_density,
-    }
-    _write_report(args.out, manifest, payload)
+    _write_report(args.out, manifest, est)
     return 0
 
 
 def _cmd_hole_asymptotics(args) -> int:
-    manifest = RunManifest("hole-asymptotics", {
-        "map": str(args.map), "point": str(args.point),
-        "widths": [str(w) for w in args.widths],
-        "bins_per_hole": args.bins_per_hole,
-    })
     tmap = load_map(args.map)
-    manifest.map_fingerprint = tmap.fingerprint
+    manifest = _manifest(args, tmap)
     with _Phase(manifest, "experiment"):
         exp = asymptotic_ratio(tmap, args.point, args.widths, args.bins_per_hole)
     cls = exp.classification
@@ -268,25 +246,7 @@ def _cmd_hole_asymptotics(args) -> int:
         print(f"  width {str(w):>10s}  bins {n:>8d}  e_H {e:.12g}  ratio {ratio:.8g}")
     print(f"  extrapolated limit {exp.extrapolated_limit:.8g}"
           f"  (predicted {exp.predicted_limit:.8g}, f* from {exp.f_star_source})")
-    payload = {
-        "point": exp.point,
-        "widths": [str(w) for w in exp.widths],
-        "holes": [[str(h.a), str(h.b)] for h in exp.holes],
-        "n_bins": list(exp.n_bins),
-        "e_values": list(exp.e_values),
-        "ratios": list(exp.ratios),
-        "extrapolated_limit": exp.extrapolated_limit,
-        "low_confidence": exp.low_confidence,
-        "classification": {
-            "kind": cls.kind, "period": cls.period,
-            "derivative": cls.derivative, "ambiguous": cls.ambiguous,
-            "exact": cls.exact,
-        },
-        "f_star_value": exp.f_star_value,
-        "f_star_source": exp.f_star_source,
-        "predicted_limit": exp.predicted_limit,
-    }
-    _write_report(args.out, manifest, payload)
+    _write_report(args.out, manifest, exp)
     return 0
 
 
@@ -407,9 +367,7 @@ def _cmd_reproduce_tables(args) -> int:
     all_ok = True
     for which in ("table1", "table2"):
         spec = REFERENCE_TABLES[which]
-        manifest = RunManifest("reproduce-tables", {
-            "table": which, "ell": str(spec["ell"]), "bins": args.bins,
-        }, map_fingerprint=tmap.fingerprint)
+        manifest = _manifest(args, tmap, table=which, ell=spec["ell"])
         config = CertificationConfig(ell=spec["ell"], bins_init=args.bins)
         before = dict(cache.stats)
         with _Phase(manifest, "certification"):
@@ -424,8 +382,8 @@ def _cmd_reproduce_tables(args) -> int:
             mark = "ok " if d["pass"] else "FAIL"
             rel = "" if d["rel"] is None else f"  rel={d['rel']:.2e} (tol {d['tol']:g})"
             print(f"  [{mark}] {d['cell']:24s} got={d['got']}  expected={d['expected']}{rel}")
-        payload = {"report": report.to_dict(), "cells": diffs, "all_pass": ok}
-        _write_report(out_dir / f"{which}.json", manifest, payload)
+        _write_report(out_dir / f"{which}.json", manifest,
+                      {"report": report, "cells": diffs, "all_pass": ok})
     print("reproduction " + ("PASSED" if all_ok else "FAILED"))
     return 0 if all_ok else 1
 

@@ -224,3 +224,115 @@ class TestReproduceTablesCommand:
         assert len(caches) == 1
         assert {key: stats[0][key] + stats[1][key] for key in stats[0]} == caches[0].stats
         assert sum(stats[0].values()) >= 1 and sum(stats[1].values()) >= 1
+
+
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+#: the report shapes: every key below is a field of a result dataclass
+#: (or a derived value of the spectral record), so a renamed or dropped
+#: field fails here instead of silently reshaping the JSON
+MANIFEST_KEYS = {"subcommand", "parameters", "map_fingerprint", "version",
+                 "timings", "cache_stats"}
+SPECTRAL_KEYS = {"n_bins", "r", "delta", "unit_eigenvalue", "unit_residual",
+                 "spectral_radius_bound", "projection_norm", "q_power_norms",
+                 "q_power_norms_colsum", "truncation_N", "invariant_density",
+                 "neumann_bound", "power_iterations"}
+CERTIFY_KEYS = {"status", "reason", "map_label", "map_fingerprint", "ell", "r",
+                "Gamma", "escape_coefficient", "escape_guarantee", "delta_com",
+                "epsilon_com", "hole_bound", "iterations"}
+ITERATION_KEYS = {"index", "n_bins", "mesh", "delta", "used_bootstrap", "h_star",
+                  "transferred_H", "neumann", "neumann_rowsum", "n1", "n2",
+                  "epsilon0", "threshold", "step7_pass", "closed_only_threshold",
+                  "spectral_radius_bound"}
+ESCAPE_KEYS = {"hole", "n_bins", "e_H", "escape_rate", "total_escape",
+               "solver_residual", "iterations", "accim_density"}
+ASYMPTOTICS_KEYS = {"point", "widths", "holes", "n_bins", "e_values", "ratios",
+                    "extrapolated_limit", "low_confidence", "classification",
+                    "f_star_value", "f_star_source", "predicted_limit"}
+CLASSIFICATION_KEYS = {"kind", "period", "derivative", "ambiguous", "exact"}
+
+
+class TestReportShapes:
+    def _run(self, tmp_path, argv):
+        out = tmp_path / f"{argv[0]}-{len(list(tmp_path.iterdir()))}.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        doc = _strict_json(out.read_text())
+        assert set(doc) == {"manifest", "report"}
+        assert set(doc["manifest"]) == MANIFEST_KEYS
+        return doc
+
+    def test_spectral(self, tmp_path, shift_map_path):
+        argv = ["spectral", "--map", shift_map_path, "--bins", "10",
+                "--r", "24/25", "--delta", "1/26"]
+        plain = self._run(tmp_path, argv)
+        assert set(plain["report"]) == SPECTRAL_KEYS
+        assert plain["manifest"]["parameters"] == {
+            "map": shift_map_path, "bins": 10, "r": "24/25", "delta": "1/26",
+            "alpha0": None, "B0": None}
+        bounded = self._run(tmp_path, argv + ["--alpha0", "1/9", "--B0", "2/9"])
+        assert set(bounded["report"]) == SPECTRAL_KEYS | {"resolvent_l1_bound", "h_star"}
+
+    def test_spectral_manifest_names_the_constants(self, tmp_path, shift_map_path):
+        # h_star depends on alpha0, so two runs that differ only there must
+        # not share a manifest
+        argv = ["spectral", "--map", shift_map_path, "--bins", "10",
+                "--r", "24/25", "--delta", "1/26", "--B0", "2/9"]
+        docs = {a: self._run(tmp_path, argv + ["--alpha0", a]) for a in ("1/9", "1/10")}
+        for alpha0, doc in docs.items():
+            assert doc["manifest"]["parameters"]["alpha0"] == alpha0
+        assert docs["1/9"]["manifest"] != docs["1/10"]["manifest"]
+        assert docs["1/9"]["report"]["h_star"] != docs["1/10"]["report"]["h_star"]
+
+    def test_certify(self, cli_certified):
+        doc = _strict_json(cli_certified["outs"][0].read_text())
+        assert set(doc["manifest"]) == MANIFEST_KEYS
+        assert set(doc["manifest"]["parameters"]) == {"map", "ell", "delta_init",
+                                                      "bins_init"}
+        assert set(doc["report"]) == CERTIFY_KEYS
+        assert all(set(it) == ITERATION_KEYS for it in doc["report"]["iterations"])
+
+    def test_escape(self, tmp_path, shift_map_path):
+        doc = self._run(tmp_path, ["escape", "--map", shift_map_path, "--bins", "10",
+                                   "--hole", "0,1/10"])
+        assert set(doc["report"]) == ESCAPE_KEYS
+        assert doc["report"]["hole"] == ["0", "1/10"]
+        assert doc["manifest"]["parameters"] == {
+            "map": shift_map_path, "bins": 10, "hole": ["0", "1/10"]}
+
+    def test_total_escape_stays_strict_json(self, tmp_path, shift_map_path):
+        # e_H = 0 makes the escape rate infinite; it is written as "inf"
+        doc = self._run(tmp_path, ["escape", "--map", shift_map_path, "--bins", "10",
+                                   "--hole", "0,1"])
+        assert doc["report"]["e_H"] == 0.0
+        assert doc["report"]["escape_rate"] == "inf"
+        assert doc["report"]["total_escape"] is True
+
+    def test_hole_asymptotics(self, tmp_path, shift_map_path):
+        doc = self._run(tmp_path, ["hole-asymptotics", "--map", shift_map_path,
+                                   "--point", "0", "--widths", "1/10,1/100"])
+        assert set(doc["report"]) == ASYMPTOTICS_KEYS
+        assert set(doc["report"]["classification"]) == CLASSIFICATION_KEYS
+        assert doc["report"]["holes"][0] == ["0", "1/10"]
+        assert doc["manifest"]["parameters"] == {
+            "map": shift_map_path, "point": "0", "widths": ["1/10", "1/100"],
+            "bins_per_hole": 10}
+
+    def test_reproduce_tables(self, tmp_path, shift_map_path, cache_dir):
+        rc = main(["reproduce-tables", "--map", shift_map_path, "--bins", "100",
+                   "--out-dir", str(tmp_path), "--cache-dir", cache_dir])
+        assert rc == 1          # the bundled map's reference cells do not fit
+        for which, ell in (("table1", "1/25"), ("table2", "1/40")):
+            doc = _strict_json((tmp_path / f"{which}.json").read_text())
+            assert set(doc["manifest"]) == MANIFEST_KEYS
+            assert doc["manifest"]["parameters"] == {
+                "map": shift_map_path, "bins": 100, "table": which, "ell": ell}
+            payload = doc["report"]
+            assert set(payload) == {"report", "cells", "all_pass"}
+            assert set(payload["report"]) == CERTIFY_KEYS
+            assert all(set(it) == ITERATION_KEYS for it in payload["report"]["iterations"])
+            assert all(set(cell) == {"cell", "got", "expected", "rel", "tol", "pass"}
+                       for cell in payload["cells"])
