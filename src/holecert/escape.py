@@ -1,10 +1,11 @@
 """Escape behavior of concrete open systems.
 
-The dominant eigenpair of the sub-stochastic open Ulam matrix gives the
-discrete escape factor e_H (escape rate -ln e_H) and the conditionally
-invariant density estimate.  A second tool runs the shrinking-hole
-experiment: for nested aligned holes around a point y, the ratios
-(1 - e_H) / lambda(H) approach f*(y) when y is non-periodic and
+The dominant eigenpair of the sub-stochastic open Ulam matrix (the closed
+one with the hole's rows zeroed, stepped as a mask on the closed matrix)
+gives the discrete escape factor e_H (escape rate -ln e_H) and the
+conditionally invariant density estimate.  A second tool runs the
+shrinking-hole experiment: for nested aligned holes around a point y, the
+ratios (1 - e_H) / lambda(H) approach f*(y) when y is non-periodic and
 f*(y) (1 - 1/|(T^p)'(y)|) when y has period p, f* the invariant density.
 Ulam densities only converge in L1, so any pointwise f* read off the
 closed matrix is advisory; for full-branch piecewise-linear maps f* = 1
@@ -24,7 +25,7 @@ import numpy as np
 from .cache import PipelineCache
 from .maps import PiecewiseMap, affine_onto, as_rational
 from .spectral import dominant_left_eigenpair, invariant_density
-from .ulam import Hole, UlamMatrix, UlamPartition, build_open
+from .ulam import Hole, UlamMatrix, UlamPartition, _checked_closed
 
 __all__ = [
     "EscapeEstimate",
@@ -69,18 +70,26 @@ def estimate_escape(tmap: PiecewiseMap, partition: UlamPartition, hole: Hole, *,
                     closed: UlamMatrix | None = None) -> EscapeEstimate:
     """Escape factor and accim density of the open system for one hole.
 
-    Power iteration on the sub-stochastic matrix (the dominant eigenpair of
-    a nonnegative matrix is exactly what the iteration delivers, and the
-    accim density comes for free); successive eigenvalue ratios must agree
-    within 1e-12 and the final residual within 1e-10, else
-    :class:`PowerIterationError`.  A hole that swallows everything
+    Power iteration on the sub-stochastic open matrix (the dominant
+    eigenpair of a nonnegative matrix is exactly what the iteration
+    delivers, and the accim density comes for free); successive eigenvalue
+    ratios must agree within 1e-12 and the final residual within 1e-10,
+    else :class:`PowerIterationError`.  A hole that swallows everything
     reachable yields e_H = 0 with ``total_escape`` set.
 
-    ``closed`` reuses a previously built closed matrix (checked against
-    the map fingerprint).
+    The open matrix is never formed: each step is ``P^T (x * keep)`` with
+    the closed matrix's cached transpose and ``keep`` zero on the hole's
+    bins, bit for bit the iteration on :func:`~holecert.ulam.build_open`'s
+    matrix.  ``closed`` reuses a previously built closed matrix (checked
+    against the map fingerprint and partition), and with it the transpose
+    built for an earlier hole; the hole must align with the partition
+    (:class:`~holecert.ulam.HoleAlignmentError`).
     """
-    open_matrix = build_open(tmap, partition, hole, closed=closed)
-    lam, x, residual, iters = dominant_left_eigenpair(open_matrix.matrix, tol=RATIO_TOL)
+    hole_bins = hole.bin_range(partition)   # raises HoleAlignmentError if misaligned
+    closed = _checked_closed(tmap, partition, closed)
+    keep = np.ones(partition.n_bins)
+    keep[hole_bins.start:hole_bins.stop] = 0.0
+    lam, x, residual, iters = dominant_left_eigenpair(closed, tol=RATIO_TOL, keep=keep)
     if lam == 0.0:
         return EscapeEstimate(hole=hole, n_bins=partition.n_bins, e_H=0.0,
                               escape_rate=math.inf,
@@ -262,7 +271,7 @@ def asymptotic_ratio(tmap: PiecewiseMap, y, widths, bins_per_hole: int, *,
         f_star_value, source = 1.0, "uniform-exact"
     else:
         # the finest partition's density, read in the bin of y
-        _lam, u, _res, _it = invariant_density(closed.matrix)
+        _lam, u, _res, _it = invariant_density(closed)    # its transpose is cached
         f_star_value = float(u[int(y_frac * n)] * n)
         source = "ulam-advisory"
     predicted = f_star_value

@@ -101,7 +101,8 @@ class NeumannDivergenceError(ArithmeticError):
     """Neumann tail ratio q >= 1 at the record's truncation index."""
 
 
-def dominant_left_eigenpair(P: sp.csr_matrix, tol: float = 1e-14):
+def dominant_left_eigenpair(P: sp.csr_matrix | UlamMatrix, tol: float = 1e-14,
+                            keep: np.ndarray | None = None):
     """Power iteration for the dominant left eigenpair of a nonnegative matrix.
 
     Iterates ``x -> x @ P``, as ``P^T x`` with P^T in CSR, with L1
@@ -110,14 +111,21 @@ def dominant_left_eigenpair(P: sp.csr_matrix, tol: float = 1e-14):
     estimate is the mass ratio per step and convergence is declared when
     successive ratios agree within ``tol``.  The value 0.0 with a zero
     vector signals total mass loss (all-escape open matrices).
+
+    ``P`` is a CSR matrix, whose transpose is built for this call, or an
+    :class:`UlamMatrix`, whose cached ``transposed`` is used.  A 0/1
+    ``keep`` mask iterates the matrix with the rows where it is 0 zeroed,
+    ``x -> (x * keep) @ P``: the open matrix of a hole, from its closed
+    matrix.  Bit for bit the same as iterating that open matrix, since its
+    dropped entries only add ``P[i, j] * 0.0`` to nonnegative sums.
     """
-    n = P.shape[0]
-    PT = P.T.tocsr()      # x @ P as PT @ x, without a transpose per step
+    PT = P.transposed if isinstance(P, UlamMatrix) else P.T.tocsr()
+    n = PT.shape[0]
     x = np.full(n, 1.0 / n)
     lam_prev = np.inf
     lam = 0.0
     for it in range(1, 10**6 + 1):
-        y = PT @ x
+        y = PT @ (x if keep is None else x * keep)
         lam = float(np.abs(y).sum())
         if lam <= 1e-300:
             return 0.0, np.zeros(n), 0.0, it
@@ -129,7 +137,7 @@ def dominant_left_eigenpair(P: sp.csr_matrix, tol: float = 1e-14):
             break
         lam_prev = lam
         x = y
-    residual = float(np.abs(PT @ x - lam * x).sum())
+    residual = float(np.abs(PT @ (x if keep is None else x * keep) - lam * x).sum())
     return lam, x, residual, it
 
 
@@ -308,7 +316,7 @@ def _q_power_norms(P: sp.csr_matrix, u: np.ndarray) -> tuple[list[float], list[f
     return row_norms, col_norms
 
 
-def invariant_density(P: sp.csr_matrix):
+def invariant_density(P: sp.csr_matrix | UlamMatrix):
     """``(eigenvalue, u, residual, iterations)`` of a closed Ulam matrix, u
     its invariant mass vector clamped at 0 and summing to 1.  Raises
     :class:`NoUnitEigenvalueError` when the eigenvalue is more than 1e-8 off

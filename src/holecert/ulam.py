@@ -19,7 +19,10 @@ to 1 exactly before it (the map is a self-map of [0, 1]), so a rounded
 row's exact sum is within 2^-53 of 1.  The open-system matrix for a hole
 aligned with the partition equals the closed matrix with the rows of all
 bins inside the hole zeroed; it is sub-stochastic and its dominant
-eigenvalue is the discrete escape factor.
+eigenvalue is the discrete escape factor.  Since ``x P_H = (x 1_{not H}) P``,
+escape estimates step the closed matrix's cached CSR transpose
+(``UlamMatrix.transposed``) with the hole's bins masked and never form
+``P_H``; ``build_open`` builds it for callers that want the matrix.
 
 Matrices are plain ``scipy.sparse.csr_matrix`` wrapped with partition and
 provenance metadata.  They live only in the process that built them: the
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -125,6 +129,12 @@ class UlamMatrix:
 
     def toarray(self) -> np.ndarray:
         return self.matrix.toarray()
+
+    @cached_property
+    def transposed(self) -> sp.csr_matrix:
+        """P^T in CSR, built on first use and kept: ``x @ P`` as ``P^T @ x``
+        for every hole stepped on this matrix."""
+        return self.matrix.T.tocsr()
 
 
 # -- assembly ------------------------------------------------------------------
@@ -270,6 +280,19 @@ def build_closed(tmap: PiecewiseMap, partition: UlamPartition) -> UlamMatrix:
     return UlamMatrix(partition, matrix, "closed", tmap.fingerprint)
 
 
+def _checked_closed(tmap: PiecewiseMap, partition: UlamPartition,
+                    closed: UlamMatrix | None = None) -> UlamMatrix:
+    """``closed`` after checking it is the closed matrix of ``tmap`` (by
+    fingerprint) on ``partition``; a freshly built one when it is None."""
+    if closed is None:
+        return build_closed(tmap, partition)
+    if closed.mode != "closed" or closed.partition != partition:
+        raise ValueError("supplied matrix is not a closed matrix on this partition")
+    if closed.map_fingerprint != tmap.fingerprint:
+        raise ValueError("supplied closed matrix was built from a different map")
+    return closed
+
+
 def build_open(tmap: PiecewiseMap, partition: UlamPartition, hole: Hole,
                closed: UlamMatrix | None = None) -> UlamMatrix:
     """Open-system matrix: the closed matrix with in-hole rows zeroed.
@@ -278,15 +301,8 @@ def build_open(tmap: PiecewiseMap, partition: UlamPartition, hole: Hole,
     map and partition (checked by fingerprint) to avoid reassembly.
     """
     hole_bins = hole.bin_range(partition)   # raises HoleAlignmentError if misaligned
-    if closed is None:
-        closed = build_closed(tmap, partition)
-    else:
-        if closed.mode != "closed" or closed.partition != partition:
-            raise ValueError("supplied matrix is not a closed matrix on this partition")
-        if closed.map_fingerprint != tmap.fingerprint:
-            raise ValueError("supplied closed matrix was built from a different map")
     # drop the hole's stretch of indices/data; its rows become empty
-    P = closed.matrix
+    P = _checked_closed(tmap, partition, closed).matrix
     lo, hi = P.indptr[hole_bins.start], P.indptr[hole_bins.stop]
     open_mat = sp.csr_matrix((np.delete(P.data, np.s_[lo:hi]), np.delete(P.indices, np.s_[lo:hi]),
                               P.indptr - np.clip(P.indptr - lo, 0, hi - lo)), shape=P.shape)

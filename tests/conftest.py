@@ -40,6 +40,15 @@ def doubling():
 
 
 @pytest.fixture(scope="session")
+def decreasing_map():
+    """A decreasing Moebius branch from 1 down to 0, then 2x - 1."""
+    return hc.PiecewiseMap([hc.Branch(Fraction(0), Fraction(1, 2), Fraction(-2), Fraction(1),
+                                      Fraction(1), Fraction(1)),
+                            hc.Branch(Fraction(1, 2), Fraction(1), Fraction(2), Fraction(-1))],
+                           alpha0=Fraction(3, 4), B0=2, label="decreasing-moebius")
+
+
+@pytest.fixture(scope="session")
 def bundled_spectral_5000(bundled_map, pipeline_cache):
     """Spectral record of the bundled map at mesh 2e-4 (heavy, shared)."""
     return pipeline_cache.spectral_record(bundled_map, 5000)

@@ -2,10 +2,12 @@ import math
 from fractions import Fraction as F
 
 import numpy as np
+import scipy.sparse as sp
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import holecert as hc
+from escape_oracle import open_matrix_escape
 from holecert.escape import (
     PERIOD_SEARCH_LIMIT,
     ClassificationAmbiguityWarning,
@@ -53,6 +55,85 @@ class TestEstimateEscape:
                                   closed=closed)
             evals.append(est.e_H)
         assert all(b <= a + 1e-14 for a, b in zip(evals, evals[1:]))
+
+
+def oracle_holes(n):
+    """One hole at 0, one ending at 1, an interior one and all of [0, 1)."""
+    return [hc.Hole(F(0), F(1, n)), hc.Hole(F(n - 1, n), F(1)),
+            hc.Hole(F(n // 3, n), F(n // 3 + max(1, n // 20), n)), hc.Hole(F(0), F(1))]
+
+
+def assert_same_estimate(got, ref):
+    assert (got.e_H.hex(), got.iterations, got.solver_residual.hex(), got.total_escape) \
+        == (ref.e_H.hex(), ref.iterations, ref.solver_residual.hex(), ref.total_escape)
+    assert got.escape_rate == ref.escape_rate
+    assert got.accim_density.tobytes() == ref.accim_density.tobytes()
+
+
+def count_transposes(monkeypatch):
+    """The CSR matrices transposed from now on, in order."""
+    transposed = []
+    transpose = sp.csr_matrix.transpose
+    monkeypatch.setattr(sp.csr_matrix, "transpose",
+                        lambda self, *a, **k: transposed.append(self) or transpose(self, *a, **k))
+    return transposed
+
+
+class TestMaskedIteration:
+    """The closed matrix stepped with the hole masked against power
+    iteration on the open matrix that build_open forms, bit for bit."""
+
+    @pytest.mark.parametrize("n", [10, 11, 100, 1000, 5000])
+    @pytest.mark.parametrize("label", ["shift10", "bundled", "decreasing"])
+    def test_matches_open_matrix(self, shift10, bundled_map, decreasing_map, label, n):
+        tmap = {"shift10": shift10, "bundled": bundled_map, "decreasing": decreasing_map}[label]
+        part = UlamPartition(n)
+        closed = hc.build_closed(tmap, part)
+        for hole in oracle_holes(n):
+            ref = open_matrix_escape(tmap, part, hole, closed=closed)
+            assert_same_estimate(estimate_escape(tmap, part, hole, closed=closed), ref)
+        # without ``closed`` the closed matrix is built for the call
+        assert_same_estimate(estimate_escape(tmap, part, hole), ref)
+
+    def test_one_transpose_for_many_holes(self, bundled_map, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("open matrix formed")
+
+        monkeypatch.setattr("holecert.ulam.build_open", refuse)
+        part = UlamPartition(500)
+        closed = hc.build_closed(bundled_map, part)
+        transposed = count_transposes(monkeypatch)
+        for hole in oracle_holes(500):
+            estimate_escape(bundled_map, part, hole, closed=closed)
+        assert len(transposed) == 1 and transposed[0] is closed.matrix
+
+    @pytest.mark.parametrize("label, widths, bins_per_hole", [
+        ("shift10", [F(1, 10), F(1, 100)], 10),
+        # the advisory f* is read off the finest matrix with its transpose
+        ("bundled", [F(1, 50), F(1, 100)], 5),
+    ])
+    def test_cache_shares_transpose_between_points(self, shift10, bundled_map, monkeypatch,
+                                                   label, widths, bins_per_hole):
+        tmap = {"shift10": shift10, "bundled": bundled_map}[label]
+        cache = hc.PipelineCache()
+        transposed = count_transposes(monkeypatch)
+        for y in (F(0), F(1, 7), math.sqrt(2) - 1):
+            hc.asymptotic_ratio(tmap, y, widths, bins_per_hole, cache=cache)
+        n_bins = [int(bins_per_hole / w) for w in widths]
+        assert [m.shape for m in transposed] == [(n, n) for n in n_bins]
+
+    def test_closed_matrix_checks_kept(self, shift10, bundled_map):
+        part = UlamPartition(20)
+        closed = hc.build_closed(shift10, part)
+        with pytest.raises(hc.HoleAlignmentError):
+            estimate_escape(shift10, part, hc.Hole(F(1, 3), F(1, 2)), closed=closed)
+        with pytest.raises(ValueError, match="different map"):
+            estimate_escape(bundled_map, part, hc.Hole(F(0), F(1, 20)), closed=closed)
+        with pytest.raises(ValueError, match="not a closed matrix"):
+            estimate_escape(shift10, UlamPartition(10), hc.Hole(F(0), F(1, 10)), closed=closed)
+        open_m = hc.build_open(shift10, part, hc.Hole(F(0), F(1, 20)))
+        with pytest.raises(ValueError, match="not a closed matrix"):
+            estimate_escape(shift10, part, hc.Hole(F(0), F(1, 20)), closed=open_m)
 
 
 class TestClassifyPoint:

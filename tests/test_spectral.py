@@ -164,6 +164,13 @@ class TestEigenAnalysis:
         assert density.min() >= 0.0
         assert density.sum() / 100 == pytest.approx(1.0, abs=1e-13)
 
+    def test_record_keeps_no_transpose(self, bundled_map):
+        # the record's power iteration transposes for the call only; a
+        # closed matrix keeps a transpose once an escape estimate asks
+        M = hc.build_closed(bundled_map, UlamPartition(100))
+        compute_record(M)
+        assert "transposed" not in vars(M)
+
     def test_requires_closed_mode(self, shift10):
         open_m = hc.build_open(shift10, UlamPartition(10), hc.Hole(F(0), F(1, 10)))
         with pytest.raises(ValueError):
