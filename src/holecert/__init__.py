@@ -27,7 +27,6 @@ from .ulam import (
     UlamMatrix,
     UlamPartition,
     build_closed,
-    build_open,
 )
 from .spectral import (
     NeumannDivergenceError,

@@ -25,7 +25,7 @@ import numpy as np
 from .cache import PipelineCache
 from .maps import PiecewiseMap, affine_onto, as_rational
 from .spectral import dominant_left_eigenpair, invariant_density
-from .ulam import Hole, UlamMatrix, UlamPartition, _checked_closed
+from .ulam import Hole, UlamMatrix, UlamPartition, build_closed
 
 __all__ = [
     "EscapeEstimate",
@@ -70,23 +70,29 @@ def estimate_escape(tmap: PiecewiseMap, partition: UlamPartition, hole: Hole, *,
                     closed: UlamMatrix | None = None) -> EscapeEstimate:
     """Escape factor and accim density of the open system for one hole.
 
-    Power iteration on the sub-stochastic open matrix (the dominant
+    Power iteration on the sub-stochastic open system (the dominant
     eigenpair of a nonnegative matrix is exactly what the iteration
     delivers, and the accim density comes for free); successive eigenvalue
     ratios must agree within 1e-12 and the final residual within 1e-10,
     else :class:`PowerIterationError`.  A hole that swallows everything
     reachable yields e_H = 0 with ``total_escape`` set.
 
-    The open matrix is never formed: each step is ``P^T (x * keep)`` with
-    the closed matrix's cached transpose and ``keep`` zero on the hole's
-    bins, bit for bit the iteration on :func:`~holecert.ulam.build_open`'s
-    matrix.  ``closed`` reuses a previously built closed matrix (checked
-    against the map fingerprint and partition), and with it the transpose
-    built for an earlier hole; the hole must align with the partition
-    (:class:`~holecert.ulam.HoleAlignmentError`).
+    The open system is the closed matrix with the hole's bins masked: each
+    step is ``P^T (x * keep)`` with the closed matrix's cached transpose
+    and ``keep`` zero on the hole's bins, bit for bit the iteration on the
+    explicit open matrix P_H.  ``closed`` reuses a previously built closed
+    matrix (it must be on ``partition`` and carry the map's fingerprint,
+    else ``ValueError``), and with it the transpose built for an earlier
+    hole; without it the closed matrix is built for the call.  The hole
+    must align with the partition (:class:`~holecert.ulam.HoleAlignmentError`).
     """
     hole_bins = hole.bin_range(partition)   # raises HoleAlignmentError if misaligned
-    closed = _checked_closed(tmap, partition, closed)
+    if closed is None:
+        closed = build_closed(tmap, partition)
+    elif closed.partition != partition:
+        raise ValueError("supplied matrix is not a closed matrix on this partition")
+    elif closed.map_fingerprint != tmap.fingerprint:
+        raise ValueError("supplied closed matrix was built from a different map")
     keep = np.ones(partition.n_bins)
     keep[hole_bins.start:hole_bins.stop] = 0.0
     lam, x, residual, iters = dominant_left_eigenpair(closed, tol=RATIO_TOL, keep=keep)
@@ -129,35 +135,33 @@ def classify_point(tmap: PiecewiseMap, y) -> PointClassification:
     A float y such as sqrt(2) - 1 runs its orbit in floats, and an
     approach within 1e-9 of the start without an exact return raises
     :class:`ClassificationAmbiguityWarning` (and is classified periodic
-    at the closest-return period).
+    at the closest-return period).  An orbit that leaves [0, 1) (it
+    reaches 1, the image end of a branch) cannot return, so y is then
+    non-periodic on either path.
     """
-    if isinstance(y, Rational):
-        # stop at the first return: a returning orbit cycles, so it never
-        # leaves the domain later
-        orbit = [Fraction(y)]
-        for p in range(1, PERIOD_SEARCH_LIMIT + 1):
-            orbit.append(tmap.evaluate(orbit[-1]))
-            if orbit[p] == orbit[0]:
-                deriv = 1.0
-                for k in range(p):
-                    deriv *= float(tmap.derivative(orbit[k]))
-                return PointClassification("periodic", p, deriv, False, True)
-        return PointClassification("non-periodic", None, None, False, True)
-    point = float(y)
-    orbit = tmap.orbit(point, PERIOD_SEARCH_LIMIT + 1)
-    dists = [abs(orbit[p] - point) for p in range(1, PERIOD_SEARCH_LIMIT + 1)]
-    p_best = int(np.argmin(dists)) + 1
-    if dists[p_best - 1] < ORBIT_RETURN_TOL:
-        warnings.warn(
-            f"orbit of y = {point} returns within {dists[p_best - 1]:.3e} of its "
-            f"start at step {p_best} without an exact return; classification "
-            "is ambiguous", ClassificationAmbiguityWarning, stacklevel=2,
-        )
-        deriv = 1.0
-        for k in range(p_best):
-            deriv *= float(tmap.derivative(orbit[k]))
-        return PointClassification("periodic", p_best, deriv, True, False)
-    return PointClassification("non-periodic", None, None, False, False)
+    exact = isinstance(y, Rational)
+    # stop at the first exact return (a returning orbit cycles, so it never
+    # leaves the domain later) or where the orbit leaves [0, 1)
+    orbit = [Fraction(y) if exact else float(y)]
+    for p in range(1, PERIOD_SEARCH_LIMIT + 1):
+        orbit.append(tmap.evaluate(orbit[-1]))
+        if exact and orbit[p] == orbit[0]:
+            deriv = math.prod(float(tmap.derivative(x)) for x in orbit[:p])
+            return PointClassification("periodic", p, deriv, False, True)
+        if not 0 <= orbit[p] < 1:
+            return PointClassification("non-periodic", None, None, False, exact)
+    if not exact:
+        dists = [abs(x - orbit[0]) for x in orbit[1:]]
+        p = int(np.argmin(dists)) + 1
+        if dists[p - 1] < ORBIT_RETURN_TOL:
+            warnings.warn(
+                f"orbit of y = {orbit[0]} returns within {dists[p - 1]:.3e} of its "
+                f"start at step {p} without an exact return; classification "
+                "is ambiguous", ClassificationAmbiguityWarning, stacklevel=2,
+            )
+            deriv = math.prod(float(tmap.derivative(x)) for x in orbit[:p])
+            return PointClassification("periodic", p, deriv, True, False)
+    return PointClassification("non-periodic", None, None, False, exact)
 
 
 @dataclass(frozen=True)

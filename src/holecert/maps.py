@@ -80,10 +80,6 @@ def as_rational(value) -> Fraction:
     raise MapConfigError(f"cannot parse rational from {value!r}")
 
 
-def _is_rational(x) -> bool:
-    return isinstance(x, Rational)
-
-
 @dataclass(frozen=True)
 class Branch:
     """Strictly monotone branch x -> (p x + q)/(r x + s) on [lo, hi).
@@ -173,8 +169,10 @@ class Branch:
 
 def _branch_from_dict(d: dict) -> Branch:
     try:
-        kind = d["kind"]
-        lo, hi = (as_rational(v) for v in d["domain"])
+        kind, domain = d["kind"], d["domain"]
+        if not (isinstance(domain, list) and len(domain) == 2):
+            raise MapConfigError(f"branch domain must be a list [lo, hi], got {domain!r}")
+        lo, hi = (as_rational(v) for v in domain)
         if kind == "linear":
             return Branch(lo, hi, as_rational(d["slope"]), as_rational(d["intercept"]))
         if kind == "moebius":
@@ -274,7 +272,7 @@ class PiecewiseMap:
         float is returned as it is (and fails on the next step).
         """
         b = self.branches[self.branch_index_of(x)]
-        if _is_rational(x):
+        if isinstance(x, Rational):
             return b(x)
         y = b(float(x))
         if not 0 <= y < 1:
@@ -287,7 +285,7 @@ class PiecewiseMap:
 
     def derivative(self, x):
         b = self.branches[self.branch_index_of(x)]
-        return b.derivative(x if _is_rational(x) else float(x))
+        return b.derivative(x if isinstance(x, Rational) else float(x))
 
     def orbit(self, x, length: int) -> list:
         """x, T(x), ..., T^(length-1)(x); exact for rational x."""
@@ -328,9 +326,11 @@ class PiecewiseMap:
 # -- config I/O --------------------------------------------------------------
 
 def map_from_dict(cfg: dict) -> PiecewiseMap:
-    if "branches" not in cfg:
-        raise MapConfigError("config missing 'branches'")
-    branches = [_branch_from_dict(b) for b in cfg["branches"]]
+    branches = cfg.get("branches") if isinstance(cfg, dict) else None
+    if not (isinstance(branches, list) and all(isinstance(b, dict) for b in branches)):
+        raise MapConfigError("config must be a JSON object whose 'branches' is a list "
+                             "of branch objects")
+    branches = [_branch_from_dict(b) for b in branches]
     label = cfg.get("label", "map")
     if "alpha0" in cfg:
         alpha0 = as_rational(cfg["alpha0"])

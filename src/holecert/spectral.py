@@ -110,14 +110,15 @@ def dominant_left_eigenpair(P: sp.csr_matrix | UlamMatrix, tol: float = 1e-14,
     returns ``(value, vector, residual, iterations)``; the eigenvalue
     estimate is the mass ratio per step and convergence is declared when
     successive ratios agree within ``tol``.  The value 0.0 with a zero
-    vector signals total mass loss (all-escape open matrices).
+    vector signals total mass loss (a hole that every orbit falls into).
 
     ``P`` is a CSR matrix, whose transpose is built for this call, or an
     :class:`UlamMatrix`, whose cached ``transposed`` is used.  A 0/1
     ``keep`` mask iterates the matrix with the rows where it is 0 zeroed,
-    ``x -> (x * keep) @ P``: the open matrix of a hole, from its closed
-    matrix.  Bit for bit the same as iterating that open matrix, since its
-    dropped entries only add ``P[i, j] * 0.0`` to nonnegative sums.
+    ``x -> (x * keep) @ P``: the open system of a hole, as its closed
+    matrix with the hole's bins masked.  Bit for bit the same as iterating
+    the explicit open matrix P_H, since its dropped entries only add
+    ``P[i, j] * 0.0`` to nonnegative sums.
     """
     PT = P.transposed if isinstance(P, UlamMatrix) else P.T.tocsr()
     n = PT.shape[0]
@@ -341,9 +342,8 @@ def invariant_density(P: sp.csr_matrix | UlamMatrix):
 
 def compute_record(matrix: UlamMatrix) -> SpectralRecord:
     """All r-independent spectral data of a closed Ulam matrix; raises as
-    :func:`invariant_density` does."""
-    if matrix.mode != "closed":
-        raise ValueError("spectral analysis requires a closed-mode matrix")
+    :func:`invariant_density` does, so a sub-stochastic matrix gives
+    :class:`NoUnitEigenvalueError`."""
     P = matrix.matrix
     lam, u, residual, iterations = invariant_density(P)
     row_norms, col_norms = _q_power_norms(P, u)

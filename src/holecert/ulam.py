@@ -16,13 +16,14 @@ them, so a repeated assembly does no ``Fraction`` arithmetic outside the
 shared rows below.  Rows where branches meet
 are summed exactly in ``Fraction`` before that rounding.  Closed rows sum
 to 1 exactly before it (the map is a self-map of [0, 1]), so a rounded
-row's exact sum is within 2^-53 of 1.  The open-system matrix for a hole
-aligned with the partition equals the closed matrix with the rows of all
+row's exact sum is within 2^-53 of 1.  The open-system matrix P_H for a
+hole aligned with the partition is the closed matrix with the rows of all
 bins inside the hole zeroed; it is sub-stochastic and its dominant
 eigenvalue is the discrete escape factor.  Since ``x P_H = (x 1_{not H}) P``,
-escape estimates step the closed matrix's cached CSR transpose
-(``UlamMatrix.transposed``) with the hole's bins masked and never form
-``P_H``; ``build_open`` builds it for callers that want the matrix.
+an open system is its closed matrix plus a mask of the hole's bins: escape
+estimates step the closed matrix's cached CSR transpose
+(``UlamMatrix.transposed``) with the mask applied, and the explicit ``P_H``
+lives only in the tests' reference (``tests/escape_oracle.py``).
 
 Matrices are plain ``scipy.sparse.csr_matrix`` wrapped with partition and
 provenance metadata.  They live only in the process that built them: the
@@ -46,7 +47,6 @@ __all__ = [
     "UlamMatrix",
     "HoleAlignmentError",
     "build_closed",
-    "build_open",
 ]
 
 class HoleAlignmentError(ValueError):
@@ -106,19 +106,12 @@ class Hole:
 
 @dataclass
 class UlamMatrix:
-    """A sparse Ulam matrix with its partition and provenance."""
+    """The sparse closed Ulam matrix of a map, with its partition and the
+    map's fingerprint."""
 
     partition: UlamPartition
     matrix: sp.csr_matrix
-    mode: str                      # "closed" | "open"
     map_fingerprint: str
-    hole: Hole | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("closed", "open"):
-            raise ValueError(f"mode must be 'closed' or 'open', got {self.mode!r}")
-        if (self.mode == "open") != (self.hole is not None):
-            raise ValueError("open matrices carry a hole; closed matrices do not")
 
     @property
     def n_bins(self) -> int:
@@ -277,33 +270,4 @@ def build_closed(tmap: PiecewiseMap, partition: UlamPartition) -> UlamMatrix:
     cols, data = cols[order], data[order]
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
     matrix = sp.csr_matrix((data, cols, indptr), shape=(n, n))
-    return UlamMatrix(partition, matrix, "closed", tmap.fingerprint)
-
-
-def _checked_closed(tmap: PiecewiseMap, partition: UlamPartition,
-                    closed: UlamMatrix | None = None) -> UlamMatrix:
-    """``closed`` after checking it is the closed matrix of ``tmap`` (by
-    fingerprint) on ``partition``; a freshly built one when it is None."""
-    if closed is None:
-        return build_closed(tmap, partition)
-    if closed.mode != "closed" or closed.partition != partition:
-        raise ValueError("supplied matrix is not a closed matrix on this partition")
-    if closed.map_fingerprint != tmap.fingerprint:
-        raise ValueError("supplied closed matrix was built from a different map")
-    return closed
-
-
-def build_open(tmap: PiecewiseMap, partition: UlamPartition, hole: Hole,
-               closed: UlamMatrix | None = None) -> UlamMatrix:
-    """Open-system matrix: the closed matrix with in-hole rows zeroed.
-
-    ``closed`` may supply a previously built closed matrix for the same
-    map and partition (checked by fingerprint) to avoid reassembly.
-    """
-    hole_bins = hole.bin_range(partition)   # raises HoleAlignmentError if misaligned
-    # drop the hole's stretch of indices/data; its rows become empty
-    P = _checked_closed(tmap, partition, closed).matrix
-    lo, hi = P.indptr[hole_bins.start], P.indptr[hole_bins.stop]
-    open_mat = sp.csr_matrix((np.delete(P.data, np.s_[lo:hi]), np.delete(P.indices, np.s_[lo:hi]),
-                              P.indptr - np.clip(P.indptr - lo, 0, hi - lo)), shape=P.shape)
-    return UlamMatrix(partition, open_mat, "open", tmap.fingerprint, hole=hole)
+    return UlamMatrix(partition, matrix, tmap.fingerprint)

@@ -68,4 +68,4 @@ def decoupled_blocks():
     P = np.full((2 * m, 2 * m), leak / m)
     P[:m, :m] = (1 - leak) * blocks[0]
     P[m:, m:] = (1 - leak) * blocks[1]
-    return UlamMatrix(UlamPartition(2 * m), sp.csr_matrix(P), "closed", "decoupled")
+    return UlamMatrix(UlamPartition(2 * m), sp.csr_matrix(P), "decoupled")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import holecert as hc
-from escape_oracle import open_matrix_escape
+from escape_oracle import build_open, open_matrix_escape
 from holecert.escape import (
     PERIOD_SEARCH_LIMIT,
     ClassificationAmbiguityWarning,
@@ -25,8 +25,7 @@ class TestEstimateEscape:
         assert est.e_H == pytest.approx(0.9, abs=1e-12)
         assert est.escape_rate == pytest.approx(-math.log(0.9), abs=1e-12)
         # dense eigensolve oracle on the 10 x 10 matrix
-        open_m = hc.build_open(shift10, part, hc.Hole(F(0), F(1, 10)))
-        w = np.linalg.eigvals(open_m.toarray())
+        w = np.linalg.eigvals(build_open(shift10, part, hc.Hole(F(0), F(1, 10))).toarray())
         assert max(abs(w)) == pytest.approx(est.e_H, abs=1e-12)
 
     def test_accim_density_uniform(self, shift10):
@@ -81,7 +80,8 @@ def count_transposes(monkeypatch):
 
 class TestMaskedIteration:
     """The closed matrix stepped with the hole masked against power
-    iteration on the open matrix that build_open forms, bit for bit."""
+    iteration on the open matrix that the oracle's build_open forms, bit
+    for bit."""
 
     @pytest.mark.parametrize("n", [10, 11, 100, 1000, 5000])
     @pytest.mark.parametrize("label", ["shift10", "bundled", "decreasing"])
@@ -96,10 +96,6 @@ class TestMaskedIteration:
         assert_same_estimate(estimate_escape(tmap, part, hole), ref)
 
     def test_one_transpose_for_many_holes(self, bundled_map, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("open matrix formed")
-
-        monkeypatch.setattr("holecert.ulam.build_open", refuse)
         part = UlamPartition(500)
         closed = hc.build_closed(bundled_map, part)
         transposed = count_transposes(monkeypatch)
@@ -131,9 +127,6 @@ class TestMaskedIteration:
             estimate_escape(bundled_map, part, hc.Hole(F(0), F(1, 20)), closed=closed)
         with pytest.raises(ValueError, match="not a closed matrix"):
             estimate_escape(shift10, UlamPartition(10), hc.Hole(F(0), F(1, 10)), closed=closed)
-        open_m = hc.build_open(shift10, part, hc.Hole(F(0), F(1, 20)))
-        with pytest.raises(ValueError, match="not a closed matrix"):
-            estimate_escape(shift10, part, hc.Hole(F(0), F(1, 20)), closed=open_m)
 
 
 class TestClassifyPoint:
@@ -166,6 +159,44 @@ class TestClassifyPoint:
             cls = classify_point(doubling, 1 / 3 + 1e-10)
         assert cls.ambiguous
         assert cls.kind == "periodic" and cls.period == 2
+
+
+@pytest.fixture(scope="module")
+def tent():
+    """The tent map 1 - 2x | 2x - 1: its decreasing branch sends 0 to 1."""
+    return hc.PiecewiseMap([hc.Branch(F(0), F(1, 2), F(-2), F(1)),
+                            hc.Branch(F(1, 2), F(1), F(2), F(-1))],
+                           alpha0=F(1, 2), B0=0, label="tent")
+
+
+class TestOrbitLeavesDomain:
+    """An orbit that reaches 1 leaves [0, 1) and cannot return to y."""
+
+    @pytest.mark.parametrize("label, y", [
+        ("tent", F(0)), ("tent", 0.0), ("tent", F(1, 4)), ("tent", 0.25),
+        # 1/5 -> 1/2 -> 0 -> 1 under the decreasing Moebius branch
+        ("decreasing", F(0)), ("decreasing", 0.0), ("decreasing", F(1, 5)),
+        ("decreasing", 0.5),
+    ])
+    def test_non_periodic(self, tent, decreasing_map, label, y):
+        tmap = {"tent": tent, "decreasing": decreasing_map}[label]
+        exact = isinstance(y, F)
+        assert classify_point(tmap, y) == PointClassification(
+            "non-periodic", None, None, False, exact)
+
+    def test_periodic_point_of_same_map(self, decreasing_map):
+        # 1/4 -> 2/5 -> 1/7 -> 5/8 -> 1/4 stays inside [0, 1)
+        cls = classify_point(decreasing_map, F(1, 4))
+        assert cls.kind == "periodic" and cls.period == 4
+
+    @pytest.mark.parametrize("y", [F(0), 0.0])
+    def test_shrinking_hole_at_zero(self, tent, y):
+        # (1 - e_H)/w is 1.061 and 1.008 here and tends to f*(0) = 1, not
+        # to the periodic value 1/2
+        exp = hc.asymptotic_ratio(tent, y, [F(1, 100), F(1, 1000)], 10)
+        assert exp.classification.kind == "non-periodic"
+        assert exp.predicted_limit == 1.0
+        assert exp.extrapolated_limit == pytest.approx(1.0, abs=0.01)
 
 
 def classify_full_orbit(tmap, y):

