@@ -11,55 +11,28 @@ asymptotic effect of the hole position.
 
 __version__ = "0.1.0"
 
-from .maps import (
-    Branch,
-    PiecewiseMap,
-    MapConfigError,
-    MapDomainError,
-    as_rational,
-    bundled_map_path,
-    full_branch_linear,
-    load_map,
-)
-from .ulam import (
-    Hole,
-    HoleAlignmentError,
-    UlamMatrix,
-    UlamPartition,
-    build_closed,
-)
-from .spectral import (
-    NeumannDivergenceError,
-    ResolventBound,
-    SpectralRecord,
-    SpectralStructureError,
-    compute_record,
-    dominant_left_eigenpair,
-    h_star,
-    neumann_bound,
-)
-from .kl import (
-    KLConstants,
-    KLDomainError,
-    LYConstants,
-    kl_constants,
-    ly_constants,
-)
-from .certify import (
-    CertificationConfig,
-    CertificationReport,
-    CertificateBounds,
-    certificate_bounds,
-    run_certification,
-)
-from .escape import (
-    AsymptoticRatioExperiment,
-    EscapeEstimate,
-    PointClassification,
-    asymptotic_ratio,
-    classify_point,
-    estimate_escape,
-)
+from .maps import (Branch, MapConfigError, MapDomainError, PiecewiseMap, as_rational,
+                   bundled_map_path, full_branch_linear, load_map)
+from .ulam import Hole, HoleAlignmentError, UlamMatrix, UlamPartition, build_closed
+from .spectral import (NeumannDivergenceError, ResolventBound, SpectralRecord,
+                       SpectralStructureError, compute_record, dominant_left_eigenpair, h_star,
+                       neumann_bound)
+from .kl import KLConstants, KLDomainError, LYConstants, kl_constants, ly_constants
+from .certify import (CertificateBounds, CertificationConfig, CertificationReport,
+                      certificate_bounds, run_certification)
+from .escape import (AsymptoticRatioExperiment, EscapeEstimate, PointClassification,
+                     asymptotic_ratio, classify_point, estimate_escape)
 from .cache import PipelineCache, default_cache_dir
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AsymptoticRatioExperiment", "Branch", "CertificateBounds", "CertificationConfig",
+    "CertificationReport", "EscapeEstimate", "Hole", "HoleAlignmentError",
+    "KLConstants", "KLDomainError", "LYConstants", "MapConfigError", "MapDomainError",
+    "NeumannDivergenceError", "PiecewiseMap", "PipelineCache", "PointClassification",
+    "ResolventBound", "SpectralRecord", "SpectralStructureError", "UlamMatrix",
+    "UlamPartition", "as_rational", "asymptotic_ratio", "build_closed",
+    "bundled_map_path", "certificate_bounds", "classify_point", "compute_record",
+    "default_cache_dir", "dominant_left_eigenpair", "estimate_escape",
+    "full_branch_linear", "h_star", "kl_constants", "load_map", "ly_constants",
+    "neumann_bound", "run_certification",
+]

@@ -6,12 +6,14 @@ everything they hold (unit eigenvalue, invariant density, power norms of
 the mass-free part) is independent of the peripheral threshold r and the
 separation delta.  The matrix power computations are by far the most
 expensive step, so a warm record cache lets a second run at the same mesh
-do no matrix work at all.  A record file whose ``schema`` tag differs from
-:data:`RECORD_SCHEMA` was written by an older layout or older norm code,
-and one whose map fingerprint, bin count, mass-vector length or the
-length of either power-norm family does not fit is not the record asked
-for; either is recomputed and overwritten, as is a file that cannot be
-read or parsed.
+do no matrix work at all.  A record is one flat file: a JSON header line
+(the scalars, the schema tag and each array's length), then the
+little-endian float64 row family, column family and mass vector.  A file
+whose ``schema`` tag differs from :data:`RECORD_SCHEMA` was written by an
+older layout or older norm code, and one whose map fingerprint, bin
+count, mass-vector length, the length of either power-norm family or
+payload size does not fit is not the record asked for; either is
+recomputed and overwritten, as is a file that cannot be read or parsed.
 
 All writes are atomic (temp file + rename).  The cache directory comes
 from the HOLECERT_CACHE_DIR environment variable when not given
@@ -23,7 +25,6 @@ from __future__ import annotations
 import json
 import os
 import uuid
-import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -36,16 +37,20 @@ __all__ = ["PipelineCache", "default_cache_dir", "CACHE_ENV_VAR"]
 
 CACHE_ENV_VAR = "HOLECERT_CACHE_DIR"
 
-#: layout tag of ``.spectral.npz`` files, raised whenever the code that
-#: fills a record changes; untagged files hold the eigensolver layout's
-#: eigenvalue list, schemas 2 and 3 row-block and global-P^2 power norms,
-#: schema 4 norms of matrices whose rows were rescaled by their float sum,
-#: schema 5 norms whose powers were stepped over all bins, not the quotient
-RECORD_SCHEMA = 6
+#: layout tag of spectral records, raised whenever the code that fills a
+#: record changes.  Schemas up to 6 are ``.spectral.npz`` files: untagged
+#: ones hold the eigensolver layout's eigenvalue list, schemas 2 and 3
+#: row-block and global-P^2 power norms, schema 4 norms of matrices whose
+#: rows were rescaled by their float sum, schema 5 norms whose powers were
+#: stepped over all bins, not the quotient, and schema 6 deviations taken
+#: over all bins.  Schema 7 takes them in the quotient, in one flat
+#: ``.spectral.bin`` file.
+RECORD_SCHEMA = 7
 
-#: kind of each file the cache owns, by suffix (older versions wrote text
-#: matrices); anything else in the directory is left alone
-CACHED_KINDS = {".spectral.npz": "spectral", ".matrix.txt": "legacy matrix"}
+#: kind of each file the cache owns, by suffix (older versions wrote npz
+#: records and text matrices); anything else in the directory is left alone
+CACHED_KINDS = {".spectral.bin": "spectral", ".spectral.npz": "legacy spectral",
+                ".matrix.txt": "legacy matrix"}
 
 
 def default_cache_dir() -> Path | None:
@@ -54,12 +59,12 @@ def default_cache_dir() -> Path | None:
     return Path(value) if value else None
 
 
-def _atomic_write(path: Path, writer) -> None:
-    """Call ``writer`` on an open temp file beside ``path``, then rename it."""
+def _atomic_write(path: Path, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path``, then rename it."""
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "xb") as fh:    # created with the umask's mode
-            writer(fh)
+            fh.write(data)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -92,7 +97,7 @@ class PipelineCache:
     def _record_path(self, fingerprint: str, n_bins: int) -> Path | None:
         if self.directory is None:
             return None
-        return self.directory / f"{fingerprint}_{n_bins}.spectral.npz"
+        return self.directory / f"{fingerprint}_{n_bins}.spectral.bin"
 
     # -- matrices -----------------------------------------------------------
 
@@ -152,7 +157,8 @@ class PipelineCache:
 
 
 def _save_record(record: SpectralRecord, path: Path) -> None:
-    meta = {
+    arrays = (record.q_power_norms, record.q_power_norms_colsum, record.mass_vector)
+    header = {
         "schema": RECORD_SCHEMA,
         "n_bins": record.n_bins,
         "map_fingerprint": record.map_fingerprint,
@@ -160,43 +166,40 @@ def _save_record(record: SpectralRecord, path: Path) -> None:
         "projection_norm": record.projection_norm,
         "unit_residual": record.unit_residual,
         "power_iterations": record.power_iterations,
+        "lengths": [len(a) for a in arrays],
     }
-    _atomic_write(path, lambda fh: np.savez(
-        fh,
-        mass_vector=record.mass_vector,
-        q_power_norms=np.asarray(record.q_power_norms),
-        q_power_norms_colsum=np.asarray(record.q_power_norms_colsum),
-        meta=json.dumps(meta),
-    ))
+    payload = np.concatenate(arrays).astype("<f8", copy=False)
+    _atomic_write(path, json.dumps(header).encode() + b"\n" + payload.tobytes())
 
 
-def _load_record(path, key: tuple[str, int]) -> SpectralRecord | None:
+def _load_record(path: Path, key: tuple[str, int]) -> SpectralRecord | None:
     """The stored record, or None when it is not the one to serve.
 
     That is when the file cannot be read or parsed, has another layout, or
     does not hold the record of ``key`` = (map fingerprint, bin count) with
-    exactly :data:`holecert.spectral.N_POWERS` + 1 norms in each family.
+    exactly :data:`holecert.spectral.N_POWERS` + 1 norms in each family and
+    as many payload values as its header lists.
     """
     try:
-        with np.load(path, allow_pickle=False) as blob:
-            meta = json.loads(str(blob["meta"]))
-            if meta.get("schema") != RECORD_SCHEMA:
-                return None
-            record = SpectralRecord(
-                n_bins=int(meta["n_bins"]),
-                map_fingerprint=meta["map_fingerprint"],
-                eigenvalues=(float(meta["unit_eigenvalue"]),),
-                mass_vector=np.asarray(blob["mass_vector"]),
-                projection_norm=float(meta["projection_norm"]),
-                q_power_norms=tuple(float(v) for v in blob["q_power_norms"]),
-                q_power_norms_colsum=tuple(float(v) for v in blob["q_power_norms_colsum"]),
-                unit_residual=float(meta["unit_residual"]),
-                power_iterations=int(meta["power_iterations"]),
-            )
-    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
+        header, _, payload = path.read_bytes().partition(b"\n")
+        meta = json.loads(header)
+        if meta.get("schema") != RECORD_SCHEMA:
+            return None
+        values = np.frombuffer(payload, dtype="<f8")
+        k = N_POWERS + 1
+        if meta["lengths"] != [k, k, key[1]] or len(values) != 2 * k + key[1]:
+            return None
+        record = SpectralRecord(
+            n_bins=int(meta["n_bins"]),
+            map_fingerprint=meta["map_fingerprint"],
+            eigenvalues=(float(meta["unit_eigenvalue"]),),
+            mass_vector=values[2 * k:].copy(),
+            projection_norm=float(meta["projection_norm"]),
+            q_power_norms=tuple(values[:k].tolist()),
+            q_power_norms_colsum=tuple(values[k:2 * k].tolist()),
+            unit_residual=float(meta["unit_residual"]),
+            power_iterations=int(meta["power_iterations"]),
+        )
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
-    fits = ((record.map_fingerprint, record.n_bins) == key
-            and len(record.mass_vector) == record.n_bins
-            and len(record.q_power_norms) == len(record.q_power_norms_colsum)
-            == N_POWERS + 1)
-    return record if fits else None
+    return record if (record.map_fingerprint, record.n_bins) == key else None

@@ -67,8 +67,9 @@ def as_rational(value) -> Fraction:
     Strings go through :class:`~fractions.Fraction` directly, so ``"1/9"``,
     ``"0.25"`` and ``"3"`` are all exact.  Floats are converted via their
     decimal representation (``0.1`` becomes 1/10, not the binary float).
+    Booleans are rejected: JSON ``true``/``false`` are no numbers.
     """
-    if isinstance(value, Rational):
+    if isinstance(value, Rational) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, float):
         return Fraction(str(value))

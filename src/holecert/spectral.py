@@ -23,9 +23,11 @@ quotient chain of P's equal rows, which is exactly lumpable (Kemeny-Snell):
 with B the m distinct rows of P and A the n x m 0/1 class membership,
 P = A B, so the distinct rows of P^k are M^(k-1) B with M = B A (m x m).
 Narrow dense column blocks of the quotient iterate are stepped by the CSR
-matrix M^T and expanded by B^T only to take |e_i P^k - w_k|; w_k = u P^k
-follows the same recurrence from A^T u, so equal rows cancel it exactly.
-No power of P is formed, and every product multiplies nonnegative numbers.
+matrix M^T, and v_k = u A M^(k-1) follows the same recurrence from A^T u,
+so w_k = u P^k = v_k B.  Each power's single subtraction is taken in the
+quotient, e_c M^(k-1) - v_k, where equal rows cancel it exactly, and only
+that difference is expanded by B^T to take |e_i P^k - w_k|.  No power of P
+is formed, and every stepping product multiplies nonnegative numbers.
 
 ``h_star`` bounds the resolvent with the column family, the convention
 under which the reference outputs for the bundled example map were
@@ -272,22 +274,24 @@ def _q_power_norms(P: sp.csr_matrix, u: np.ndarray) -> tuple[list[float], list[f
     k >= 2 in the quotient of the m distinct rows of P: P = A B with
     B = P[first] and A the n x m 0/1 class membership, so the distinct rows
     of P^k are M^(k-1) B with M = B A.  Per block of ``_BLOCK`` distinct
-    rows, S = (M^T)[:, block] steps as S <- M^T S (CSR, dense m x block)
-    and Z = B^T S = (those rows of P^k)^T; w_k = B^T v with v = A^T u
-    stepped the same way.  Column sums of |Z - w_k| are row-family norms;
-    its row sums, weighted by each row's count in P and added over the
-    blocks in order, are the column family.
+    rows, S = (M^T)[:, block] steps as S <- M^T S (CSR, dense m x block);
+    v_k = (u A M^(k-1))^T is stepped the same way from A^T u, so
+    w_k = B^T v_k.  The deviation is subtracted in the quotient and then
+    expanded, Z = |B^T (S - v_k)| = |(those rows of P^k) - w_k|^T, so the
+    stepping products stay nonnegative.  Column sums of Z are row-family
+    norms; its row sums, weighted by each row's count in P and added over
+    the blocks in order, are the column family.
     """
     n = P.shape[0]
-    w = [u, u @ P]
+    w = u @ P
     row_norms = [float(np.max(np.abs(1.0 - u) + (np.abs(u).sum() - np.abs(u))))]
     col_norms = [1.0]
-    wj = w[1][P.indices]
+    wj = w[P.indices]
     excess = sp.csr_matrix((np.abs(P.data - wj) - np.abs(wj), P.indices, P.indptr),
                            shape=(n, n))
     # Q = 0 cancels to roundoff of either sign; a norm is >= 0
-    row_norms.append(max(0.0, float(np.max(excess.sum(axis=1) + np.abs(w[1]).sum()))))
-    col_norms.append(max(0.0, float(np.max(excess.sum(axis=0) + n * np.abs(w[1])))))
+    row_norms.append(max(0.0, float(np.max(excess.sum(axis=1) + np.abs(w).sum()))))
+    col_norms.append(max(0.0, float(np.max(excess.sum(axis=0) + n * np.abs(w)))))
     # classes of equal rows of P (the linear branches of a map repeat theirs)
     first, classes, copies = _equal_rows(P)
     B = P[first]
@@ -295,22 +299,21 @@ def _q_power_norms(P: sp.csr_matrix, u: np.ndarray) -> tuple[list[float], list[f
                       copy=True)    # summing duplicates sorts in place; B keeps its order
     M.sum_duplicates()
     BT, MT = B.T.tocsr(), M.T.tocsr()
-    # w_k = u A M^(k-1) B on the same path, so equal rows cancel w_k exactly
-    v = np.bincount(classes, weights=u, minlength=len(first))
+    # v_k = u A M^(k-1), so w_k = v_k B and equal rows cancel v_k exactly
+    v = [np.bincount(classes, weights=u, minlength=len(first))]
     for _ in range(N_POWERS - 1):
-        v = MT @ v
-        w.append(BT @ v)
+        v.append(MT @ v[-1])
+    ones = np.ones(n)
     row_maxima = np.zeros(N_POWERS - 1)
     col_sums = np.zeros((N_POWERS - 1, n))
-    buf = np.empty((n, min(_BLOCK, len(first))))
     for start in range(0, len(first), _BLOCK):
         S = M[start:start + _BLOCK].T.toarray(order="C")
-        dev = buf[:, :S.shape[1]]
         for k in range(N_POWERS - 1):
             if k:
                 S = MT @ S
-            np.abs(np.subtract(BT @ S, w[k + 2][:, None], out=dev), out=dev)
-            row_maxima[k] = max(row_maxima[k], dev.sum(axis=0).max())
+            dev = BT @ (S - v[k + 1][:, None])
+            np.abs(dev, out=dev)
+            row_maxima[k] = max(row_maxima[k], (ones @ dev).max())
             col_sums[k] += dev @ copies[start:start + _BLOCK]
     row_norms += row_maxima.tolist()
     col_norms += col_sums.max(axis=1).tolist()

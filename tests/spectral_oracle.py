@@ -1,15 +1,24 @@
-"""Blockwise row-layout Q-power norms, kept as the reference of the fast path.
+"""Earlier evaluations of the Q-power norms, kept as references of the fast path.
 
-The dense-row-block evaluation that ``holecert.spectral._q_power_norms``
-used before its sparse-early-powers and transposed-column-block rewrite.
-It applies ``x -> x Q = x P - (sum x) u P`` to blocks of unit rows, so it
-shares no formula with the fast path beyond the definition of Q.  It is
-slow (every product is dense-times-sparse) but simple; the tests compare
-the fast path against it to an absolute tolerance, since some exact
-norms are 0 and their computed values are roundoff.
+``q_power_norms`` is the dense-row-block evaluation that
+``holecert.spectral._q_power_norms`` used before its sparse-early-powers and
+transposed-column-block rewrite.  It applies ``x -> x Q = x P - (sum x) u P``
+to blocks of unit rows, so it shares no formula with the fast path beyond
+the definition of Q.  It is slow (every product is dense-times-sparse) but
+simple; the tests compare the fast path against it to an absolute
+tolerance, since some exact norms are 0 and their computed values are
+roundoff.
+
+``quotient_q_power_norms`` is the quotient-chain evaluation that expanded
+every block of distinct rows of P^k by B^T before subtracting w_k = u P^k
+over all n bins.  The fast path now subtracts in the quotient first, so the
+two differ only by rounding.
 """
 
 import numpy as np
+import scipy.sparse as sp
+
+from holecert.spectral import _equal_rows
 
 
 def q_power_norms(P, u, n_powers: int, block_size: int = 1024):
@@ -39,3 +48,45 @@ def q_power_norms(P, u, n_powers: int, block_size: int = 1024):
         row_norms.append(float(row_maxima[k]))
         col_norms.append(float(col_partial[k].max()))
     return row_norms, col_norms
+
+
+def quotient_q_power_norms(P, u, n_powers: int, block_size: int = 64):
+    """Row- and column-family norms of Q^k, k = 0..n_powers, in the quotient
+    chain of P's equal rows, each deviation taken over all n bins.
+
+    k = 1 from the nonzeros of P.  For k >= 2, with B the distinct rows of
+    P and M = B A its quotient, each block of distinct rows of P^k is
+    Z = B^T S with S stepped by M^T, and w_k = B^T v with v = A^T u stepped
+    the same way; the norms are the column and weighted row sums of
+    |Z - w_k|.
+    """
+    n = P.shape[0]
+    w = [u, u @ P]
+    row_norms = [float(np.max(np.abs(1.0 - u) + (np.abs(u).sum() - np.abs(u))))]
+    col_norms = [1.0]
+    wj = w[1][P.indices]
+    excess = sp.csr_matrix((np.abs(P.data - wj) - np.abs(wj), P.indices, P.indptr),
+                           shape=(n, n))
+    row_norms.append(max(0.0, float(np.max(excess.sum(axis=1) + np.abs(w[1]).sum()))))
+    col_norms.append(max(0.0, float(np.max(excess.sum(axis=0) + n * np.abs(w[1])))))
+    first, classes, copies = _equal_rows(P)
+    B = P[first]
+    M = sp.csr_matrix((B.data, classes[B.indices], B.indptr), shape=(len(first),) * 2,
+                      copy=True)
+    M.sum_duplicates()
+    BT, MT = B.T.tocsr(), M.T.tocsr()
+    v = np.bincount(classes, weights=u, minlength=len(first))
+    for _ in range(n_powers - 1):
+        v = MT @ v
+        w.append(BT @ v)
+    row_maxima = np.zeros(n_powers - 1)
+    col_sums = np.zeros((n_powers - 1, n))
+    for start in range(0, len(first), block_size):
+        S = M[start:start + block_size].T.toarray(order="C")
+        for k in range(n_powers - 1):
+            if k:
+                S = MT @ S
+            dev = np.abs(BT @ S - w[k + 2][:, None])
+            row_maxima[k] = max(row_maxima[k], dev.sum(axis=0).max())
+            col_sums[k] += dev @ copies[start:start + block_size]
+    return row_norms + row_maxima.tolist(), col_norms + col_sums.max(axis=1).tolist()

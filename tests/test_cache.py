@@ -56,26 +56,31 @@ def test_record_filed_under_another_mesh_is_recomputed(tmp_path, shift10):
     assert again.n_bins == 200
 
 
+#: the arrays of a record file's payload, in order
+PAYLOAD = ("q_power_norms", "q_power_norms_colsum", "mass_vector")
+
+
 def _rewrite_record(path, schema=None, **arrays):
-    """Rewrite a record file with its meta's schema and some arrays replaced."""
-    with np.load(path) as blob:
-        stored = {key: blob[key] for key in blob.files}
-    meta = json.loads(str(stored.pop("meta")))
+    """Rewrite a record file with its header's schema and some arrays replaced."""
+    header, _, payload = path.read_bytes().partition(b"\n")
+    meta = json.loads(header)
+    parts = np.split(np.frombuffer(payload, dtype="<f8"), np.cumsum(meta["lengths"][:2]))
+    stored = dict(zip(PAYLOAD, parts))
     if schema is not None:
         meta["schema"] = schema
     stored.update(arrays)
-    with open(path, "wb") as fh:
-        np.savez(fh, meta=json.dumps(meta), **stored)
+    meta["lengths"] = [len(stored[name]) for name in PAYLOAD]
+    values = np.concatenate([stored[name] for name in PAYLOAD]).astype("<f8")
+    path.write_bytes(json.dumps(meta).encode() + b"\n" + values.tobytes())
 
 
 def test_record_from_older_norm_code_is_recomputed(tmp_path, shift10):
-    # a schema-5 record: powers stepped over all bins, same layout
+    # a schema-6 record: deviations formed over all bins, same layout
     cache = hc.PipelineCache(tmp_path)
     record = cache.spectral_record(shift10, 100)
     path = cache._record_path(shift10.fingerprint, 100)
-    with np.load(path) as blob:
-        assert json.loads(str(blob["meta"]))["schema"] == hc.cache.RECORD_SCHEMA == 6
-    _rewrite_record(path, schema=5, q_power_norms=np.full(7, 0.5))
+    assert json.loads(path.read_bytes().partition(b"\n")[0])["schema"] == hc.cache.RECORD_SCHEMA == 7
+    _rewrite_record(path, schema=6, q_power_norms=np.full(7, 0.5))
 
     rebuilt = hc.PipelineCache(tmp_path)
     again = rebuilt.spectral_record(shift10, 100)
@@ -100,11 +105,23 @@ def test_record_file_mode_follows_umask(tmp_path, shift10):
 
 
 def test_failed_record_write_leaves_no_file(tmp_path, shift10, monkeypatch):
-    # the disk fills up while the first array is written
-    def no_space(*args, **kwargs):
-        raise OSError(errno.ENOSPC, "No space left on device")
+    # the disk fills up halfway through the record
+    class FullDisk:
+        def __init__(self, *args):
+            self.fh = open(*args)
 
-    monkeypatch.setattr(np.lib.format, "write_array", no_space)
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(hc.cache, "open", FullDisk, raising=False)
     cache = hc.PipelineCache(tmp_path)
     with pytest.raises(OSError):
         cache.spectral_record(shift10, 10)
@@ -150,3 +167,62 @@ def test_record_with_wrong_family_length_is_recomputed(tmp_path, bundled_map, fa
     fresh = hc.PipelineCache(tmp_path)
     assert fresh.spectral_record(bundled_map, 40).q_power_norms_colsum == record.q_power_norms_colsum
     assert fresh.stats["spectral_hits"] == 1
+
+
+def test_record_round_trip_is_bit_identical(tmp_path, bundled_map):
+    cache = hc.PipelineCache(tmp_path)
+    record = cache.spectral_record(bundled_map, 200)
+    fresh = hc.PipelineCache(tmp_path)
+    again = fresh.spectral_record(bundled_map, 200)
+    assert fresh.stats["spectral_hits"] == 1 and fresh.stats["spectral_builds"] == 0
+    assert again.mass_vector.tobytes() == record.mass_vector.tobytes()
+    assert again.mass_vector.dtype == np.float64
+    assert again.mass_vector.flags.owndata and again.mass_vector.flags.writeable
+    for field in ("q_power_norms", "q_power_norms_colsum", "eigenvalues", "projection_norm",
+                  "unit_residual"):
+        assert np.array(getattr(again, field)).tobytes() == np.array(getattr(record, field)).tobytes()
+    for field in ("n_bins", "map_fingerprint", "power_iterations"):
+        assert getattr(again, field) == getattr(record, field)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda data: data[:-8],
+    lambda data: data[:-3],
+    lambda data: data.partition(b"\n")[0] + b"\n",
+    lambda data: data.partition(b"\n")[0],
+    lambda data: b"{not json" + data[data.index(b"\n"):],
+    lambda data: b"[7]" + data[data.index(b"\n"):],
+    lambda data: data + bytes(8),
+    lambda data: data.replace(b'"lengths": [7, 7, 40]', b'"lengths": [7, 8, 39]'),
+    lambda data: data.replace(b'"schema": 7', b'"schema": 8'),
+], ids=["truncated", "truncated-mid-value", "header-only", "no-newline", "header-not-json",
+        "header-not-object", "payload-too-long", "lengths-disagree", "wrong-schema"])
+def test_damaged_record_is_recomputed(tmp_path, bundled_map, damage):
+    cache = hc.PipelineCache(tmp_path)
+    record = cache.spectral_record(bundled_map, 40)
+    path = cache._record_path(bundled_map.fingerprint, 40)
+    data = path.read_bytes()
+    damaged = damage(data)
+    assert damaged != data
+    path.write_bytes(damaged)
+
+    rebuilt = hc.PipelineCache(tmp_path)
+    again = rebuilt.spectral_record(bundled_map, 40)
+    assert rebuilt.stats["spectral_builds"] == 1
+    assert rebuilt.stats["spectral_hits"] == 0
+    assert again.q_power_norms == record.q_power_norms
+    assert path.read_bytes() == data
+
+
+def test_legacy_record_listed_and_purged_but_never_read(tmp_path, shift10):
+    cache = hc.PipelineCache(tmp_path)
+    current = cache._record_path(shift10.fingerprint, 10)
+    legacy = current.with_name(current.name.replace(".spectral.bin", ".spectral.npz"))
+    with open(legacy, "wb") as fh:
+        np.savez(fh, mass_vector=np.full(10, 0.1), meta=json.dumps({"schema": 6}))
+    cache.spectral_record(shift10, 10)
+    assert cache.stats["spectral_builds"] == 1
+    assert [(e["file"], e["kind"]) for e in cache.entries()] == [
+        (current.name, "spectral"), (legacy.name, "legacy spectral")]
+    assert cache.purge() == 2
+    assert list(tmp_path.iterdir()) == []

@@ -176,7 +176,7 @@ class TestCacheCommands:
         # only spectral records reach the disk; matrices stay in memory
         assert main(["cache", "list", "--cache-dir", cli_certified["cache_dir"]]) == 0
         listing = capsys.readouterr().out
-        assert ".spectral.npz" in listing and ".matrix.txt" not in listing
+        assert ".spectral.bin" in listing and ".matrix.txt" not in listing
         assert main(["cache", "inspect", "--cache-dir", cli_certified["cache_dir"]]) == 0
         inspected = capsys.readouterr().out
         assert "spectral" in inspected and "matrix" not in inspected

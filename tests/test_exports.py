@@ -15,15 +15,15 @@ MODULES = ["holecert"] + [f"holecert.{m.name}" for m in pkgutil.iter_modules(hol
 #: the public surface; a name added or dropped shows up as an edit here
 PUBLIC = [
     "AsymptoticRatioExperiment", "Branch", "CertificateBounds", "CertificationConfig",
-    "CertificationReport", "EscapeEstimate", "Hole", "HoleAlignmentError", "KLConstants",
-    "KLDomainError", "LYConstants", "MapConfigError", "MapDomainError",
+    "CertificationReport", "EscapeEstimate", "Hole", "HoleAlignmentError",
+    "KLConstants", "KLDomainError", "LYConstants", "MapConfigError", "MapDomainError",
     "NeumannDivergenceError", "PiecewiseMap", "PipelineCache", "PointClassification",
     "ResolventBound", "SpectralRecord", "SpectralStructureError", "UlamMatrix",
-    "UlamPartition", "as_rational", "asymptotic_ratio", "build_closed", "bundled_map_path",
-    "cache", "certificate_bounds", "certify", "classify_point", "compute_record",
-    "default_cache_dir", "dominant_left_eigenpair", "escape", "estimate_escape",
-    "full_branch_linear", "h_star", "kl", "kl_constants", "load_map", "ly_constants", "maps",
-    "neumann_bound", "run_certification", "spectral", "ulam",
+    "UlamPartition", "as_rational", "asymptotic_ratio", "build_closed",
+    "bundled_map_path", "certificate_bounds", "classify_point", "compute_record",
+    "default_cache_dir", "dominant_left_eigenpair", "estimate_escape",
+    "full_branch_linear", "h_star", "kl_constants", "load_map", "ly_constants",
+    "neumann_bound", "run_certification",
 ]
 
 

@@ -235,6 +235,24 @@ class TestConfigIO:
         with pytest.raises(MapConfigError):
             hc.load_map(path)
 
+    @pytest.mark.parametrize("path, value", [
+        (("branches", 0, "domain", 0), False), (("alpha0",), True), (("B0",), False),
+        (("branches", 1, "slope"), True),
+    ], ids=["domain-end", "alpha0", "B0", "slope"])
+    def test_boolean_rejected(self, path, value):
+        # bool is a numbers.Rational, so false used to load as 0 and true as 1
+        cfg = {"alpha0": "1/2", "B0": "0", "branches": [
+            {"kind": "linear", "domain": ["0", "1/2"], "slope": "2", "intercept": "0"},
+            {"kind": "linear", "domain": ["1/2", "1"], "slope": "2", "intercept": "-1"}]}
+        map_from_dict(cfg)
+        *parents, last = path
+        target = cfg
+        for step in parents:
+            target = target[step]
+        target[last] = value
+        with pytest.raises(MapConfigError, match="cannot parse rational"):
+            map_from_dict(json.loads(json.dumps(cfg)))
+
     def test_fingerprint_stable(self, bundled_map):
         again = hc.load_map(hc.bundled_map_path())
         assert again.fingerprint == bundled_map.fingerprint

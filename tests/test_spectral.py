@@ -273,11 +273,15 @@ def random_stochastic(seed, n, density):
 
 
 def _assert_norms_match(P, u, expected, atol):
-    got = _q_power_norms(sp.csr_matrix(P), u)
-    for family, reference in zip(got, expected):
+    P = sp.csr_matrix(P)
+    got = _q_power_norms(P, u)
+    # the deviations used to be formed over all bins, not in the quotient
+    previous = spectral_oracle.quotient_q_power_norms(P, u, N_POWERS, _BLOCK)
+    for family, reference, before in zip(got, expected, previous):
         assert len(family) == N_POWERS + 1
         assert all(math.isfinite(v) and v >= 0.0 for v in family)
         assert max(abs(a - float(b)) for a, b in zip(family, reference)) <= atol
+        assert max(abs(a - b) for a, b in zip(family, before)) <= 1e-13
 
 
 class TestQPowerNorms:
@@ -352,6 +356,7 @@ class TestQPowerNorms:
         assert u.sum() == 1.0 and np.add.accumulate(u)[-1] == 1.0
         for norms in _q_power_norms(P, u):
             assert all(0.0 <= v <= 1e-15 for v in norms[2:])
+        _assert_norms_match(P, u, spectral_oracle.quotient_q_power_norms(P, u, N_POWERS), 1e-15)
 
     def test_zero_powers_clamped(self, shift10_10):
         # P = 1 u exactly, so Q = 0 and the sparse k = 1 formula cancels to roundoff
@@ -359,6 +364,8 @@ class TestQPowerNorms:
         for norms in (record.q_power_norms, record.q_power_norms_colsum):
             assert all(0.0 <= v <= 1e-15 for v in norms[1:])
         assert 0.0 <= record.spectral_radius_bound <= 1e-5
+        P, u = shift10_10.matrix, record.mass_vector
+        _assert_norms_match(P, u, spectral_oracle.quotient_q_power_norms(P, u, N_POWERS), 1e-15)
 
     @pytest.mark.parametrize("label, n_bins", [
         ("bundled", 20), ("bundled", 40), ("doubling", 2), ("doubling", 16),
