@@ -22,7 +22,7 @@ from holecert import (
 
 # -- tiny instance first: the closed form is visible by hand ------------------
 shift = full_branch_linear(10)
-est = estimate_escape(shift, UlamPartition(10), Hole(F(0), F(1, 10)))
+est = estimate_escape(build_closed(shift, UlamPartition(10)), Hole(F(0), F(1, 10)))
 print("10x mod 1, hole = first of 10 bins:")
 print(f"  e_H = {est.e_H:.12g} (exactly 9/10: one of ten uniform bins dies "
       f"each step)")
@@ -31,8 +31,7 @@ print(f"  escape rate = {est.escape_rate:.6g}, residual = {est.solver_residual:.
 # -- bundled map: deficit per unit hole measure across positions --------------
 tmap = load_map(bundled_map_path())
 n = 1000
-part = UlamPartition(n)
-closed = build_closed(tmap, part)
+closed = build_closed(tmap, UlamPartition(n))
 coefficient = 1 + float((2 * tmap.alpha0 + tmap.B0) / (1 - F(1, 25) - 3 * tmap.alpha0))
 
 print()
@@ -42,7 +41,7 @@ print(f"  {'hole':>16s} {'e_H':>14s} {'(1-e_H)/measure':>16s}")
 rows = []
 for k in (3, 137, 444, 500, 729, 999):
     hole = Hole(F(k, n), F(k + 1, n))
-    est = estimate_escape(tmap, part, hole, closed=closed)
+    est = estimate_escape(closed, hole)
     ratio = (1 - est.e_H) * n
     rows.append(ratio)
     print(f"  [{k:4d}/{n}, {k + 1:4d}/{n}) {est.e_H:14.10f} {ratio:16.6f}")

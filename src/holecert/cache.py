@@ -44,8 +44,9 @@ CACHE_ENV_VAR = "HOLECERT_CACHE_DIR"
 #: rows were rescaled by their float sum, schema 5 norms whose powers were
 #: stepped over all bins, not the quotient, and schema 6 deviations taken
 #: over all bins.  Schema 7 takes them in the quotient, in one flat
-#: ``.spectral.bin`` file.
-RECORD_SCHEMA = 7
+#: ``.spectral.bin`` file, and schema 8 numbers the quotient's classes by
+#: their first rows, which reorders the column-family sums.
+RECORD_SCHEMA = 8
 
 #: kind of each file the cache owns, by suffix (older versions wrote npz
 #: records and text matrices); anything else in the directory is left alone
@@ -77,12 +78,13 @@ class PipelineCache:
     Parameters
     ----------
     directory : path-like or None
-        On-disk location of the spectral records; None keeps them in
-        memory for the process lifetime.  Matrices are never written.
+        On-disk location of the spectral records, with a leading ``~``
+        expanded; None keeps them in memory for the process lifetime.
+        Matrices are never written.
     """
 
     def __init__(self, directory=None):
-        self.directory = Path(directory) if directory is not None else None
+        self.directory = Path(directory).expanduser() if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
         self._matrices: dict[tuple, UlamMatrix] = {}

@@ -226,7 +226,7 @@ def _cmd_escape(args) -> int:
     tmap = load_map(args.map)
     manifest = _manifest(args, tmap)
     with _Phase(manifest, "escape"):
-        est = estimate_escape(tmap, UlamPartition(args.bins), args.hole)
+        est = estimate_escape(build_closed(tmap, UlamPartition(args.bins)), args.hole)
     print(f"hole {args.hole}: e_H = {est.e_H:.12g}, escape rate = "
           f"{est.escape_rate:.12g}, residual = {est.solver_residual:.3g}")
     _write_report(args.out, manifest, est)
@@ -275,8 +275,8 @@ def _cmd_cache(args) -> int:
 
 #: Reference outputs for the bundled example map at mesh 2e-4 (and the
 #: bootstrap continuation to mesh 1e-5).  ``tol`` is relative; None means
-#: exact.  Cells marked loose=True sit downstream of a formula-variant
-#: discrepancy documented in the README and carry a wide tolerance.
+#: exact.  The two cells with a 0.10 tolerance sit downstream of a
+#: formula-variant discrepancy documented in the README.
 REFERENCE_TABLES = {
     "table1": {
         "ell": Fraction(1, 25),

@@ -25,7 +25,7 @@ import numpy as np
 from .cache import PipelineCache
 from .maps import PiecewiseMap, affine_onto, as_rational
 from .spectral import dominant_left_eigenpair, invariant_density
-from .ulam import Hole, UlamMatrix, UlamPartition, build_closed
+from .ulam import Hole, UlamMatrix
 
 __all__ = [
     "EscapeEstimate",
@@ -66,9 +66,9 @@ class EscapeEstimate:
     total_escape: bool = False
 
 
-def estimate_escape(tmap: PiecewiseMap, partition: UlamPartition, hole: Hole, *,
-                    closed: UlamMatrix | None = None) -> EscapeEstimate:
-    """Escape factor and accim density of the open system for one hole.
+def estimate_escape(closed: UlamMatrix, hole: Hole) -> EscapeEstimate:
+    """Escape factor and accim density of the open system of a closed Ulam
+    matrix and a hole.
 
     Power iteration on the sub-stochastic open system (the dominant
     eigenpair of a nonnegative matrix is exactly what the iteration
@@ -80,19 +80,12 @@ def estimate_escape(tmap: PiecewiseMap, partition: UlamPartition, hole: Hole, *,
     The open system is the closed matrix with the hole's bins masked: each
     step is ``P^T (x * keep)`` with the closed matrix's cached transpose
     and ``keep`` zero on the hole's bins, bit for bit the iteration on the
-    explicit open matrix P_H.  ``closed`` reuses a previously built closed
-    matrix (it must be on ``partition`` and carry the map's fingerprint,
-    else ``ValueError``), and with it the transpose built for an earlier
-    hole; without it the closed matrix is built for the call.  The hole
-    must align with the partition (:class:`~holecert.ulam.HoleAlignmentError`).
+    explicit open matrix P_H.  Every hole on one closed matrix shares that
+    transpose.  The hole must align with the matrix's partition
+    (:class:`~holecert.ulam.HoleAlignmentError`).
     """
+    partition = closed.partition
     hole_bins = hole.bin_range(partition)   # raises HoleAlignmentError if misaligned
-    if closed is None:
-        closed = build_closed(tmap, partition)
-    elif closed.partition != partition:
-        raise ValueError("supplied matrix is not a closed matrix on this partition")
-    elif closed.map_fingerprint != tmap.fingerprint:
-        raise ValueError("supplied closed matrix was built from a different map")
     keep = np.ones(partition.n_bins)
     keep[hole_bins.start:hole_bins.stop] = 0.0
     lam, x, residual, iters = dominant_left_eigenpair(closed, tol=RATIO_TOL, keep=keep)
@@ -251,10 +244,9 @@ def asymptotic_ratio(tmap: PiecewiseMap, y, widths, bins_per_hole: int, *,
                 f"bin count {n_frac} is not an integer"
             )
         n = int(n_frac)
-        part = UlamPartition(n)
         hole = _nested_aligned_hole(y_frac, n, bins_per_hole, previous)
         closed = cache.closed_matrix(tmap, n)
-        est = estimate_escape(tmap, part, hole, closed=closed)
+        est = estimate_escape(closed, hole)
         holes.append(hole)
         bins.append(n)
         evals.append(est.e_H)

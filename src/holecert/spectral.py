@@ -216,49 +216,30 @@ def _check_submultiplicative(norms, label: str) -> None:
                 )
 
 
-def _mix(x: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer on uint64 arrays (wrapping arithmetic)."""
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
-
-
 def _equal_rows(P: sp.csr_matrix):
     """Classes of equal rows of a float64 CSR matrix: ``(first, classes,
-    copies)`` as ``np.unique`` returns them for the rows' byte keys (the
-    row's indices, then its data), so classes sort as those keys do.
+    copies)``, the lowest row of each class, the class of each row and the
+    rows in each class, with the classes in the order of their lowest rows.
 
-    Rows are grouped by a hash of their entries, and every row is compared
-    entry by entry with the first row of its group; one that differs (a
-    hash collision) becomes a class of its own.  A collision can so split a
-    class, which the quotient chain tolerates, but it never merges unequal
-    rows.  Only the representatives' byte keys are built, to sort them.
+    Rows are equal when their column indices and data bits are.  The rows
+    of each length are sorted by a table of their length, indices and data
+    bits; the sort is stable, so each class's lowest row comes first, and a
+    class starts wherever a sorted row differs from the one before it.
     """
-    n, indptr = P.shape[0], P.indptr
+    indptr = P.indptr
     nnz = np.diff(indptr)
-    bits = P.data.view(np.uint64)
-    entry = _mix(bits + P.indices.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-    sums = np.concatenate((np.zeros(1, np.uint64), np.cumsum(entry)))
-    _, head, group = np.unique(_mix(sums[indptr[1:]] - sums[indptr[:-1]] + nnz.astype(np.uint64)),
-                               return_index=True, return_inverse=True)
-    rep = head[group]
-    # each entry against the same position of its row's representative
-    alone = nnz != nnz[rep]
-    at = np.arange(P.nnz) + np.repeat(np.where(alone, 0, indptr[rep] - indptr[:-1]), nnz)
-    differ = np.flatnonzero((P.indices[at] != P.indices) | (bits[at] != bits))
-    alone[np.searchsorted(indptr, differ, side="right") - 1] = True
-    rep[alone] = np.flatnonzero(alone)
-    # the representatives in the order of their byte keys
-    reps = np.flatnonzero(np.bincount(rep, minlength=n))
-    ib, db = P.indices.tobytes(), P.data.tobytes()
-    wi, wd = P.indices.itemsize, P.data.itemsize
-    keys = [ib[wi * a:wi * b] + db[wd * a:wd * b]
-            for a, b in zip(indptr[reps].tolist(), indptr[reps + 1].tolist())]
-    first = reps[sorted(range(len(reps)), key=keys.__getitem__)]
-    label = np.empty(n, dtype=np.intp)
-    label[first] = np.arange(len(first))
-    classes = label[rep]
-    return first, classes, np.bincount(classes, minlength=len(first))
+    bits = P.data.view(np.int64)
+    rep = np.empty(P.shape[0], dtype=np.intp)
+    for length in np.unique(nnz):
+        rows = np.flatnonzero(nnz == length)
+        at = indptr[rows, None] + np.arange(length)
+        # the length column gives lexsort a key even for empty rows
+        table = np.hstack((np.full((len(rows), 1), length), P.indices[at], bits[at]))
+        order = np.lexsort(table.T)
+        table, rows = table[order], rows[order]
+        new = np.r_[True, (table[1:] != table[:-1]).any(axis=1)]
+        rep[rows] = rows[new][np.cumsum(new) - 1]
+    return np.unique(rep, return_inverse=True, return_counts=True)
 
 
 def _q_power_norms(P: sp.csr_matrix, u: np.ndarray) -> tuple[list[float], list[float]]:

@@ -180,7 +180,7 @@ def test_c4_escape_oracle_equivalence(shift10):
     def check():
         part = UlamPartition(10)
         hole = hc.Hole(F(0), F(1, 10))
-        est = hc.estimate_escape(shift10, part, hole)
+        est = hc.estimate_escape(hc.build_closed(shift10, part), hole)
         assert abs(est.e_H - 0.9) <= 1e-12
         dense = np.linalg.eigvals(build_open(shift10, part, hole).toarray())
         assert abs(max(abs(dense)) - est.e_H) <= 1e-12
@@ -191,7 +191,6 @@ def test_c4_escape_oracle_equivalence(shift10):
 def test_c5_certified_hole_sweep(bundled_map, pipeline_cache, table1_report):
     def check():
         rep = table1_report
-        part = UlamPartition(5000)
         closed = pipeline_cache.closed_matrix(bundled_map, 5000)
         rng = np.random.default_rng(20240925)
         bins = rng.choice(5000, size=20, replace=False)
@@ -199,7 +198,7 @@ def test_c5_certified_hole_sweep(bundled_map, pipeline_cache, table1_report):
             hole = hc.Hole(F(int(k), 5000), F(int(k) + 1, 5000))
             assert hole.measure <= rep.hole_bound
             assert hc.certificate_bounds(rep, hole.measure).accim_exists
-            est = hc.estimate_escape(bundled_map, part, hole, closed=closed)
+            est = hc.estimate_escape(closed, hole)
             deficit = 1.0 - est.e_H
             assert deficit < float(rep.delta_com) * 1.1
             assert deficit <= ESCAPE_COEFFICIENT * float(hole.measure) * 1.1

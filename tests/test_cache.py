@@ -10,16 +10,16 @@ import holecert as hc
 
 
 def test_record_in_eigensolver_layout_is_recomputed(tmp_path, shift10):
-    # the eigensolver-based layout: full eigenvalue list, no schema tag
+    # a flat record in every respect but its header, which is the eigensolver
+    # era's: a full eigenvalue list and no schema tag
     cache = hc.PipelineCache(tmp_path)
     path = cache._record_path(shift10.fingerprint, 10)
     meta = {"n_bins": 10, "map_fingerprint": shift10.fingerprint,
-            "spectrum_complete": True, "projection_norm": 1.0,
-            "unit_residual": 0.0, "power_iterations": 1}
-    with open(path, "wb") as fh:
-        np.savez(fh, eigenvalues=np.array([1.0, 0.5, 0.25], dtype=complex),
-                 mass_vector=np.full(10, 0.1), q_power_norms=np.zeros(7),
-                 q_power_norms_colsum=np.zeros(7), meta=json.dumps(meta))
+            "eigenvalues": [1.0, 0.5, 0.25], "spectrum_complete": True,
+            "unit_eigenvalue": 1.0, "projection_norm": 1.0,
+            "unit_residual": 0.0, "power_iterations": 1, "lengths": [7, 7, 10]}
+    payload = np.concatenate((np.zeros(14), np.full(10, 0.1))).astype("<f8")
+    path.write_bytes(json.dumps(meta).encode() + b"\n" + payload.tobytes())
 
     record = cache.spectral_record(shift10, 10)
     assert cache.stats["spectral_builds"] == 1
@@ -79,7 +79,7 @@ def test_record_from_older_norm_code_is_recomputed(tmp_path, shift10):
     cache = hc.PipelineCache(tmp_path)
     record = cache.spectral_record(shift10, 100)
     path = cache._record_path(shift10.fingerprint, 100)
-    assert json.loads(path.read_bytes().partition(b"\n")[0])["schema"] == hc.cache.RECORD_SCHEMA == 7
+    assert json.loads(path.read_bytes().partition(b"\n")[0])["schema"] == hc.cache.RECORD_SCHEMA == 8
     _rewrite_record(path, schema=6, q_power_norms=np.full(7, 0.5))
 
     rebuilt = hc.PipelineCache(tmp_path)
@@ -194,7 +194,7 @@ def test_record_round_trip_is_bit_identical(tmp_path, bundled_map):
     lambda data: b"[7]" + data[data.index(b"\n"):],
     lambda data: data + bytes(8),
     lambda data: data.replace(b'"lengths": [7, 7, 40]', b'"lengths": [7, 8, 39]'),
-    lambda data: data.replace(b'"schema": 7', b'"schema": 8'),
+    lambda data: data.replace(b'"schema": 8', b'"schema": 7'),
 ], ids=["truncated", "truncated-mid-value", "header-only", "no-newline", "header-not-json",
         "header-not-object", "payload-too-long", "lengths-disagree", "wrong-schema"])
 def test_damaged_record_is_recomputed(tmp_path, bundled_map, damage):
@@ -226,3 +226,18 @@ def test_legacy_record_listed_and_purged_but_never_read(tmp_path, shift10):
         (current.name, "spectral"), (legacy.name, "legacy spectral")]
     assert cache.purge() == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("given", ["argument", "environment"])
+def test_home_directory_expanded(tmp_path, shift10, monkeypatch, given):
+    home, work = tmp_path / "home", tmp_path / "work"
+    work.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv(hc.cache.CACHE_ENV_VAR, "~/.cache/holecert")
+    monkeypatch.chdir(work)
+    cache = hc.PipelineCache("~/.cache/holecert" if given == "argument"
+                             else hc.default_cache_dir())
+    cache.spectral_record(shift10, 10)
+    assert cache.directory == home / ".cache" / "holecert"
+    assert [e["kind"] for e in cache.entries()] == ["spectral"]
+    assert list(work.iterdir()) == []

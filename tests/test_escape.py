@@ -21,7 +21,7 @@ from holecert.ulam import UlamPartition
 class TestEstimateEscape:
     def test_uniform_shift_small_instance(self, shift10):
         part = UlamPartition(10)
-        est = estimate_escape(shift10, part, hc.Hole(F(0), F(1, 10)))
+        est = estimate_escape(hc.build_closed(shift10, part), hc.Hole(F(0), F(1, 10)))
         assert est.e_H == pytest.approx(0.9, abs=1e-12)
         assert est.escape_rate == pytest.approx(-math.log(0.9), abs=1e-12)
         # dense eigensolve oracle on the 10 x 10 matrix
@@ -29,30 +29,27 @@ class TestEstimateEscape:
         assert max(abs(w)) == pytest.approx(est.e_H, abs=1e-12)
 
     def test_accim_density_uniform(self, shift10):
-        est = estimate_escape(shift10, UlamPartition(10), hc.Hole(F(0), F(1, 10)))
+        est = estimate_escape(hc.build_closed(shift10, UlamPartition(10)),
+                              hc.Hole(F(0), F(1, 10)))
         assert np.allclose(est.accim_density, 1.0, atol=1e-12)
         assert est.accim_density.sum() / 10 == pytest.approx(1.0, abs=1e-12)
 
     def test_total_escape_flagged(self, shift10):
-        est = estimate_escape(shift10, UlamPartition(10), hc.Hole(F(0), F(1)))
+        est = estimate_escape(hc.build_closed(shift10, UlamPartition(10)), hc.Hole(F(0), F(1)))
         assert est.total_escape
         assert est.e_H == 0.0
         assert est.escape_rate == math.inf
 
     def test_residual_within_limit(self, bundled_map):
-        part = UlamPartition(200)
-        est = estimate_escape(bundled_map, part, hc.Hole(F(1, 2), F(51, 100)))
+        closed = hc.build_closed(bundled_map, UlamPartition(200))
+        est = estimate_escape(closed, hc.Hole(F(1, 2), F(51, 100)))
         assert est.solver_residual <= 1e-10
         assert 0 < est.e_H < 1
 
     def test_monotone_in_hole_size(self, shift10):
-        part = UlamPartition(100)
-        closed = hc.build_closed(shift10, part)
-        evals = []
-        for k in (1, 2, 3, 5, 8):
-            est = estimate_escape(shift10, part, hc.Hole(F(0), F(k, 100)),
-                                  closed=closed)
-            evals.append(est.e_H)
+        closed = hc.build_closed(shift10, UlamPartition(100))
+        evals = [estimate_escape(closed, hc.Hole(F(0), F(k, 100))).e_H
+                 for k in (1, 2, 3, 5, 8)]
         assert all(b <= a + 1e-14 for a, b in zip(evals, evals[1:]))
 
 
@@ -91,16 +88,14 @@ class TestMaskedIteration:
         closed = hc.build_closed(tmap, part)
         for hole in oracle_holes(n):
             ref = open_matrix_escape(tmap, part, hole, closed=closed)
-            assert_same_estimate(estimate_escape(tmap, part, hole, closed=closed), ref)
-        # without ``closed`` the closed matrix is built for the call
-        assert_same_estimate(estimate_escape(tmap, part, hole), ref)
+            assert_same_estimate(estimate_escape(closed, hole), ref)
 
     def test_one_transpose_for_many_holes(self, bundled_map, monkeypatch):
         part = UlamPartition(500)
         closed = hc.build_closed(bundled_map, part)
         transposed = count_transposes(monkeypatch)
         for hole in oracle_holes(500):
-            estimate_escape(bundled_map, part, hole, closed=closed)
+            estimate_escape(closed, hole)
         assert len(transposed) == 1 and transposed[0] is closed.matrix
 
     @pytest.mark.parametrize("label, widths, bins_per_hole", [
@@ -118,15 +113,10 @@ class TestMaskedIteration:
         n_bins = [int(bins_per_hole / w) for w in widths]
         assert [m.shape for m in transposed] == [(n, n) for n in n_bins]
 
-    def test_closed_matrix_checks_kept(self, shift10, bundled_map):
-        part = UlamPartition(20)
-        closed = hc.build_closed(shift10, part)
+    def test_closed_matrix_checks_kept(self, shift10):
+        closed = hc.build_closed(shift10, UlamPartition(20))
         with pytest.raises(hc.HoleAlignmentError):
-            estimate_escape(shift10, part, hc.Hole(F(1, 3), F(1, 2)), closed=closed)
-        with pytest.raises(ValueError, match="different map"):
-            estimate_escape(bundled_map, part, hc.Hole(F(0), F(1, 20)), closed=closed)
-        with pytest.raises(ValueError, match="not a closed matrix"):
-            estimate_escape(shift10, UlamPartition(10), hc.Hole(F(0), F(1, 10)), closed=closed)
+            estimate_escape(closed, hc.Hole(F(1, 3), F(1, 2)))
 
 
 class TestClassifyPoint:

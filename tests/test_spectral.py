@@ -389,16 +389,25 @@ class TestQPowerNorms:
 
 
 def _byte_key_classes(P):
-    """Equal-row classes from one byte key per row, the loop _equal_rows replaced."""
+    """Equal-row classes from one byte key per row, the loop _equal_rows
+    replaced, with the classes relabelled in the order of their first rows."""
     keys = [P.indices[lo:hi].tobytes() + P.data[lo:hi].tobytes()
             for lo, hi in zip(P.indptr[:-1], P.indptr[1:])]
-    _, first, classes, copies = np.unique(np.array(keys, dtype=object), return_index=True,
-                                          return_inverse=True, return_counts=True)
-    return first, classes, copies
+    _, first, classes = np.unique(np.array(keys, dtype=object), return_index=True,
+                                  return_inverse=True)
+    return np.unique(first[classes], return_inverse=True, return_counts=True)
+
+
+def _csr_rows(rows):
+    """4-column CSR matrix from rows given as lists of (column, value) pairs."""
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    indices = np.array([j for row in rows for j, _ in row], dtype=np.int32)
+    data = np.array([x for row in rows for _, x in row], dtype=float)
+    return sp.csr_matrix((data, indices, indptr), shape=(len(rows), 4))
 
 
 class TestEqualRows:
-    """Hashed equal-row classes against the byte-key loop, bit for bit."""
+    """Sorted equal-row classes against the byte-key loop, bit for bit."""
 
     @staticmethod
     def matrix(label, bundled_map):
@@ -423,18 +432,21 @@ class TestEqualRows:
         monkeypatch.setattr(spectral, "_equal_rows", _byte_key_classes)
         assert _q_power_norms(P, u) == norms
 
-    @pytest.mark.parametrize("label", ["kfold20", "all-distinct"])
-    def test_hash_collisions_split_but_never_merge(self, bundled_map, monkeypatch, label):
-        # every row hashes alike: only rows equal to the first share its class
-        P = self.matrix(label, bundled_map)
-        monkeypatch.setattr(spectral, "_mix", lambda x: np.zeros_like(x))
+    @pytest.mark.parametrize("rows, n_classes", [
+        ([[(0, 0.5), (1, 0.5)], [(0, 0.5), (1, np.nextafter(0.5, 1.0))],
+          [(0, 0.5), (1, 0.5)]], 2),
+        ([[(0, 0.5), (1, 0.5)], [(0, 0.5), (2, 0.5)], [(1, 0.5), (2, 0.5)],
+          [(0, 0.5), (2, 0.5)]], 3),
+        ([[(0, 0.5)], [(0, 0.5), (1, 0.5)], [(0, 0.5), (1, 0.5), (2, 0.5)], [(0, 0.5)]], 3),
+        ([[], [(0, 1.0)], [], [], [(0, 1.0)], []], 2),
+    ], ids=["one-ulp-apart", "same-data-other-columns", "shared-prefix", "empty-rows"])
+    def test_near_equal_rows_kept_apart(self, rows, n_classes):
+        P = _csr_rows(rows)
         first, classes, copies = _equal_rows(P)
         assert (P[first][classes] != P).nnz == 0
-        assert copies.sum() == P.shape[0]
-        equal_to_row0 = (P[np.zeros(P.shape[0], dtype=int)] != P).getnnz(axis=1) == 0
-        assert copies.max() == equal_to_row0.sum()
-        u = np.full(P.shape[0], 1.0 / P.shape[0])
-        _assert_norms_match(P, u, spectral_oracle.q_power_norms(P, u, N_POWERS), 1e-12)
+        assert len(first) == n_classes and copies.sum() == P.shape[0]
+        for a, b in zip((first, classes, copies), _byte_key_classes(P)):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestNeumannBound:
