@@ -6,7 +6,8 @@ everything they hold (unit eigenvalue, invariant density, power norms of
 the mass-free part) is independent of the peripheral threshold r and the
 separation delta.  The matrix power computations are by far the most
 expensive step, so a warm record cache lets a second run at the same mesh
-do no matrix work at all.  A record is one flat file: a JSON header line
+do no matrix work at all (nor load scipy, which only a matrix build
+imports).  A record is one flat file: a JSON header line
 (the scalars, the schema tag and each array's length), then the
 little-endian float64 row family, column family and mass vector.  A file
 whose ``schema`` tag differs from :data:`RECORD_SCHEMA` was written by an

@@ -41,6 +41,7 @@ re-entering the hole-uniform chain (the coarse-to-fine bootstrap).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -182,6 +183,11 @@ def kl_constants(ly: LYConstants, r, delta, H) -> KLConstants:
     one_minus_r_inv = 1.0 / (1.0 - r)
 
     epsilon1 = r ** (n1 + n2) / (8 * B * (H * B + one_minus_r_inv))
+    if not epsilon1 >= sys.float_info.min:
+        # 1/(2 epsilon1) below would divide by zero or overflow
+        raise KLDomainError(
+            f"r^(n1+n2) = {r}^{n1 + n2} underflows double precision: epsilon1 = "
+            f"{epsilon1!r} is zero or subnormal (n1 = {n1}, n2 = {n2})")
     base = r ** n1 / (4 * B * (H * (D + B) + 2 * (1 + B) + one_minus_r_inv))
     epsilon0 = min(epsilon1, base ** gamma)
 
@@ -189,6 +195,10 @@ def kl_constants(ly: LYConstants, r, delta, H) -> KLConstants:
     b = 2 * ((4 * (1 + B) ** 2 * (D + B) + B) * one_minus_r_inv * r ** (-n1) + B)
 
     transfer = 4 * (1 + B) / (1 - r) * r ** (-n1) + 1 / (2 * epsilon1)
+    if not math.isfinite(transfer):
+        raise KLDomainError(
+            f"the transfer bound overflows double precision (n1 = {n1}, n2 = {n2}): "
+            f"epsilon1 = {epsilon1!r} is too close to underflow")
 
     out = KLConstants(ly=ly, r=r, delta=delta, H=H, n1=n1, C=C, n2=n2,
                       gamma=gamma, epsilon1=epsilon1, epsilon0=epsilon0,

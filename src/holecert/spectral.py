@@ -59,11 +59,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .ulam import UlamMatrix
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "SpectralRecord",
@@ -263,6 +266,8 @@ def _q_power_norms(P: sp.csr_matrix, u: np.ndarray) -> tuple[list[float], list[f
     norms; its row sums, weighted by each row's count in P and added over
     the blocks in order, are the column family.
     """
+    import scipy.sparse as sp
+
     n = P.shape[0]
     w = u @ P
     row_norms = [float(np.max(np.abs(1.0 - u) + (np.abs(u).sum() - np.abs(u))))]

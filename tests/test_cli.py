@@ -63,6 +63,15 @@ class TestKLConstantsCommand:
                    "--r", "1/4", "--delta", "1/26", "--H", "10"])
         assert rc == 1
 
+    @pytest.mark.parametrize("alpha0", ["3195/10000", "31941/100000"])
+    def test_underflow_exit_code(self, capsys, alpha0):
+        # r^(n1+n2) leaves epsilon1 at 0, then at a subnormal value whose
+        # transfer bound 1/(2 epsilon1) is infinite
+        rc = main(["kl-constants", "--alpha0", alpha0, "--B0", "8/3",
+                   "--r", "24/25", "--delta", "1/26", "--H", "100"])
+        assert rc == 1
+        assert "underflows double precision" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["kl-constants", "--alpha0", "not-a-number", "--B0", "0",

@@ -70,3 +70,43 @@ def test_import_footprint_is_stdlib_numpy_scipy():
                and m not in ("numpy", "scipy", "holecert") and m not in theirs]
     assert "holecert" in added and "numpy" in added
     assert foreign == []
+
+
+#: runs ``holecert.cli.main`` on argv in a fresh interpreter and prints, as
+#: its last line, the exit code and whether scipy was loaded
+CLI_PROBE = """
+import json, sys
+from holecert.cli import main
+rc = main(sys.argv[1:])
+print(json.dumps([rc, "scipy" in sys.modules]))
+"""
+
+
+def _cli_in_fresh_process(*argv):
+    src = Path(holecert.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", CLI_PROBE, *argv], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy loads with the first sparse matrix, not with the package
+    added, deps = _footprint("holecert.cli")
+    assert "scipy" not in added
+    assert [m for m in deps if m.startswith("scipy")] == []
+
+
+@pytest.mark.parametrize("command", ["kl-constants", "cache"])
+def test_scalar_commands_leave_scipy_unloaded(tmp_path, command):
+    argv = {"kl-constants": ["kl-constants", "--alpha0", "1/9", "--B0", "2/9", "--r", "24/25",
+                             "--delta", "1/26", "--H", "45.46070939"],
+            "cache": ["cache", "list", "--cache-dir", str(tmp_path)]}[command]
+    assert _cli_in_fresh_process(*argv) == [0, False]
+
+
+def test_warm_reproduce_tables_leaves_scipy_unloaded(tmp_path):
+    argv = ["reproduce-tables", "--out-dir", str(tmp_path),
+            "--cache-dir", str(tmp_path / "cache")]
+    assert _cli_in_fresh_process(*argv) == [0, True]      # cold: builds matrices
+    assert _cli_in_fresh_process(*argv) == [0, False]     # warm: reads records

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction as F
 
@@ -195,7 +196,7 @@ def cell_dtypes(tmap, n):
     """dtypes of the integer cell arrays that build_closed assembles."""
     branches, dtype = tmap.branches, _int_dtype(tmap.branches, n)
     grids = [_grid(b, n) for b in branches]
-    return {_cells(branches[a:b], grids[a:b], n, dtype)[2].dtype for a, b in _groups(grids)}
+    return {_cells(branches, grids, run, n, dtype)[3].dtype for run in _groups(grids)}
 
 
 def fits_int64(branch, n):
@@ -305,8 +306,14 @@ def assert_matches_branchwise(tmap, n):
         assert got.tobytes() == ref.tobytes()
 
 
-def n_groups(tmap, n):
-    return len(list(_groups([_grid(b, n) for b in tmap.branches])))
+def runs(tmap, n):
+    return list(_groups([_grid(b, n) for b in tmap.branches]))
+
+
+def cut_branches(tmap, n):
+    """The branches that the assembly splits into several runs."""
+    widths = [j1 - j0 for j0, j1, _, _ in (_grid(b, n) for b in tmap.branches)]
+    return {b for run in runs(tmap, n) for b, ta, tb in run if tb - ta < widths[b]}
 
 
 class TestGroupedAssembly:
@@ -318,9 +325,14 @@ class TestGroupedAssembly:
         ("bundled", n) for n in (1, 2, 3, 7, 9, 10, 1000, 4330, 5000, 40_000)
     ] + [
         ("shift10", n) for n in (10, 11, 100, 1000, 2000, 100_000)
+    ] + [
+        ("decreasing", 20_000),
     ])
-    def test_bit_identical_to_branchwise(self, bundled_map, shift10, label, n):
-        tmap = {"kfold20": kfold_moebius(20), "bundled": bundled_map, "shift10": shift10}[label]
+    def test_bit_identical_to_branchwise(self, bundled_map, shift10, decreasing_map, label, n):
+        tmap = {"kfold20": kfold_moebius(20), "bundled": bundled_map, "shift10": shift10,
+                "decreasing": decreasing_map}[label]
+        if label == "decreasing":   # its decreasing branch is cut into runs
+            assert 0 in cut_branches(tmap, n)
         assert_matches_branchwise(tmap, n)
 
     @pytest.mark.parametrize("label, n", [
@@ -329,17 +341,29 @@ class TestGroupedAssembly:
     def test_group_boundaries_between_branches(self, bundled_map, shift10, label, n):
         # the cases above that split the branches into several passes
         tmap = {"kfold20": kfold_moebius(20), "bundled": bundled_map, "shift10": shift10}[label]
-        assert 1 < n_groups(tmap, n) <= tmap.n_branches
-        assert n_groups(tmap, 100) == 1
+        grids = [_grid(b, n) for b in tmap.branches]
+        split, cut = runs(tmap, n), cut_branches(tmap, n)
+        assert len(split) > 1 and len(runs(tmap, 100)) == 1
+        # every interval once, in domain order
+        assert [(b, t) for run in split for b, ta, tb in run for t in range(ta, tb)] == [
+            (b, t) for b, g in enumerate(grids) for t in range(g[1] - g[0])]
+        # a branch over budget, and only such a branch, is cut into runs of
+        # its intervals, each a run of its own
+        assert cut == {b for b, (j0, j1, i0, i1) in enumerate(grids)
+                       if j1 - j0 + i1 - i0 > ulam._GROUP_CELLS}
+        assert all(len(run) == 1 for run in split if cut & {b for b, _, _ in run})
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 37, 100, 1000])
-    @pytest.mark.parametrize("budget", [1, 40, ulam._GROUP_CELLS])
+    @pytest.mark.parametrize("budget", [1, 40, ulam._GROUP_CELLS, 2 * ulam._GROUP_CELLS])
     def test_shared_end_rows(self, monkeypatch, n, budget):
         monkeypatch.setattr(ulam, "_GROUP_CELLS", budget)
         m = hc.PiecewiseMap(SHARED_ROW_BRANCHES, alpha0=F(1, 2), B0=0, label="shared")
         assert not m.branches[0].increasing
         if n % 7:
             assert _grid(m.branches[0], n)[3] == _grid(m.branches[1], n)[2]
+        # a budget below its cells cuts the decreasing branch into runs
+        j0, j1, i0, i1 = _grid(m.branches[0], n)
+        assert (0 in cut_branches(m, n)) == (j1 - j0 + i1 - i0 > budget)
         assert_matches_branchwise(m, n)
         if n <= 100:
             assert_matches_oracle(m, n)
@@ -351,6 +375,16 @@ class TestGroupedAssembly:
         for tmap in (bundled_map, kfold_moebius(20), hc.full_branch_linear(7)):
             for n in (13, 200, 1001):
                 assert_matches_branchwise(tmap, n)
+
+    def test_peak_memory_below_twice_the_matrix(self, shift10):
+        # the CSR arrays are allocated once and filled run by run
+        tracemalloc.start()
+        try:
+            M = hc.build_closed(shift10, UlamPartition(100_000)).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (M.data.nbytes + M.indices.nbytes + M.indptr.nbytes)
 
     def test_repeat_build_uses_cached_branch_data(self, monkeypatch):
         m = kfold_moebius(20)
