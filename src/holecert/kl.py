@@ -177,6 +177,9 @@ def kl_constants(ly: LYConstants, r, delta, H) -> KLConstants:
 
     log_ratio = math.log(r / alpha)
     n1 = math.ceil(math.log(2) / log_ratio)
+    if -n1 * math.log(r) > math.log(sys.float_info.max):
+        raise KLDomainError(
+            f"r^-n1 = {r}^-{n1} overflows double precision (n1 = {n1})")
     C = r ** (-n1)
     n2 = math.ceil(math.log(8 * B * D * C * H) / log_ratio)
     gamma = log_ratio / math.log(1 / alpha)

@@ -4,15 +4,15 @@ The closed-system matrix has entries
 
     P[i, j] = lambda(bin_i  intersect  T^-1 bin_j) / lambda(bin_i),
 
-assembled straight into CSR order.  The cells of each row are counted
-first, from the images of the grid points, so ``indptr``, ``indices`` and
-``data`` are allocated once at their final size.  One vectorised integer
-pass per run of intervals then writes the run's cells at their places (a
-run holds a few thousand cells, so its arrays stay small; a branch with
-more is cut into several runs): int64 when one a-priori bound keeps every
-integer of every branch below 2^53, Python integers otherwise.  Runs come
-in domain order, so the rows arrive in order; only a decreasing branch's
-cells of a row are written back to front.
+assembled in one streamed pass.  One vectorised integer pass per run of
+intervals computes the run's cells (a run holds a few thousand cells, so
+its arrays stay small; a branch with more is cut into several runs): int64
+when one a-priori bound keeps every integer of every branch below 2^53,
+Python integers otherwise.  Runs come in domain order, so rows never go
+backwards: each run's cells are appended to ``indices`` and ``data``,
+allocated once at a bound on the cell count, and its cells per row are
+counted into ``indptr``.  scipy then sorts the columns of the rows that a
+decreasing branch wrote back to front or that two branches share.
 
 Every branch is a Moebius map (p, q, r, s) (a linear branch has r = 0,
 s = 1); with integer coefficients P, Q, R, S the preimage of the grid
@@ -20,13 +20,13 @@ point j/n is (S j - Q n)/(P n - R j), so every entry is an exact rational,
 rounded once to float64 and never rescaled.  The branch computes its
 integer coefficients and endpoints once and keeps them, so a repeated
 assembly does no ``Fraction`` arithmetic outside the shared rows below.
-Rows where branches meet are summed exactly in ``Fraction`` before that
-rounding and written last.  Closed rows sum to 1 exactly before it (the
-map is a self-map of [0, 1]), so a rounded row's exact sum is within
-2^-53 of 1.  The open-system matrix P_H for a
-hole aligned with the partition is the closed matrix with the rows of all
-bins inside the hole zeroed; it is sub-stochastic and its dominant
-eigenvalue is the discrete escape factor.  Since ``x P_H = (x 1_{not H}) P``,
+In a row where branches meet, the cells of one column are summed exactly
+in ``Fraction`` before that rounding.  Closed rows sum to 1 exactly
+before it (the map is a self-map of [0, 1]), so a rounded row's exact sum
+is within 2^-53 of 1.  The open-system matrix P_H for a hole aligned with
+the partition is the closed matrix with the rows of all bins inside the
+hole zeroed; it is sub-stochastic and its dominant eigenvalue is the
+discrete escape factor.  Since ``x P_H = (x 1_{not H}) P``,
 an open system is its closed matrix plus a mask of the hole's bins: escape
 estimates step the closed matrix's cached CSR transpose
 (``UlamMatrix.transposed``) with the mask applied, and the explicit ``P_H``
@@ -210,57 +210,6 @@ def _ramps(start, step, width):
     return out
 
 
-def _row_counts(branches, grids, n: int, dtype):
-    """``(counts, shared)``: the number of cells in each row, and a mask of
-    the rows that are end rows of two or more branches.
-
-    With s = +-1 a branch's orientation, its part [a, b] of row i meets
-    the y-bins k with floor(s n T(a)) <= s k' < ceil(s n T(b)), where k' = k
-    on an increasing branch and -k-1 on a decreasing one.  At the domain's
-    ends these bounds are j0, j1 (or -j1, -j0) from :func:`_grid`; at a grid
-    point g/n inside it, s n T = s n (P g + Q n) / (R g + S n), exact in
-    ``dtype`` for the same reason as in :func:`_cells`.  A shared row counts
-    each column of its branches once.
-    """
-    exact, index = [], []
-    for b, (j0, j1, i0, i1) in zip(branches, grids):
-        P, Q, R, S = b._integers[:4]
-        s = 1 if b.increasing else -1
-        exact.append((s * n * (P * (i0 + 1) + Q * n), R * (i0 + 1) + S * n, s * n * P, R))
-        index.append((i0, i1, s, *((j0, j1) if s > 0 else (-j1, -j0))))
-    exact = np.array(exact, dtype=dtype).T
-    i0, i1, s, lo, hi = np.array(index, dtype=np.int64).T
-    # the branch's rows i0 .. i1 have the slots head .. tail; its grid
-    # points i0+1 .. i1 are the inner bounds
-    inner = i1 - i0
-    num, den = _ramps(exact[:2], exact[2:], inner)
-    tail = (inner + 1).cumsum() - 1
-    head = tail - inner
-    left, right = np.empty((2, tail[-1] + 1), dtype=np.int64)
-    inside = np.ones(len(left), dtype=bool)
-    inside[head] = False
-    left[inside], left[head] = num // den, lo
-    inside[head], inside[tail] = True, False
-    right[inside], right[tail] = -(-num // den), hi
-    counts = right - left
-    # branches b > 0 whose first row is the last row of branch b - 1
-    joins = (i0[1:] == i1[:-1]).nonzero()[0] + 1
-    shared = np.zeros(n, dtype=bool)
-    if len(joins):
-        shared[i0[joins]] = True
-        inside[:] = True
-        inside[head[joins]] = False
-        counts = counts[inside]
-        columns: dict[int, set] = {}
-        for b in joins.tolist():
-            for t, sign in ((tail[b - 1], s[b - 1]), (head[b], s[b])):
-                cols = range(left[t], right[t]) if sign > 0 else range(-right[t], -left[t])
-                columns.setdefault(int(i0[b]), set()).update(cols)
-        for i, cols in columns.items():
-            counts[i] = len(cols)
-    return counts, shared
-
-
 def _cells(branches, grids, run, n: int, dtype):
     """Nonzero cells of a run of intervals (see :func:`_groups`) on the
     n-bin grid, exactly, in the run's order: rows nondecreasing, and in a
@@ -268,12 +217,11 @@ def _cells(branches, grids, run, n: int, dtype):
     decreasing one.
 
     ``grids`` holds each branch's :func:`_grid`.  Returns ``(first,
-    counts, cols, num, den, down)``: interval t meets ``counts[t]`` rows
-    from ``first[t]`` on, one cell each; the cells' int64 ``cols`` and
-    integer arrays ``num``, ``den`` of ``dtype`` (see :func:`_int_dtype`)
-    give n * lambda(bin_row & branch^-1 bin_col) = num/den <= 1 (a cell
-    lies inside one bin); ``down`` marks the cells of decreasing branches,
-    or is None when the run has none.  With integer coefficients P, Q, R,
+    counts, cols, num, den)``: interval t meets ``counts[t]`` rows from
+    ``first[t]`` on, one cell each; the cells' int64 ``cols`` and integer
+    arrays ``num``, ``den`` of ``dtype`` (see :func:`_int_dtype`) give
+    n * lambda(bin_row & branch^-1 bin_col) = num/den <= 1 (a cell lies
+    inside one bin).  With integer coefficients P, Q, R,
     S, the grid point k/n has the preimage (S k - Q n)/(P n - R k); floor
     division and the cell lengths below are right for either sign of the
     denominators.
@@ -332,25 +280,27 @@ def _cells(branches, grids, run, n: int, dtype):
     b *= lden
     num[starts], den[starts] = a, b
     cols = cols.astype(np.int64, copy=False).repeat(counts)
-    dk = exact[5]
-    down = None if (dk > 0).all() else (dk < 0).repeat(width).repeat(counts)
-    return first.astype(np.int64, copy=False), counts, cols, num, den, down
+    return first.astype(np.int64, copy=False), counts, cols, num, den
 
 
 def build_closed(tmap: PiecewiseMap, partition: UlamPartition) -> UlamMatrix:
     """Assemble the row-stochastic Ulam matrix of the closed system.
 
     Every entry is an exact rational from integer preimages of the grid
-    points, rounded once to float64.  The cells of each row are counted
-    first (:func:`_row_counts`), so the CSR arrays are allocated once.  One
-    vectorised pass per run of intervals from :func:`_groups` then writes
-    the run's cells at their places, in int64 when one a-priori bound
-    allows it for every branch (see :func:`_int_dtype`).  Runs come in
-    domain order, so the cells arrive in CSR order except that a
-    decreasing branch's cells of a row are written back to front.  Only a
-    row that is an end row of two or more branches can hold a cell of
-    each; its cells are summed as ``Fraction`` before rounding and written
-    last.  ``scipy.sparse`` is imported here, on the first build.
+    points, rounded once to float64.  One vectorised pass per run of
+    intervals from :func:`_groups` computes the run's cells, in int64 when
+    one a-priori bound allows it for every branch (see :func:`_int_dtype`).
+    The cells are written in stream order into ``indices`` and ``data``,
+    allocated once at the bound on the cells that :func:`_groups` uses, and
+    shrunk in place at the end.  Each run counts into ``indptr`` the
+    intervals that begin inside a row, and a row holds one cell more than
+    it has such intervals.  Only a row that is an end row of two or more
+    branches can hold a cell of each, in the same column too: such a
+    column's cells are summed as ``Fraction``, the rounded sum goes into
+    its first slot and 0.0 into the others, which ``eliminate_zeros``
+    drops.  ``sort_indices`` orders the columns when a branch decreases or
+    a row is shared.  ``scipy.sparse`` is imported here, on the first
+    build.
     """
     import scipy.sparse as sp
 
@@ -358,46 +308,47 @@ def build_closed(tmap: PiecewiseMap, partition: UlamPartition) -> UlamMatrix:
     branches = tmap.branches
     dtype = _int_dtype(branches, n)
     grids = [_grid(b, n) for b in branches]
-    per_row, in_shared = _row_counts(branches, grids, n, dtype)
-    shared_rows = np.flatnonzero(in_shared)
-    nnz = int(per_row.sum())
-    index = np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
+    cap = sum(j1 - j0 + i1 - i0 for j0, j1, i0, i1 in grids)
+    index = np.int32 if max(n, cap) <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(per_row, out=indptr[1:])
-    indices, data = np.empty(nnz, dtype=index), np.empty(nnz)
-    # skip[m]: the entries of the first m shared rows, which other cells pass
-    skip = np.concatenate(([0], np.cumsum(per_row[shared_rows])))
-    shared: dict[tuple[int, int], Fraction] = {}
-    done = 0                            # cells written outside shared rows
+    indices, data = np.empty(cap, dtype=index), np.empty(cap)
+    # rows where a branch begins and the one before it ends
+    in_shared = np.zeros(n, dtype=bool)
+    in_shared[[g[2] for f, g in zip(grids, grids[1:]) if g[2] == f[3]]] = True
+    shared: dict[tuple[int, int], list] = {}    # (row, col): [exact sum, *slots]
+    done = stop = 0
     for run in _groups(grids):
-        first, counts, c, num, den, down = _cells(branches, grids, run, n, dtype)
-        lo, hi = np.searchsorted(shared_rows, (first[0], first[-1] + counts[-1]))
-        if hi == lo and down is None:   # the cells fill a slice in order
-            at = slice(done + skip[lo], done + skip[lo] + len(c))
-        else:
+        first, counts, c, num, den = _cells(branches, grids, run, n, dtype)
+        # count into indptr[i + 1] the intervals that begin inside row i:
+        # interval t does when the interval before it ends in row first[t]
+        ends = first + counts           # past each interval's last row
+        indptr[first[0] + 1] += stop - first[0]
+        np.add.at(indptr[1:], first[1:], (ends[:-1] - first[1:]).astype(index))
+        stop = ends[-1]
+        indices[done:done + len(c)] = c
+        data[done:done + len(c)] = num / den
+        if in_shared[first[0]:stop].any():
             r = _ramps(first, np.ones_like(first), counts)
-            if hi > lo:
-                edge = in_shared[r]
-                for key, x, y in zip(zip(r[edge].tolist(), c[edge].tolist()),
-                                     num[edge].tolist(), den[edge].tolist()):
-                    shared[key] = shared.get(key, 0) + Fraction(x, y)
-                keep = ~edge
-                r, c, num, den = r[keep], c[keep], num[keep], den[keep]
-                down = None if down is None else down[keep]
-            at = np.arange(done, done + len(c))
-            at += skip[np.searchsorted(shared_rows, r)]
-            if down is not None:
-                d = r[down]
-                at[down] = indptr[d] + indptr[d + 1] - 1 - at[down]
-        indices[at] = c
-        data[at] = num / den
+            edge = np.flatnonzero(in_shared[r])
+            for key, at, x, y in zip(zip(r[edge].tolist(), c[edge].tolist()),
+                                     (edge + done).tolist(), num[edge].tolist(),
+                                     den[edge].tolist()):
+                entry = shared.setdefault(key, [0])
+                entry[0] += Fraction(x, y)
+                entry.append(at)
         done += len(c)
-    if done + len(shared) != nnz:
-        raise AssertionError(f"{done + len(shared)} cells assembled for {nnz} counted")
-    if shared:
-        keys = sorted(shared)
-        at = np.concatenate([np.arange(indptr[i], indptr[i + 1]) for i in shared_rows])
-        indices[at] = [j for _, j in keys]
-        data[at] = [float(shared[key]) for key in keys]
+    indptr[1:] += 1                     # a row holds one cell more than that
+    np.cumsum(indptr, out=indptr)
+    indices.resize(done, refcheck=False)
+    data.resize(done, refcheck=False)
+    repeats = []
+    for total, at, *again in shared.values():
+        data[at] = float(total)
+        repeats += again
+    data[repeats] = 0.0
     matrix = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    if shared or not all(b.increasing for b in branches):
+        matrix.sort_indices()
+    if repeats:
+        matrix.eliminate_zeros()
     return UlamMatrix(partition, matrix, tmap.fingerprint)

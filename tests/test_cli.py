@@ -72,6 +72,14 @@ class TestKLConstantsCommand:
         assert rc == 1
         assert "underflows double precision" in capsys.readouterr().err
 
+    def test_overflow_exit_code(self, capsys):
+        # alpha = 3 alpha0 just below r takes n1 = 22181: r^-n1 is about e^905
+        rc = main(["kl-constants", "--alpha0", "31999/100000", "--B0", "8/3",
+                   "--r", "24/25", "--delta", "1/26", "--H", "100"])
+        assert rc == 1
+        assert "r^-n1 = 0.96^-22181 overflows double precision (n1 = 22181)" in \
+            capsys.readouterr().err
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["kl-constants", "--alpha0", "not-a-number", "--B0", "0",

@@ -327,6 +327,8 @@ class TestGroupedAssembly:
         ("shift10", n) for n in (10, 11, 100, 1000, 2000, 100_000)
     ] + [
         ("decreasing", 20_000),
+        # a column repeated in the shared row at x = 1/2, and off-grid shared rows
+        ("decreasing", 100_001), ("bundled", 40_001),
     ])
     def test_bit_identical_to_branchwise(self, bundled_map, shift10, decreasing_map, label, n):
         tmap = {"kfold20": kfold_moebius(20), "bundled": bundled_map, "shift10": shift10,
@@ -376,15 +378,17 @@ class TestGroupedAssembly:
             for n in (13, 200, 1001):
                 assert_matches_branchwise(tmap, n)
 
-    def test_peak_memory_below_twice_the_matrix(self, shift10):
-        # the CSR arrays are allocated once and filled run by run
-        tracemalloc.start()
-        try:
-            M = hc.build_closed(shift10, UlamPartition(100_000)).matrix
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * (M.data.nbytes + M.indices.nbytes + M.indptr.nbytes)
+    def test_peak_memory_below_twice_the_matrix(self, shift10, decreasing_map, bundled_map):
+        # the CSR arrays are allocated once and filled run by run, also on
+        # meshes with a decreasing branch, a repeated column and off-grid rows
+        for tmap, n in ((shift10, 100_000), (decreasing_map, 100_001), (bundled_map, 40_001)):
+            tracemalloc.start()
+            try:
+                M = hc.build_closed(tmap, UlamPartition(n)).matrix
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * (M.data.nbytes + M.indices.nbytes + M.indptr.nbytes), n
 
     def test_repeat_build_uses_cached_branch_data(self, monkeypatch):
         m = kfold_moebius(20)
