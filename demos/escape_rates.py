@@ -12,7 +12,6 @@ import numpy as np
 
 from holecert import (
     Hole,
-    UlamPartition,
     build_closed,
     bundled_map_path,
     estimate_escape,
@@ -22,7 +21,7 @@ from holecert import (
 
 # -- tiny instance first: the closed form is visible by hand ------------------
 shift = full_branch_linear(10)
-est = estimate_escape(build_closed(shift, UlamPartition(10)), Hole(F(0), F(1, 10)))
+est = estimate_escape(build_closed(shift, 10), Hole(F(0), F(1, 10)))
 print("10x mod 1, hole = first of 10 bins:")
 print(f"  e_H = {est.e_H:.12g} (exactly 9/10: one of ten uniform bins dies "
       f"each step)")
@@ -31,7 +30,7 @@ print(f"  escape rate = {est.escape_rate:.6g}, residual = {est.solver_residual:.
 # -- bundled map: deficit per unit hole measure across positions --------------
 tmap = load_map(bundled_map_path())
 n = 1000
-closed = build_closed(tmap, UlamPartition(n))
+closed = build_closed(tmap, n)
 coefficient = 1 + float((2 * tmap.alpha0 + tmap.B0) / (1 - F(1, 25) - 3 * tmap.alpha0))
 
 print()

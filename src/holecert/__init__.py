@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .maps import (Branch, MapConfigError, MapDomainError, PiecewiseMap, as_rational,
                    bundled_map_path, full_branch_linear, load_map)
-from .ulam import Hole, HoleAlignmentError, UlamMatrix, UlamPartition, build_closed
+from .ulam import Hole, HoleAlignmentError, UlamMatrix, build_closed
 from .spectral import (NeumannDivergenceError, ResolventBound, SpectralRecord,
                        SpectralStructureError, compute_record, dominant_left_eigenpair, h_star,
                        neumann_bound)
@@ -30,7 +30,7 @@ __all__ = [
     "KLConstants", "KLDomainError", "LYConstants", "MapConfigError", "MapDomainError",
     "NeumannDivergenceError", "PiecewiseMap", "PipelineCache", "PointClassification",
     "ResolventBound", "SpectralRecord", "SpectralStructureError", "UlamMatrix",
-    "UlamPartition", "as_rational", "asymptotic_ratio", "build_closed",
+    "as_rational", "asymptotic_ratio", "build_closed",
     "bundled_map_path", "certificate_bounds", "classify_point", "compute_record",
     "default_cache_dir", "dominant_left_eigenpair", "estimate_escape",
     "full_branch_linear", "h_star", "kl_constants", "load_map", "ly_constants",

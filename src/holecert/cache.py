@@ -32,21 +32,14 @@ import numpy as np
 
 from .maps import PiecewiseMap
 from .spectral import N_POWERS, SpectralRecord, compute_record
-from .ulam import UlamMatrix, UlamPartition, build_closed
+from .ulam import UlamMatrix, build_closed
 
 __all__ = ["PipelineCache", "default_cache_dir", "CACHE_ENV_VAR"]
 
 CACHE_ENV_VAR = "HOLECERT_CACHE_DIR"
 
-#: layout tag of spectral records, raised whenever the code that fills a
-#: record changes.  Schemas up to 6 are ``.spectral.npz`` files: untagged
-#: ones hold the eigensolver layout's eigenvalue list, schemas 2 and 3
-#: row-block and global-P^2 power norms, schema 4 norms of matrices whose
-#: rows were rescaled by their float sum, schema 5 norms whose powers were
-#: stepped over all bins, not the quotient, and schema 6 deviations taken
-#: over all bins.  Schema 7 takes them in the quotient, in one flat
-#: ``.spectral.bin`` file, and schema 8 numbers the quotient's classes by
-#: their first rows, which reorders the column-family sums.
+#: layout tag of spectral records: raise it whenever the code that fills a
+#: record changes; a file with another tag is recomputed
 RECORD_SCHEMA = 8
 
 #: kind of each file the cache owns, by suffix (older versions wrote npz
@@ -109,7 +102,7 @@ class PipelineCache:
         if key in self._matrices:
             self.stats["matrix_hits"] += 1
             return self._matrices[key]
-        m = build_closed(tmap, UlamPartition(n_bins))
+        m = build_closed(tmap, n_bins)
         self.stats["matrix_builds"] += 1
         self._matrices[key] = m
         return m

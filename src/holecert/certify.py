@@ -39,7 +39,6 @@ from .kl import (
     HOLE_UNIFORM,
     KLConstants,
     KLDomainError,
-    LYConstants,
     kl_constants,
     ly_constants,
 )
@@ -135,7 +134,6 @@ class CertificationReport:
     epsilon_com: Fraction | None
     hole_bound: Fraction | None      # Gamma * epsilon_com
     iterations: list[IterationRecord] = field(default_factory=list)
-    ly: LYConstants | None = None
     final_constants: KLConstants | None = None
 
     @property
@@ -213,7 +211,7 @@ def run_certification(tmap: PiecewiseMap, config: CertificationConfig,
         map_fingerprint=tmap.fingerprint, ell=ell, r=r_frac, Gamma=gamma_frac,
         escape_coefficient=escape_coefficient,
         escape_guarantee=-math.log(1 - float(ell)),
-        delta_com=None, epsilon_com=None, hole_bound=None, ly=ly,
+        delta_com=None, epsilon_com=None, hole_bound=None,
     )
 
     delta = config.initial_delta()

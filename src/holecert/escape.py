@@ -81,18 +81,18 @@ def estimate_escape(closed: UlamMatrix, hole: Hole) -> EscapeEstimate:
     step is ``P^T (x * keep)`` with the closed matrix's cached transpose
     and ``keep`` zero on the hole's bins, bit for bit the iteration on the
     explicit open matrix P_H.  Every hole on one closed matrix shares that
-    transpose.  The hole must align with the matrix's partition
-    (:class:`~holecert.ulam.HoleAlignmentError`).
+    transpose.  The hole's endpoints must be multiples of 1/n for the
+    matrix's bin count n (:class:`~holecert.ulam.HoleAlignmentError`).
     """
-    partition = closed.partition
-    hole_bins = hole.bin_range(partition)   # raises HoleAlignmentError if misaligned
-    keep = np.ones(partition.n_bins)
+    n = closed.n_bins
+    hole_bins = hole.bin_range(n)   # raises HoleAlignmentError if misaligned
+    keep = np.ones(n)
     keep[hole_bins.start:hole_bins.stop] = 0.0
     lam, x, residual, iters = dominant_left_eigenpair(closed, tol=RATIO_TOL, keep=keep)
     if lam == 0.0:
-        return EscapeEstimate(hole=hole, n_bins=partition.n_bins, e_H=0.0,
+        return EscapeEstimate(hole=hole, n_bins=n, e_H=0.0,
                               escape_rate=math.inf,
-                              accim_density=np.zeros(partition.n_bins),
+                              accim_density=np.zeros(n),
                               solver_residual=0.0, iterations=iters,
                               total_escape=True)
     if residual > RESIDUAL_LIMIT:
@@ -104,9 +104,9 @@ def estimate_escape(closed: UlamMatrix, hole: Hole) -> EscapeEstimate:
         raise PowerIterationError(f"escape factor {lam} outside (0, 1]")
     x = np.where(x < 0.0, 0.0, x)
     x = x / x.sum()
-    return EscapeEstimate(hole=hole, n_bins=partition.n_bins,
+    return EscapeEstimate(hole=hole, n_bins=n,
                           e_H=min(lam, 1.0), escape_rate=-math.log(min(lam, 1.0)),
-                          accim_density=x * partition.n_bins,
+                          accim_density=x * n,
                           solver_residual=residual, iterations=iters)
 
 

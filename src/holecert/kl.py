@@ -11,7 +11,7 @@ This module evaluates every constant of that chain:
 
     n1   = ceil( ln(2A) / ln(r/alpha) )
     C    = r^-n1,            D = A (A + B + 2)
-    n2   = ceil( ln(8 B D C H) / ln(r/alpha) )
+    n2   = max( 0, ceil( ln(8 B D C H) / ln(r/alpha) ) )
     gamma = ln(r/alpha) / ln(1/alpha)
     eps1 = r^(n1+n2) / ( 8 B (H B + (1-r)^-1) )
     eps0 = min( eps1,
@@ -181,7 +181,9 @@ def kl_constants(ly: LYConstants, r, delta, H) -> KLConstants:
         raise KLDomainError(
             f"r^-n1 = {r}^-{n1} overflows double precision (n1 = {n1})")
     C = r ** (-n1)
-    n2 = math.ceil(math.log(8 * B * D * C * H) / log_ratio)
+    # n2 counts powers of the transfer operator: when 8 B D C H <= alpha/r
+    # the ceiling is negative and n2 = 0 already meets its inequality
+    n2 = max(0, math.ceil(math.log(8 * B * D * C * H) / log_ratio))
     gamma = log_ratio / math.log(1 / alpha)
     one_minus_r_inv = 1.0 / (1.0 - r)
 

@@ -240,10 +240,6 @@ class PiecewiseMap:
 
     # -- basic queries ----------------------------------------------------
 
-    @property
-    def n_branches(self) -> int:
-        return len(self.branches)
-
     def branch_index_of(self, x) -> int:
         """Index of the branch whose domain contains x (exact comparison).
 
@@ -320,7 +316,7 @@ class PiecewiseMap:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def __repr__(self):
-        return (f"PiecewiseMap({self.label!r}, {self.n_branches} branches, "
+        return (f"PiecewiseMap({self.label!r}, {len(self.branches)} branches, "
                 f"alpha0={self.alpha0}, B0={self.B0})")
 
 

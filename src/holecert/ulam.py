@@ -32,8 +32,8 @@ estimates step the closed matrix's cached CSR transpose
 (``UlamMatrix.transposed``) with the mask applied, and the explicit ``P_H``
 lives only in the tests' reference (``tests/escape_oracle.py``).
 
-Matrices are ``scipy.sparse.csr_matrix`` wrapped with partition and
-provenance metadata.  ``scipy.sparse`` is imported by the first build, not
+Matrices are ``scipy.sparse.csr_matrix`` wrapped with their bin count and
+the map's fingerprint.  ``scipy.sparse`` is imported by the first build, not
 with this module, so a run that builds no matrix (a warm
 ``reproduce-tables``, ``kl-constants``, ``cache``) never loads scipy.
 Matrices live only in the process that built them: the pipeline persists
@@ -42,6 +42,7 @@ the spectral record of a closed matrix, never the matrix.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -55,7 +56,6 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 __all__ = [
-    "UlamPartition",
     "Hole",
     "UlamMatrix",
     "HoleAlignmentError",
@@ -64,24 +64,6 @@ __all__ = [
 
 class HoleAlignmentError(ValueError):
     """Hole endpoints do not coincide with partition points."""
-
-
-@dataclass(frozen=True)
-class UlamPartition:
-    """Uniform partition of [0, 1) into ``n_bins`` half-open bins."""
-
-    n_bins: int
-
-    def __post_init__(self):
-        if self.n_bins < 1:
-            raise ValueError("partition needs at least one bin")
-
-    @property
-    def mesh(self) -> Fraction:
-        return Fraction(1, self.n_bins)
-
-    def is_partition_point(self, x) -> bool:
-        return (as_rational(x) * self.n_bins).denominator == 1
 
 
 @dataclass(frozen=True)
@@ -101,17 +83,16 @@ class Hole:
     def measure(self) -> Fraction:
         return self.b - self.a
 
-    def aligned_to(self, partition: UlamPartition) -> bool:
-        return (partition.is_partition_point(self.a)
-                and partition.is_partition_point(self.b))
+    def aligned_to(self, n_bins: int) -> bool:
+        return (self.a * n_bins).denominator == (self.b * n_bins).denominator == 1
 
-    def bin_range(self, partition: UlamPartition) -> range:
+    def bin_range(self, n_bins: int) -> range:
         """Indices of the bins inside the hole (requires alignment)."""
-        if not self.aligned_to(partition):
+        if not self.aligned_to(n_bins):
             raise HoleAlignmentError(
-                f"hole ({self.a}, {self.b}) is not aligned to 1/{partition.n_bins} bins"
+                f"hole ({self.a}, {self.b}) is not aligned to 1/{n_bins} bins"
             )
-        return range(int(self.a * partition.n_bins), int(self.b * partition.n_bins))
+        return range(int(self.a * n_bins), int(self.b * n_bins))
 
     def __str__(self):
         return f"({self.a},{self.b})"
@@ -119,16 +100,12 @@ class Hole:
 
 @dataclass
 class UlamMatrix:
-    """The sparse closed Ulam matrix of a map, with its partition and the
-    map's fingerprint."""
+    """The sparse closed Ulam matrix of a map on ``n_bins`` uniform bins,
+    with the map's fingerprint."""
 
-    partition: UlamPartition
+    n_bins: int
     matrix: sp.csr_matrix
     map_fingerprint: str
-
-    @property
-    def n_bins(self) -> int:
-        return self.partition.n_bins
 
     def row_sums(self) -> np.ndarray:
         return np.asarray(self.matrix.sum(axis=1)).ravel()
@@ -283,8 +260,9 @@ def _cells(branches, grids, run, n: int, dtype):
     return first.astype(np.int64, copy=False), counts, cols, num, den
 
 
-def build_closed(tmap: PiecewiseMap, partition: UlamPartition) -> UlamMatrix:
-    """Assemble the row-stochastic Ulam matrix of the closed system.
+def build_closed(tmap: PiecewiseMap, n_bins: int) -> UlamMatrix:
+    """Assemble the row-stochastic Ulam matrix of the closed system on the
+    uniform partition of [0, 1) into ``n_bins`` bins.
 
     Every entry is an exact rational from integer preimages of the grid
     points, rounded once to float64.  One vectorised pass per run of
@@ -304,7 +282,9 @@ def build_closed(tmap: PiecewiseMap, partition: UlamPartition) -> UlamMatrix:
     """
     import scipy.sparse as sp
 
-    n = partition.n_bins
+    n = operator.index(n_bins)
+    if n < 1:
+        raise ValueError("partition needs at least one bin")
     branches = tmap.branches
     dtype = _int_dtype(branches, n)
     grids = [_grid(b, n) for b in branches]
@@ -351,4 +331,4 @@ def build_closed(tmap: PiecewiseMap, partition: UlamPartition) -> UlamMatrix:
         matrix.sort_indices()
     if repeats:
         matrix.eliminate_zeros()
-    return UlamMatrix(partition, matrix, tmap.fingerprint)
+    return UlamMatrix(n, matrix, tmap.fingerprint)

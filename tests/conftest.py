@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from fractions import Fraction
 
 import holecert as hc
-from holecert.ulam import UlamMatrix, UlamPartition
+from holecert.ulam import UlamMatrix
 
 
 @pytest.fixture(scope="session")
@@ -68,4 +68,4 @@ def decoupled_blocks():
     P = np.full((2 * m, 2 * m), leak / m)
     P[:m, :m] = (1 - leak) * blocks[0]
     P[m:, m:] = (1 - leak) * blocks[1]
-    return UlamMatrix(UlamPartition(2 * m), sp.csr_matrix(P), "decoupled")
+    return UlamMatrix(2 * m, sp.csr_matrix(P), "decoupled")

@@ -19,7 +19,6 @@ from holecert.certify import CertificationConfig, separation_check
 from holecert.cli import REFERENCE_TABLES
 from holecert.kl import CLOSED_ONLY, kl_constants, ly_constants
 from holecert.spectral import compute_record
-from holecert.ulam import UlamPartition
 
 import kl_oracle
 from escape_oracle import build_open
@@ -178,11 +177,10 @@ def test_c3_bootstrap_workflow(table2_run, pipeline_cache):
 
 def test_c4_escape_oracle_equivalence(shift10):
     def check():
-        part = UlamPartition(10)
         hole = hc.Hole(F(0), F(1, 10))
-        est = hc.estimate_escape(hc.build_closed(shift10, part), hole)
+        est = hc.estimate_escape(hc.build_closed(shift10, 10), hole)
         assert abs(est.e_H - 0.9) <= 1e-12
-        dense = np.linalg.eigvals(build_open(shift10, part, hole).toarray())
+        dense = np.linalg.eigvals(build_open(shift10, 10, hole).toarray())
         assert abs(max(abs(dense)) - est.e_H) <= 1e-12
     _criterion("C4", "escape factor matches the closed form and a dense "
                      "eigensolve on the small instance", check)
@@ -230,7 +228,7 @@ def test_c7_property_suites(bundled_spectral_5000, doubling):
     def check():
         # row stochasticity on an uneven instance
         m7 = hc.full_branch_linear(7)
-        M = hc.build_closed(m7, UlamPartition(53))
+        M = hc.build_closed(m7, 53)
         assert np.abs(M.row_sums() - 1.0).max() <= 1e-12
         # submultiplicativity of both stored norm families at the
         # production mesh
@@ -253,7 +251,7 @@ def test_c7_property_suites(bundled_spectral_5000, doubling):
         assert not separation_check([1.0, 0.97], 0.96, 1 / 26).passed
         assert separation_check([1.0, 0.98 + 0.1j], 0.96, 1 / 100).passed
         # cache determinism: identical records from independent computations
-        M2 = hc.build_closed(doubling, UlamPartition(32))
+        M2 = hc.build_closed(doubling, 32)
         rec_a = compute_record(M2)
         rec_b = compute_record(M2)
         assert rec_a.q_power_norms == rec_b.q_power_norms

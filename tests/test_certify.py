@@ -86,7 +86,7 @@ class TestRefinementStep:
         # mesh 1/1000 fails even the closed-only comparison: no transfer,
         # the next pass analyses the ladder mesh the comparison predicts
         cache = FixedRecordCache(
-            hc.build_closed(bundled_map, hc.UlamPartition(1000)))
+            hc.build_closed(bundled_map, 1000))
         config = CertificationConfig(ell=F(1, 40))
         rep = hc.run_certification(bundled_map, config, cache=cache)
         first, second = rep.iterations
@@ -107,7 +107,7 @@ class TestLadderCap:
     @pytest.fixture
     def capped(self, monkeypatch, bundled_map):
         monkeypatch.setattr(hc.certify, "LADDER_CAP", 10**4)
-        return FixedRecordCache(hc.build_closed(bundled_map, hc.UlamPartition(1000)))
+        return FixedRecordCache(hc.build_closed(bundled_map, 1000))
 
     def test_analysed_path(self, capped, bundled_map):
         # no transfer at mesh 1/1000, and the threshold needs 100 000 bins

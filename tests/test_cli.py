@@ -63,6 +63,19 @@ class TestKLConstantsCommand:
                    "--r", "1/4", "--delta", "1/26", "--H", "10"])
         assert rc == 1
 
+    def test_n2_never_negative(self, capsys):
+        # 8 B D C H < alpha/r puts the ceiling for n2 at -2; a negative power
+        # of the transfer operator would inflate epsilon1 by r^-2
+        rc = main(["kl-constants", "--alpha0", "1/9", "--B0", "2/9",
+                   "--r", "24/25", "--delta", "1/26", "--H", "0.001"])
+        assert rc == 0
+        values = dict(re.findall(r"(\S+)\s+(\S+)", capsys.readouterr().out))
+        assert values["n2"] == "0"
+        r, B = 24 / 25, (1 - 1 / 9 + 2 / 9) / (1 - 3 / 9)
+        n1 = int(values["n1"])
+        assert float(values["epsilon1"]) == pytest.approx(
+            r ** n1 / (8 * B * (0.001 * B + 1 / (1 - r))), rel=1e-9)
+
     @pytest.mark.parametrize("alpha0", ["3195/10000", "31941/100000"])
     def test_underflow_exit_code(self, capsys, alpha0):
         # r^(n1+n2) leaves epsilon1 at 0, then at a subnormal value whose
@@ -103,7 +116,7 @@ class TestMatrixAndSpectralCommands:
 
         # the report is the library pipeline on the in-memory matrix, bit for bit
         record = hc.compute_record(
-            hc.build_closed(hc.load_map(map_path), hc.UlamPartition(100)))
+            hc.build_closed(hc.load_map(map_path), 100))
         bound = hc.h_star(record, 24 / 25, 1 / 26, 1 / 9, 2 / 9)
         assert doc["report"]["q_power_norms"] == list(record.q_power_norms)
         assert doc["report"]["spectral_radius_bound"] == record.spectral_radius_bound
@@ -119,10 +132,15 @@ class TestMatrixAndSpectralCommands:
                   "--delta", "1/26"] + constant)
         assert exc.value.code == 2
 
-    def test_misaligned_hole_fails(self, tmp_path, shift_map_path):
+    def test_misaligned_hole_fails(self, tmp_path, shift_map_path, capsys):
         rc = main(["escape", "--map", shift_map_path, "--bins", "10",
                    "--hole", "0,1/7", "--out", str(tmp_path / "x.json")])
         assert rc == 1
+        # a partition without bins fails the same way
+        rc = main(["escape", "--map", shift_map_path, "--bins", "0",
+                   "--hole", "0,1/10", "--out", str(tmp_path / "x.json")])
+        assert rc == 1
+        assert "at least one bin" in capsys.readouterr().err
 
 
 class TestEscapeCommands:

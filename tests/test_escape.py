@@ -15,39 +15,37 @@ from holecert.escape import (
     classify_point,
     estimate_escape,
 )
-from holecert.ulam import UlamPartition
 
 
 class TestEstimateEscape:
     def test_uniform_shift_small_instance(self, shift10):
-        part = UlamPartition(10)
-        est = estimate_escape(hc.build_closed(shift10, part), hc.Hole(F(0), F(1, 10)))
+        est = estimate_escape(hc.build_closed(shift10, 10), hc.Hole(F(0), F(1, 10)))
         assert est.e_H == pytest.approx(0.9, abs=1e-12)
         assert est.escape_rate == pytest.approx(-math.log(0.9), abs=1e-12)
         # dense eigensolve oracle on the 10 x 10 matrix
-        w = np.linalg.eigvals(build_open(shift10, part, hc.Hole(F(0), F(1, 10))).toarray())
+        w = np.linalg.eigvals(build_open(shift10, 10, hc.Hole(F(0), F(1, 10))).toarray())
         assert max(abs(w)) == pytest.approx(est.e_H, abs=1e-12)
 
     def test_accim_density_uniform(self, shift10):
-        est = estimate_escape(hc.build_closed(shift10, UlamPartition(10)),
+        est = estimate_escape(hc.build_closed(shift10, 10),
                               hc.Hole(F(0), F(1, 10)))
         assert np.allclose(est.accim_density, 1.0, atol=1e-12)
         assert est.accim_density.sum() / 10 == pytest.approx(1.0, abs=1e-12)
 
     def test_total_escape_flagged(self, shift10):
-        est = estimate_escape(hc.build_closed(shift10, UlamPartition(10)), hc.Hole(F(0), F(1)))
+        est = estimate_escape(hc.build_closed(shift10, 10), hc.Hole(F(0), F(1)))
         assert est.total_escape
         assert est.e_H == 0.0
         assert est.escape_rate == math.inf
 
     def test_residual_within_limit(self, bundled_map):
-        closed = hc.build_closed(bundled_map, UlamPartition(200))
+        closed = hc.build_closed(bundled_map, 200)
         est = estimate_escape(closed, hc.Hole(F(1, 2), F(51, 100)))
         assert est.solver_residual <= 1e-10
         assert 0 < est.e_H < 1
 
     def test_monotone_in_hole_size(self, shift10):
-        closed = hc.build_closed(shift10, UlamPartition(100))
+        closed = hc.build_closed(shift10, 100)
         evals = [estimate_escape(closed, hc.Hole(F(0), F(k, 100))).e_H
                  for k in (1, 2, 3, 5, 8)]
         assert all(b <= a + 1e-14 for a, b in zip(evals, evals[1:]))
@@ -84,15 +82,13 @@ class TestMaskedIteration:
     @pytest.mark.parametrize("label", ["shift10", "bundled", "decreasing"])
     def test_matches_open_matrix(self, shift10, bundled_map, decreasing_map, label, n):
         tmap = {"shift10": shift10, "bundled": bundled_map, "decreasing": decreasing_map}[label]
-        part = UlamPartition(n)
-        closed = hc.build_closed(tmap, part)
+        closed = hc.build_closed(tmap, n)
         for hole in oracle_holes(n):
-            ref = open_matrix_escape(tmap, part, hole, closed=closed)
+            ref = open_matrix_escape(tmap, n, hole, closed=closed)
             assert_same_estimate(estimate_escape(closed, hole), ref)
 
     def test_one_transpose_for_many_holes(self, bundled_map, monkeypatch):
-        part = UlamPartition(500)
-        closed = hc.build_closed(bundled_map, part)
+        closed = hc.build_closed(bundled_map, 500)
         transposed = count_transposes(monkeypatch)
         for hole in oracle_holes(500):
             estimate_escape(closed, hole)
@@ -114,7 +110,7 @@ class TestMaskedIteration:
         assert [m.shape for m in transposed] == [(n, n) for n in n_bins]
 
     def test_closed_matrix_checks_kept(self, shift10):
-        closed = hc.build_closed(shift10, UlamPartition(20))
+        closed = hc.build_closed(shift10, 20)
         with pytest.raises(hc.HoleAlignmentError):
             estimate_escape(closed, hc.Hole(F(1, 3), F(1, 2)))
 
@@ -238,7 +234,7 @@ class TestAsymptoticRatio:
         assert not exp.low_confidence
         # holes nested and aligned, each containing the point
         for h, n in zip(exp.holes, exp.n_bins):
-            assert h.aligned_to(UlamPartition(n))
+            assert h.aligned_to(n)
             assert h.a <= 0 <= h.b
         assert exp.holes[1].a >= exp.holes[0].a
         assert exp.holes[1].b <= exp.holes[0].b

@@ -19,7 +19,7 @@ PUBLIC = [
     "KLConstants", "KLDomainError", "LYConstants", "MapConfigError", "MapDomainError",
     "NeumannDivergenceError", "PiecewiseMap", "PipelineCache", "PointClassification",
     "ResolventBound", "SpectralRecord", "SpectralStructureError", "UlamMatrix",
-    "UlamPartition", "as_rational", "asymptotic_ratio", "build_closed",
+    "as_rational", "asymptotic_ratio", "build_closed",
     "bundled_map_path", "certificate_bounds", "classify_point", "compute_record",
     "default_cache_dir", "dominant_left_eigenpair", "estimate_escape",
     "full_branch_linear", "h_star", "kl_constants", "load_map", "ly_constants",

@@ -28,22 +28,22 @@ from holecert.spectral import (
     h_star,
     neumann_bound,
 )
-from holecert.ulam import UlamMatrix, UlamPartition
+from holecert.ulam import UlamMatrix
 
 
 def hand_matrix(entries):
     arr = np.asarray(entries, dtype=float)
-    return UlamMatrix(UlamPartition(arr.shape[0]), sp.csr_matrix(arr), "test")
+    return UlamMatrix(arr.shape[0], sp.csr_matrix(arr), "test")
 
 
 @pytest.fixture(scope="module")
 def doubling2(doubling):
-    return hc.build_closed(doubling, UlamPartition(2))
+    return hc.build_closed(doubling, 2)
 
 
 @pytest.fixture(scope="module")
 def shift10_10(shift10):
-    return hc.build_closed(shift10, UlamPartition(10))
+    return hc.build_closed(shift10, 10)
 
 
 def max_row_sum(M):
@@ -85,7 +85,7 @@ class TestPowerIteration:
         assert res <= 1e-12
 
     def test_substochastic(self, shift10):
-        open_m = build_open(shift10, UlamPartition(10), hc.Hole(F(0), F(1, 10)))
+        open_m = build_open(shift10, 10, hc.Hole(F(0), F(1, 10)))
         lam, x, res, _ = dominant_left_eigenpair(open_m)
         assert lam == pytest.approx(0.9, abs=1e-12)
         assert res <= 1e-12
@@ -109,9 +109,8 @@ class TestPowerIteration:
             A[:] = 0.0
         P = sp.csr_matrix(A)
         if kind == "hole":
-            part = UlamPartition(10 * n)
             lo = int(rng.integers(0, 10 * n))
-            P = build_open(hc.full_branch_linear(10), part,
+            P = build_open(hc.full_branch_linear(10), 10 * n,
                            hc.Hole(F(lo, 10 * n), F(lo + 1, 10 * n)))
         lam, x, res, it = dominant_left_eigenpair(P, tol)
         ref_lam, ref_x, ref_res, ref_it = _row_vector_power_iteration(P, tol)
@@ -159,7 +158,7 @@ class TestEigenAnalysis:
         assert max(data.q_power_norms[1:]) <= 1e-13
 
     def test_invariant_density_normalization(self, bundled_map):
-        M = hc.build_closed(bundled_map, UlamPartition(100))
+        M = hc.build_closed(bundled_map, 100)
         data = compute_record(M)
         density = data.invariant_density
         assert density.min() >= 0.0
@@ -168,16 +167,15 @@ class TestEigenAnalysis:
     def test_record_keeps_no_transpose(self, bundled_map):
         # the record's power iteration transposes for the call only; a
         # closed matrix keeps a transpose once an escape estimate asks
-        M = hc.build_closed(bundled_map, UlamPartition(100))
+        M = hc.build_closed(bundled_map, 100)
         compute_record(M)
         assert "transposed" not in vars(M)
 
     def test_requires_closed_mode(self, shift10):
         # a sub-stochastic matrix wrapped by hand has no unit eigenvalue
-        part = UlamPartition(10)
-        open_m = build_open(shift10, part, hc.Hole(F(0), F(1, 10)))
+        open_m = build_open(shift10, 10, hc.Hole(F(0), F(1, 10)))
         with pytest.raises(NoUnitEigenvalueError):
-            compute_record(UlamMatrix(part, open_m, shift10.fingerprint))
+            compute_record(UlamMatrix(10, open_m, shift10.fingerprint))
 
     def test_no_unit_eigenvalue(self):
         M = hand_matrix([[0.5, 0.4], [0.4, 0.5]])
@@ -196,7 +194,7 @@ class TestEigenAnalysis:
             compute_record(hand_matrix([[0.5, 0.5], [0.5, 0.5]]))
 
     def test_submultiplicativity_of_stored_norms(self, bundled_map):
-        M = hc.build_closed(bundled_map, UlamPartition(60))
+        M = hc.build_closed(bundled_map, 60)
         data = compute_record(M)
         for norms in (data.q_power_norms, data.q_power_norms_colsum):
             for i in range(1, len(norms)):
@@ -236,11 +234,11 @@ class TestSpectralRadiusBound:
 
     @pytest.mark.parametrize("n_bins", [60, 100])
     def test_bundled_map(self, bundled_map, n_bins):
-        _assert_bound_covers_eigvals(hc.build_closed(bundled_map, UlamPartition(n_bins)))
+        _assert_bound_covers_eigvals(hc.build_closed(bundled_map, n_bins))
 
     def test_full_branch_linear(self):
         _assert_bound_covers_eigvals(
-            hc.build_closed(hc.full_branch_linear(3), UlamPartition(120)))
+            hc.build_closed(hc.full_branch_linear(3), 120))
 
     def test_nearly_decoupled(self, decoupled_blocks):
         bound, others = _assert_bound_covers_eigvals(decoupled_blocks)
@@ -307,7 +305,7 @@ class TestQPowerNorms:
         tmap = {"bundled": bundled_map, "kfold20": kfold_moebius(20),
                 "shift3": hc.full_branch_linear(3),
                 "shift10": hc.full_branch_linear(10)}[label]
-        M = hc.build_closed(tmap, UlamPartition(n_bins))
+        M = hc.build_closed(tmap, n_bins)
         P, u = M.matrix, compute_record(M).mass_vector
         _assert_norms_match(P, u, spectral_oracle.q_power_norms(P, u, N_POWERS), 1e-12)
         if n_bins == 1:
@@ -320,7 +318,7 @@ class TestQPowerNorms:
     @pytest.mark.parametrize("n_bins", [600, 1500])
     def test_memory_stays_in_column_blocks(self, n_bins):
         # no global P^2: a few dense n x _BLOCK blocks plus O(nnz(P)) arrays
-        M = hc.build_closed(kfold_moebius(20), UlamPartition(n_bins))
+        M = hc.build_closed(kfold_moebius(20), n_bins)
         P, u = M.matrix, compute_record(M).mass_vector
         tracemalloc.start()
         try:
@@ -373,7 +371,7 @@ class TestQPowerNorms:
     ])
     def test_exact_oracle(self, bundled_map, doubling, shift10, label, n_bins):
         tmap = {"bundled": bundled_map, "doubling": doubling, "shift10": shift10}[label]
-        M = hc.build_closed(tmap, UlamPartition(n_bins))
+        M = hc.build_closed(tmap, n_bins)
         u = compute_record(M).mass_vector
         exact = norm_oracle.q_power_norms(M.toarray().tolist(), u.tolist(), N_POWERS)
         _assert_norms_match(M.matrix, u, exact, 1e-13)
@@ -417,7 +415,7 @@ class TestEqualRows:
             return sp.csr_matrix(random_stochastic(6, 300, 0.1))
         tmap, n = {"kfold20": (kfold_moebius(20), 1500), "bundled": (bundled_map, 5000),
                    "shift10": (hc.full_branch_linear(10), 10_000)}[label]
-        return hc.build_closed(tmap, UlamPartition(n)).matrix
+        return hc.build_closed(tmap, n).matrix
 
     @pytest.mark.parametrize("label", ["kfold20", "bundled", "shift10", "all-equal",
                                        "all-distinct"])
@@ -534,7 +532,7 @@ class TestResolventSpotCheck:
 
     def test_bound_dominates_direct_solves(self):
         m3 = hc.full_branch_linear(3)
-        matrix = hc.build_closed(m3, UlamPartition(120))
+        matrix = hc.build_closed(m3, 120)
         r, delta = 0.7, 0.05
         data = compute_record(matrix)
         row_bound = data.projection_norm / delta + neumann_bound(data.q_power_norms, r)

@@ -13,7 +13,7 @@ import ulam_oracle
 from escape_oracle import build_open
 from holecert import ulam
 from holecert.maps import Branch, ExpansionWarning
-from holecert.ulam import HoleAlignmentError, UlamPartition, _cells, _grid, _groups, _int_dtype
+from holecert.ulam import HoleAlignmentError, _cells, _grid, _groups, _int_dtype
 
 
 def brute_force_entry(tmap, n, i, j, samples=4000):
@@ -29,7 +29,7 @@ def brute_force_entry(tmap, n, i, j, samples=4000):
 
 
 def assert_matches_oracle(tmap, n):
-    M = hc.build_closed(tmap, UlamPartition(n)).matrix
+    M = hc.build_closed(tmap, n).matrix
     indptr, indices, data = ulam_oracle.closed_csr(tmap, n)
     assert M.indptr.tolist() == indptr
     assert M.indices.tolist() == indices
@@ -38,7 +38,7 @@ def assert_matches_oracle(tmap, n):
 
 class TestBuildClosed:
     def test_doubling_four_bins(self, doubling):
-        M = hc.build_closed(doubling, UlamPartition(4)).toarray()
+        M = hc.build_closed(doubling, 4).toarray()
         expected = np.array([
             [0.5, 0.5, 0.0, 0.0],
             [0.0, 0.0, 0.5, 0.5],
@@ -56,16 +56,22 @@ class TestBuildClosed:
         with pytest.warns(ExpansionWarning):
             ident = hc.PiecewiseMap([Branch(F(0), F(1), F(1), F(0))],
                                     alpha0=F(1, 2), B0=0, label="identity")
-        M = hc.build_closed(ident, UlamPartition(7)).toarray()
+        M = hc.build_closed(ident, 7).toarray()
         assert np.array_equal(M, np.eye(7))
 
     def test_bundled_map_entry(self, bundled_map):
-        M = hc.build_closed(bundled_map, UlamPartition(10))
+        M = hc.build_closed(bundled_map, 10)
         assert M.matrix[0, 0] == float(F(10, 91))
 
     def test_row_stochastic(self, bundled_map):
-        M = hc.build_closed(bundled_map, UlamPartition(137))
+        M = hc.build_closed(bundled_map, 137)
         assert np.abs(M.row_sums() - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("n_bins, error", [(0, ValueError), (-3, ValueError),
+                                               (2.5, TypeError)])
+    def test_bin_count_checked(self, bundled_map, n_bins, error):
+        with pytest.raises(error):
+            hc.build_closed(bundled_map, n_bins)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 9])
     def test_fewer_bins_than_branches(self, bundled_map, n):
@@ -73,15 +79,15 @@ class TestBuildClosed:
         assert_matches_oracle(bundled_map, n)
 
     def test_mass_conservation(self, bundled_map):
-        M = hc.build_closed(bundled_map, UlamPartition(50))
+        M = hc.build_closed(bundled_map, 50)
         rng = np.random.default_rng(7)
         c = rng.random(50)
         c /= c.sum()
         assert (c @ M.matrix).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_refinement_aggregation_exact(self, doubling):
-        coarse = hc.build_closed(doubling, UlamPartition(4)).toarray()
-        fine = hc.build_closed(doubling, UlamPartition(8)).toarray()
+        coarse = hc.build_closed(doubling, 4).toarray()
+        fine = hc.build_closed(doubling, 8).toarray()
         # average paired rows, sum paired columns
         agg = 0.5 * (fine[0::2] + fine[1::2])
         agg = agg[:, 0::2] + agg[:, 1::2]
@@ -92,7 +98,7 @@ class TestBuildClosed:
     @settings(max_examples=25, deadline=None)
     def test_random_linear_maps_row_stochastic(self, k, n):
         m = hc.full_branch_linear(k)
-        M = hc.build_closed(m, UlamPartition(n))
+        M = hc.build_closed(m, n)
         sums = M.row_sums()
         assert np.abs(sums - 1.0).max() <= 1e-12
         assert M.matrix.min() >= 0.0
@@ -110,7 +116,7 @@ class TestBuildClosed:
             slope = 1 / (b - a)
             branches.append(Branch(a, b, slope, -a * slope))
         m = hc.PiecewiseMap(branches, alpha0=F(1, 2), B0=0, label="uneven")
-        M = hc.build_closed(m, UlamPartition(n))
+        M = hc.build_closed(m, n)
         assert np.abs(M.row_sums() - 1.0).max() <= 1e-12
 
 
@@ -187,7 +193,7 @@ class TestExactOracle:
         rounded = [float(row[j]) for j in sorted(row)]
         assert math.fsum(rounded) != 1.0
         # each entry is its exact value rounded once; the row is not rescaled
-        M = hc.build_closed(m, UlamPartition(12)).matrix
+        M = hc.build_closed(m, 12).matrix
         assert M.indices[M.indptr[2]:M.indptr[3]].tolist() == sorted(row)
         assert M.data[M.indptr[2]:M.indptr[3]].tolist() == rounded
 
@@ -270,7 +276,7 @@ class TestAssemblyDtype:
                 for i in (math.floor(b.lo * n), math.ceil(b.hi * n) - 1)}
         interior = np.random.default_rng(12).integers(0, n, size=40).tolist()
         rows = sorted(ends | set(interior))
-        sampled = hc.build_closed(tmap, UlamPartition(n)).matrix[rows]
+        sampled = hc.build_closed(tmap, n).matrix[rows]
         indptr, indices, data = ulam_oracle.rows_csr(tmap, n, rows)
         assert sampled.indptr.tolist() == indptr
         assert sampled.indices.tolist() == indices
@@ -300,7 +306,7 @@ SHARED_ROW_BRANCHES = [onto_branch("linear", F(0), F(2, 7), F(0), F(1), False),
 
 
 def assert_matches_branchwise(tmap, n):
-    M = hc.build_closed(tmap, UlamPartition(n)).matrix
+    M = hc.build_closed(tmap, n).matrix
     for got, ref in zip((M.indptr, M.indices, M.data), ulam_branchwise.closed_csr(tmap, n)):
         assert got.dtype == ref.dtype
         assert got.tobytes() == ref.tobytes()
@@ -384,7 +390,7 @@ class TestGroupedAssembly:
         for tmap, n in ((shift10, 100_000), (decreasing_map, 100_001), (bundled_map, 40_001)):
             tracemalloc.start()
             try:
-                M = hc.build_closed(tmap, UlamPartition(n)).matrix
+                M = hc.build_closed(tmap, n).matrix
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -393,13 +399,13 @@ class TestGroupedAssembly:
     def test_repeat_build_uses_cached_branch_data(self, monkeypatch):
         m = kfold_moebius(20)
         assert all("_integers" not in b.__dict__ for b in m.branches)   # lazy
-        first = hc.build_closed(m, UlamPartition(150)).matrix
+        first = hc.build_closed(m, 150).matrix
 
         def refuse(self, x):
             raise AssertionError("branch evaluated during a repeat build")
 
         monkeypatch.setattr(Branch, "__call__", refuse)
-        again = hc.build_closed(m, UlamPartition(150)).matrix
+        again = hc.build_closed(m, 150).matrix
         for a, b in zip((first.indptr, first.indices, first.data),
                         (again.indptr, again.indices, again.data)):
             assert a.tobytes() == b.tobytes()
@@ -407,9 +413,8 @@ class TestGroupedAssembly:
 
 class TestBuildOpen:
     def test_uniform_shift_hole(self, shift10):
-        part = UlamPartition(10)
         hole = hc.Hole(F(0), F(1, 10))
-        M = build_open(shift10, part, hole).toarray()
+        M = build_open(shift10, 10, hole).toarray()
         assert np.array_equal(M[0], np.zeros(10))
         assert np.array_equal(M[1:], np.full((9, 10), 0.1))
         # dominant eigenvalue oracle: dense solve
@@ -417,11 +422,10 @@ class TestBuildOpen:
         assert max(abs(w)) == pytest.approx(0.9, abs=1e-12)
 
     def test_rows_match_closed_outside_hole(self, bundled_map):
-        part = UlamPartition(40)
-        closed = hc.build_closed(bundled_map, part)
+        closed = hc.build_closed(bundled_map, 40)
         hole = hc.Hole(F(1, 4), F(3, 10))
-        open_m = build_open(bundled_map, part, hole, closed=closed)
-        inside = set(hole.bin_range(part))
+        open_m = build_open(bundled_map, 40, hole, closed=closed)
+        inside = set(hole.bin_range(40))
         C, O = closed.toarray(), open_m.toarray()
         for i in range(40):
             if i in inside:
@@ -435,10 +439,9 @@ class TestBuildOpen:
     def test_rows_dropped_from_csr(self, bundled_map, shift10, label, n_bins, where):
         # the closed matrix with the hole's rows emptied, indices sorted
         tmap = {"shift10": shift10, "bundled": bundled_map}[label]
-        part = UlamPartition(n_bins)
-        closed = hc.build_closed(tmap, part).matrix
+        closed = hc.build_closed(tmap, n_bins).matrix
         a, b = {"first": (0, 3), "last": (n_bins - 3, n_bins), "all": (0, n_bins)}[where]
-        open_m = build_open(tmap, part, hc.Hole(F(a, n_bins), F(b, n_bins)))
+        open_m = build_open(tmap, n_bins, hc.Hole(F(a, n_bins), F(b, n_bins)))
         expected = closed.toarray()
         expected[a:b] = 0.0
         assert np.array_equal(open_m.toarray(), expected)
@@ -454,25 +457,19 @@ class TestBuildOpen:
             hc.Hole(F(1, 2), F(1, 2))
 
     def test_misaligned_hole_rejected(self, bundled_map):
-        part = UlamPartition(5000)
         bad = hc.Hole(F(1, 2), F(1, 2) + F(2, 9000))
         with pytest.raises(HoleAlignmentError):
-            build_open(bundled_map, part, bad)
+            build_open(bundled_map, 5000, bad)
 
 
 class TestPartitionAndHole:
-    def test_mesh_exact(self):
-        assert UlamPartition(5000).mesh * 5000 == 1
-
     def test_bin_interval(self):
         # bin 2 of 4 is [1/2, 3/4)
-        assert hc.Hole(F(1, 2), F(3, 4)).bin_range(UlamPartition(4)) == range(2, 3)
+        assert hc.Hole(F(1, 2), F(3, 4)).bin_range(4) == range(2, 3)
 
     def test_hole_alignment(self):
-        part = UlamPartition(10)
-        assert hc.Hole(F(1, 5), F(1, 2)).aligned_to(part)
-        assert not hc.Hole(F(1, 3), F(1, 2)).aligned_to(part)
+        assert hc.Hole(F(1, 5), F(1, 2)).aligned_to(10)
+        assert not hc.Hole(F(1, 3), F(1, 2)).aligned_to(10)
 
     def test_hole_bin_range(self):
-        part = UlamPartition(10)
-        assert list(hc.Hole(F(1, 5), F(1, 2)).bin_range(part)) == [2, 3, 4]
+        assert list(hc.Hole(F(1, 5), F(1, 2)).bin_range(10)) == [2, 3, 4]
