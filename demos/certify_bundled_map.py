@@ -19,7 +19,6 @@ import sys
 from fractions import Fraction as F
 
 from holecert import (
-    CertificationConfig,
     PipelineCache,
     bundled_map_path,
     certificate_bounds,
@@ -34,9 +33,7 @@ cache = PipelineCache(default_cache_dir())
 
 print(f"map: {tmap}")
 print(f"certifying escape tolerance ell = 1/25 starting at {bins_init} bins...")
-report = run_certification(tmap, CertificationConfig(ell=F(1, 25),
-                                                     bins_init=bins_init),
-                           cache=cache)
+report = run_certification(tmap, F(1, 25), bins_init, cache=cache)
 
 for it in report.iterations:
     source = f"transferred H = {it.transferred_H:.6g}" if it.used_bootstrap \

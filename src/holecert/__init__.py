@@ -18,15 +18,15 @@ from .spectral import (NeumannDivergenceError, ResolventBound, SpectralRecord,
                        SpectralStructureError, compute_record, dominant_left_eigenpair, h_star,
                        neumann_bound)
 from .kl import KLConstants, KLDomainError, LYConstants, kl_constants, ly_constants
-from .certify import (CertificateBounds, CertificationConfig, CertificationReport,
-                      certificate_bounds, run_certification)
+from .certify import (CertificateBounds, CertificationReport, certificate_bounds,
+                      run_certification)
 from .escape import (AsymptoticRatioExperiment, EscapeEstimate, PointClassification,
                      asymptotic_ratio, classify_point, estimate_escape)
 from .cache import PipelineCache, default_cache_dir
 
 __all__ = [
-    "AsymptoticRatioExperiment", "Branch", "CertificateBounds", "CertificationConfig",
-    "CertificationReport", "EscapeEstimate", "Hole", "HoleAlignmentError",
+    "AsymptoticRatioExperiment", "Branch", "CertificateBounds", "CertificationReport",
+    "EscapeEstimate", "Hole", "HoleAlignmentError",
     "KLConstants", "KLDomainError", "LYConstants", "MapConfigError", "MapDomainError",
     "NeumannDivergenceError", "PiecewiseMap", "PipelineCache", "PointClassification",
     "ResolventBound", "SpectralRecord", "SpectralStructureError", "UlamMatrix",

@@ -1,8 +1,8 @@
 """Certification driver: mesh refinement and the hole-size certificate.
 
 Given a map with hole-uniform Lasota-Yorke constants (alpha0 < 1/3) and an
-escape tolerance ell, the driver fixes r = 1 - ell, picks delta = 1/k < ell,
-and refines a uniform Ulam partition until
+escape tolerance ell, the driver fixes r = 1 - ell and
+delta = 1/(ceil(1/ell) + 1) < ell, and refines a uniform Ulam partition until
 
     mesh  <=  (2 Gamma)^-1 epsilon0(P_mesh, r, delta)          (comparison step)
 
@@ -30,6 +30,7 @@ with a failed report naming the cap and the threshold.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -46,7 +47,6 @@ from .maps import PiecewiseMap, as_rational
 from .spectral import h_star, neumann_bound
 
 __all__ = [
-    "CertificationConfig",
     "CertificationReport",
     "CertificateBounds",
     "IterationRecord",
@@ -59,40 +59,6 @@ __all__ = [
 
 #: largest bin count of the power-of-ten refinement ladder
 LADDER_CAP = 10**8
-
-
-@dataclass(frozen=True)
-class CertificationConfig:
-    """Knobs of the certification loop.
-
-    ``ell`` is the escape tolerance (the certificate guarantees escape
-    rate below -ln(1-ell)); ``delta_init`` must be of the form 1/k and
-    below ell (default: k = ceil(1/ell) + 1).
-    """
-
-    ell: Fraction
-    delta_init: Fraction | None = None
-    bins_init: int = 1000
-
-    def __post_init__(self):
-        object.__setattr__(self, "ell", as_rational(self.ell))
-        if not 0 < self.ell < 1:
-            raise ValueError(f"ell must lie in (0, 1), got {self.ell}")
-        if self.delta_init is not None:
-            d = as_rational(self.delta_init)
-            if d.numerator != 1:
-                raise ValueError(f"delta_init must be of the form 1/k, got {d}")
-            if not d < self.ell:
-                raise ValueError(f"delta_init {d} must be below ell {self.ell}")
-            object.__setattr__(self, "delta_init", d)
-        if self.bins_init < 1:
-            raise ValueError("bins_init must be positive")
-
-    def initial_delta(self) -> Fraction:
-        if self.delta_init is not None:
-            return self.delta_init
-        k = -((-self.ell.denominator) // self.ell.numerator) + 1  # ceil(1/ell) + 1
-        return Fraction(1, k)
 
 
 @dataclass
@@ -182,9 +148,13 @@ def next_power_of_ten_bins(bound: float) -> int:
     return n
 
 
-def run_certification(tmap: PiecewiseMap, config: CertificationConfig,
+def run_certification(tmap: PiecewiseMap, ell, bins_init: int = 1000,
                       cache: PipelineCache | None = None) -> CertificationReport:
     """Run the certification loop on a map.
+
+    ``ell`` is the escape tolerance in (0, 1): the certificate guarantees
+    an escape rate below -ln(1 - ell).  The loop runs at r = 1 - ell and
+    delta = 1/(ceil(1/ell) + 1), starting at ``bins_init`` bins.
 
     Returns a report whose status is "certified" on success (with
     delta_com, epsilon_com, and the hole bound Gamma * epsilon_com) or
@@ -192,9 +162,15 @@ def run_certification(tmap: PiecewiseMap, config: CertificationConfig,
     errors from the analysis propagate as exceptions; cap exhaustion does
     not raise.
     """
+    ell = as_rational(ell)
+    if not 0 < ell < 1:
+        raise ValueError(f"ell must lie in (0, 1), got {ell}")
+    bins_init = operator.index(bins_init)
+    if bins_init < 1:
+        raise ValueError("bins_init must be positive")
+    delta = Fraction(1, math.ceil(1 / ell) + 1)
     ly = ly_constants(tmap.alpha0, tmap.B0, HOLE_UNIFORM)
     ly_closed = ly_constants(tmap.alpha0, tmap.B0, CLOSED_ONLY)
-    ell = config.ell
     alpha = Fraction(3) * tmap.alpha0
     if not ell < 1 - alpha:
         raise KLDomainError(
@@ -214,8 +190,7 @@ def run_certification(tmap: PiecewiseMap, config: CertificationConfig,
         delta_com=None, epsilon_com=None, hole_bound=None,
     )
 
-    delta = config.initial_delta()
-    n_bins = config.bins_init
+    n_bins = bins_init
     # every failed pass either certifies by transfer or moves to the ladder
     # mesh its threshold predicts, strictly finer than the one that failed;
     # so at most 1 + log10(LADDER_CAP) passes run before the cap ends the run
@@ -223,7 +198,7 @@ def run_certification(tmap: PiecewiseMap, config: CertificationConfig,
         mesh = Fraction(1, n_bins)
         record = cache.spectral_record(tmap, n_bins)
         bound = h_star(record, r, float(delta), float(tmap.alpha0), float(tmap.B0))
-        chain = kl_constants(ly, r, delta, bound.h_star)
+        chain = kl_constants(ly, r, bound.h_star)
         rec = IterationRecord(
             index=len(report.iterations) + 1, n_bins=n_bins, mesh=mesh,
             delta=delta, used_bootstrap=False, h_star=bound.h_star,
@@ -239,11 +214,11 @@ def run_certification(tmap: PiecewiseMap, config: CertificationConfig,
             break
         # the closed-only comparison at this mesh decides whether its bound
         # transfers to every finer mesh
-        closed = kl_constants(ly_closed, r, delta, rec.h_star)
+        closed = kl_constants(ly_closed, r, rec.h_star)
         rec.closed_only_threshold = closed.mesh_threshold
         transfer = float(mesh) < closed.mesh_threshold
         if transfer:
-            chain = kl_constants(ly, r, delta, closed.resolvent_transfer_bound)
+            chain = kl_constants(ly, r, closed.resolvent_transfer_bound)
         n_bins = next_power_of_ten_bins(chain.mesh_threshold)
         if n_bins > LADDER_CAP:
             report.reason = (

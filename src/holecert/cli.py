@@ -12,8 +12,8 @@ Every JSON report embeds a run manifest (every computation parameter
 but no output location, map fingerprint, tool version, per-phase
 timings, cache statistics); identical manifests and caches reproduce
 byte-identical reports apart from the timings block.  ``kl-constants``
-prints the LY and KL constant fields in dataclass order, then
-``mesh_threshold``.
+takes one (alpha0, B0, r, H) input and prints the LY and KL constant
+fields in dataclass order, then ``mesh_threshold``.
 
 Exit codes: 0 success, 1 validation/tolerance failure, 2 usage error.
 """
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .cache import CACHE_ENV_VAR, PipelineCache, default_cache_dir
-from .certify import CertificationConfig, CertificationReport, run_certification
+from .certify import CertificationReport, run_certification
 from .escape import asymptotic_ratio, estimate_escape
 from .kl import CLOSED_ONLY, HOLE_UNIFORM, kl_constants, ly_constants
 from .maps import MapConfigError, as_rational, bundled_map_path, load_map
@@ -166,7 +166,7 @@ def _cmd_spectral(args) -> int:
 def _cmd_kl_constants(args) -> int:
     mode = CLOSED_ONLY if args.closed_only else HOLE_UNIFORM
     ly = ly_constants(args.alpha0, args.B0, mode)
-    chain = kl_constants(ly, args.r, args.delta, args.H)
+    chain = kl_constants(ly, args.r, args.H)
     rows = [(f.name, getattr(obj, f.name))
             for obj in (ly, chain) for f in fields(obj) if f.name != "ly"]
     for name, value in rows + [("mesh_threshold", chain.mesh_threshold)]:
@@ -212,10 +212,8 @@ def _cmd_certify(args) -> int:
     tmap = load_map(args.map)
     manifest = _manifest(args, tmap)
     cache = _make_cache(args)
-    config = CertificationConfig(
-        ell=args.ell, delta_init=args.delta_init, bins_init=args.bins_init)
     with _Phase(manifest, "certification"):
-        report = run_certification(tmap, config, cache=cache)
+        report = run_certification(tmap, args.ell, args.bins_init, cache=cache)
     manifest.cache_stats = dict(cache.stats)
     print(_iteration_table(report))
     _write_report(args.out, manifest, report)
@@ -368,10 +366,9 @@ def _cmd_reproduce_tables(args) -> int:
     for which in ("table1", "table2"):
         spec = REFERENCE_TABLES[which]
         manifest = _manifest(args, tmap, table=which, ell=spec["ell"])
-        config = CertificationConfig(ell=spec["ell"], bins_init=args.bins)
         before = dict(cache.stats)
         with _Phase(manifest, "certification"):
-            report = run_certification(tmap, config, cache=cache)
+            report = run_certification(tmap, spec["ell"], args.bins, cache=cache)
         # the tables share one cache: report this table's own lookups
         manifest.cache_stats = {k: v - before[k] for k, v in cache.stats.items()}
         values = _table_values(report, which)
@@ -413,7 +410,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha0", type=_rational, required=True)
     p.add_argument("--B0", type=_rational, required=True)
     p.add_argument("--r", type=_rational, required=True)
-    p.add_argument("--delta", type=_rational, required=True)
     p.add_argument("--H", type=float, required=True)
     p.add_argument("--closed-only", action="store_true")
     p.set_defaults(func=_cmd_kl_constants)
@@ -421,7 +417,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="run the certification loop")
     p.add_argument("--map", required=True)
     p.add_argument("--ell", type=_rational, required=True)
-    p.add_argument("--delta-init", type=_rational, default=None)
     p.add_argument("--bins-init", type=int, default=1000)
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--out", default=None)

@@ -134,11 +134,10 @@ def ly_constants(alpha0, B0, mode: str = HOLE_UNIFORM) -> LYConstants:
 
 @dataclass(frozen=True)
 class KLConstants:
-    """Full constant chain for one (r, delta, H) input."""
+    """Full constant chain for one (r, H) input."""
 
     ly: LYConstants
     r: float
-    delta: float
     H: float
     n1: int
     C: float
@@ -156,24 +155,23 @@ class KLConstants:
         return self.epsilon0 / (2 * self.ly.Gamma)
 
 
-def kl_constants(ly: LYConstants, r, delta, H) -> KLConstants:
-    """Evaluate the constant chain at radius r, separation delta, bound H.
+def kl_constants(ly: LYConstants, r, H) -> KLConstants:
+    """Evaluate the constant chain at radius r and resolvent bound H.
 
     ``H`` is a resolvent bound for the reference operator: feed the
     computable surrogate from :func:`holecert.spectral.h_star` (then
     epsilon0 realizes the computable lower-bound variant) or a
-    transferred BV bound from a coarser mesh.
+    transferred BV bound from a coarser mesh.  The separation delta acts
+    only through ``H``, which already bounds the resolvent on
+    |z - 1| > delta.
     """
     r = float(r)
-    delta = float(delta)
     H = float(H)
     alpha, B, D = ly.alpha, ly.B, ly.D
     if not alpha < r < 1:
         raise KLDomainError(f"need alpha < r < 1, got alpha={alpha}, r={r}")
-    if delta <= 0:
-        raise KLDomainError(f"need delta > 0, got {delta}")
-    if H <= 0:
-        raise KLDomainError(f"need H > 0, got {H}")
+    if not (math.isfinite(H) and H > 0):
+        raise KLDomainError(f"need a finite H > 0, got H = {H}")
 
     log_ratio = math.log(r / alpha)
     n1 = math.ceil(math.log(2) / log_ratio)
@@ -205,7 +203,7 @@ def kl_constants(ly: LYConstants, r, delta, H) -> KLConstants:
             f"the transfer bound overflows double precision (n1 = {n1}, n2 = {n2}): "
             f"epsilon1 = {epsilon1!r} is too close to underflow")
 
-    out = KLConstants(ly=ly, r=r, delta=delta, H=H, n1=n1, C=C, n2=n2,
+    out = KLConstants(ly=ly, r=r, H=H, n1=n1, C=C, n2=n2,
                       gamma=gamma, epsilon1=epsilon1, epsilon0=epsilon0,
                       a=a, b=b, resolvent_transfer_bound=transfer)
     _validate_chain(out)

@@ -284,13 +284,6 @@ class PiecewiseMap:
         b = self.branches[self.branch_index_of(x)]
         return b.derivative(x if isinstance(x, Rational) else float(x))
 
-    def orbit(self, x, length: int) -> list:
-        """x, T(x), ..., T^(length-1)(x); exact for rational x."""
-        pts = [x]
-        for _ in range(length - 1):
-            pts.append(self.evaluate(pts[-1]))
-        return pts
-
     def min_derivative(self) -> Fraction:
         """Exact infimum of |T'| over all branches (expansion check).
 

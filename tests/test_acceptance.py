@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import holecert as hc
-from holecert.certify import CertificationConfig, separation_check
+from holecert.certify import separation_check
 from holecert.cli import REFERENCE_TABLES
 from holecert.kl import CLOSED_ONLY, kl_constants, ly_constants
 from holecert.spectral import compute_record
@@ -58,15 +58,13 @@ def _criterion(cid, description, check):
 
 @pytest.fixture(scope="module")
 def table1_report(bundled_map, pipeline_cache):
-    config = CertificationConfig(ell=F(1, 25), bins_init=5000)
-    return hc.run_certification(bundled_map, config, cache=pipeline_cache)
+    return hc.run_certification(bundled_map, F(1, 25), 5000, cache=pipeline_cache)
 
 
 @pytest.fixture(scope="module")
 def table2_run(bundled_map, pipeline_cache, table1_report):
     before = dict(pipeline_cache.stats)
-    config = CertificationConfig(ell=F(1, 40), bins_init=5000)
-    report = hc.run_certification(bundled_map, config, cache=pipeline_cache)
+    report = hc.run_certification(bundled_map, F(1, 40), 5000, cache=pipeline_cache)
     after = dict(pipeline_cache.stats)
     return {"report": report, "stats_before": before, "stats_after": after}
 
@@ -91,9 +89,9 @@ def test_c1_coarse_reference_reproduction(table1_report):
 def test_c2_constant_chain_closure_analytic():
     def check():
         ly = ly_constants(A0, B0)
-        chain1 = kl_constants(ly, F(24, 25), F(1, 26), REF_H_STAR[0])
+        chain1 = kl_constants(ly, F(24, 25), REF_H_STAR[0])
         assert chain1.mesh_threshold == pytest.approx(*REF_THRESHOLD_1_ANALYTIC)
-        chain2 = kl_constants(ly, F(39, 40), F(1, 41), REF_H_STAR_2)
+        chain2 = kl_constants(ly, F(39, 40), REF_H_STAR_2)
         assert chain2.mesh_threshold == pytest.approx(*REF_THRESHOLD_2C1_ANALYTIC)
         assert chain2.n2 == 8
     _criterion("C2", "analytic constant-chain closure at the reference bounds",
@@ -118,7 +116,7 @@ def test_c2_constant_chain_closure_transferred():
     # bound it implies, within the window reproduce-tables gives it.
     def check():
         r, H = F(39, 40), REF_TRANSFER[0]
-        chain = kl_constants(ly_constants(A0, B0), r, F(1, 41), H)
+        chain = kl_constants(ly_constants(A0, B0), r, H)
         assert chain.n2 == 11
         exact = kl_oracle.chain(A0, B0, r, H)
         assert exact.base_branch and exact.n2 == chain.n2
@@ -136,7 +134,7 @@ def test_c2_constant_chain_closure_transferred():
         assert kl_oracle.back_solved_bound(A0, B0, r, published) == pytest.approx(
             H_BACK_SOLVED, rel=1e-5)
         assert kl_oracle.chain(A0, B0, r, H_BACK_SOLVED).base_branch
-        at_implied = kl_constants(ly_constants(A0, B0), r, F(1, 41), H_BACK_SOLVED)
+        at_implied = kl_constants(ly_constants(A0, B0), r, H_BACK_SOLVED)
         assert at_implied.mesh_threshold == pytest.approx(*REF_THRESHOLD_2C2_ANALYTIC)
         tol = {name: t for name, _, t in REFERENCE_TABLES["table2"]["cells"]}
         assert abs(chain.mesh_threshold / published - 1) <= tol["iter2_threshold"]
@@ -156,7 +154,7 @@ def test_c3_bootstrap_workflow(table2_run, pipeline_cache):
         # closed-only comparison value: exact analytic closure plus the
         # in-run value within the eigensolver-difference budget
         ly_c = ly_constants(A0, B0, CLOSED_ONLY)
-        analytic = kl_constants(ly_c, F(39, 40), F(1, 41), REF_H_STAR_2).mesh_threshold
+        analytic = kl_constants(ly_c, F(39, 40), REF_H_STAR_2).mesh_threshold
         assert analytic == pytest.approx(REF_CLOSED_ONLY, rel=1e-6)
         assert it1.closed_only_threshold == pytest.approx(REF_CLOSED_ONLY, rel=1e-3)
         # transferred resolvent bound within its acceptance window
@@ -242,7 +240,7 @@ def test_c7_property_suites(bundled_spectral_5000, doubling):
             for margin in (0.2, 0.5, 0.8):
                 ly = ly_constants(a0, F(1, 7))
                 r = ly.alpha + (1 - ly.alpha) * margin
-                chain = kl_constants(ly, r, 0.01, 50.0)
+                chain = kl_constants(ly, r, 50.0)
                 assert ly.alpha ** (1 - chain.gamma) == pytest.approx(r, rel=1e-12)
                 assert ly.B == pytest.approx(
                     1 + float((2 * a0 + F(1, 7)) / (1 - 3 * a0)), abs=1e-14)

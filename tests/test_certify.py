@@ -5,11 +5,7 @@ import pytest
 
 import holecert as hc
 from holecert import cli
-from holecert.certify import (
-    CertificationConfig,
-    next_power_of_ten_bins,
-    separation_check,
-)
+from holecert.certify import next_power_of_ten_bins, separation_check
 from holecert.kl import CLOSED_ONLY, KLDomainError, kl_constants, ly_constants
 from holecert.spectral import SpectralStructureError, compute_record
 
@@ -73,11 +69,11 @@ class TestRefinementStep:
         # the closed-only comparison holds at mesh 1/5000, so its resolvent
         # bound transfers and the ladder jumps to the transferred threshold
         ly, ly_closed = ly_constants(A0, B0), ly_constants(A0, B0, CLOSED_ONLY)
-        closed = kl_constants(ly_closed, F(39, 40), F(1, 41), 63.73181657)
+        closed = kl_constants(ly_closed, F(39, 40), 63.73181657)
         assert 1 / 5000 < closed.mesh_threshold
         transferred = closed.resolvent_transfer_bound
         assert abs(transferred / 1036.693385 - 1) <= 0.10
-        fine = kl_constants(ly, F(39, 40), F(1, 41), transferred)
+        fine = kl_constants(ly, F(39, 40), transferred)
         assert fine.n2 == 11
         assert fine.mesh_threshold >= 1.216687545e-5
         assert next_power_of_ten_bins(fine.mesh_threshold) == 100000
@@ -87,8 +83,7 @@ class TestRefinementStep:
         # the next pass analyses the ladder mesh the comparison predicts
         cache = FixedRecordCache(
             hc.build_closed(bundled_map, 1000))
-        config = CertificationConfig(ell=F(1, 40))
-        rep = hc.run_certification(bundled_map, config, cache=cache)
+        rep = hc.run_certification(bundled_map, F(1, 40), cache=cache)
         first, second = rep.iterations
         assert first.n_bins == 1000 and not first.step7_pass
         assert first.closed_only_threshold == pytest.approx(2.511e-4, rel=1e-3)
@@ -111,8 +106,7 @@ class TestLadderCap:
 
     def test_analysed_path(self, capped, bundled_map):
         # no transfer at mesh 1/1000, and the threshold needs 100 000 bins
-        config = CertificationConfig(ell=F(1, 100), bins_init=1000)
-        rep = hc.run_certification(bundled_map, config, cache=capped)
+        rep = hc.run_certification(bundled_map, F(1, 100), 1000, cache=capped)
         assert rep.status == "failed"
         (only,) = rep.iterations
         assert not only.step7_pass
@@ -123,14 +117,12 @@ class TestLadderCap:
     def test_transfer_path(self, capped, bundled_map):
         # the closed-only comparison holds at mesh 1/5000, but the
         # transferred threshold needs 100 000 bins
-        config = CertificationConfig(ell=F(1, 40), bins_init=5000)
-        rep = hc.run_certification(bundled_map, config, cache=capped)
+        rep = hc.run_certification(bundled_map, F(1, 40), 5000, cache=capped)
         assert rep.status == "failed"
         (only,) = rep.iterations
         assert float(only.mesh) < only.closed_only_threshold
-        closed = kl_constants(ly_constants(A0, B0, CLOSED_ONLY), rep.r, only.delta,
-                              only.h_star)
-        transferred = kl_constants(ly_constants(A0, B0), rep.r, only.delta,
+        closed = kl_constants(ly_constants(A0, B0, CLOSED_ONLY), rep.r, only.h_star)
+        transferred = kl_constants(ly_constants(A0, B0), rep.r,
                                    closed.resolvent_transfer_bound)
         assert "cap of 10000" in rep.reason
         assert f"transferred threshold {transferred.mesh_threshold}" in rep.reason
@@ -178,30 +170,45 @@ class TestCertificateBounds:
             hc.certificate_bounds(rep, 0)
 
 
+class NoRecordCache(hc.PipelineCache):
+    """Fails on the first spectral record: no matrix may be built."""
+
+    def spectral_record(self, tmap, n_bins):
+        raise AssertionError("spectral record requested")
+
+
 class TestConfig:
-    def test_default_delta(self):
-        cfg = CertificationConfig(ell=F(1, 25))
-        assert cfg.initial_delta() == F(1, 26)
-        cfg = CertificationConfig(ell=F(1, 40))
-        assert cfg.initial_delta() == F(1, 41)
-        cfg = CertificationConfig(ell=F(3, 10))
-        assert cfg.initial_delta() == F(1, 5)   # ceil(10/3) + 1
+    """The loop's arguments are checked before any matrix work, and ell
+    fixes delta = 1/(ceil(1/ell) + 1)."""
 
-    def test_delta_init_validation(self):
-        with pytest.raises(ValueError):
-            CertificationConfig(ell=F(1, 25), delta_init=F(2, 30))
-        with pytest.raises(ValueError):
-            CertificationConfig(ell=F(1, 25), delta_init=F(1, 20))
+    def test_default_delta(self, shift10, pipeline_cache):
+        # ceil, not floor + 2: 1/ell is an integer at 1/25 and 1/40
+        for ell, delta in [(F(1, 25), F(1, 26)), (F(1, 40), F(1, 41)),
+                           (F(3, 10), F(1, 5))]:     # ceil(10/3) + 1
+            rep = hc.run_certification(shift10, ell, 100, cache=pipeline_cache)
+            assert rep.iterations[0].delta == delta
 
-    def test_ell_validation(self):
-        with pytest.raises(ValueError):
-            CertificationConfig(ell=F(3, 2))
+    def test_ell_validation(self, bundled_map):
+        # checked before the map's constants: alpha0 = 2/5 would raise first
+        fat = hc.PiecewiseMap(bundled_map.branches, alpha0=F(2, 5), B0=0, label="fat")
+        with pytest.raises(ValueError, match="ell must lie in"):
+            hc.run_certification(fat, F(3, 2), cache=NoRecordCache())
+
+    def test_float_ell(self, shift10, pipeline_cache, shift10_report):
+        rep = hc.run_certification(shift10, 0.04, 100, cache=pipeline_cache)
+        assert rep.ell == F(1, 25)
+        assert rep == shift10_report
+
+    def test_bins_init_validation(self, shift10):
+        with pytest.raises(ValueError, match="bins_init must be positive"):
+            hc.run_certification(shift10, F(1, 25), 0, cache=NoRecordCache())
+        with pytest.raises(TypeError):
+            hc.run_certification(shift10, F(1, 25), 2.5, cache=NoRecordCache())
 
 
 @pytest.fixture(scope="module")
 def shift10_report(shift10, pipeline_cache):
-    config = CertificationConfig(ell=F(1, 25), bins_init=100)
-    return hc.run_certification(shift10, config, cache=pipeline_cache)
+    return hc.run_certification(shift10, F(1, 25), 100, cache=pipeline_cache)
 
 
 class TestRunCertification:
@@ -225,7 +232,7 @@ class TestRunCertification:
         rep = shift10_report
         final = [it for it in rep.iterations if it.step7_pass][-1]
         ly = ly_constants(F(1, 10), 0)
-        chain = kl_constants(ly, rep.r, rep.delta_com, final.h_star)
+        chain = kl_constants(ly, rep.r, final.h_star)
         assert chain.mesh_threshold == pytest.approx(final.threshold, rel=1e-12)
         assert float(rep.epsilon_com) <= chain.mesh_threshold + 1e-18
 
@@ -238,14 +245,14 @@ class TestRunCertification:
 
     def test_escape_tolerance_domain(self, shift10):
         with pytest.raises(KLDomainError):
-            hc.run_certification(shift10, CertificationConfig(ell=F(4, 5)))
+            hc.run_certification(shift10, F(4, 5))
 
     def test_rejects_large_alpha0(self, bundled_map):
         from holecert.kl import LYModeError
         tent_like = hc.PiecewiseMap(bundled_map.branches, alpha0=F(2, 5),
                                     B0=0, label="fat")
         with pytest.raises(LYModeError):
-            hc.run_certification(tent_like, CertificationConfig(ell=F(1, 25)))
+            hc.run_certification(tent_like, F(1, 25))
 
 
 class TestOuterLoop:
@@ -255,6 +262,5 @@ class TestOuterLoop:
             self, shift10, decoupled_blocks):
         # eigenvalues 1 and 0.97: the bound exceeds r - delta = 24/25 - 1/26
         cache = FixedRecordCache(decoupled_blocks)
-        config = CertificationConfig(ell=F(1, 25), bins_init=100)
         with pytest.raises(SpectralStructureError):
-            hc.run_certification(shift10, config, cache=cache)
+            hc.run_certification(shift10, F(1, 25), 100, cache=cache)

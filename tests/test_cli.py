@@ -42,17 +42,18 @@ def cli_certified(tmp_path_factory, shift_map_path, cache_dir):
 class TestKLConstantsCommand:
     def test_prints_chain(self, capsys):
         rc = main(["kl-constants", "--alpha0", "1/9", "--B0", "2/9",
-                   "--r", "24/25", "--delta", "1/26", "--H", "45.46070939"])
+                   "--r", "24/25", "--H", "45.46070939"])
         assert rc == 0
         out = capsys.readouterr().out
         values = dict(re.findall(r"(\S+)\s+(\S+)", out))
+        assert "delta" not in values
         assert values["n1"] == "1"
         assert values["n2"] == "8"
         assert float(values["mesh_threshold"]) == pytest.approx(2.319492040e-4, rel=1e-6)
 
     def test_closed_only_flag(self, capsys):
         rc = main(["kl-constants", "--alpha0", "1/9", "--B0", "2/9",
-                   "--r", "39/40", "--delta", "1/41", "--H", "63.73181657",
+                   "--r", "39/40", "--H", "63.73181657",
                    "--closed-only"])
         assert rc == 0
         values = dict(re.findall(r"(\S+)\s+(\S+)", capsys.readouterr().out))
@@ -60,14 +61,21 @@ class TestKLConstantsCommand:
 
     def test_domain_error_exit_code(self, capsys):
         rc = main(["kl-constants", "--alpha0", "1/9", "--B0", "2/9",
-                   "--r", "1/4", "--delta", "1/26", "--H", "10"])
+                   "--r", "1/4", "--H", "10"])
         assert rc == 1
+
+    def test_non_finite_H_exit_code(self, capsys):
+        for H in ("nan", "1e400"):
+            rc = main(["kl-constants", "--alpha0", "1/9", "--B0", "2/9",
+                       "--r", "24/25", "--H", H])
+            assert rc == 1
+            assert "need a finite H > 0, got H = " in capsys.readouterr().err
 
     def test_n2_never_negative(self, capsys):
         # 8 B D C H < alpha/r puts the ceiling for n2 at -2; a negative power
         # of the transfer operator would inflate epsilon1 by r^-2
         rc = main(["kl-constants", "--alpha0", "1/9", "--B0", "2/9",
-                   "--r", "24/25", "--delta", "1/26", "--H", "0.001"])
+                   "--r", "24/25", "--H", "0.001"])
         assert rc == 0
         values = dict(re.findall(r"(\S+)\s+(\S+)", capsys.readouterr().out))
         assert values["n2"] == "0"
@@ -81,14 +89,14 @@ class TestKLConstantsCommand:
         # r^(n1+n2) leaves epsilon1 at 0, then at a subnormal value whose
         # transfer bound 1/(2 epsilon1) is infinite
         rc = main(["kl-constants", "--alpha0", alpha0, "--B0", "8/3",
-                   "--r", "24/25", "--delta", "1/26", "--H", "100"])
+                   "--r", "24/25", "--H", "100"])
         assert rc == 1
         assert "underflows double precision" in capsys.readouterr().err
 
     def test_overflow_exit_code(self, capsys):
         # alpha = 3 alpha0 just below r takes n1 = 22181: r^-n1 is about e^905
         rc = main(["kl-constants", "--alpha0", "31999/100000", "--B0", "8/3",
-                   "--r", "24/25", "--delta", "1/26", "--H", "100"])
+                   "--r", "24/25", "--H", "100"])
         assert rc == 1
         assert "r^-n1 = 0.96^-22181 overflows double precision (n1 = 22181)" in \
             capsys.readouterr().err
@@ -96,7 +104,7 @@ class TestKLConstantsCommand:
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["kl-constants", "--alpha0", "not-a-number", "--B0", "0",
-                  "--r", "1/2", "--delta", "1/26", "--H", "10"])
+                  "--r", "1/2", "--H", "10"])
         assert exc.value.code == 2
 
 
@@ -152,6 +160,16 @@ class TestEscapeCommands:
         doc = json.loads(report.read_text())
         assert doc["report"]["e_H"] == pytest.approx(0.9, abs=1e-12)
         assert doc["manifest"]["subcommand"] == "escape"
+
+    def test_stalled_power_iteration_fails(self, tmp_path, shift_map_path, monkeypatch,
+                                           capsys):
+        monkeypatch.setattr(hc.escape, "dominant_left_eigenpair",
+                            lambda closed, tol, keep: (0.9, keep, 1e-6, 7))
+        rc = main(["escape", "--map", shift_map_path, "--bins", "10",
+                   "--hole", "0,1/10", "--out", str(tmp_path / "x.json")])
+        assert rc == 1
+        assert "power iteration stalled" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     def test_hole_asymptotics(self, tmp_path, shift_map_path):
         report = tmp_path / "asym.json"
@@ -325,8 +343,7 @@ class TestReportShapes:
     def test_certify(self, cli_certified):
         doc = _strict_json(cli_certified["outs"][0].read_text())
         assert set(doc["manifest"]) == MANIFEST_KEYS
-        assert set(doc["manifest"]["parameters"]) == {"map", "ell", "delta_init",
-                                                      "bins_init"}
+        assert set(doc["manifest"]["parameters"]) == {"map", "ell", "bins_init"}
         assert set(doc["report"]) == CERTIFY_KEYS
         assert all(set(it) == ITERATION_KEYS for it in doc["report"]["iterations"])
 

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -12,6 +13,7 @@ from holecert.escape import (
     PERIOD_SEARCH_LIMIT,
     ClassificationAmbiguityWarning,
     PointClassification,
+    PowerIterationError,
     classify_point,
     estimate_escape,
 )
@@ -43,6 +45,17 @@ class TestEstimateEscape:
         est = estimate_escape(closed, hc.Hole(F(1, 2), F(51, 100)))
         assert est.solver_residual <= 1e-10
         assert 0 < est.e_H < 1
+
+    @pytest.mark.parametrize("eigenpair, message", [
+        ((0.9, 1e-6), "power iteration stalled: residual 1.000e-06 > 1e-10"),
+        ((1.5, 0.0), "escape factor 1.5 outside (0, 1]"),
+    ], ids=["stalled", "outside"])
+    def test_power_iteration_errors(self, shift10, monkeypatch, eigenpair, message):
+        lam, residual = eigenpair
+        monkeypatch.setattr(hc.escape, "dominant_left_eigenpair",
+                            lambda closed, tol, keep: (lam, keep, residual, 7))
+        with pytest.raises(PowerIterationError, match=re.escape(message)):
+            estimate_escape(hc.build_closed(shift10, 10), hc.Hole(F(0), F(1, 10)))
 
     def test_monotone_in_hole_size(self, shift10):
         closed = hc.build_closed(shift10, 100)
@@ -117,10 +130,11 @@ class TestMaskedIteration:
 
 class TestClassifyPoint:
     def test_fixed_point_exact(self, shift10):
-        cls = classify_point(shift10, F(0))
-        assert cls.kind == "periodic" and cls.period == 1
-        assert cls.derivative == pytest.approx(10.0)
-        assert cls.exact and not cls.ambiguous
+        for y in (F(0), F(1, 3)):
+            cls = classify_point(shift10, y)
+            assert cls.kind == "periodic" and cls.period == 1
+            assert cls.derivative == pytest.approx(10.0)
+            assert cls.exact and not cls.ambiguous
 
     def test_period_two_exact(self, doubling):
         cls = classify_point(doubling, F(1, 3))
@@ -189,7 +203,9 @@ def classify_full_orbit(tmap, y):
     """The rational branch of classify_point as it was: the whole orbit of
     PERIOD_SEARCH_LIMIT + 1 points first, then the first return."""
     point = F(y)
-    orbit = tmap.orbit(point, PERIOD_SEARCH_LIMIT + 1)
+    orbit = [point]
+    for _ in range(PERIOD_SEARCH_LIMIT):
+        orbit.append(tmap.evaluate(orbit[-1]))
     for p in range(1, PERIOD_SEARCH_LIMIT + 1):
         if orbit[p] == point:
             deriv = 1.0

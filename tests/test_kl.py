@@ -70,14 +70,14 @@ class TestLYConstants:
 
 class TestKLChain:
     def test_reference_run_coarse(self):
-        chain = kl_constants(ly_constants(A0, B0), F(24, 25), F(1, 26), H_REF_1)
+        chain = kl_constants(ly_constants(A0, B0), F(24, 25), H_REF_1)
         assert chain.n1 == 1
         assert chain.C == pytest.approx(25 / 24, rel=1e-14)
         assert chain.n2 == 8
         assert chain.mesh_threshold == pytest.approx(2.319492040e-4, rel=1e-6)
 
     def test_reference_run_tighter_tolerance(self):
-        chain = kl_constants(ly_constants(A0, B0), F(39, 40), F(1, 41), H_REF_2)
+        chain = kl_constants(ly_constants(A0, B0), F(39, 40), H_REF_2)
         assert chain.n1 == 1
         assert chain.C == pytest.approx(40 / 39, rel=1e-14)
         assert chain.n2 == 8
@@ -88,7 +88,7 @@ class TestKLChain:
         # the frozen threshold is checked against the standard-library
         # evaluation of the same formulas (see the acceptance suite for the
         # reference diff)
-        chain = kl_constants(ly_constants(A0, B0), F(39, 40), F(1, 41), H_REF_2_FINE)
+        chain = kl_constants(ly_constants(A0, B0), F(39, 40), H_REF_2_FINE)
         assert chain.n2 == 11
         assert chain.mesh_threshold == pytest.approx(1.2744333974548e-5, rel=1e-9)
         exact = kl_oracle.chain(A0, B0, F(39, 40), H_REF_2_FINE)
@@ -102,7 +102,7 @@ class TestKLChain:
         # plug-in arithmetic cross-check with alpha0 = 1/10, B0 = 0
         ly = ly_constants(F(1, 10), 0)
         r, H = 0.96, 30.0
-        chain = kl_constants(ly, r, F(1, 26), H)
+        chain = kl_constants(ly, r, H)
         alpha, B, D = 0.3, 9 / 7, 1 * (1 + 9 / 7 + 2)
         log_ratio = math.log(r / alpha)
         n1 = math.ceil(math.log(2) / log_ratio)
@@ -117,7 +117,10 @@ class TestKLChain:
 
     def test_domain_error_r_below_alpha(self):
         with pytest.raises(KLDomainError):
-            kl_constants(ly_constants(A0, B0), F(1, 4), F(1, 26), 10.0)
+            kl_constants(ly_constants(A0, B0), F(1, 4), 10.0)
+        for H in (0.0, math.nan, math.inf):
+            with pytest.raises(KLDomainError, match=f"H = {H}"):
+                kl_constants(ly_constants(A0, B0), F(24, 25), H)
 
     @given(st.fractions(min_value=F(1, 50), max_value=F(30, 100)),
            st.floats(min_value=0.1, max_value=0.9),
@@ -126,7 +129,7 @@ class TestKLChain:
     def test_chain_properties(self, a0, margin, H):
         ly = ly_constants(a0, F(1, 4))
         r = ly.alpha + (1 - ly.alpha) * margin
-        chain = kl_constants(ly, r, 0.01, H)
+        chain = kl_constants(ly, r, H)
         # gamma identity r = alpha^(1 - gamma)
         assert ly.alpha ** (1 - chain.gamma) == pytest.approx(r, rel=1e-12)
         assert chain.epsilon0 <= chain.epsilon1 * (1 + 1e-15)
@@ -138,10 +141,10 @@ class TestKLChain:
 
     def test_monotone_decreasing_in_H(self):
         ly = ly_constants(A0, B0)
-        values = [kl_constants(ly, F(24, 25), F(1, 26), H).epsilon0
+        values = [kl_constants(ly, F(24, 25), H).epsilon0
                   for H in (10.0, 30.0, 100.0, 300.0, 1000.0)]
         assert values == sorted(values, reverse=True)
-        values1 = [kl_constants(ly, F(24, 25), F(1, 26), H).epsilon1
+        values1 = [kl_constants(ly, F(24, 25), H).epsilon1
                    for H in (10.0, 30.0, 100.0, 300.0, 1000.0)]
         assert values1 == sorted(values1, reverse=True)
 
@@ -150,11 +153,11 @@ class TestBootstrap:
     def test_closed_only_comparison_value(self):
         # the closed-only chain at the coarse resolvent bound
         chain = kl_constants(ly_constants(A0, B0, CLOSED_ONLY),
-                             F(39, 40), F(1, 41), H_REF_2)
+                             F(39, 40), H_REF_2)
         assert chain.mesh_threshold == pytest.approx(2.425063815e-4, rel=1e-6)
 
     def test_transfer_bound_value(self):
-        bound = kl_constants(ly_constants(A0, B0, CLOSED_ONLY), F(39, 40), F(1, 41),
+        bound = kl_constants(ly_constants(A0, B0, CLOSED_ONLY), F(39, 40),
                              H_REF_2).resolvent_transfer_bound
         # transferred bound: 4(A+B)/(1-r) r^-n1 + 1/(2 eps1), frozen and
         # checked against its exact rational value from the standard-library
@@ -168,6 +171,6 @@ class TestBootstrap:
         assert bound == pytest.approx(transfer, rel=1e-12)
 
     def test_tiny_H_keeps_bound_finite(self):
-        bound = kl_constants(ly_constants(A0, B0, CLOSED_ONLY), F(39, 40), F(1, 41),
+        bound = kl_constants(ly_constants(A0, B0, CLOSED_ONLY), F(39, 40),
                              1e-12).resolvent_transfer_bound
         assert math.isfinite(bound) and bound > 0
