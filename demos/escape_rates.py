@@ -17,6 +17,7 @@ from holecert import (
     estimate_escape,
     full_branch_linear,
     load_map,
+    ly_constants,
 )
 
 # -- tiny instance first: the closed form is visible by hand ------------------
@@ -31,7 +32,8 @@ print(f"  escape rate = {est.escape_rate:.6g}, residual = {est.solver_residual:.
 tmap = load_map(bundled_map_path())
 n = 1000
 closed = build_closed(tmap, n)
-coefficient = 1 + float((2 * tmap.alpha0 + tmap.B0) / (1 - F(1, 25) - 3 * tmap.alpha0))
+ly = ly_constants(tmap.alpha0, tmap.B0)
+coefficient = 1 + float((2 * ly.alpha0 + ly.B0) / (1 - F(1, 25) - ly.alpha))
 
 print()
 print(f"bundled map at {n} bins: single-bin holes at a few positions")

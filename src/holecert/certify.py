@@ -139,11 +139,12 @@ def separation_check(eigenvalues, r, delta) -> SeparationResult:
 
 
 def next_power_of_ten_bins(bound: float) -> int:
-    """Smallest power-of-ten bin count whose mesh is at most ``bound``."""
+    """Smallest power-of-ten bin count whose mesh, as the double nearest
+    1/n, is at most ``bound``."""
     if bound <= 0 or not math.isfinite(bound):
         raise ValueError(f"mesh bound must be positive and finite, got {bound}")
     n = 1
-    while 1.0 / n > bound:
+    while float(Fraction(1, n)) > bound:
         n *= 10
     return n
 
@@ -171,20 +172,16 @@ def run_certification(tmap: PiecewiseMap, ell, bins_init: int = 1000,
     delta = Fraction(1, math.ceil(1 / ell) + 1)
     ly = ly_constants(tmap.alpha0, tmap.B0, HOLE_UNIFORM)
     ly_closed = ly_constants(tmap.alpha0, tmap.B0, CLOSED_ONLY)
-    alpha = Fraction(3) * tmap.alpha0
-    if not ell < 1 - alpha:
-        raise KLDomainError(
-            f"need ell < 1 - alpha = {1 - alpha}, got ell = {ell}"
-        )
+    if not ell < 1 - ly.alpha:
+        raise KLDomainError(f"need ell < 1 - alpha = {1 - ly.alpha}, got ell = {ell}")
     r_frac = 1 - ell
     r = float(r_frac)
-    gamma_frac = max(1 + tmap.alpha0, tmap.B0)
-    escape_coefficient = 1 + float((2 * tmap.alpha0 + tmap.B0) / (1 - ell - alpha))
+    escape_coefficient = 1 + float((2 * ly.alpha0 + ly.B0) / (r_frac - ly.alpha))
 
     cache = cache if cache is not None else PipelineCache(None)
     report = CertificationReport(
         status="failed", reason=None, map_label=tmap.label,
-        map_fingerprint=tmap.fingerprint, ell=ell, r=r_frac, Gamma=gamma_frac,
+        map_fingerprint=tmap.fingerprint, ell=ell, r=r_frac, Gamma=ly.Gamma,
         escape_coefficient=escape_coefficient,
         escape_guarantee=-math.log(1 - float(ell)),
         delta_com=None, epsilon_com=None, hole_bound=None,
@@ -197,7 +194,7 @@ def run_certification(tmap: PiecewiseMap, ell, bins_init: int = 1000,
     while True:
         mesh = Fraction(1, n_bins)
         record = cache.spectral_record(tmap, n_bins)
-        bound = h_star(record, r, float(delta), float(tmap.alpha0), float(tmap.B0))
+        bound = h_star(record, r, float(delta), ly.alpha0, ly.B0)
         chain = kl_constants(ly, r, bound.h_star)
         rec = IterationRecord(
             index=len(report.iterations) + 1, n_bins=n_bins, mesh=mesh,
@@ -242,7 +239,7 @@ def run_certification(tmap: PiecewiseMap, ell, bins_init: int = 1000,
     report.status = "certified"
     report.delta_com = delta
     report.epsilon_com = mesh
-    report.hole_bound = gamma_frac * mesh
+    report.hole_bound = ly.Gamma * mesh
     return report
 
 

@@ -7,13 +7,15 @@ only spectral records are cached on disk.  Rationals are written ``p/q``
 and survive exactly into the reports.  A report is its result dataclass
 walked field by field (:func:`_jsonify`), so a new field reaches the JSON
 with no serialiser edit; ``spectral`` writes the record's fields
-(``power_iterations`` among them) plus its derived values.
+(``power_iterations`` among them) plus its derived values, and with
+``--delta`` the ``h_star`` bound from the map's own (alpha0, B0).
 Every JSON report embeds a run manifest (every computation parameter
 but no output location, map fingerprint, tool version, per-phase
 timings, cache statistics); identical manifests and caches reproduce
 byte-identical reports apart from the timings block.  ``kl-constants``
 takes one (alpha0, B0, r, H) input and prints the LY and KL constant
-fields in dataclass order, then ``mesh_threshold``.
+fields in dataclass order, then ``mesh_threshold``; the LY constants
+are exact ``p/q``.
 
 Exit codes: 0 success, 1 validation/tolerance failure, 2 usage error.
 """
@@ -155,9 +157,8 @@ def _cmd_spectral(args) -> int:
         truncation_N=record.truncation_N,
         invariant_density=record.invariant_density,
         neumann_bound=neumann_bound(record.q_power_norms_colsum, float(args.r)))
-    if args.alpha0 is not None:
-        bound = h_star(record, float(args.r), float(args.delta),
-                       float(args.alpha0), float(args.B0))
+    if args.delta is not None:
+        bound = h_star(record, args.r, args.delta, tmap.alpha0, tmap.B0)
         payload.update(resolvent_l1_bound=bound.resolvent_l1_bound, h_star=bound.h_star)
     _write_report(args.out, manifest, payload)
     return 0
@@ -400,9 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--bins", type=int, required=True)
     p.add_argument("--r", type=_rational, required=True)
-    p.add_argument("--delta", type=_rational, required=True)
-    p.add_argument("--alpha0", type=_rational, default=None)
-    p.add_argument("--B0", type=_rational, default=None)
+    p.add_argument("--delta", type=_rational, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_spectral)
 
@@ -457,9 +456,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.subcommand == "spectral" and (args.alpha0 is None) != (args.B0 is None):
-        # h_star grows with B0: a defaulted constant would understate it
-        parser.error("spectral: --alpha0 and --B0 must be given together")
     try:
         return args.func(args)
     except (MapConfigError, ValueError, ArithmeticError, RuntimeError, OSError) as exc:

@@ -24,9 +24,10 @@ and the transferred BV-resolvent bound
 
 which is what lets a coarse-mesh computation cover every finer mesh.
 The leading coefficient is A = 1 for the inequalities used here, and the
-code evaluates these formulas with A = 1 substituted.
+code evaluates these formulas in floats with A = 1 substituted.
 
-Constant sets come in two modes.  ``hole-uniform`` covers the closed
+Constant sets, exact rationals from :func:`ly_constants` (the one place
+their formulas live), come in two modes.  ``hole-uniform`` covers the closed
 operator, its Ulam discretizations, and every open (hole) operator at
 once; it needs alpha0 < 1/3 and uses
 
@@ -51,7 +52,6 @@ __all__ = [
     "LYConstants",
     "KLConstants",
     "KLDomainError",
-    "LYModeError",
     "ly_constants",
     "kl_constants",
 ]
@@ -64,26 +64,23 @@ class KLDomainError(ValueError):
     """Parameters outside the admissible region (e.g. r <= alpha)."""
 
 
-class LYModeError(ValueError):
-    """Requested constants are undefined for these inputs (alpha0 >= 1/3)."""
-
-
 @dataclass(frozen=True)
 class LYConstants:
-    """Derived Lasota-Yorke constant set in one of the two modes.
+    """Derived Lasota-Yorke constant set in one of the two modes, exactly.
 
-    ``alpha``, ``B`` and ``D`` are the *effective* constants the chain
-    runs with; ``B_hat`` and ``Gamma`` are mode-independent.
+    Every constant is a ``Fraction``.  ``alpha``, ``B`` and ``D = B + 3``
+    are the *effective* constants the chain runs with; ``B_hat`` and
+    ``Gamma`` are mode-independent.
     """
 
-    alpha0: float
-    B0: float
+    alpha0: Fraction
+    B0: Fraction
     mode: str
-    alpha: float
-    B: float
-    B_hat: float
-    D: float
-    Gamma: float
+    alpha: Fraction
+    B: Fraction
+    B_hat: Fraction
+    D: Fraction
+    Gamma: Fraction
 
 
 def ly_constants(alpha0, B0, mode: str = HOLE_UNIFORM) -> LYConstants:
@@ -97,9 +94,10 @@ def ly_constants(alpha0, B0, mode: str = HOLE_UNIFORM) -> LYConstants:
 
     Raises
     ------
-    LYModeError
-        In hole-uniform mode when alpha0 >= 1/3 (the hole-uniform
-        inequality is only available below 1/3).
+    KLDomainError
+        When alpha0 is outside (0, 1) or B0 is negative, and in
+        hole-uniform mode when alpha0 >= 1/3 (the hole-uniform inequality
+        is only available below 1/3).
     """
     a0 = as_rational(alpha0)
     b0 = as_rational(B0)
@@ -115,21 +113,16 @@ def ly_constants(alpha0, B0, mode: str = HOLE_UNIFORM) -> LYConstants:
 
     if mode == HOLE_UNIFORM:
         if a0 >= Fraction(1, 3):
-            raise LYModeError(
+            raise KLDomainError(
                 f"hole-uniform constants need alpha0 < 1/3, got alpha0 = {a0}; "
-                "use closed-only mode for closed-system work"
-            )
+                "use closed-only mode for closed-system work")
         alpha = 3 * a0
         B = (1 - a0 + b0) / (1 - alpha)
     else:
         alpha = a0
         B = B_hat
-    D = 1 + float(B) + 2                 # A (A + B + 2) with A = 1
-    return LYConstants(
-        alpha0=float(a0), B0=float(b0), mode=mode,
-        alpha=float(alpha), B=float(B), B_hat=float(B_hat), D=float(D),
-        Gamma=float(Gamma),
-    )
+    return LYConstants(alpha0=a0, B0=b0, mode=mode, alpha=alpha, B=B, B_hat=B_hat,
+                       D=B + 3, Gamma=Gamma)        # D = A (A + B + 2) with A = 1
 
 
 @dataclass(frozen=True)
@@ -167,7 +160,9 @@ def kl_constants(ly: LYConstants, r, H) -> KLConstants:
     """
     r = float(r)
     H = float(H)
-    alpha, B, D = ly.alpha, ly.B, ly.D
+    if not (sys.float_info.min <= ly.alpha and ly.D <= sys.float_info.max):
+        raise KLDomainError("alpha and D = B + 3 must lie in the normal double range")
+    alpha, B, D = float(ly.alpha), float(ly.B), float(ly.D)
     if not alpha < r < 1:
         raise KLDomainError(f"need alpha < r < 1, got alpha={alpha}, r={r}")
     if not (math.isfinite(H) and H > 0):
@@ -175,14 +170,24 @@ def kl_constants(ly: LYConstants, r, H) -> KLConstants:
 
     log_ratio = math.log(r / alpha)
     n1 = math.ceil(math.log(2) / log_ratio)
+    if alpha ** n1 > r ** n1 / 2 + 1e-14:
+        raise KLDomainError(f"n1 = {n1} misses alpha^n1 <= r^n1/2 in double precision "
+                            f"(alpha = {alpha}, r = {r})")
     if -n1 * math.log(r) > math.log(sys.float_info.max):
         raise KLDomainError(
             f"r^-n1 = {r}^-{n1} overflows double precision (n1 = {n1})")
     C = r ** (-n1)
+    product = 8 * B * D * C * H
+    if not math.isfinite(product):
+        raise KLDomainError(
+            f"8 B D C H = 8 B D r^-n1 H overflows double precision (n1 = {n1}, H = {H})")
     # n2 counts powers of the transfer operator: when 8 B D C H <= alpha/r
     # the ceiling is negative and n2 = 0 already meets its inequality
-    n2 = max(0, math.ceil(math.log(8 * B * D * C * H) / log_ratio))
+    n2 = max(0, math.ceil(math.log(product) / log_ratio))
     gamma = log_ratio / math.log(1 / alpha)
+    if not 0 < gamma < 1:
+        raise KLDomainError(f"gamma = ln(r/alpha)/ln(1/alpha) rounds to {gamma}, outside "
+                            f"(0, 1) (alpha = {alpha}, r = {r})")
     one_minus_r_inv = 1.0 / (1.0 - r)
 
     epsilon1 = r ** (n1 + n2) / (8 * B * (H * B + one_minus_r_inv))
@@ -194,14 +199,13 @@ def kl_constants(ly: LYConstants, r, H) -> KLConstants:
     base = r ** n1 / (4 * B * (H * (D + B) + 2 * (1 + B) + one_minus_r_inv))
     epsilon0 = min(epsilon1, base ** gamma)
 
-    a = (8 * (2 * (1 + B) + one_minus_r_inv) * (1 + B) ** 2 * r ** (-n1) + 1) / (1 - r)
-    b = 2 * ((4 * (1 + B) ** 2 * (D + B) + B) * one_minus_r_inv * r ** (-n1) + B)
+    a = (8 * (2 * (1 + B) + one_minus_r_inv) * (1 + B) ** 2 * C + 1) / (1 - r)
+    b = 2 * ((4 * (1 + B) ** 2 * (D + B) + B) * one_minus_r_inv * C + B)
 
-    transfer = 4 * (1 + B) / (1 - r) * r ** (-n1) + 1 / (2 * epsilon1)
-    if not math.isfinite(transfer):
-        raise KLDomainError(
-            f"the transfer bound overflows double precision (n1 = {n1}, n2 = {n2}): "
-            f"epsilon1 = {epsilon1!r} is too close to underflow")
+    transfer = 4 * (1 + B) / (1 - r) * C + 1 / (2 * epsilon1)
+    if not all(map(math.isfinite, (a, b, transfer))):
+        raise KLDomainError(f"a, b or the transfer bound overflows double precision "
+                            f"(n1 = {n1}, r = {r}, B = {B})")
 
     out = KLConstants(ly=ly, r=r, H=H, n1=n1, C=C, n2=n2,
                       gamma=gamma, epsilon1=epsilon1, epsilon0=epsilon0,
@@ -211,13 +215,13 @@ def kl_constants(ly: LYConstants, r, H) -> KLConstants:
 
 
 def _validate_chain(k: KLConstants) -> None:
-    ly = k.ly
+    alpha = float(k.ly.alpha)
     if not (0 < k.gamma < 1):
         raise AssertionError(f"gamma = {k.gamma} outside (0, 1)")
     if k.epsilon0 > k.epsilon1 * (1 + 1e-15):
         raise AssertionError(f"epsilon0 = {k.epsilon0} exceeds epsilon1 = {k.epsilon1}")
     # defining property of n1: alpha^n1 <= r^n1 / 2 (A = 1)
-    if ly.alpha ** k.n1 > k.r ** k.n1 / 2 + 1e-14:
+    if alpha ** k.n1 > k.r ** k.n1 / 2 + 1e-14:
         raise AssertionError(f"n1 = {k.n1} violates alpha^n1 <= r^n1/2")
     for name in ("epsilon1", "epsilon0", "a", "b", "resolvent_transfer_bound", "C"):
         v = getattr(k, name)

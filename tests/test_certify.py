@@ -48,6 +48,11 @@ class TestBinLadder:
         assert next_power_of_ten_bins(2e-4) == 10000
         assert next_power_of_ten_bins(1e-4) == 10000
 
+    def test_subnormal_bound(self):
+        # 1.0 / 10**309 cannot convert the count to a float
+        assert next_power_of_ten_bins(1e-310) == 10**310
+        assert next_power_of_ten_bins(5e-324) == 10**324
+
     def test_rejects_bad_bound(self):
         with pytest.raises(ValueError):
             next_power_of_ten_bins(0.0)
@@ -181,8 +186,10 @@ class TestConfig:
     """The loop's arguments are checked before any matrix work, and ell
     fixes delta = 1/(ceil(1/ell) + 1)."""
 
-    def test_default_delta(self, shift10, pipeline_cache):
-        # ceil, not floor + 2: 1/ell is an integer at 1/25 and 1/40
+    def test_default_delta(self, shift10, pipeline_cache, monkeypatch):
+        # ceil, not floor + 2: 1/ell is an integer at 1/25 and 1/40; the cap
+        # ends each run after its first pass, which holds the delta
+        monkeypatch.setattr(hc.certify, "LADDER_CAP", 10**3)
         for ell, delta in [(F(1, 25), F(1, 26)), (F(1, 40), F(1, 41)),
                            (F(3, 10), F(1, 5))]:     # ceil(10/3) + 1
             rep = hc.run_certification(shift10, ell, 100, cache=pipeline_cache)
@@ -248,10 +255,9 @@ class TestRunCertification:
             hc.run_certification(shift10, F(4, 5))
 
     def test_rejects_large_alpha0(self, bundled_map):
-        from holecert.kl import LYModeError
         tent_like = hc.PiecewiseMap(bundled_map.branches, alpha0=F(2, 5),
                                     B0=0, label="fat")
-        with pytest.raises(LYModeError):
+        with pytest.raises(KLDomainError, match="hole-uniform constants need alpha0 < 1/3"):
             hc.run_certification(tent_like, F(1, 25))
 
 

@@ -47,6 +47,8 @@ class TestKLConstantsCommand:
         out = capsys.readouterr().out
         values = dict(re.findall(r"(\S+)\s+(\S+)", out))
         assert "delta" not in values
+        # the Lasota-Yorke constants are exact rationals
+        assert values["alpha"] == "1/3" and values["Gamma"] == "10/9"
         assert values["n1"] == "1"
         assert values["n2"] == "8"
         assert float(values["mesh_threshold"]) == pytest.approx(2.319492040e-4, rel=1e-6)
@@ -101,6 +103,17 @@ class TestKLConstantsCommand:
         assert "r^-n1 = 0.96^-22181 overflows double precision (n1 = 22181)" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("r, H, message", [
+        ("24/25", "1e308",
+         "8 B D C H = 8 B D r^-n1 H overflows double precision (n1 = 1, H = 1e+308)"),
+        # r = 1 - 2^-53, the double next below 1: gamma rounds to 1
+        ("9007199254740991/9007199254740992", "45", "rounds to 1.0, outside (0, 1)"),
+    ], ids=["product-overflow", "gamma-rounds-to-1"])
+    def test_double_precision_exit_code(self, capsys, r, H, message):
+        rc = main(["kl-constants", "--alpha0", "1/9", "--B0", "2/9", "--r", r, "--H", H])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["kl-constants", "--alpha0", "not-a-number", "--B0", "0",
@@ -111,9 +124,9 @@ class TestKLConstantsCommand:
 class TestMatrixAndSpectralCommands:
     def test_spectral_from_map(self, tmp_path, map_path):
         report = tmp_path / "spectral.json"
+        # the bundled map carries alpha0 = 1/9 and B0 = 2/9
         rc = main(["spectral", "--map", map_path, "--bins", "100", "--r", "24/25",
-                   "--delta", "1/26", "--alpha0", "1/9", "--B0", "2/9",
-                   "--out", str(report)])
+                   "--delta", "1/26", "--out", str(report)])
         assert rc == 0
         doc = json.loads(report.read_text())
         assert doc["report"]["n_bins"] == 100
@@ -131,14 +144,6 @@ class TestMatrixAndSpectralCommands:
         assert doc["report"]["neumann_bound"] == hc.neumann_bound(
             record.q_power_norms_colsum, 24 / 25)
         assert doc["report"]["h_star"] == bound.h_star
-
-    @pytest.mark.parametrize("constant", [["--alpha0", "1/9"], ["--B0", "2/9"]])
-    def test_spectral_constants_all_or_nothing(self, shift_map_path, constant):
-        # h_star grows with B0, so a defaulted B0 = 0 would understate it
-        with pytest.raises(SystemExit) as exc:
-            main(["spectral", "--map", shift_map_path, "--bins", "10", "--r", "24/25",
-                  "--delta", "1/26"] + constant)
-        assert exc.value.code == 2
 
     def test_misaligned_hole_fails(self, tmp_path, shift_map_path, capsys):
         rc = main(["escape", "--map", shift_map_path, "--bins", "10",
@@ -319,25 +324,32 @@ class TestReportShapes:
         return doc
 
     def test_spectral(self, tmp_path, shift_map_path):
-        argv = ["spectral", "--map", shift_map_path, "--bins", "10",
-                "--r", "24/25", "--delta", "1/26"]
+        argv = ["spectral", "--map", shift_map_path, "--bins", "10", "--r", "24/25"]
         plain = self._run(tmp_path, argv)
         assert set(plain["report"]) == SPECTRAL_KEYS
+        assert plain["report"]["delta"] is None
         assert plain["manifest"]["parameters"] == {
-            "map": shift_map_path, "bins": 10, "r": "24/25", "delta": "1/26",
-            "alpha0": None, "B0": None}
-        bounded = self._run(tmp_path, argv + ["--alpha0", "1/9", "--B0", "2/9"])
+            "map": shift_map_path, "bins": 10, "r": "24/25", "delta": None}
+        bounded = self._run(tmp_path, argv + ["--delta", "1/26"])
         assert set(bounded["report"]) == SPECTRAL_KEYS | {"resolvent_l1_bound", "h_star"}
+        assert bounded["manifest"]["parameters"]["delta"] == "1/26"
+        for flag in ("--alpha0", "--B0"):       # the map carries its constants
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--delta", "1/26", flag, "1/9"])
+            assert exc.value.code == 2
 
-    def test_spectral_manifest_names_the_constants(self, tmp_path, shift_map_path):
-        # h_star depends on alpha0, so two runs that differ only there must
-        # not share a manifest
-        argv = ["spectral", "--map", shift_map_path, "--bins", "10",
-                "--r", "24/25", "--delta", "1/26", "--B0", "2/9"]
-        docs = {a: self._run(tmp_path, argv + ["--alpha0", a]) for a in ("1/9", "1/10")}
-        for alpha0, doc in docs.items():
-            assert doc["manifest"]["parameters"]["alpha0"] == alpha0
-        assert docs["1/9"]["manifest"] != docs["1/10"]["manifest"]
+    def test_spectral_manifest_names_the_constants(self, tmp_path):
+        # h_star depends on the map's alpha0, so two maps that differ only
+        # there must not share a manifest
+        docs = {}
+        for alpha0 in ("1/9", "1/10"):
+            path = tmp_path / f"shift-{alpha0.replace('/', '_')}.json"
+            config = {**hc.full_branch_linear(10).to_dict(), "alpha0": alpha0, "B0": "2/9"}
+            path.write_text(json.dumps(config))
+            docs[alpha0] = self._run(tmp_path, ["spectral", "--map", str(path), "--bins",
+                                                "10", "--r", "24/25", "--delta", "1/26"])
+        assert docs["1/9"]["manifest"]["map_fingerprint"] != \
+            docs["1/10"]["manifest"]["map_fingerprint"]
         assert docs["1/9"]["report"]["h_star"] != docs["1/10"]["report"]["h_star"]
 
     def test_certify(self, cli_certified):

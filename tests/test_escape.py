@@ -261,13 +261,22 @@ class TestAsymptoticRatio:
         assert exp.low_confidence
         assert exp.extrapolated_limit == exp.ratios[0]
 
-    def test_incompatible_width(self, shift10):
-        with pytest.raises(ValueError):
-            hc.asymptotic_ratio(shift10, F(0), [F(3, 10)], 10)
-
-    def test_widths_must_decrease(self, shift10):
-        with pytest.raises(ValueError):
-            hc.asymptotic_ratio(shift10, F(0), [F(1, 100), F(1, 10)], 10)
+    @pytest.mark.parametrize("y, widths, bins_per_hole, message", [
+        (F(0), [F(3, 10)], 10, "bin count 100/3 is not an integer"),
+        (F(0), [F(1, 100), F(1, 10)], 10, "widths must be strictly decreasing"),
+        (F(1), [F(1, 10)], 10, "y must lie in [0, 1), got 1"),
+        (F(0), [], 10, "need at least one width"),
+        (F(0), [F(1, 10)], 0, "bins_per_hole must be positive"),
+        # the 1/4-partition hole nested in [0, 1/3) stops at 1/4
+        (F(29, 100), [F(1, 3), F(1, 4)], 1, "hole (0,1/4) does not contain y = 29/100"),
+        # [1/3, 2/3) holds no 1-bin hole of the 1/4 partition
+        (F(1, 3), [F(1, 3), F(1, 4)], 1,
+         "cannot nest a 1-bin hole containing 1/3 on the 1/4 partition"),
+    ], ids=["incompatible_width", "widths_must_decrease", "y_outside", "no_widths",
+            "bins_per_hole", "nested_hole_misses_y", "cannot_nest"])
+    def test_input_checks(self, shift10, y, widths, bins_per_hole, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            hc.asymptotic_ratio(shift10, y, widths, bins_per_hole)
 
     def test_position_effect(self, shift10):
         # equal-measure holes: at the fixed point escape is strictly slower

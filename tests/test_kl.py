@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -9,7 +10,6 @@ from holecert.kl import (
     CLOSED_ONLY,
     HOLE_UNIFORM,
     KLDomainError,
-    LYModeError,
     kl_constants,
     ly_constants,
 )
@@ -27,30 +27,30 @@ H_REF_2_FINE = 1036.693385     # transferred bound continuing the same run
 class TestLYConstants:
     def test_bundled_map_values(self):
         ly = ly_constants(A0, B0)
-        assert ly.Gamma == pytest.approx(10 / 9, abs=1e-15)
-        assert ly.alpha == pytest.approx(1 / 3, abs=1e-15)
-        assert ly.B == pytest.approx(5 / 3, abs=1e-15)
-        assert ly.D == pytest.approx(14 / 3, abs=1e-15)
-        assert ly.B_hat == pytest.approx(5 / 4, abs=1e-15)
+        assert ly.Gamma == F(10, 9)
+        assert ly.alpha == F(1, 3)
+        assert ly.B == F(5, 3)
+        assert ly.D == F(14, 3)
+        assert ly.B_hat == F(5, 4)
 
     def test_linear_map_values(self):
         ly = ly_constants(F(1, 10), 0)
-        assert ly.alpha == pytest.approx(0.3, abs=1e-15)
-        assert ly.B == pytest.approx(9 / 7, abs=1e-15)
-        assert ly.Gamma == pytest.approx(1.1, abs=1e-15)
+        assert ly.alpha == F(3, 10)
+        assert ly.B == F(9, 7)
+        assert ly.Gamma == F(11, 10)
 
     def test_closed_only_values(self):
         ly = ly_constants(A0, B0, CLOSED_ONLY)
-        assert ly.alpha == pytest.approx(1 / 9, abs=1e-15)
-        assert ly.B == pytest.approx(5 / 4, abs=1e-15)
-        assert ly.D == pytest.approx(17 / 4, abs=1e-15)   # A (A + B_hat + 2)
-        assert ly.Gamma == pytest.approx(10 / 9, abs=1e-15)
+        assert ly.alpha == F(1, 9)
+        assert ly.B == F(5, 4)
+        assert ly.D == F(17, 4)   # A (A + B_hat + 2)
+        assert ly.Gamma == F(10, 9)
 
     def test_hole_uniform_needs_small_alpha0(self):
-        with pytest.raises(LYModeError):
+        with pytest.raises(KLDomainError, match="hole-uniform constants need alpha0 < 1/3"):
             ly_constants(F(2, 5), 0)
         ly = ly_constants(F(2, 5), 0, CLOSED_ONLY)   # fine closed-only
-        assert ly.alpha == pytest.approx(0.4)
+        assert ly.alpha == F(2, 5)
 
     def test_domain_checks(self):
         with pytest.raises(KLDomainError):
@@ -65,7 +65,7 @@ class TestLYConstants:
         # B and the inequality's own form 1 + (2 a0 + b0)/(1 - 3 a0) are one rational
         B = (1 - a0 + b0) / (1 - 3 * a0)
         assert 1 + (2 * a0 + b0) / (1 - 3 * a0) == B
-        assert ly_constants(a0, b0).B == float(B)
+        assert ly_constants(a0, b0).B == B
 
 
 class TestKLChain:
@@ -121,6 +121,48 @@ class TestKLChain:
         for H in (0.0, math.nan, math.inf):
             with pytest.raises(KLDomainError, match=f"H = {H}"):
                 kl_constants(ly_constants(A0, B0), F(24, 25), H)
+
+    @pytest.mark.parametrize("mode, alpha0, B0, r, H, message", [
+        # ln(r/alpha) is too coarse for n1 when r and alpha both sit near 1
+        (CLOSED_ONLY, 1 - F(1, 10**9), 4, 1 - 2 * 2.0**-53, 1e85,
+         "misses alpha^n1 <= r^n1/2 in double precision"),
+        # B is about 2e97, and 1/(1-r) enters a twice
+        (CLOSED_ONLY, F(19, 20), 10**97, 1 - 3 * 2.0**-53, 1e-230,
+         "a, b or the transfer bound overflows double precision"),
+        (CLOSED_ONLY, F(1, 10**400), 1, 0.5, 1.0, "alpha and D = B + 3 must lie"),
+        (HOLE_UNIFORM, A0, 10**400, 0.96, 1.0, "alpha and D = B + 3 must lie"),
+    ], ids=["n1", "a-b-transfer", "tiny-alpha", "huge-B"])
+    def test_double_precision_limits(self, mode, alpha0, B0, r, H, message):
+        with pytest.raises(KLDomainError, match=re.escape(message)):
+            kl_constants(ly_constants(alpha0, B0, mode), r, H)
+
+    @given(st.sampled_from((HOLE_UNIFORM, CLOSED_ONLY)),
+           st.one_of(st.fractions(min_value=0, max_value=1, max_denominator=10**9),
+                     st.integers(1, 400).map(lambda k: F(1, 10**k)))
+           .filter(lambda t: 0 < t < 1),
+           st.one_of(st.fractions(min_value=0, max_value=100, max_denominator=10**9),
+                     st.integers(0, 400).map(lambda k: F(10**k))),
+           st.sampled_from(("above alpha", "inside", "below 1")),
+           st.integers(min_value=1, max_value=8),
+           st.floats(min_value=0, max_value=1),
+           st.floats(min_value=-300, max_value=300))
+    @settings(max_examples=300, deadline=None)
+    def test_only_domain_errors_escape(self, mode, t, b0, where, ulps, u, log10_H):
+        # every input the chain cannot evaluate in double precision is a
+        # KLDomainError: r a few ulps from alpha or from 1, H log-uniform
+        ly = ly_constants(t / 3 if mode == HOLE_UNIFORM else t, b0, mode)
+        alpha = float(ly.alpha)
+        if where == "inside":
+            r = alpha + (1 - alpha) * u
+        else:
+            r, toward = (alpha, 1.0) if where == "above alpha" else (1.0, 0.0)
+            for _ in range(ulps):
+                r = math.nextafter(r, toward)
+        try:
+            chain = kl_constants(ly, r, 10.0 ** log10_H)
+        except KLDomainError:
+            return
+        assert 0 < chain.gamma < 1 and chain.epsilon0 > 0
 
     @given(st.fractions(min_value=F(1, 50), max_value=F(30, 100)),
            st.floats(min_value=0.1, max_value=0.9),
