@@ -6,8 +6,9 @@ everything they hold (unit eigenvalue, invariant density, power norms of
 the mass-free part) is independent of the peripheral threshold r and the
 separation delta.  The matrix power computations are by far the most
 expensive step, so a warm record cache lets a second run at the same mesh
-do no matrix work at all (nor load scipy, which only a matrix build
-imports).  A record is one flat file: a JSON header line
+do no matrix work at all (nor load numpy or scipy, which only a matrix
+build imports: records are read and written with ``struct`` and bytes
+slicing).  A record is one flat file: a JSON header line
 (the scalars, the schema tag and each array's length), then the
 little-endian float64 row family, column family and mass vector.  A file
 whose ``schema`` tag differs from :data:`RECORD_SCHEMA` was written by an
@@ -25,10 +26,8 @@ from __future__ import annotations
 
 import json
 import os
-import uuid
+import struct
 from pathlib import Path
-
-import numpy as np
 
 from .maps import PiecewiseMap
 from .spectral import N_POWERS, SpectralRecord, compute_record
@@ -56,7 +55,7 @@ def default_cache_dir() -> Path | None:
 
 def _atomic_write(path: Path, data: bytes) -> None:
     """Write ``data`` to a temp file beside ``path``, then rename it."""
-    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(16).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:    # created with the umask's mode
             fh.write(data)
@@ -153,7 +152,7 @@ class PipelineCache:
 
 
 def _save_record(record: SpectralRecord, path: Path) -> None:
-    arrays = (record.q_power_norms, record.q_power_norms_colsum, record.mass_vector)
+    norms = record.q_power_norms + record.q_power_norms_colsum
     header = {
         "schema": RECORD_SCHEMA,
         "n_bins": record.n_bins,
@@ -162,10 +161,11 @@ def _save_record(record: SpectralRecord, path: Path) -> None:
         "projection_norm": record.projection_norm,
         "unit_residual": record.unit_residual,
         "power_iterations": record.power_iterations,
-        "lengths": [len(a) for a in arrays],
+        "lengths": [len(record.q_power_norms), len(record.q_power_norms_colsum),
+                    len(record.mass_bytes) // 8],
     }
-    payload = np.concatenate(arrays).astype("<f8", copy=False)
-    _atomic_write(path, json.dumps(header).encode() + b"\n" + payload.tobytes())
+    payload = struct.pack(f"<{len(norms)}d", *norms) + record.mass_bytes
+    _atomic_write(path, json.dumps(header).encode() + b"\n" + payload)
 
 
 def _load_record(path: Path, key: tuple[str, int]) -> SpectralRecord | None:
@@ -181,18 +181,18 @@ def _load_record(path: Path, key: tuple[str, int]) -> SpectralRecord | None:
         meta = json.loads(header)
         if meta.get("schema") != RECORD_SCHEMA:
             return None
-        values = np.frombuffer(payload, dtype="<f8")
         k = N_POWERS + 1
-        if meta["lengths"] != [k, k, key[1]] or len(values) != 2 * k + key[1]:
+        if meta["lengths"] != [k, k, key[1]] or len(payload) != 8 * (2 * k + key[1]):
             return None
+        norms = struct.unpack_from(f"<{2 * k}d", payload)
         record = SpectralRecord(
             n_bins=int(meta["n_bins"]),
             map_fingerprint=meta["map_fingerprint"],
             eigenvalues=(float(meta["unit_eigenvalue"]),),
-            mass_vector=values[2 * k:].copy(),
+            mass_bytes=payload[16 * k:],
             projection_norm=float(meta["projection_norm"]),
-            q_power_norms=tuple(values[:k].tolist()),
-            q_power_norms_colsum=tuple(values[k:2 * k].tolist()),
+            q_power_norms=norms[:k],
+            q_power_norms_colsum=norms[k:],
             unit_residual=float(meta["unit_residual"]),
             power_iterations=int(meta["power_iterations"]),
         )

@@ -12,7 +12,9 @@ with no serialiser edit; ``spectral`` writes the record's fields
 Every JSON report embeds a run manifest (every computation parameter
 but no output location, map fingerprint, tool version, per-phase
 timings, cache statistics); identical manifests and caches reproduce
-byte-identical reports apart from the timings block.  ``kl-constants``
+byte-identical reports apart from the timings block.  The module loads no
+numpy: a numpy value in a report is duck-typed (:func:`_jsonify`), and
+only a command that builds a matrix loads numpy and scipy.  ``kl-constants``
 takes one (alpha0, B0, r, H) input and prints the LY and KL constant
 fields in dataclass order, then ``mesh_threshold``; the LY constants
 are exact ``p/q``.
@@ -30,8 +32,6 @@ import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .cache import CACHE_ENV_VAR, PipelineCache, default_cache_dir
@@ -100,20 +100,20 @@ class _Phase:
 #: raw spectral data (reported through derived values)
 _OMITTED = {
     "CertificationReport": {"final_constants"},
-    "SpectralRecord": {"map_fingerprint", "mass_vector", "eigenvalues"},
+    "SpectralRecord": {"map_fingerprint", "mass_bytes", "eigenvalues"},
 }
 
 
 def _jsonify(obj):
-    """JSON-ready copy of a report value; a dataclass becomes a dict of its fields."""
+    """JSON-ready copy of a report value; a dataclass becomes a dict of its
+    fields.  A non-finite float becomes its repr string (``"nan"``,
+    ``"inf"``), since JSON has no such numbers."""
+    if hasattr(obj, "dtype"):           # a numpy array or scalar: Python values
+        return _jsonify(obj.tolist())
     if obj is None or isinstance(obj, (str, int)):
         return obj
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, np.ndarray):
-        return [float(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else repr(obj)
     if isinstance(obj, dict):

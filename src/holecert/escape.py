@@ -9,7 +9,8 @@ ratios (1 - e_H) / lambda(H) approach f*(y) when y is non-periodic and
 f*(y) (1 - 1/|(T^p)'(y)|) when y has period p, f* the invariant density.
 Ulam densities only converge in L1, so any pointwise f* read off the
 closed matrix is advisory; for full-branch piecewise-linear maps f* = 1
-is exact and used directly.
+is exact and used directly.  numpy is imported inside the functions that
+make or read arrays.
 """
 
 from __future__ import annotations
@@ -19,13 +20,15 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cache import PipelineCache
 from .maps import PiecewiseMap, affine_onto, as_rational
 from .spectral import dominant_left_eigenpair, invariant_density
 from .ulam import Hole, UlamMatrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EscapeEstimate",
@@ -84,6 +87,8 @@ def estimate_escape(closed: UlamMatrix, hole: Hole) -> EscapeEstimate:
     transpose.  The hole's endpoints must be multiples of 1/n for the
     matrix's bin count n (:class:`~holecert.ulam.HoleAlignmentError`).
     """
+    import numpy as np
+
     n = closed.n_bins
     hole_bins = hole.bin_range(n)   # raises HoleAlignmentError if misaligned
     keep = np.ones(n)
@@ -145,7 +150,7 @@ def classify_point(tmap: PiecewiseMap, y) -> PointClassification:
             return PointClassification("non-periodic", None, None, False, exact)
     if not exact:
         dists = [abs(x - orbit[0]) for x in orbit[1:]]
-        p = int(np.argmin(dists)) + 1
+        p = dists.index(min(dists)) + 1
         if dists[p - 1] < ORBIT_RETURN_TOL:
             warnings.warn(
                 f"orbit of y = {orbit[0]} returns within {dists[p - 1]:.3e} of its "
@@ -218,6 +223,8 @@ def asymptotic_ratio(tmap: PiecewiseMap, y, widths, bins_per_hole: int, *,
     finest closed Ulam density, which has L1 but no pointwise control, so
     the prediction is advisory only.
     """
+    import numpy as np
+
     y_input = as_rational(y) if isinstance(y, (Rational, str)) else float(y)
     y_frac = y_input if isinstance(y_input, Rational) else as_rational(y_input)
     if not 0 <= y_frac < 1:

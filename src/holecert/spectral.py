@@ -53,6 +53,11 @@ R(z) = (z - Q)^-1 with the rank-one projection term:
 
     ||(z - P)^-1||_1  <=  ||Pi1||_1 / delta + ||R(z)||_1          (|z| >= r, |z-1| > delta)
     h_star = (B0/(r - alpha0) + 1) * that  +  1/(r - alpha0)  +  2/r.
+
+numpy (and ``scipy.sparse``) are imported inside the functions that make or
+read arrays.  A record keeps its mass vector as little-endian float64
+bytes and its norms as floats, so reading a cached record, its
+spectral-radius bound and the bounds above load no numpy.
 """
 
 from __future__ import annotations
@@ -61,11 +66,10 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .ulam import UlamMatrix
 
 if TYPE_CHECKING:
+    import numpy as np
     import scipy.sparse as sp
 
 __all__ = [
@@ -125,6 +129,8 @@ def dominant_left_eigenpair(P: sp.csr_matrix | UlamMatrix, tol: float = 1e-14,
     the explicit open matrix P_H, since its dropped entries only add
     ``P[i, j] * 0.0`` to nonnegative sums.
     """
+    import numpy as np
+
     PT = P.transposed if isinstance(P, UlamMatrix) else P.T.tocsr()
     n = PT.shape[0]
     x = np.full(n, 1.0 / n)
@@ -152,13 +158,15 @@ class SpectralRecord:
     """r-independent spectral data of one closed Ulam matrix.
 
     Cached between runs: the unit eigenvalue and invariant mass vector
-    from power iteration, and both power-norm families of Q.
+    from power iteration, and both power-norm families of Q.  The mass
+    vector is held as its little-endian float64 bytes, as a record file
+    stores it; :attr:`mass_vector` makes the array.
     """
 
     n_bins: int
     map_fingerprint: str
     eigenvalues: tuple[float, ...]        # (unit eigenvalue,); see spectral_radius_bound
-    mass_vector: np.ndarray               # invariant probability masses, >= 0, sums to 1
+    mass_bytes: bytes                     # invariant probability masses, '<f8'
     projection_norm: float                # ||Pi1||_1 = sum |mass|
     q_power_norms: tuple[float, ...]      # row family, [0] = ||1 - Pi1||
     q_power_norms_colsum: tuple[float, ...]  # column family, [0] = 1
@@ -168,6 +176,13 @@ class SpectralRecord:
     @property
     def truncation_N(self) -> int:
         return len(self.q_power_norms) - 2
+
+    @property
+    def mass_vector(self) -> np.ndarray:
+        """Invariant probability masses (>= 0, sum 1): a new float64 array."""
+        import numpy as np
+
+        return np.frombuffer(self.mass_bytes, dtype="<f8").astype(np.float64)
 
     @property
     def invariant_density(self) -> np.ndarray:
@@ -181,12 +196,14 @@ class SpectralRecord:
         Every eigenvalue of P other than a simple unit eigenvalue has
         modulus at most this value; when it is below 1, ``eigenvalues``
         is the whole spectrum outside the disc of this radius.  A NaN
-        norm propagates, so the gate in :func:`h_star` rejects it.
+        norm propagates, so the gate in :func:`h_star` rejects it.  Each
+        root is one libm ``pow``, so the value does not depend on the
+        CPU's SIMD level.
         """
-        k = np.arange(1, len(self.q_power_norms))
-        roots = [np.asarray(norms[1:]) ** (1.0 / k)
-                 for norms in (self.q_power_norms, self.q_power_norms_colsum)]
-        return float(np.min(np.concatenate(roots)))
+        roots = [norm ** (1.0 / k)
+                 for norms in (self.q_power_norms, self.q_power_norms_colsum)
+                 for k, norm in enumerate(norms[1:], 1)]
+        return math.nan if any(map(math.isnan, roots)) else min(roots)
 
 
 @dataclass(frozen=True)
@@ -229,6 +246,8 @@ def _equal_rows(P: sp.csr_matrix):
     bits; the sort is stable, so each class's lowest row comes first, and a
     class starts wherever a sorted row differs from the one before it.
     """
+    import numpy as np
+
     indptr = P.indptr
     nnz = np.diff(indptr)
     bits = P.data.view(np.int64)
@@ -266,6 +285,7 @@ def _q_power_norms(P: sp.csr_matrix, u: np.ndarray) -> tuple[list[float], list[f
     norms; its row sums, weighted by each row's count in P and added over
     the blocks in order, are the column family.
     """
+    import numpy as np
     import scipy.sparse as sp
 
     n = P.shape[0]
@@ -312,6 +332,8 @@ def invariant_density(P: sp.csr_matrix | UlamMatrix):
     :class:`NoUnitEigenvalueError` when the eigenvalue is more than 1e-8 off
     1, :class:`InvariantDensityError` when the residual exceeds 1e-8 or u
     has an entry below -1e-12."""
+    import numpy as np
+
     lam, u, residual, iterations = dominant_left_eigenpair(P, tol=1e-15)
     if abs(lam - 1.0) > UNIT_EIGENVALUE_TOL:
         raise NoUnitEigenvalueError(
@@ -333,6 +355,8 @@ def compute_record(matrix: UlamMatrix) -> SpectralRecord:
     """All r-independent spectral data of a closed Ulam matrix; raises as
     :func:`invariant_density` does, so a sub-stochastic matrix gives
     :class:`NoUnitEigenvalueError`."""
+    import numpy as np
+
     P = matrix.matrix
     lam, u, residual, iterations = invariant_density(P)
     row_norms, col_norms = _q_power_norms(P, u)
@@ -343,7 +367,7 @@ def compute_record(matrix: UlamMatrix) -> SpectralRecord:
         n_bins=matrix.n_bins,
         map_fingerprint=matrix.map_fingerprint,
         eigenvalues=(lam,),
-        mass_vector=u,
+        mass_bytes=u.astype("<f8", copy=False).tobytes(),
         projection_norm=float(np.abs(u).sum()),
         q_power_norms=tuple(row_norms),
         q_power_norms_colsum=tuple(col_norms),

@@ -33,9 +33,10 @@ estimates step the closed matrix's cached CSR transpose
 lives only in the tests' reference (``tests/escape_oracle.py``).
 
 Matrices are ``scipy.sparse.csr_matrix`` wrapped with their bin count and
-the map's fingerprint.  ``scipy.sparse`` is imported by the first build, not
-with this module, so a run that builds no matrix (a warm
-``reproduce-tables``, ``kl-constants``, ``cache``) never loads scipy.
+the map's fingerprint.  numpy and ``scipy.sparse`` are imported inside the
+functions that make or read arrays, not with this module, so a run that
+builds no matrix (a warm ``reproduce-tables``, ``kl-constants``,
+``cache``) loads neither.
 Matrices live only in the process that built them: the pipeline persists
 the spectral record of a closed matrix, never the matrix.
 """
@@ -48,11 +49,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .maps import PiecewiseMap, as_rational
 
 if TYPE_CHECKING:
+    import numpy as np
     import scipy.sparse as sp
 
 __all__ = [
@@ -108,6 +108,8 @@ class UlamMatrix:
     map_fingerprint: str
 
     def row_sums(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self.matrix.sum(axis=1)).ravel()
 
     def toarray(self) -> np.ndarray:
@@ -146,6 +148,8 @@ def _int_dtype(branches, n: int):
     intermediate exceeds big^2; int64 values under 2^53 are exact in
     float64, so ``num / den`` is then the correctly rounded quotient.
     """
+    import numpy as np
+
     big = n + 1
     for b in branches:
         P, Q, R, S, *ends = b._integers[:8]
@@ -180,6 +184,8 @@ def _ramps(start, step, width):
     """Runs start, start + step, ... of each length in ``width``, end to end
     along the last axis: one row of runs per row of a 2-d ``start`` and
     ``step``.  Entry p of the run from ``head`` is start + step (p - head)."""
+    import numpy as np
+
     head = width.cumsum() - width
     out = step.repeat(width, axis=-1)
     out *= np.arange(out.shape[-1])
@@ -203,6 +209,8 @@ def _cells(branches, grids, run, n: int, dtype):
     division and the cell lengths below are right for either sign of the
     denominators.
     """
+    import numpy as np
+
     # interval t of a branch lies between its breakpoints u_t < u_t+1 in x
     # and is the preimage of one y-bin; u_t+1 is the preimage of the grid
     # point k/n, k = j0+1 .. j1 on an increasing branch and j1-1 .. j0 on a
@@ -277,9 +285,10 @@ def build_closed(tmap: PiecewiseMap, n_bins: int) -> UlamMatrix:
     column's cells are summed as ``Fraction``, the rounded sum goes into
     its first slot and 0.0 into the others, which ``eliminate_zeros``
     drops.  ``sort_indices`` orders the columns when a branch decreases or
-    a row is shared.  ``scipy.sparse`` is imported here, on the first
-    build.
+    a row is shared.  numpy and ``scipy.sparse`` are imported here, on the
+    first build.
     """
+    import numpy as np
     import scipy.sparse as sp
 
     n = operator.index(n_bins)

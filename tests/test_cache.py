@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import os
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 
 import holecert as hc
+import spectral_oracle
+from holecert.spectral import N_POWERS
 
 
 def test_record_in_eigensolver_layout_is_recomputed(tmp_path, shift10):
@@ -183,6 +186,45 @@ def test_record_round_trip_is_bit_identical(tmp_path, bundled_map):
         assert np.array(getattr(again, field)).tobytes() == np.array(getattr(record, field)).tobytes()
     for field in ("n_bins", "map_fingerprint", "power_iterations"):
         assert getattr(again, field) == getattr(record, field)
+
+
+def _numpy_record_bytes(record):
+    """A record file as the numpy writer before the struct one made it."""
+    arrays = (record.q_power_norms, record.q_power_norms_colsum, record.mass_vector)
+    header = {
+        "schema": hc.cache.RECORD_SCHEMA,
+        "n_bins": record.n_bins,
+        "map_fingerprint": record.map_fingerprint,
+        "unit_eigenvalue": record.eigenvalues[0],
+        "projection_norm": record.projection_norm,
+        "unit_residual": record.unit_residual,
+        "power_iterations": record.power_iterations,
+        "lengths": [len(a) for a in arrays],
+    }
+    payload = np.concatenate(arrays).astype("<f8", copy=False)
+    return json.dumps(header).encode() + b"\n" + payload.tobytes()
+
+
+@pytest.mark.parametrize("label, n_bins", [
+    ("bundled", 200), ("shift10", 100), ("decreasing", 150),
+])
+def test_record_file_matches_numpy_writer(tmp_path, bundled_map, shift10, decreasing_map,
+                                          label, n_bins):
+    tmap = {"bundled": bundled_map, "shift10": shift10, "decreasing": decreasing_map}[label]
+    cache = hc.PipelineCache(tmp_path)
+    record = cache.spectral_record(tmap, n_bins)
+    path = cache._record_path(tmap.fingerprint, n_bins)
+    assert path.read_bytes() == _numpy_record_bytes(record)
+
+    # the same with the norms of the slow row-block evaluation, which are
+    # not the fast path's to the last bit
+    P = cache.closed_matrix(tmap, n_bins).matrix
+    rows, cols = spectral_oracle.q_power_norms(P, record.mass_vector, N_POWERS)
+    oracle = dataclasses.replace(record, q_power_norms=tuple(rows),
+                                 q_power_norms_colsum=tuple(cols))
+    hc.cache._save_record(oracle, path)
+    assert path.read_bytes() == _numpy_record_bytes(oracle)
+    assert hc.PipelineCache(tmp_path).spectral_record(tmap, n_bins) == oracle
 
 
 @pytest.mark.parametrize("damage", [

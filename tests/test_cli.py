@@ -2,6 +2,7 @@ import json
 import re
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import holecert as hc
@@ -374,6 +375,19 @@ class TestReportShapes:
         assert doc["report"]["e_H"] == 0.0
         assert doc["report"]["escape_rate"] == "inf"
         assert doc["report"]["total_escape"] is True
+
+    def test_numpy_values_stay_strict_json(self):
+        # numpy values are duck-typed to Python values, so every float takes
+        # the float rule: a finite one is a number, any other its repr
+        doc = cli._jsonify({"a": np.array([1.0, np.inf]), "b": np.array([[0.5], [-np.inf]]),
+                            "c": np.float64("nan"), "d": np.int64(3), "e": np.float32(0.25),
+                            "f": np.bool_(True)})
+        assert json.loads(json.dumps(doc, allow_nan=False)) == {
+            "a": [1.0, "inf"], "b": [[0.5], ["-inf"]], "c": "nan", "d": 3, "e": 0.25,
+            "f": True}
+        # a finite float array is written as the list of its Python floats
+        values = np.array([0.1, 2.0, 1e-300])
+        assert json.dumps(cli._jsonify(values)) == json.dumps([float(v) for v in values])
 
     def test_hole_asymptotics(self, tmp_path, shift_map_path):
         doc = self._run(tmp_path, ["hole-asymptotics", "--map", shift_map_path,

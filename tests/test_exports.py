@@ -63,22 +63,23 @@ def _footprint(*modules):
 def test_import_footprint_is_stdlib_numpy_scipy():
     # the dependency rule: holecert imports the standard library, numpy and
     # scipy only; what the numpy and scipy modules it loads import in turn
-    # (Cython runtimes, optional helpers) is theirs
+    # (Cython runtimes, optional helpers) is theirs.  Importing the CLI loads
+    # neither: they come with the first array
     added, deps = _footprint("holecert.cli")
     theirs = set(_footprint(*deps)[0])
     foreign = [m for m in added if m not in sys.stdlib_module_names
                and m not in ("numpy", "scipy", "holecert") and m not in theirs]
-    assert "holecert" in added and "numpy" in added
+    assert "holecert" in added and "numpy" not in added
     assert foreign == []
 
 
 #: runs ``holecert.cli.main`` on argv in a fresh interpreter and prints, as
-#: its last line, the exit code and whether scipy was loaded
+#: its last line, the exit code and whether scipy and numpy were loaded
 CLI_PROBE = """
 import json, sys
 from holecert.cli import main
 rc = main(sys.argv[1:])
-print(json.dumps([rc, "scipy" in sys.modules]))
+print(json.dumps([rc, "scipy" in sys.modules, "numpy" in sys.modules]))
 """
 
 
@@ -97,16 +98,26 @@ def test_import_leaves_scipy_unloaded():
     assert [m for m in deps if m.startswith("scipy")] == []
 
 
+def test_import_leaves_numpy_unloaded():
+    # numpy loads with the first array, not with the package (the footprint
+    # test above holds the same for holecert.cli)
+    added, deps = _footprint("holecert")
+    assert "holecert" in added
+    assert "numpy" not in added and deps == []
+
+
 @pytest.mark.parametrize("command", ["kl-constants", "cache"])
 def test_scalar_commands_leave_scipy_unloaded(tmp_path, command):
+    # neither numpy nor scipy: the constants are Fractions and floats
     argv = {"kl-constants": ["kl-constants", "--alpha0", "1/9", "--B0", "2/9", "--r", "24/25",
                              "--H", "45.46070939"],
             "cache": ["cache", "list", "--cache-dir", str(tmp_path)]}[command]
-    assert _cli_in_fresh_process(*argv) == [0, False]
+    assert _cli_in_fresh_process(*argv) == [0, False, False]
 
 
 def test_warm_reproduce_tables_leaves_scipy_unloaded(tmp_path):
+    # a warm run reads records with struct: neither numpy nor scipy loads
     argv = ["reproduce-tables", "--out-dir", str(tmp_path),
             "--cache-dir", str(tmp_path / "cache")]
-    assert _cli_in_fresh_process(*argv) == [0, True]      # cold: builds matrices
-    assert _cli_in_fresh_process(*argv) == [0, False]     # warm: reads records
+    assert _cli_in_fresh_process(*argv) == [0, True, True]        # cold: builds matrices
+    assert _cli_in_fresh_process(*argv) == [0, False, False]      # warm: reads records

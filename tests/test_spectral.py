@@ -254,6 +254,40 @@ class TestSpectralRadiusBound:
     def test_hand_matrices(self, entries):
         _assert_bound_covers_eigvals(hand_matrix(entries))
 
+    @pytest.mark.parametrize("row, col", [
+        ((1.8, 0.9, 0.5, 0.3, 0.2, 0.1, 0.05), (1.0, 0.7, 0.6, 0.35, 0.15, 0.2, 0.01)),
+        ((1.5, 0.97, 0.95, 0.93, 0.91, 0.9, 0.89), (1.0, 0.99, 0.98, 0.97, 0.96, 0.95, 0.94)),
+        ((1.8, 0.9, 0.0, 0.0, 0.0, 0.0, 0.0), (1.0, 0.9, 1e-17, 0.0, 0.0, 0.0, 0.0)),
+    ])
+    def test_is_the_libm_root_formula(self, doubling2, row, col):
+        # exactly the least of math.pow(||Q^k||, 1/k) over k >= 1 and both families
+        record = dataclasses.replace(compute_record(doubling2), q_power_norms=row,
+                                     q_power_norms_colsum=col)
+        expected = min(math.pow(norm, 1.0 / k)
+                       for family in (row, col) for k, norm in enumerate(family[1:], 1))
+        assert record.spectral_radius_bound == expected
+
+    @pytest.mark.parametrize("family", ["q_power_norms", "q_power_norms_colsum"])
+    def test_nan_norm_propagates(self, doubling2, family):
+        record = compute_record(doubling2)
+        norms = getattr(record, family)
+        record = dataclasses.replace(record, **{family: norms[:-1] + (math.nan,)})
+        assert math.isnan(record.spectral_radius_bound)
+
+    @pytest.mark.parametrize("label, n_bins", [
+        ("bundled", 1000), ("kfold20", 1500), ("shift10", 1000),
+    ])
+    def test_within_4_ulp_of_numpy_roots(self, bundled_map, label, n_bins):
+        # numpy's SIMD power and libm's pow may differ in the last bits
+        tmap = {"bundled": bundled_map, "kfold20": kfold_moebius(20),
+                "shift10": hc.full_branch_linear(10)}[label]
+        record = compute_record(hc.build_closed(tmap, n_bins))
+        k = np.arange(1, len(record.q_power_norms))
+        simd = float(np.min(np.concatenate(
+            [np.asarray(norms[1:]) ** (1.0 / k)
+             for norms in (record.q_power_norms, record.q_power_norms_colsum)])))
+        assert abs(record.spectral_radius_bound - simd) <= 4 * math.ulp(simd)
+
 
 def kfold_moebius(k):
     """x -> (k-1)x/(1-x) on [0, 1/k) plus k-1 slope-k branches (k = 10 is bundled)."""
