@@ -39,7 +39,7 @@ CACHE_ENV_VAR = "HOLECERT_CACHE_DIR"
 
 #: layout tag of spectral records: raise it whenever the code that fills a
 #: record changes; a file with another tag is recomputed
-RECORD_SCHEMA = 8
+RECORD_SCHEMA = 9
 
 #: kind of each file the cache owns, by suffix (older versions wrote npz
 #: records and text matrices); anything else in the directory is left alone
@@ -72,14 +72,12 @@ class PipelineCache:
     ----------
     directory : path-like or None
         On-disk location of the spectral records, with a leading ``~``
-        expanded; None keeps them in memory for the process lifetime.
-        Matrices are never written.
+        expanded, created on the first write; None keeps them in memory
+        for the process lifetime.  Matrices are never written.
     """
 
     def __init__(self, directory=None):
         self.directory = Path(directory).expanduser() if directory is not None else None
-        if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
         self._matrices: dict[tuple, UlamMatrix] = {}
         self._records: dict[tuple, SpectralRecord] = {}
         self.stats = {
@@ -165,6 +163,7 @@ def _save_record(record: SpectralRecord, path: Path) -> None:
                     len(record.mass_bytes) // 8],
     }
     payload = struct.pack(f"<{len(norms)}d", *norms) + record.mass_bytes
+    path.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write(path, json.dumps(header).encode() + b"\n" + payload)
 
 

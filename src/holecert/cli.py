@@ -226,8 +226,8 @@ def _cmd_escape(args) -> int:
     manifest = _manifest(args, tmap)
     with _Phase(manifest, "escape"):
         est = estimate_escape(build_closed(tmap, args.bins), args.hole)
-    print(f"hole {args.hole}: e_H = {est.e_H:.12g}, escape rate = "
-          f"{est.escape_rate:.12g}, residual = {est.solver_residual:.3g}")
+    print(f"hole {args.hole}: e_H = {est.e_H:.12g} in [{est.e_H_lower:.15g}, "
+          f"{est.e_H_upper:.15g}], escape rate = {est.escape_rate:.12g}")
     _write_report(args.out, manifest, est)
     return 0
 

@@ -2,11 +2,12 @@
 
 The dominant eigenpair of the sub-stochastic open Ulam matrix (the closed
 one with the hole's rows zeroed, stepped as a mask on the closed matrix)
-gives the discrete escape factor e_H (escape rate -ln e_H) and the
-conditionally invariant density estimate.  A second tool runs the
-shrinking-hole experiment: for nested aligned holes around a point y, the
-ratios (1 - e_H) / lambda(H) approach f*(y) when y is non-periodic and
-f*(y) (1 - 1/|(T^p)'(y)|) when y has period p, f* the invariant density.
+gives the discrete escape factor e_H (escape rate -ln e_H), a
+Collatz-Wielandt bracket of it and the conditionally invariant density
+estimate.  A second tool runs the shrinking-hole experiment: for nested
+aligned holes around a point y, the ratios (1 - e_H) / lambda(H) approach
+f*(y) when y is non-periodic and f*(y) (1 - 1/|(T^p)'(y)|) when y has
+period p, f* the invariant density.
 Ulam densities only converge in L1, so any pointwise f* read off the
 closed matrix is advisory; for full-branch piecewise-linear maps f* = 1
 is exact and used directly.  numpy is imported inside the functions that
@@ -24,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from .cache import PipelineCache
 from .maps import PiecewiseMap, affine_onto, as_rational
-from .spectral import dominant_left_eigenpair, invariant_density
+from .spectral import PowerIterationError, dominant_left_eigenpair, invariant_density
 from .ulam import Hole, UlamMatrix
 
 if TYPE_CHECKING:
@@ -41,14 +42,8 @@ __all__ = [
     "asymptotic_ratio",
 ]
 
-RESIDUAL_LIMIT = 1e-10
-RATIO_TOL = 1e-12
 PERIOD_SEARCH_LIMIT = 32
 ORBIT_RETURN_TOL = 1e-9
-
-
-class PowerIterationError(RuntimeError):
-    """Dominant-eigenpair iteration failed to meet the residual target."""
 
 
 class ClassificationAmbiguityWarning(UserWarning):
@@ -61,10 +56,11 @@ class EscapeEstimate:
 
     hole: Hole
     n_bins: int
-    e_H: float
+    e_H: float                         # the last mass ratio
+    e_H_lower: float                   # Collatz-Wielandt bracket of the
+    e_H_upper: float                   # float matrix's spectral radius
     escape_rate: float                 # -ln e_H (inf on total escape)
     accim_density: np.ndarray          # piecewise-constant values, integral 1
-    solver_residual: float
     iterations: int
     total_escape: bool = False
 
@@ -75,10 +71,11 @@ def estimate_escape(closed: UlamMatrix, hole: Hole) -> EscapeEstimate:
 
     Power iteration on the sub-stochastic open system (the dominant
     eigenpair of a nonnegative matrix is exactly what the iteration
-    delivers, and the accim density comes for free); successive eigenvalue
-    ratios must agree within 1e-12 and the final residual within 1e-10,
-    else :class:`PowerIterationError`.  A hole that swallows everything
-    reachable yields e_H = 0 with ``total_escape`` set.
+    delivers, and the accim density comes for free): e_H is the last mass
+    ratio, stopped once its Collatz-Wielandt bracket [e_H_lower, e_H_upper]
+    has relative width at most 1e-12 (:class:`PowerIterationError` if it
+    never narrows).  A hole that swallows everything reachable yields
+    e_H = 0 with ``total_escape`` set.
 
     The open system is the closed matrix with the hole's bins masked: each
     step is ``P^T (x * keep)`` with the closed matrix's cached transpose
@@ -93,26 +90,10 @@ def estimate_escape(closed: UlamMatrix, hole: Hole) -> EscapeEstimate:
     hole_bins = hole.bin_range(n)   # raises HoleAlignmentError if misaligned
     keep = np.ones(n)
     keep[hole_bins.start:hole_bins.stop] = 0.0
-    lam, x, residual, iters = dominant_left_eigenpair(closed, tol=RATIO_TOL, keep=keep)
-    if lam == 0.0:
-        return EscapeEstimate(hole=hole, n_bins=n, e_H=0.0,
-                              escape_rate=math.inf,
-                              accim_density=np.zeros(n),
-                              solver_residual=0.0, iterations=iters,
-                              total_escape=True)
-    if residual > RESIDUAL_LIMIT:
-        raise PowerIterationError(
-            f"power iteration stalled: residual {residual:.3e} > {RESIDUAL_LIMIT} "
-            f"after {iters} iterations (ratio spread {residual / max(lam, 1e-300):.3e})"
-        )
-    if not 0.0 < lam <= 1.0 + 1e-12:
-        raise PowerIterationError(f"escape factor {lam} outside (0, 1]")
-    x = np.where(x < 0.0, 0.0, x)
-    x = x / x.sum()
-    return EscapeEstimate(hole=hole, n_bins=n,
-                          e_H=min(lam, 1.0), escape_rate=-math.log(min(lam, 1.0)),
-                          accim_density=x * n,
-                          solver_residual=residual, iterations=iters)
+    lam, x, (lower, upper), iters = dominant_left_eigenpair(closed, keep=keep)
+    return EscapeEstimate(hole=hole, n_bins=n, e_H=lam, e_H_lower=lower, e_H_upper=upper,
+                          escape_rate=-math.log(lam) if lam else math.inf,
+                          accim_density=x * n, iterations=iters, total_escape=lam == 0.0)
 
 
 @dataclass(frozen=True)
@@ -274,7 +255,7 @@ def asymptotic_ratio(tmap: PiecewiseMap, y, widths, bins_per_hole: int, *,
         f_star_value, source = 1.0, "uniform-exact"
     else:
         # the finest partition's density, read in the bin of y
-        _lam, u, _res, _it = invariant_density(closed)    # its transpose is cached
+        _lam, u, _bracket, _it = invariant_density(closed)    # its transpose is cached
         f_star_value = float(u[int(y_frac * n)] * n)
         source = "ulam-advisory"
     predicted = f_star_value

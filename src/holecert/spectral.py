@@ -35,6 +35,10 @@ produced.  The row family is the induced norm for the density action;
 ``neumann_bound`` takes either family, and certification reports the
 row family's Neumann bound alongside for audit.
 
+The invariant mass vector u is the iterate of power iteration stopped by
+a Collatz-Wielandt bracket of the dominant eigenvalue, which must contain
+1 to within its rounding bound.
+
 No eigensolver is needed for the spectral layout.  P is row-stochastic,
 so the sum-zero row vectors form an invariant subspace on which P acts as
 Q (for any u that sums to 1), while on the one-dimensional quotient P
@@ -78,6 +82,7 @@ __all__ = [
     "SpectralStructureError",
     "NoUnitEigenvalueError",
     "InvariantDensityError",
+    "PowerIterationError",
     "NeumannDivergenceError",
     "compute_record",
     "neumann_bound",
@@ -87,8 +92,8 @@ __all__ = [
 
 #: a record holds the norms of Q^1 .. Q^N_POWERS (truncation index N_POWERS - 1)
 N_POWERS = 6
-UNIT_EIGENVALUE_TOL = 1e-8
-RESIDUAL_TOL = 1e-8
+#: relative width of the Collatz-Wielandt bracket that stops power iteration
+BRACKET_WIDTH = 1e-12
 SUBMULT_SLACK = 1e-10
 #: columns per dense block (wider blocks raise peak memory, not speed)
 _BLOCK = 64
@@ -99,31 +104,45 @@ class SpectralStructureError(RuntimeError):
 
 
 class NoUnitEigenvalueError(SpectralStructureError):
-    """No eigenvalue within tolerance of 1 (matrix not stochastic?)."""
+    """The dominant eigenvalue's bracket excludes 1 (matrix not stochastic?)."""
 
 
 class InvariantDensityError(RuntimeError):
-    """The invariant density failed its residual or nonnegativity check."""
+    """The invariant density has a negative entry."""
+
+
+class PowerIterationError(RuntimeError):
+    """The power iteration's Collatz-Wielandt bracket did not narrow."""
 
 
 class NeumannDivergenceError(ArithmeticError):
     """Neumann tail ratio q >= 1 at the record's truncation index."""
 
 
-def dominant_left_eigenpair(P: sp.csr_matrix | UlamMatrix, tol: float = 1e-14,
-                            keep: np.ndarray | None = None):
-    """Power iteration for the dominant left eigenpair of a nonnegative matrix.
+def dominant_left_eigenpair(P: sp.csr_matrix | UlamMatrix, keep: np.ndarray | None = None):
+    """Power iteration for the dominant left eigenpair of a nonnegative matrix A.
 
-    Iterates ``x -> x @ P``, as ``P^T x`` with P^T in CSR, with L1
-    normalization from the uniform vector for at most 10^6 steps and
-    returns ``(value, vector, residual, iterations)``; the eigenvalue
-    estimate is the mass ratio per step and convergence is declared when
-    successive ratios agree within ``tol``.  The value 0.0 with a zero
-    vector signals total mass loss (a hole that every orbit falls into).
+    Steps ``y = x A``, as ``A^T x`` with A^T in CSR, from the uniform vector
+    with L1 normalization and returns ``(value, x, (lower, upper),
+    iterations)``: the last mass ratio ``sum(y)``, the normalized iterate
+    and the Collatz-Wielandt bracket (Horn-Johnson, *Matrix Analysis*, 8.1)
+
+        min y_i / x_i  <=  rho(A)  <=  max y_i / x_i      over the x_i > 0.
+
+    It stops once the bracket's relative width is at most
+    :data:`BRACKET_WIDTH`, and forms the bracket only on steps where the
+    mass ratio has settled to that width.  A bracket that does not narrow in
+    10^6 steps raises :class:`PowerIterationError`.  Total mass loss (a
+    hole that every orbit falls into) returns 0.0, a zero vector and
+    (0.0, 0.0): the iterate is nonnegative, so its sum is exactly 0 then.
+
+    Zero entries of x drop out of the bracket, which still encloses rho(A):
+    the iterate's support only shrinks and keeps every bin on a cycle of A,
+    so A restricted to it keeps every irreducible class of A and rho(A).
 
     ``P`` is a CSR matrix, whose transpose is built for this call, or an
     :class:`UlamMatrix`, whose cached ``transposed`` is used.  A 0/1
-    ``keep`` mask iterates the matrix with the rows where it is 0 zeroed,
+    ``keep`` mask makes A the matrix P with the rows where it is 0 zeroed,
     ``x -> (x * keep) @ P``: the open system of a hole, as its closed
     matrix with the hole's bins masked.  Bit for bit the same as iterating
     the explicit open matrix P_H, since its dropped entries only add
@@ -134,23 +153,23 @@ def dominant_left_eigenpair(P: sp.csr_matrix | UlamMatrix, tol: float = 1e-14,
     PT = P.transposed if isinstance(P, UlamMatrix) else P.T.tocsr()
     n = PT.shape[0]
     x = np.full(n, 1.0 / n)
-    lam_prev = np.inf
-    lam = 0.0
+    previous = math.inf
     for it in range(1, 10**6 + 1):
         y = PT @ (x if keep is None else x * keep)
-        lam = float(np.abs(y).sum())
-        if lam <= 1e-300:
-            return 0.0, np.zeros(n), 0.0, it
-        y /= lam
-        # the mass ratio is identically 1 for stochastic matrices, so the
-        # iterate itself must settle as well before declaring convergence
-        if abs(lam - lam_prev) <= tol and float(np.abs(y - x).sum()) <= tol:
-            x = y
-            break
-        lam_prev = lam
-        x = y
-    residual = float(np.abs(PT @ (x if keep is None else x * keep) - lam * x).sum())
-    return lam, x, residual, it
+        value = float(y.sum())
+        if value == 0.0:
+            return 0.0, y, (0.0, 0.0), it
+        if abs(value - previous) <= BRACKET_WIDTH * value:
+            support = x > 0.0
+            ratios = y[support] / x[support]
+            lower, upper = float(ratios.min()), float(ratios.max())
+            if upper - lower <= BRACKET_WIDTH * upper:
+                y /= value
+                return value, y, (lower, upper), it
+        y /= value          # in place: a new array per step doubled later page faults
+        previous, x = value, y
+    raise PowerIterationError(f"the Collatz-Wielandt bracket did not narrow to relative width "
+                              f"{BRACKET_WIDTH:g} in {it} steps (last mass ratio {value!r})")
 
 
 @dataclass(frozen=True)
@@ -327,28 +346,27 @@ def _q_power_norms(P: sp.csr_matrix, u: np.ndarray) -> tuple[list[float], list[f
 
 
 def invariant_density(P: sp.csr_matrix | UlamMatrix):
-    """``(eigenvalue, u, residual, iterations)`` of a closed Ulam matrix, u
-    its invariant mass vector clamped at 0 and summing to 1.  Raises
-    :class:`NoUnitEigenvalueError` when the eigenvalue is more than 1e-8 off
-    1, :class:`InvariantDensityError` when the residual exceeds 1e-8 or u
-    has an entry below -1e-12."""
+    """``(eigenvalue, u, (lower, upper), iterations)`` of a closed Ulam
+    matrix: u its invariant mass vector (>= 0, summing to 1) and the
+    Collatz-Wielandt bracket of :func:`dominant_left_eigenpair`.
+
+    Each ratio of the bracket is a sum of at most c products, c the largest
+    column count of P, and one division, so it is within (c + 1) 2^-53
+    relative of the exact ratio.  Raises :class:`NoUnitEigenvalueError`
+    when the bracket, widened outward by that bound, excludes 1, and
+    :class:`InvariantDensityError` when u has a negative entry (P has one).
+    """
     import numpy as np
 
-    lam, u, residual, iterations = dominant_left_eigenpair(P, tol=1e-15)
-    if abs(lam - 1.0) > UNIT_EIGENVALUE_TOL:
-        raise NoUnitEigenvalueError(
-            f"dominant eigenvalue {lam} is not within {UNIT_EIGENVALUE_TOL} of 1"
-        )
-    if residual > RESIDUAL_TOL:
-        raise InvariantDensityError(
-            f"invariant-density residual {residual:.3e} exceeds {RESIDUAL_TOL}"
-        )
-    if u.min() < -1e-12:
-        raise InvariantDensityError(
-            f"invariant density has entries below -1e-12 (min {u.min():.3e})"
-        )
-    u = np.maximum(u, 0.0)
-    return lam, u / u.sum(), residual, iterations
+    lam, u, (lower, upper), iterations = dominant_left_eigenpair(P)
+    A = P.matrix if isinstance(P, UlamMatrix) else P
+    slack = (int(np.bincount(A.indices, minlength=1).max()) + 1) * 2.0**-53
+    if not lower * (1.0 - slack) <= 1.0 <= upper * (1.0 + slack):
+        raise NoUnitEigenvalueError(f"the dominant eigenvalue's bracket [{lower!r}, {upper!r}], "
+                                    f"widened by {slack:.3g} relative, excludes 1")
+    if u.min() < 0.0:
+        raise InvariantDensityError(f"invariant density has a negative entry ({u.min():.3e})")
+    return lam, u, (lower, upper), iterations
 
 
 def compute_record(matrix: UlamMatrix) -> SpectralRecord:
@@ -358,7 +376,7 @@ def compute_record(matrix: UlamMatrix) -> SpectralRecord:
     import numpy as np
 
     P = matrix.matrix
-    lam, u, residual, iterations = invariant_density(P)
+    lam, u, _bracket, iterations = invariant_density(P)
     row_norms, col_norms = _q_power_norms(P, u)
     _check_submultiplicative(row_norms, "row")
     _check_submultiplicative(col_norms, "column")
@@ -371,7 +389,7 @@ def compute_record(matrix: UlamMatrix) -> SpectralRecord:
         projection_norm=float(np.abs(u).sum()),
         q_power_norms=tuple(row_norms),
         q_power_norms_colsum=tuple(col_norms),
-        unit_residual=residual,
+        unit_residual=float(np.abs(u @ P - lam * u).sum()),
         power_iterations=iterations,
     )
 

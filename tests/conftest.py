@@ -1,3 +1,4 @@
+import builtins
 import os
 
 import numpy as np
@@ -69,3 +70,13 @@ def decoupled_blocks():
     P[:m, :m] = (1 - leak) * blocks[0]
     P[m:, m:] = (1 - leak) * blocks[1]
     return UlamMatrix(2 * m, sp.csr_matrix(P), "decoupled")
+
+
+@pytest.fixture
+def cap_power_steps(monkeypatch):
+    """``cap(steps)`` lets ``dominant_left_eigenpair`` take at most ``steps``
+    steps instead of 10^6, so a bracket that never narrows fails fast."""
+    def cap(steps):
+        monkeypatch.setattr(hc.spectral, "range",
+                            lambda start, stop: builtins.range(start, steps + 1), raising=False)
+    return cap

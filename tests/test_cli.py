@@ -167,14 +167,13 @@ class TestEscapeCommands:
         assert doc["report"]["e_H"] == pytest.approx(0.9, abs=1e-12)
         assert doc["manifest"]["subcommand"] == "escape"
 
-    def test_stalled_power_iteration_fails(self, tmp_path, shift_map_path, monkeypatch,
+    def test_stalled_power_iteration_fails(self, tmp_path, shift_map_path, cap_power_steps,
                                            capsys):
-        monkeypatch.setattr(hc.escape, "dominant_left_eigenpair",
-                            lambda closed, tol, keep: (0.9, keep, 1e-6, 7))
+        cap_power_steps(1)
         rc = main(["escape", "--map", shift_map_path, "--bins", "10",
                    "--hole", "0,1/10", "--out", str(tmp_path / "x.json")])
         assert rc == 1
-        assert "power iteration stalled" in capsys.readouterr().err
+        assert "bracket did not narrow" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
     def test_hole_asymptotics(self, tmp_path, shift_map_path):
@@ -262,6 +261,13 @@ class TestCacheCommands:
         assert "empty" in capsys.readouterr().out
         assert (scratch / "notes.txt").exists()
 
+    @pytest.mark.parametrize("action", ["list", "inspect", "purge"])
+    def test_read_only_commands_create_no_directory(self, tmp_path, capsys, action):
+        missing = tmp_path / "x" / "deep" / "dir"
+        assert main(["cache", action, "--cache-dir", str(missing)]) == 0
+        assert str(missing) in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestReproduceTablesCommand:
     def test_manifests_count_their_own_cache_lookups(self, tmp_path, shift_map_path,
@@ -307,8 +313,8 @@ ITERATION_KEYS = {"index", "n_bins", "mesh", "delta", "used_bootstrap", "h_star"
                   "transferred_H", "neumann", "neumann_rowsum", "n1", "n2",
                   "epsilon0", "threshold", "step7_pass", "closed_only_threshold",
                   "spectral_radius_bound"}
-ESCAPE_KEYS = {"hole", "n_bins", "e_H", "escape_rate", "total_escape",
-               "solver_residual", "iterations", "accim_density"}
+ESCAPE_KEYS = {"hole", "n_bins", "e_H", "e_H_lower", "e_H_upper", "escape_rate",
+               "total_escape", "iterations", "accim_density"}
 ASYMPTOTICS_KEYS = {"point", "widths", "holes", "n_bins", "e_values", "ratios",
                     "extrapolated_limit", "low_confidence", "classification",
                     "f_star_value", "f_star_source", "predicted_limit"}

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 from fractions import Fraction as F
@@ -5,10 +6,10 @@ from fractions import Fraction as F
 import numpy as np
 import scipy.sparse as sp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import holecert as hc
-from escape_oracle import build_open, open_matrix_escape
+from escape_oracle import build_open, open_matrix_escape, tolerance_escape
 from holecert.escape import (
     PERIOD_SEARCH_LIMIT,
     ClassificationAmbiguityWarning,
@@ -40,22 +41,25 @@ class TestEstimateEscape:
         assert est.e_H == 0.0
         assert est.escape_rate == math.inf
 
-    def test_residual_within_limit(self, bundled_map):
+    def test_bracket_within_width(self, bundled_map):
         closed = hc.build_closed(bundled_map, 200)
         est = estimate_escape(closed, hc.Hole(F(1, 2), F(51, 100)))
-        assert est.solver_residual <= 1e-10
-        assert 0 < est.e_H < 1
+        assert 0 < est.e_H_lower <= est.e_H_upper < 1
+        assert est.e_H_upper - est.e_H_lower <= 1e-12 * est.e_H_upper
+        assert est.e_H == pytest.approx(est.e_H_lower, rel=1e-12)
 
-    @pytest.mark.parametrize("eigenpair, message", [
-        ((0.9, 1e-6), "power iteration stalled: residual 1.000e-06 > 1e-10"),
-        ((1.5, 0.0), "escape factor 1.5 outside (0, 1]"),
-    ], ids=["stalled", "outside"])
-    def test_power_iteration_errors(self, shift10, monkeypatch, eigenpair, message):
-        lam, residual = eigenpair
-        monkeypatch.setattr(hc.escape, "dominant_left_eigenpair",
-                            lambda closed, tol, keep: (lam, keep, residual, 7))
+    @pytest.mark.parametrize("tmap, n_bins, hole, steps", [
+        # the first step has no settled mass ratio to test the bracket on
+        (hc.full_branch_linear(10), 10, hc.Hole(F(0), F(1, 10)), 1),
+        # digit word 01 of x -> 2x mod 1: the open chain's dominant eigenvalue
+        # 1/2 is defective, and the bracket narrows only like 1/steps
+        (hc.full_branch_linear(2), 4, hc.Hole(F(1, 4), F(1, 2)), 2000),
+    ], ids=["stalled", "jordan-block"])
+    def test_power_iteration_errors(self, cap_power_steps, tmap, n_bins, hole, steps):
+        cap_power_steps(steps)
+        message = f"did not narrow to relative width 1e-12 in {steps} steps"
         with pytest.raises(PowerIterationError, match=re.escape(message)):
-            estimate_escape(hc.build_closed(shift10, 10), hc.Hole(F(0), F(1, 10)))
+            estimate_escape(hc.build_closed(tmap, n_bins), hole)
 
     def test_monotone_in_hole_size(self, shift10):
         closed = hc.build_closed(shift10, 100)
@@ -71,8 +75,10 @@ def oracle_holes(n):
 
 
 def assert_same_estimate(got, ref):
-    assert (got.e_H.hex(), got.iterations, got.solver_residual.hex(), got.total_escape) \
-        == (ref.e_H.hex(), ref.iterations, ref.solver_residual.hex(), ref.total_escape)
+    assert (got.e_H.hex(), got.e_H_lower.hex(), got.e_H_upper.hex(), got.iterations,
+            got.total_escape) \
+        == (ref.e_H.hex(), ref.e_H_lower.hex(), ref.e_H_upper.hex(), ref.iterations,
+            ref.total_escape)
     assert got.escape_rate == ref.escape_rate
     assert got.accim_density.tobytes() == ref.accim_density.tobytes()
 
@@ -126,6 +132,134 @@ class TestMaskedIteration:
         closed = hc.build_closed(shift10, 20)
         with pytest.raises(hc.HoleAlignmentError):
             estimate_escape(closed, hc.Hole(F(1, 3), F(1, 2)))
+
+
+class TestAgainstToleranceLoop:
+    """The bracket-stopped estimate against the power iteration stopped by
+    tolerances that it replaced (``escape_oracle.tolerance_escape``)."""
+
+    @pytest.mark.parametrize("n", [10, 11, 100, 1000, 5000])
+    @pytest.mark.parametrize("label", ["shift10", "bundled", "decreasing"])
+    def test_old_estimate_in_new_bracket(self, shift10, bundled_map, decreasing_map, label, n):
+        tmap = {"shift10": shift10, "bundled": bundled_map, "decreasing": decreasing_map}[label]
+        closed = hc.build_closed(tmap, n)
+        for hole in oracle_holes(n):
+            est = estimate_escape(closed, hole)
+            old, _ = tolerance_escape(tmap, n, hole, closed=closed)
+            assert est.e_H == pytest.approx(old, rel=1e-12, abs=0)
+            assert est.e_H_lower * (1 - 1e-12) <= old <= est.e_H_upper * (1 + 1e-12)
+
+
+def markov_polynomial(word, k):
+    """Coefficients, from z^0 up, of f(z) = z^m + (1 - k z) c_w(z), where
+    c_w(z) = sum of z^i over the shifts i < m at which the word ``w``
+    overlaps itself (its autocorrelation polynomial)."""
+    m = len(word)
+    f = [F(0)] * m + [F(1)]
+    for i in range(m):
+        if word[i:] == word[:m - i]:
+            f[i] += 1
+            f[i + 1] -= k
+    while f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _value(p, z):
+    return sum(c * z**i for i, c in enumerate(p))
+
+
+def _remainder(a, b):
+    a = list(a)
+    while len(a) >= len(b):
+        q = a[-1] / b[-1]
+        for i, c in enumerate(b):
+            a[len(a) - len(b) + i] -= q * c
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def sturm_chain(p):
+    chain = [p, [i * c for i, c in enumerate(p)][1:]]
+    while chain[-1] and (r := _remainder(chain[-2], chain[-1])):
+        chain.append([-c for c in r])
+    return [q for q in chain if q]
+
+
+def roots_in(chain, a, b):
+    """Distinct real roots in (a, b] of the polynomial heading a Sturm
+    chain, for p(a) != 0 (Sturm's theorem)."""
+    def changes(x):
+        signs = [v > 0 for v in map(lambda q: _value(q, x), chain) if v != 0]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+    return changes(a) - changes(b)
+
+
+def least_positive_root(f, steps=80):
+    """``(lo, hi, simple)``: the least positive root of f lies in (lo, hi],
+    hi - lo = 2^-steps, found by exact bisection on the Sturm root count,
+    and ``simple`` says whether it is a simple root."""
+    chain = sturm_chain(f)
+    lo, hi = F(0), F(1)
+    assert _value(f, lo) != 0 and roots_in(chain, lo, hi) >= 1
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if roots_in(chain, lo, mid) else (mid, hi)
+    # the last entry of the chain is gcd(f, f'), whose roots are f's multiple roots
+    return lo, hi, roots_in(sturm_chain(chain[-1]), F(0), hi) == 0
+
+
+@functools.lru_cache(maxsize=None)
+def shift_closed(k, n):
+    return hc.build_closed(hc.full_branch_linear(k), n)
+
+
+class TestMarkovHoles:
+    """Exact escape factors of one-bin holes of x -> kx mod 1 at k^m bins.
+
+    The bin of the digit word w is a Markov hole: its open chain has
+    spectral radius e_H = rho_w / k, with 1/rho_w the least positive root
+    of z^m + (1 - k z) c_w(z), c_w the word's autocorrelation polynomial
+    (Guibas-Odlyzko 1981).  This generalises C4 to every word.
+    """
+
+    @pytest.mark.parametrize("n, j, coefficients, e_H", [
+        (100, 0, [1, -9, -9], (9 + math.sqrt(117)) / 20),
+        (100, 41, [1, -10, 1], (5 + math.sqrt(24)) / 10),
+        (1000, 0, [1, -9, -9, -9], None),
+        (1000, 410, [1, -10, 0, 1], None),
+    ], ids=["100-bins-at-0", "100-bins-at-41", "1000-bins-at-0", "1000-bins-at-410"])
+    def test_shrink_hole_holes(self, n, j, coefficients, e_H):
+        # the 100- and 1000-bin holes of the shrinking-hole benchmark
+        word = tuple(int(d) for d in str(j).zfill(len(str(n)) - 1))
+        assert markov_polynomial(word, 10) == coefficients
+        if e_H is not None:
+            est = estimate_escape(shift_closed(10, n), hc.Hole(F(j, n), F(j + 1, n)))
+            assert est.e_H == pytest.approx(e_H, rel=1e-13)
+
+    @given(st.sampled_from([2, 3, 10]), st.integers(1, 3), st.integers(0, 999))
+    @example(10, 2, 0).via("the hole at 0 on 100 bins")
+    @example(10, 3, 410).via("a nested hole at 1000 bins")
+    @example(2, 3, 3).via("a slower class feeds the dominant one")
+    @settings(max_examples=60, deadline=None)
+    def test_bracket_encloses_exact_escape_factor(self, k, m, j):
+        n = k**m
+        j %= n
+        word = tuple(j // k**(m - 1 - i) % k for i in range(m))
+        lo, hi, simple = least_positive_root(markov_polynomial(word, k))
+        # a double root (k = 2, w = 01 or 10: f = (z - 1)^2) makes the dominant
+        # eigenvalue defective, and the bracket narrows only like 1/steps
+        assume(simple)
+        closed = shift_closed(k, n)
+        entry = F(closed.matrix.data[0])    # the rounded 1/k, in every entry
+        assert (closed.matrix.data == closed.matrix.data[0]).all()
+        est = estimate_escape(closed, hc.Hole(F(j, n), F(j + 1, n)))
+        # the float matrix is entry * k times the chain, so its spectral
+        # radius is entry * rho_w, inside (entry / hi, entry / lo]
+        slack = F(k + 1, 2**53)
+        assert F(est.e_H_lower) * (1 - slack) <= entry / hi
+        assert entry / lo <= F(est.e_H_upper) * (1 + slack)
 
 
 class TestClassifyPoint:

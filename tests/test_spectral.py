@@ -19,6 +19,7 @@ from holecert.spectral import (
     InvariantDensityError,
     NeumannDivergenceError,
     NoUnitEigenvalueError,
+    PowerIterationError,
     SpectralStructureError,
     _BLOCK,
     _equal_rows,
@@ -79,26 +80,42 @@ class TestOperatorNorm:
 
 class TestPowerIteration:
     def test_uniform_matrix(self, shift10_10):
-        lam, x, res, _ = dominant_left_eigenpair(shift10_10.matrix)
+        lam, x, (lower, upper), _ = dominant_left_eigenpair(shift10_10.matrix)
         assert lam == pytest.approx(1.0, abs=1e-14)
         assert np.allclose(x, 0.1, atol=1e-14)
-        assert res <= 1e-12
+        assert lower == pytest.approx(1.0, abs=1e-15) and upper - lower <= 1e-12 * upper
 
     def test_substochastic(self, shift10):
         open_m = build_open(shift10, 10, hc.Hole(F(0), F(1, 10)))
-        lam, x, res, _ = dominant_left_eigenpair(open_m)
+        lam, x, (lower, upper), _ = dominant_left_eigenpair(open_m)
         assert lam == pytest.approx(0.9, abs=1e-12)
-        assert res <= 1e-12
+        assert lower == pytest.approx(0.9, abs=1e-15) and upper - lower <= 1e-12 * upper
 
     def test_zero_matrix(self):
-        lam, x, res, it = dominant_left_eigenpair(sp.csr_matrix((3, 3)))
-        assert lam == 0.0
+        lam, x, bracket, it = dominant_left_eigenpair(sp.csr_matrix((3, 3)))
+        assert (lam, bracket, it) == (0.0, (0.0, 0.0), 1)
+        assert not x.any()
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_step_count_is_an_int(self, shift10_10, masked):
+        # perfbench/tracing.py adds result[3] into its iteration counters.
+        # A rank-one stochastic matrix maps the uniform vector to itself, and
+        # the second step is the first on which the mass ratio has settled.
+        keep = np.ones(10) if masked else None
+        result = dominant_left_eigenpair(shift10_10, keep=keep)
+        assert type(result[3]) is int and result[3] == 2
+
+    def test_bracket_that_never_narrows(self, shift10_10, cap_power_steps):
+        # the first step has no settled mass ratio to test the bracket on
+        cap_power_steps(1)
+        with pytest.raises(PowerIterationError, match="did not narrow .* in 1 steps"):
+            dominant_left_eigenpair(shift10_10)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(1, 40),
-           st.sampled_from(["closed", "open", "zero", "hole"]), st.sampled_from([1e-14, 1e-12]))
+           st.sampled_from(["closed", "open", "zero", "hole"]))
     @settings(max_examples=40, deadline=None)
-    def test_matches_row_vector_loop(self, seed, n, kind, tol):
-        # the transposed-CSR iteration against the x @ P loop it replaced
+    def test_matches_row_vector_loop(self, seed, n, kind):
+        # the transposed-CSR iteration against an x @ P loop
         rng = np.random.default_rng(seed)
         A = rng.random((n, n)) * (rng.random((n, n)) < 0.4) + 1e-3
         A /= A.sum(axis=1, keepdims=True)
@@ -112,29 +129,55 @@ class TestPowerIteration:
             lo = int(rng.integers(0, 10 * n))
             P = build_open(hc.full_branch_linear(10), 10 * n,
                            hc.Hole(F(lo, 10 * n), F(lo + 1, 10 * n)))
-        lam, x, res, it = dominant_left_eigenpair(P, tol)
-        ref_lam, ref_x, ref_res, ref_it = _row_vector_power_iteration(P, tol)
-        assert (lam, res, it) == (ref_lam, ref_res, ref_it)
+        lam, x, bracket, it = dominant_left_eigenpair(P)
+        ref_lam, ref_x, ref_bracket, ref_it = _row_vector_power_iteration(P)
+        assert (lam, bracket, it) == (ref_lam, ref_bracket, ref_it)
         assert x.tobytes() == ref_x.tobytes()
 
+    @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(2, 30),
+           st.sampled_from(["irreducible", "feeder", "unfed", "hole rows"]))
+    @settings(max_examples=40, deadline=None)
+    def test_bracket_encloses_spectral_radius(self, seed, n, kind):
+        # against a dense eigensolve, also where the iterate has zero
+        # entries: bins that nothing maps into, or a class that feeds the
+        # dominant one, is at most half as fast and whose mass underflows.
+        # Each block is positive, so no class decays at nearly the rate of
+        # the dominant one, which would stall the iteration.
+        rng = np.random.default_rng(seed)
+        A = rng.random((n, n)) + 0.01
+        k = int(rng.integers(1, n))
+        if kind == "feeder":
+            A[:k, k:] = 0.0             # bins k.. feed bins 0..k-1, which keep their mass
+            A /= A.sum(axis=1, keepdims=True)
+            A[k:] *= 0.5
+        elif kind == "unfed":
+            A[:, :k] = 0.0              # nothing enters bins 0..k-1
+        elif kind == "hole rows":
+            A[:k] = 0.0
+        lam, x, (lower, upper), _ = dominant_left_eigenpair(sp.csr_matrix(A))
+        rho = float(np.abs(np.linalg.eigvals(A)).max())
+        assert lower * (1 - 1e-12) - 1e-14 <= rho <= upper * (1 + 1e-12) + 1e-14
+        assert upper - lower <= 1e-12 * upper
+        assert x.min() >= 0.0
 
-def _row_vector_power_iteration(P, tol):
+
+def _row_vector_power_iteration(P):
     """The power iteration with ``x @ P`` on every step."""
     n = P.shape[0]
     x = np.full(n, 1.0 / n)
-    lam_prev, lam = np.inf, 0.0
+    previous = math.inf
     for it in range(1, 10**6 + 1):
         y = x @ P
-        lam = float(np.abs(y).sum())
-        if lam <= 1e-300:
-            return 0.0, np.zeros(n), 0.0, it
-        y /= lam
-        if abs(lam - lam_prev) <= tol and float(np.abs(y - x).sum()) <= tol:
-            x = y
-            break
-        lam_prev = lam
-        x = y
-    return lam, x, float(np.abs(x @ P - lam * x).sum()), it
+        value = float(y.sum())
+        if value == 0.0:
+            return 0.0, y, (0.0, 0.0), it
+        if abs(value - previous) <= 1e-12 * value:
+            ratios = y[x > 0] / x[x > 0]
+            bracket = float(ratios.min()), float(ratios.max())
+            if bracket[1] - bracket[0] <= 1e-12 * bracket[1]:
+                return value, y / value, bracket, it
+        previous = value
+        x = y / value
 
 
 class TestEigenAnalysis:
@@ -182,16 +225,28 @@ class TestEigenAnalysis:
         with pytest.raises(NoUnitEigenvalueError):
             compute_record(M)
 
-    @pytest.mark.parametrize("residual, mass, match", [
-        (1e-6, [0.5, 0.5], "residual"),
-        (0.0, [1.0 + 1e-9, -1e-9], "below -1e-12"),
-    ])
-    def test_invariant_density_checks(self, monkeypatch, residual, mass, match):
-        # a power iteration that hands back a bad residual or a negative mass
+    @pytest.mark.parametrize("bracket, mass, error, match", [
+        ((1.0 + 2.0**-50,) * 2, [0.5, 0.5], NoUnitEigenvalueError, "excludes 1"),
+        ((1.0, 1.0), [1.0 + 1e-9, -1e-9], InvariantDensityError, "negative entry"),
+    ], ids=["bracket-excludes-1", "negative-mass"])
+    def test_invariant_density_checks(self, monkeypatch, bracket, mass, error, match):
+        # a power iteration that hands back a bracket 8 * 2^-53 above 1, past
+        # its rounding bound 3 * 2^-53 for two entries per column, or a
+        # negative mass
         monkeypatch.setattr("holecert.spectral.dominant_left_eigenpair",
-                            lambda P, tol: (1.0, np.array(mass), residual, 1))
-        with pytest.raises(InvariantDensityError, match=match):
+                            lambda P: (1.0, np.array(mass), bracket, 1))
+        with pytest.raises(error, match=match):
             compute_record(hand_matrix([[0.5, 0.5], [0.5, 0.5]]))
+
+    @pytest.mark.parametrize("n_bins", [10, 100, 1000, 100_000])
+    def test_unit_bracket_of_shift10(self, shift10, n_bins):
+        # the bracket can stop ulps above 1 (at 1000 bins, [1 + 2^-51,
+        # 1 + 2^-51]), which only its rounding bound 11 * 2^-53 brings back
+        lam, u, (lower, upper), _ = spectral.invariant_density(hc.build_closed(shift10, n_bins))
+        assert lower * (1 - 11 * 2.0**-53) <= 1.0 <= upper * (1 + 11 * 2.0**-53)
+        assert u.min() >= 0.0 and abs(u.sum() - 1.0) <= 1e-12
+        if n_bins <= 1000:
+            assert compute_record(hc.build_closed(shift10, n_bins)).eigenvalues == (lam,)
 
     def test_submultiplicativity_of_stored_norms(self, bundled_map):
         M = hc.build_closed(bundled_map, 60)
