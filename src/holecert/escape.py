@@ -17,10 +17,8 @@ make or read arrays.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import TYPE_CHECKING
 
 from .cache import PipelineCache
@@ -36,18 +34,12 @@ __all__ = [
     "PointClassification",
     "AsymptoticRatioExperiment",
     "PowerIterationError",
-    "ClassificationAmbiguityWarning",
     "estimate_escape",
     "classify_point",
     "asymptotic_ratio",
 ]
 
 PERIOD_SEARCH_LIMIT = 32
-ORBIT_RETURN_TOL = 1e-9
-
-
-class ClassificationAmbiguityWarning(UserWarning):
-    """Orbit approached its start within tolerance without an exact return."""
 
 
 @dataclass(frozen=True)
@@ -56,7 +48,7 @@ class EscapeEstimate:
 
     hole: Hole
     n_bins: int
-    e_H: float                         # the last mass ratio
+    e_H: float                         # the last mass ratio, in the bracket
     e_H_lower: float                   # Collatz-Wielandt bracket of the
     e_H_upper: float                   # float matrix's spectral radius
     escape_rate: float                 # -ln e_H (inf on total escape)
@@ -74,7 +66,8 @@ def estimate_escape(closed: UlamMatrix, hole: Hole) -> EscapeEstimate:
     delivers, and the accim density comes for free): e_H is the last mass
     ratio, stopped once its Collatz-Wielandt bracket [e_H_lower, e_H_upper]
     has relative width at most 1e-12 (:class:`PowerIterationError` if it
-    never narrows).  A hole that swallows everything reachable yields
+    never narrows), and clamped into that bracket, which its rounding can
+    leave by an ulp.  A hole that swallows everything reachable yields
     e_H = 0 with ``total_escape`` set.
 
     The open system is the closed matrix with the hole's bins masked: each
@@ -91,6 +84,7 @@ def estimate_escape(closed: UlamMatrix, hole: Hole) -> EscapeEstimate:
     keep = np.ones(n)
     keep[hole_bins.start:hole_bins.stop] = 0.0
     lam, x, (lower, upper), iters = dominant_left_eigenpair(closed, keep=keep)
+    lam = min(max(lam, lower), upper)
     return EscapeEstimate(hole=hole, n_bins=n, e_H=lam, e_H_lower=lower, e_H_upper=upper,
                           escape_rate=-math.log(lam) if lam else math.inf,
                           accim_density=x * n, iterations=iters, total_escape=lam == 0.0)
@@ -102,45 +96,37 @@ class PointClassification:
 
     kind: str                     # "periodic" | "non-periodic"
     period: int | None
-    derivative: float | None      # (T^p)'(y) along the exact/float orbit
-    ambiguous: bool
-    exact: bool                   # classified with exact rational arithmetic
+    derivative: float | None      # (T^p)'(y) along the exact orbit
 
 
 def classify_point(tmap: PiecewiseMap, y) -> PointClassification:
     """Classify y as periodic (with period and cycle derivative) or not.
 
-    Rational y is decided exactly up to period 32 (every map is exact).
-    A float y such as sqrt(2) - 1 runs its orbit in floats, and an
-    approach within 1e-9 of the start without an exact return raises
-    :class:`ClassificationAmbiguityWarning` (and is classified periodic
-    at the closest-return period).  An orbit that leaves [0, 1) (it
-    reaches 1, the image end of a branch) cannot return, so y is then
-    non-periodic on either path.
+    y is anything :func:`~holecert.maps.as_rational` accepts, and the
+    exact point ``as_rational(y)`` is classified up to period 32.  A float
+    is its decimal value: 0.3333333333333333 is non-periodic under
+    10x mod 1, and ``"1/3"`` or ``Fraction(1, 3)`` is its fixed point.
+    The orbit stops at its first return to y, at the first repeat of
+    another point (the orbit is then caught in a cycle without y), or
+    where it leaves [0, 1) (it reaches 1, the image end of a branch) and
+    cannot return.
     """
-    exact = isinstance(y, Rational)
-    # stop at the first exact return (a returning orbit cycles, so it never
-    # leaves the domain later) or where the orbit leaves [0, 1)
-    orbit = [Fraction(y) if exact else float(y)]
+    orbit = [as_rational(y)]
+    # points compare as as_integer_ratio keys, far cheaper than Fractions
+    start = orbit[0].as_integer_ratio()
+    seen = {start}
     for p in range(1, PERIOD_SEARCH_LIMIT + 1):
-        orbit.append(tmap.evaluate(orbit[-1]))
-        if exact and orbit[p] == orbit[0]:
-            deriv = math.prod(float(tmap.derivative(x)) for x in orbit[:p])
-            return PointClassification("periodic", p, deriv, False, True)
-        if not 0 <= orbit[p] < 1:
-            return PointClassification("non-periodic", None, None, False, exact)
-    if not exact:
-        dists = [abs(x - orbit[0]) for x in orbit[1:]]
-        p = dists.index(min(dists)) + 1
-        if dists[p - 1] < ORBIT_RETURN_TOL:
-            warnings.warn(
-                f"orbit of y = {orbit[0]} returns within {dists[p - 1]:.3e} of its "
-                f"start at step {p} without an exact return; classification "
-                "is ambiguous", ClassificationAmbiguityWarning, stacklevel=2,
-            )
-            deriv = math.prod(float(tmap.derivative(x)) for x in orbit[:p])
-            return PointClassification("periodic", p, deriv, True, False)
-    return PointClassification("non-periodic", None, None, False, exact)
+        x = tmap.evaluate(orbit[-1])
+        key = x.as_integer_ratio()
+        if key == start:
+            deriv = math.prod(float(tmap.derivative(v)) for v in orbit)
+            return PointClassification("periodic", p, deriv)
+        # branch images lie in [0, 1], so the orbit leaves [0, 1) only at 1
+        if key in seen or key == (1, 1):
+            break
+        seen.add(key)
+        orbit.append(x)
+    return PointClassification("non-periodic", None, None)
 
 
 @dataclass(frozen=True)
@@ -186,9 +172,10 @@ def asymptotic_ratio(tmap: PiecewiseMap, y, widths, bins_per_hole: int, *,
 
     Parameters
     ----------
-    y : rational or float in [0, 1)
+    y : anything :func:`~holecert.maps.as_rational` accepts, in [0, 1)
         Point the holes shrink towards (kept inside, or on the boundary of,
-        every hole).
+        every hole); a float is its decimal value, as in
+        :func:`classify_point`.
     widths : strictly decreasing hole measures; each width w must satisfy
         bins_per_hole / w integral so the hole spans exactly
         ``bins_per_hole`` bins of its own partition.
@@ -206,9 +193,8 @@ def asymptotic_ratio(tmap: PiecewiseMap, y, widths, bins_per_hole: int, *,
     """
     import numpy as np
 
-    y_input = as_rational(y) if isinstance(y, (Rational, str)) else float(y)
-    y_frac = y_input if isinstance(y_input, Rational) else as_rational(y_input)
-    if not 0 <= y_frac < 1:
+    y = as_rational(y)
+    if not 0 <= y < 1:
         raise ValueError(f"y must lie in [0, 1), got {y}")
     widths = [as_rational(w) for w in widths]
     if not widths:
@@ -232,7 +218,7 @@ def asymptotic_ratio(tmap: PiecewiseMap, y, widths, bins_per_hole: int, *,
                 f"bin count {n_frac} is not an integer"
             )
         n = int(n_frac)
-        hole = _nested_aligned_hole(y_frac, n, bins_per_hole, previous)
+        hole = _nested_aligned_hole(y, n, bins_per_hole, previous)
         closed = cache.closed_matrix(tmap, n)
         est = estimate_escape(closed, hole)
         holes.append(hole)
@@ -249,21 +235,21 @@ def asymptotic_ratio(tmap: PiecewiseMap, y, widths, bins_per_hole: int, *,
         coeffs = np.polyfit(measures, ratios, 1)
         limit = float(coeffs[1])
 
-    classification = classify_point(tmap, y_input)
+    classification = classify_point(tmap, y)
 
     if affine_onto(tmap.branches):
         f_star_value, source = 1.0, "uniform-exact"
     else:
         # the finest partition's density, read in the bin of y
         _lam, u, _bracket, _it = invariant_density(closed)    # its transpose is cached
-        f_star_value = float(u[int(y_frac * n)] * n)
+        f_star_value = float(u[int(y * n)] * n)
         source = "ulam-advisory"
     predicted = f_star_value
     if classification.kind == "periodic":
         predicted *= 1.0 - 1.0 / abs(classification.derivative)
 
     return AsymptoticRatioExperiment(
-        point=float(y_frac), widths=tuple(widths), holes=tuple(holes),
+        point=float(y), widths=tuple(widths), holes=tuple(holes),
         n_bins=tuple(bins), e_values=tuple(evals),
         ratios=tuple(float(t) for t in ratios),
         extrapolated_limit=limit, low_confidence=low_confidence,

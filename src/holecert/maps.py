@@ -114,17 +114,10 @@ class Branch:
         """r = 0 and s = 1, the form of a ``"linear"`` entry: x -> p x + q."""
         return self.r == 0 and self.s == 1
 
-    @cached_property
-    def _floats(self) -> tuple[float, float, float, float]:
-        """``(p, q, r, s)`` as floats: a ``Fraction`` meeting a float is
-        converted to float first, so these give the same results."""
-        return float(self.p), float(self.q), float(self.r), float(self.s)
-
     def __call__(self, x):
-        p, q, r, s = self._floats if isinstance(x, float) else (self.p, self.q, self.r, self.s)
         if self.linear:
-            return p * x + q
-        return (p * x + q) / (r * x + s)
+            return self.p * x + self.q
+        return (self.p * x + self.q) / (self.r * x + self.s)
 
     def derivative(self, x):
         if self.linear:
@@ -155,9 +148,6 @@ class Branch:
         ends = (self.lo, self.hi, *self.image)
         return (*(c.numerator * (scale // c.denominator) for c in coeffs),
                 *(v for e in ends for v in (e.numerator, e.denominator)))
-
-    def contains(self, x) -> bool:
-        return self.lo <= x < self.hi
 
     def to_dict(self) -> dict:
         if self.linear:
@@ -230,7 +220,6 @@ class PiecewiseMap:
             raise MapConfigError(f"B0 must be nonnegative, got {self.B0}")
         self.label = str(label)
         self._breaks = [b.lo for b in branches]  # exact Fractions, sorted
-        self._float_breaks = [float(x) for x in self._breaks]
         slope_min = self.min_derivative()
         if slope_min <= 1:
             warnings.warn(
@@ -241,48 +230,25 @@ class PiecewiseMap:
     # -- basic queries ----------------------------------------------------
 
     def branch_index_of(self, x) -> int:
-        """Index of the branch whose domain contains x (exact comparison).
-
-        A float is placed among the breakpoints rounded to floats.  Rounding
-        to nearest keeps the order of a float and a rational unless they
-        round alike, so only a float equal to a rounded breakpoint is
-        compared exactly, as the ``Fraction`` of its binary value.
-        """
-        if isinstance(x, float) and 0 <= x < 1:
-            i = bisect_right(self._float_breaks, x) - 1
-            if self._float_breaks[i] != x:
-                return i
-            x = Fraction(x)
+        """Index of the branch whose domain contains the rational x (exact
+        comparison; the domains partition [0, 1), so bisecting their left
+        ends finds it)."""
         if not (0 <= x < 1):
             raise MapDomainError(f"x = {x} outside [0, 1)")
-        i = bisect_right(self._breaks, x) - 1
-        if i < 0 or not self.branches[i].contains(x):
-            raise MapDomainError(f"no branch domain contains x = {x}")
-        return i
+        return bisect_right(self._breaks, x) - 1
 
     def evaluate(self, x):
         """Apply the map: T(x) via the unique branch containing x.
 
-        Rational input gives a rational result.  A float image that rounds
-        out of [0, 1) is decided by the exact image of x: inside [0, 1), it
-        is that image's nearest float in [0, 1 - 2^-53]; otherwise the
-        float is returned as it is (and fails on the next step).
+        A rational x gives the exact rational T(x).
         """
-        b = self.branches[self.branch_index_of(x)]
-        if isinstance(x, Rational):
-            return b(x)
-        y = b(float(x))
-        if not 0 <= y < 1:
-            exact = b(Fraction(x))
-            if 0 <= exact < 1:
-                return min(float(exact), 1 - 2**-53)
-        return y
+        return self.branches[self.branch_index_of(x)](x)
 
     __call__ = evaluate
 
     def derivative(self, x):
-        b = self.branches[self.branch_index_of(x)]
-        return b.derivative(x if isinstance(x, Rational) else float(x))
+        """T'(x) via the unique branch containing x, exact for rational x."""
+        return self.branches[self.branch_index_of(x)].derivative(x)
 
     def min_derivative(self) -> Fraction:
         """Exact infimum of |T'| over all branches (expansion check).

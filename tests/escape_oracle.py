@@ -42,9 +42,11 @@ def build_open(tmap, n_bins, hole, closed=None) -> sp.csr_matrix:
 
 
 def open_matrix_escape(tmap, n_bins, hole, closed=None) -> EscapeEstimate:
-    """Escape factor, its bracket and accim density from power iteration on P_H."""
+    """Escape factor, its bracket and accim density from power iteration on
+    P_H, the last mass ratio clamped into the bracket as the library does."""
     open_matrix = build_open(tmap, n_bins, hole, closed=closed)
     lam, x, (lower, upper), iters = dominant_left_eigenpair(open_matrix)
+    lam = min(max(lam, lower), upper)
     return EscapeEstimate(hole=hole, n_bins=n_bins, e_H=lam, e_H_lower=lower, e_H_upper=upper,
                           escape_rate=-math.log(lam) if lam else math.inf,
                           accim_density=x * n_bins, iterations=iters, total_escape=lam == 0.0)

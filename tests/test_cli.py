@@ -318,7 +318,7 @@ ESCAPE_KEYS = {"hole", "n_bins", "e_H", "e_H_lower", "e_H_upper", "escape_rate",
 ASYMPTOTICS_KEYS = {"point", "widths", "holes", "n_bins", "e_values", "ratios",
                     "extrapolated_limit", "low_confidence", "classification",
                     "f_star_value", "f_star_source", "predicted_limit"}
-CLASSIFICATION_KEYS = {"kind", "period", "derivative", "ambiguous", "exact"}
+CLASSIFICATION_KEYS = {"kind", "period", "derivative"}
 
 
 class TestReportShapes:

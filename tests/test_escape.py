@@ -9,10 +9,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import holecert as hc
+from holecert.maps import as_rational
 from escape_oracle import build_open, open_matrix_escape, tolerance_escape
 from holecert.escape import (
     PERIOD_SEARCH_LIMIT,
-    ClassificationAmbiguityWarning,
     PointClassification,
     PowerIterationError,
     classify_point,
@@ -61,6 +61,14 @@ class TestEstimateEscape:
         with pytest.raises(PowerIterationError, match=re.escape(message)):
             estimate_escape(hc.build_closed(tmap, n_bins), hole)
 
+    def test_rounded_mass_ratio_clamped(self, shift10):
+        # the last mass ratio is 0x1.cccccccccccccp-1, an ulp below the
+        # bracket [0x1.ccccccccccccdp-1, 0x1.ccccccccccccdp-1]
+        est = estimate_escape(hc.build_closed(shift10, 10), hc.Hole(F(0), F(1, 10)))
+        assert est.e_H.hex() == est.e_H_lower.hex() == est.e_H_upper.hex() \
+            == "0x1.ccccccccccccdp-1"
+        assert est.escape_rate == -math.log(est.e_H)
+
     def test_monotone_in_hole_size(self, shift10):
         closed = hc.build_closed(shift10, 100)
         evals = [estimate_escape(closed, hc.Hole(F(0), F(k, 100))).e_H
@@ -104,7 +112,9 @@ class TestMaskedIteration:
         closed = hc.build_closed(tmap, n)
         for hole in oracle_holes(n):
             ref = open_matrix_escape(tmap, n, hole, closed=closed)
-            assert_same_estimate(estimate_escape(closed, hole), ref)
+            est = estimate_escape(closed, hole)
+            assert_same_estimate(est, ref)
+            assert est.e_H_lower <= est.e_H <= est.e_H_upper
 
     def test_one_transpose_for_many_holes(self, bundled_map, monkeypatch):
         closed = hc.build_closed(bundled_map, 500)
@@ -268,7 +278,6 @@ class TestClassifyPoint:
             cls = classify_point(shift10, y)
             assert cls.kind == "periodic" and cls.period == 1
             assert cls.derivative == pytest.approx(10.0)
-            assert cls.exact and not cls.ambiguous
 
     def test_period_two_exact(self, doubling):
         cls = classify_point(doubling, F(1, 3))
@@ -286,13 +295,15 @@ class TestClassifyPoint:
     def test_irrational_float_non_periodic(self, shift10):
         cls = classify_point(shift10, math.sqrt(2) - 1)
         assert cls.kind == "non-periodic"
-        assert not cls.exact
 
-    def test_near_periodic_float_warns(self, doubling):
-        with pytest.warns(ClassificationAmbiguityWarning):
-            cls = classify_point(doubling, 1 / 3 + 1e-10)
-        assert cls.ambiguous
-        assert cls.kind == "periodic" and cls.period == 2
+    def test_float_is_its_decimal_value(self, shift10):
+        # 0.3333333333333333 is 3333333333333333/10^16, not the fixed point
+        # 1/3: its orbit falls onto the fixed point 0
+        near = 0.3333333333333333
+        cls = classify_point(shift10, near)
+        assert cls == PointClassification("non-periodic", None, None)
+        assert cls == classify_point(shift10, as_rational(near))
+        assert classify_point(shift10, "1/3") == PointClassification("periodic", 1, 10.0)
 
 
 @pytest.fixture(scope="module")
@@ -314,9 +325,7 @@ class TestOrbitLeavesDomain:
     ])
     def test_non_periodic(self, tent, decreasing_map, label, y):
         tmap = {"tent": tent, "decreasing": decreasing_map}[label]
-        exact = isinstance(y, F)
-        assert classify_point(tmap, y) == PointClassification(
-            "non-periodic", None, None, False, exact)
+        assert classify_point(tmap, y) == PointClassification("non-periodic", None, None)
 
     def test_periodic_point_of_same_map(self, decreasing_map):
         # 1/4 -> 2/5 -> 1/7 -> 5/8 -> 1/4 stays inside [0, 1)
@@ -334,7 +343,7 @@ class TestOrbitLeavesDomain:
 
 
 def classify_full_orbit(tmap, y):
-    """The rational branch of classify_point as it was: the whole orbit of
+    """classify_point with no early exit: the whole orbit of
     PERIOD_SEARCH_LIMIT + 1 points first, then the first return."""
     point = F(y)
     orbit = [point]
@@ -345,16 +354,18 @@ def classify_full_orbit(tmap, y):
             deriv = 1.0
             for k in range(p):
                 deriv *= float(tmap.derivative(orbit[k]))
-            return PointClassification("periodic", p, deriv, False, True)
-    return PointClassification("non-periodic", None, None, False, True)
+            return PointClassification("periodic", p, deriv)
+    return PointClassification("non-periodic", None, None)
 
 
 class TestFirstReturn:
-    """Rational points stop at their first return; the result is unchanged."""
+    """Orbits stop at their first return to y or their first repeat of
+    another point; the result is unchanged."""
 
     @given(st.sampled_from(["shift10", "doubling", "bundled"]),
-           st.fractions(0, 1, max_denominator=200).filter(lambda y: y < 1))
-    @settings(max_examples=200, deadline=None)
+           st.fractions(0, 1, max_denominator=200).filter(lambda y: y < 1)
+           | st.floats(0, 1, exclude_max=True).map(as_rational))
+    @settings(max_examples=300, deadline=None)
     def test_matches_full_orbit(self, shift10, doubling, bundled_map, label, y):
         tmap = {"shift10": shift10, "doubling": doubling, "bundled": bundled_map}[label]
         outcomes = []
@@ -372,6 +383,16 @@ class TestFirstReturn:
                             lambda self, x: calls.append(x) or evaluate(self, x))
         assert classify_point(shift10, F(0)).period == 1
         assert calls == [0]
+
+    def test_cycle_without_y_stops_at_repeat(self, shift10, monkeypatch):
+        # 16 decimal digits shift out in 16 steps onto the fixed point 0, and
+        # the 17th step, from 0, repeats it: the orbit cannot return to y
+        calls = []
+        evaluate = type(shift10).evaluate
+        monkeypatch.setattr(type(shift10), "evaluate",
+                            lambda self, x: calls.append(x) or evaluate(self, x))
+        assert classify_point(shift10, 0.8126903632435094).kind == "non-periodic"
+        assert len(calls) == 17 and calls.index(0) == 16
 
 
 class TestAsymptoticRatio:
@@ -418,6 +439,12 @@ class TestAsymptoticRatio:
         at_zero = hc.asymptotic_ratio(shift10, F(0), width, 10)
         at_irrational = hc.asymptotic_ratio(shift10, math.sqrt(2) - 1, width, 10)
         assert at_zero.e_values[0] > at_irrational.e_values[0]
+
+    def test_float_runs_its_decimal_value(self, bundled_map):
+        y = math.sqrt(2) - 1
+        widths = [F(1, 50), F(1, 100)]
+        assert hc.asymptotic_ratio(bundled_map, y, widths, 5) \
+            == hc.asymptotic_ratio(bundled_map, as_rational(y), widths, 5)
 
     def test_ulam_advisory_density(self, bundled_map):
         exp = hc.asymptotic_ratio(bundled_map, F(1, 2), [F(1, 50)], 5)

@@ -1,6 +1,4 @@
 import json
-import math
-from bisect import bisect_right
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -10,7 +8,6 @@ from scipy.integrate import quad
 
 import holecert as hc
 from ulam_oracle import branch_preimage, inverse
-from holecert.escape import classify_point
 from holecert.maps import (
     Branch,
     ExpansionWarning,
@@ -298,105 +295,3 @@ class TestHelpers:
         assert affine_onto(m.branches)
         assert all(b.image == (0, 1) and b.increasing for b in m.branches)
         assert decreasing.image == (F(0), F(1, 2))
-
-
-def fraction_lookup(tmap, x):
-    """The branch of float x found by bisecting the exact breakpoints with
-    ``Fraction(x)``, the exact binary value of x."""
-    return bisect_right([b.lo for b in tmap.branches], F(x)) - 1
-
-
-def fraction_step(tmap, x):
-    """T(x) of a float x from the ``Fraction`` coefficients of its branch:
-    each ``Fraction`` meets a float, so it is rounded to one first."""
-    b = tmap.branches[fraction_lookup(tmap, x)]
-    if b.linear:
-        return b.p * x + b.q
-    return (b.p * x + b.q) / (b.r * x + b.s)
-
-
-@pytest.fixture(scope="module")
-def float_maps(shift10, bundled_map, decreasing_map):
-    return {"thirds": hc.full_branch_linear(3), "tenths": shift10,
-            "bundled": bundled_map, "decreasing": decreasing_map}
-
-
-def floats_in_domain(tmap):
-    """Floats in [0, 1): anywhere, or a breakpoint of ``tmap`` rounded to
-    float and moved a few ulps either way."""
-    def near(point, moves):
-        x = float(point)
-        for direction in moves:
-            x = math.nextafter(x, direction)
-        return min(x, 1 - 2**-53)
-
-    breakpoints = [b.lo for b in tmap.branches] + [F(1)]
-    return st.floats(0, 1, exclude_max=True) | st.builds(
-        near, st.sampled_from(breakpoints), st.lists(st.sampled_from([0.0, 1.0]), max_size=3))
-
-
-class TestFloatOrbits:
-    """Floats are placed among rounded breakpoints and stepped with cached
-    float coefficients: the same branch and image as the ``Fraction`` path."""
-
-    @given(st.sampled_from(["thirds", "tenths", "bundled", "decreasing"]), st.data())
-    @settings(max_examples=400, deadline=None)
-    def test_matches_fraction_lookup(self, float_maps, label, data):
-        tmap = float_maps[label]
-        x = data.draw(floats_in_domain(tmap))
-        assert tmap.branch_index_of(x) == fraction_lookup(tmap, x)
-        ref = fraction_step(tmap, x)
-        if 0 <= ref < 1:
-            assert tmap.evaluate(x).hex() == ref.hex()
-
-    @pytest.mark.parametrize("k, i, rounds_up", [(3, 1, False), (10, 1, True)])
-    def test_rounded_breakpoints(self, k, i, rounds_up):
-        # float(1/3) < 1/3 lies in the branch before it, float(1/10) > 1/10
-        # in its own: the one case the float bisection cannot decide
-        tmap = hc.full_branch_linear(k)
-        x = float(F(i, k))
-        assert (F(x) > F(i, k)) == rounds_up
-        assert tmap.branch_index_of(x) == (i if rounds_up else i - 1) == fraction_lookup(tmap, x)
-
-    def test_orbits_match_fraction_path(self, bundled_map, shift10, decreasing_map):
-        for tmap in (bundled_map, shift10, decreasing_map):
-            for x in (math.sqrt(2) - 1, 0.1, 1 / 3, 0.3, 0.7071067811865476):
-                orbit = [x]
-                for _ in range(39):
-                    orbit.append(tmap.evaluate(orbit[-1]))
-                for prev, got in zip(orbit, orbit[1:]):
-                    ref = fraction_step(tmap, prev)
-                    if not 0 <= ref < 1:    # rounded out: the exact image decides
-                        ref = min(float(tmap.evaluate(F(prev))), 1 - 2**-53)
-                    assert got.hex() == ref.hex()
-
-
-class TestFloatImageRounding:
-    """A float image that rounds out of [0, 1) is decided by the exact image."""
-
-    @pytest.mark.parametrize("label", ["shift10", "bundled"])
-    def test_image_rounding_to_one(self, bundled_map, shift10, label):
-        tmap = {"shift10": shift10, "bundled": bundled_map}[label]
-        x = 0.8999999999999999                 # 10 x - 8 rounds to 1.0
-        assert fraction_step(tmap, x) == 1.0
-        exact = tmap.evaluate(F(x))
-        assert 0 <= exact < 1
-        assert tmap.evaluate(x) == float(exact) < 1.0
-        assert classify_point(tmap, x).kind == "non-periodic"
-
-    def test_nearest_float_below_one(self):
-        # x/2 + 1/2 at the largest float below 1: the exact image 1 - 2^-54
-        # rounds to 1.0, so the largest float below 1 is returned
-        with pytest.warns(ExpansionWarning):
-            halving = hc.PiecewiseMap([Branch(F(0), F(1), F(1, 2), F(1, 2))],
-                                      alpha0=F(1, 2), B0=0)
-        assert halving.evaluate(1 - 2**-53) == 1 - 2**-53
-
-    def test_exact_image_outside_still_fails(self):
-        # 2 - 2x at 1/2 is 1 exactly: returned as is, the next step raises
-        tent = hc.PiecewiseMap([Branch(F(0), F(1, 2), F(2), F(0)),
-                                Branch(F(1, 2), F(1), F(-2), F(2))],
-                               alpha0=F(1, 2), B0=1, label="tent")
-        assert tent.evaluate(0.5) == 1.0
-        with pytest.raises(MapDomainError):
-            tent.evaluate(tent.evaluate(0.5))
