@@ -19,12 +19,17 @@ takes one (alpha0, B0, r, H) input and prints the LY and KL constant
 fields in dataclass order, then ``mesh_threshold``; the LY constants
 are exact ``p/q``.
 
+:func:`main` may be called many times in one process.  Importing the
+module builds no parser; the first call builds it and later calls reuse
+it, and each call picks its ``_cmd_*`` function by the subcommand's name.
+
 Exit codes: 0 success, 1 validation/tolerance failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -71,8 +76,8 @@ class RunManifest:
     cache_stats: dict = field(default_factory=dict)
 
 
-#: argparse keys that place or dispatch a run rather than parametrise it
-_NOT_PARAMETERS = {"func", "subcommand", "out", "out_dir", "cache_dir"}
+#: argparse keys that place or name a run rather than parametrise it
+_NOT_PARAMETERS = {"subcommand", "out", "out_dir", "cache_dir"}
 
 
 def _manifest(args, tmap, **extra) -> RunManifest:
@@ -388,7 +393,11 @@ def _cmd_reproduce_tables(args) -> int:
 
 # -- parser ------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call in a process and
+    shared afterwards: it holds configuration only, and ``parse_args``
+    fills a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="holecert",
         description="Certified hole sizes and escape rates for piecewise "
@@ -403,7 +412,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=_rational, required=True)
     p.add_argument("--delta", type=_rational, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_spectral)
 
     p = sub.add_parser("kl-constants", help="print the full constant chain")
     p.add_argument("--alpha0", type=_rational, required=True)
@@ -411,7 +419,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=_rational, required=True)
     p.add_argument("--H", type=float, required=True)
     p.add_argument("--closed-only", action="store_true")
-    p.set_defaults(func=_cmd_kl_constants)
 
     p = sub.add_parser("certify", help="run the certification loop")
     p.add_argument("--map", required=True)
@@ -419,14 +426,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins-init", type=int, default=1000)
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("escape", help="escape rate of one concrete hole")
     p.add_argument("--map", required=True)
     p.add_argument("--bins", type=int, required=True)
     p.add_argument("--hole", type=_hole, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_escape)
 
     p = sub.add_parser("hole-asymptotics", help="shrinking-hole ratio experiment")
     p.add_argument("--map", required=True)
@@ -435,7 +440,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--bins-per-hole", type=int, default=10)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_hole_asymptotics)
 
     p = sub.add_parser("reproduce-tables",
                        help="re-run the bundled-map reference certifications")
@@ -443,21 +447,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=5000)
     p.add_argument("--out-dir", default=".")
     p.add_argument("--cache-dir", default=None)
-    p.set_defaults(func=_cmd_reproduce_tables)
 
     p = sub.add_parser("cache", help="list, inspect, or purge the spectral-record cache")
     p.add_argument("action", choices=("list", "inspect", "purge"))
     p.add_argument("--cache-dir", default=None)
-    p.set_defaults(func=_cmd_cache)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # looked up per call, so a replaced ``_cmd_*`` takes effect at once
+    command = globals()["_cmd_" + args.subcommand.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (MapConfigError, ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,6 +7,13 @@ endpoints and coefficients (r = 0, s = 1 for an affine branch).
 Preimages of rational points are therefore exact rationals, which is
 what makes every Ulam matrix exact downstream.
 
+A branch computes its exact integer form once, at construction: its
+coefficients scaled by the lcm of their denominators, the numerators and
+denominators of its endpoints and those of its image ends.  The domain,
+constant-branch and pole checks, the image, the self-map check and
+``PiecewiseMap.min_derivative`` run on those integers, and Ulam assembly
+reads them (``Branch._integers``).
+
 Each map carries the constants (alpha0, B0) of the variation inequality
 
     V(P f) <= alpha0 * V(f) + B0 * ||f||_1
@@ -25,7 +32,7 @@ import json
 import math
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
@@ -67,17 +74,18 @@ def as_rational(value) -> Fraction:
     Strings go through :class:`~fractions.Fraction` directly, so ``"1/9"``,
     ``"0.25"`` and ``"3"`` are all exact.  Floats are converted via their
     decimal representation (``0.1`` becomes 1/10, not the binary float).
-    Booleans are rejected: JSON ``true``/``false`` are no numbers.
+    Booleans are rejected: JSON ``true``/``false`` are no numbers, and so
+    are non-finite floats (JSON ``NaN``, or ``1e400``, which parses as inf).
     """
-    if isinstance(value, Rational) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise MapConfigError(f"cannot parse rational from {value!r}") from exc
+    if isinstance(value, Rational) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return Fraction(str(value))
     raise MapConfigError(f"cannot parse rational from {value!r}")
 
 
@@ -88,6 +96,9 @@ class Branch:
     Endpoints and coefficients are exact rationals with ps - qr != 0 and
     no pole in the closed domain.  The defaults r = 0, s = 1 give the
     affine branch x -> p x + q, written as a ``"linear"`` config entry.
+
+    The constructor checks the branch on its exact integer form and sets
+    ``linear``, ``increasing``, ``image`` and ``_integers`` from it.
     """
 
     lo: Fraction
@@ -96,23 +107,41 @@ class Branch:
     q: Fraction
     r: Fraction = Fraction(0)
     s: Fraction = Fraction(1)
+    #: r = 0 and s = 1, the form of a ``"linear"`` entry: x -> p x + q
+    linear: bool = field(init=False, repr=False, compare=False)
+    increasing: bool = field(init=False, repr=False, compare=False)
+    #: closure of the image of the domain, as an ordered pair
+    image: tuple = field(init=False, repr=False, compare=False)
+    #: ``(P, Q, R, S)``, then the numerator and denominator of ``lo``,
+    #: ``hi`` and both image ends, in that order
+    _integers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (0 <= self.lo < self.hi <= 1):
+        lo_n, lo_d = self.lo.numerator, self.lo.denominator
+        hi_n, hi_d = self.hi.numerator, self.hi.denominator
+        if not (0 <= lo_n and lo_n * hi_d < hi_n * lo_d and hi_n <= hi_d):
             raise MapConfigError(
                 f"branch domain [{self.lo}, {self.hi}) is not a subinterval of [0, 1)"
             )
-        if self.p * self.s - self.q * self.r == 0:
+        coeffs = (self.p, self.q, self.r, self.s)
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        P, Q, R, S = (c.numerator * (scale // c.denominator) for c in coeffs)
+        det = P * S - Q * R
+        if det == 0:
             raise MapConfigError("branch is constant (ps - qr = 0)")
-        # r x + s is affine, so it vanishes on [lo, hi] iff its end values
+        # R x + S is affine, so it vanishes on [lo, hi] iff its end values
         # do not share a strict sign
-        if (self.r * self.lo + self.s) * (self.r * self.hi + self.s) <= 0:
+        at_lo, at_hi = R * lo_n + S * lo_d, R * hi_n + S * hi_d
+        if at_lo * at_hi <= 0:
             raise MapConfigError("branch has a pole in its closed domain")
-
-    @cached_property
-    def linear(self) -> bool:
-        """r = 0 and s = 1, the form of a ``"linear"`` entry: x -> p x + q."""
-        return self.r == 0 and self.s == 1
+        ends = (Fraction(P * lo_n + Q * lo_d, at_lo), Fraction(P * hi_n + Q * hi_d, at_hi))
+        image = ends if det > 0 else ends[::-1]
+        assign = object.__setattr__         # the dataclass is frozen
+        assign(self, "linear", R == 0 and S == scale)
+        assign(self, "increasing", det > 0)
+        assign(self, "image", image)
+        assign(self, "_integers", (P, Q, R, S, lo_n, lo_d, hi_n, hi_d,
+                                   *(v for e in image for v in (e.numerator, e.denominator))))
 
     def __call__(self, x):
         if self.linear:
@@ -124,30 +153,6 @@ class Branch:
             return self.p
         den = self.r * x + self.s
         return (self.p * self.s - self.q * self.r) / (den * den)
-
-    @cached_property
-    def increasing(self) -> bool:
-        return self.p * self.s - self.q * self.r > 0
-
-    @cached_property
-    def image(self) -> tuple:
-        """Closure of the image of the domain, as an ordered pair."""
-        a, b = self(self.lo), self(self.hi)
-        return (a, b) if a <= b else (b, a)
-
-    @cached_property
-    def _integers(self) -> tuple:
-        """Exact integer data for grid arithmetic, computed on first use.
-
-        ``(P, Q, R, S)``, the coefficients scaled by the lcm of their
-        denominators (the same map), then the numerator and denominator of
-        ``lo``, ``hi`` and both image ends, in that order.
-        """
-        coeffs = (self.p, self.q, self.r, self.s)
-        scale = math.lcm(*(c.denominator for c in coeffs))
-        ends = (self.lo, self.hi, *self.image)
-        return (*(c.numerator * (scale // c.denominator) for c in coeffs),
-                *(v for e in ends for v in (e.numerator, e.denominator)))
 
     def to_dict(self) -> dict:
         if self.linear:
@@ -206,8 +211,9 @@ class PiecewiseMap:
                     f"branch domains leave a gap or overlap at {left.hi} vs {right.lo}"
                 )
         for b in branches:
-            ylo, yhi = b.image
-            if ylo < 0 or yhi > 1:
+            ylo_n, _, yhi_n, yhi_d = b._integers[8:]
+            if ylo_n < 0 or yhi_n > yhi_d:
+                ylo, yhi = b.image
                 raise MapConfigError(
                     f"branch image [{ylo}, {yhi}] leaves [0, 1]: not a self-map"
                 )
@@ -254,9 +260,19 @@ class PiecewiseMap:
         """Exact infimum of |T'| over all branches (expansion check).
 
         |T'| = |ps - qr|/(r x + s)^2 is monotone on a pole-free branch, so
-        each branch's infimum sits at an endpoint of its domain.
+        each branch's infimum sits at an endpoint of its domain.  In the
+        branch's integer form it is |PS - QR| d^2/(R n + S d)^2 at x = n/d,
+        and the candidates are compared by cross-multiplying.
         """
-        return min(abs(b.derivative(x)) for b in self.branches for x in (b.lo, b.hi))
+        best = None
+        for b in self.branches:
+            P, Q, R, S, lo_n, lo_d, hi_n, hi_d = b._integers[:8]
+            det = abs(P * S - Q * R)
+            for n, d in ((lo_n, lo_d), (hi_n, hi_d)):
+                num, den = det * d * d, (R * n + S * d) ** 2
+                if best is None or num * best[1] < best[0] * den:
+                    best = num, den
+        return Fraction(*best)
 
     # -- serialization -----------------------------------------------------
 

@@ -312,27 +312,37 @@ def _q_power_norms(P: sp.csr_matrix, u: np.ndarray) -> tuple[list[float], list[f
     row_norms = [float(np.max(np.abs(1.0 - u) + (np.abs(u).sum() - np.abs(u))))]
     col_norms = [1.0]
     wj = w[P.indices]
-    excess = sp.csr_matrix((np.abs(P.data - wj) - np.abs(wj), P.indices, P.indptr),
-                           shape=(n, n))
-    # Q = 0 cancels to roundoff of either sign; a norm is >= 0
-    row_norms.append(max(0.0, float(np.max(excess.sum(axis=1) + np.abs(w).sum()))))
-    col_norms.append(max(0.0, float(np.max(excess.sum(axis=0) + n * np.abs(w)))))
+    excess = np.abs(P.data - wj) - np.abs(wj)
+    # reduceat over the row starts (no Ulam row is empty) adds in the order
+    # of scipy's CSR row sums, and bincount down the columns in the order of
+    # its column sums.  Q = 0 cancels to roundoff of either sign; a norm is >= 0
+    row_norms.append(max(0.0, float(np.max(np.add.reduceat(excess, P.indptr[:-1])
+                                           + np.abs(w).sum()))))
+    col_norms.append(max(0.0, float(np.max(np.bincount(P.indices, excess, n)
+                                           + n * np.abs(w)))))
     # classes of equal rows of P (the linear branches of a map repeat theirs)
     first, classes, copies = _equal_rows(P)
+    m = len(first)
     B = P[first]
-    M = sp.csr_matrix((B.data, classes[B.indices], B.indptr), shape=(len(first),) * 2,
+    M = sp.csr_matrix((B.data, classes[B.indices], B.indptr), shape=(m, m),
                       copy=True)    # summing duplicates sorts in place; B keeps its order
     M.sum_duplicates()
     BT, MT = B.T.tocsr(), M.T.tocsr()
     # v_k = u A M^(k-1), so w_k = v_k B and equal rows cancel v_k exactly
-    v = [np.bincount(classes, weights=u, minlength=len(first))]
+    v = [np.bincount(classes, weights=u, minlength=m)]
     for _ in range(N_POWERS - 1):
         v.append(MT @ v[-1])
     ones = np.ones(n)
     row_maxima = np.zeros(N_POWERS - 1)
     col_sums = np.zeros((N_POWERS - 1, n))
-    for start in range(0, len(first), _BLOCK):
-        S = M[start:start + _BLOCK].T.toarray(order="C")
+    # each block's S = (M^T)[:, block] is scattered from M's rows, which
+    # hold no duplicate entries
+    m_rows = np.repeat(np.arange(m), np.diff(M.indptr))
+    for start in range(0, m, _BLOCK):
+        stop = min(start + _BLOCK, m)
+        nz = slice(M.indptr[start], M.indptr[stop])
+        S = np.zeros((m, stop - start))
+        S[M.indices[nz], m_rows[nz] - start] = M.data[nz]
         for k in range(N_POWERS - 1):
             if k:
                 S = MT @ S

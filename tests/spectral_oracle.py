@@ -13,6 +13,12 @@ roundoff.
 every block of distinct rows of P^k by B^T before subtracting w_k = u P^k
 over all n bins.  The fast path now subtracts in the quotient first, so the
 two differ only by rounding.
+
+``excess_q_power_norms`` is the fast path as it read before it took the
+k = 1 sums straight from the nonzeros and seeded each block by scattering
+the rows of M: it builds a throwaway ``excess`` CSR matrix for k = 1 and
+slices, transposes and densifies M per block.  The fast path must equal
+it bit for bit.
 """
 
 import numpy as np
@@ -88,5 +94,42 @@ def quotient_q_power_norms(P, u, n_powers: int, block_size: int = 64):
                 S = MT @ S
             dev = np.abs(BT @ S - w[k + 2][:, None])
             row_maxima[k] = max(row_maxima[k], dev.sum(axis=0).max())
+            col_sums[k] += dev @ copies[start:start + block_size]
+    return row_norms + row_maxima.tolist(), col_norms + col_sums.max(axis=1).tolist()
+
+
+def excess_q_power_norms(P, u, n_powers: int, block_size: int):
+    """Row- and column-family norms of Q^k, k = 0..n_powers, with the k = 1
+    sums of a CSR matrix of excesses and each block of the quotient
+    iterate seeded from a slice of M (see the module docstring)."""
+    n = P.shape[0]
+    w = u @ P
+    row_norms = [float(np.max(np.abs(1.0 - u) + (np.abs(u).sum() - np.abs(u))))]
+    col_norms = [1.0]
+    wj = w[P.indices]
+    excess = sp.csr_matrix((np.abs(P.data - wj) - np.abs(wj), P.indices, P.indptr),
+                           shape=(n, n))
+    row_norms.append(max(0.0, float(np.max(excess.sum(axis=1) + np.abs(w).sum()))))
+    col_norms.append(max(0.0, float(np.max(excess.sum(axis=0) + n * np.abs(w)))))
+    first, classes, copies = _equal_rows(P)
+    B = P[first]
+    M = sp.csr_matrix((B.data, classes[B.indices], B.indptr), shape=(len(first),) * 2,
+                      copy=True)
+    M.sum_duplicates()
+    BT, MT = B.T.tocsr(), M.T.tocsr()
+    v = [np.bincount(classes, weights=u, minlength=len(first))]
+    for _ in range(n_powers - 1):
+        v.append(MT @ v[-1])
+    ones = np.ones(n)
+    row_maxima = np.zeros(n_powers - 1)
+    col_sums = np.zeros((n_powers - 1, n))
+    for start in range(0, len(first), block_size):
+        S = M[start:start + block_size].T.toarray(order="C")
+        for k in range(n_powers - 1):
+            if k:
+                S = MT @ S
+            dev = BT @ (S - v[k + 1][:, None])
+            np.abs(dev, out=dev)
+            row_maxima[k] = max(row_maxima[k], (ones @ dev).max())
             col_sums[k] += dev @ copies[start:start + block_size]
     return row_norms + row_maxima.tolist(), col_norms + col_sums.max(axis=1).tolist()

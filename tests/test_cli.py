@@ -228,6 +228,16 @@ class TestCertifyCommand:
         assert "cap of 10000" in doc["report"]["reason"]
         assert "FAILED" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("literal, text", [("NaN", "nan"), ("1e400", "inf")])
+    def test_non_finite_config_number_exit_code(self, tmp_path, capsys, literal, text):
+        # json.load accepts NaN and reads 1e400 as inf; both are config errors
+        path = tmp_path / "map.json"
+        cfg = hc.full_branch_linear(10).to_dict()
+        path.write_text(json.dumps({**cfg, "alpha0": "@"}).replace('"@"', literal))
+        rc = main(["certify", "--map", str(path), "--ell", "1/25"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: cannot parse rational from {text}\n"
+
 
 class TestCacheCommands:
     def test_list_inspect(self, cli_certified, capsys):
@@ -289,6 +299,62 @@ class TestReproduceTablesCommand:
         assert len(caches) == 1
         assert {key: stats[0][key] + stats[1][key] for key in stats[0]} == caches[0].stats
         assert sum(stats[0].values()) >= 1 and sum(stats[1].values()) >= 1
+
+
+class TestOneParserPerProcess:
+    """``main`` builds its parser on the first call and reuses it."""
+
+    def _sequence(self, d, shift_map_path, capsys):
+        """Outputs of a run of commands through ``main``, in one cache
+        directory: exit codes, stdout and stderr, and the JSON reports
+        without their timings."""
+        cache = str(d / "cache")
+        commands = [
+            ["certify", "--map", shift_map_path, "--ell", "1/25", "--bins-init", "1000",
+             "--cache-dir", cache, "--out", str(d / "certify.json")],
+            ["certify", "--map", shift_map_path, "--ell", "not-a-number"],
+            ["kl-constants", "--alpha0", "1/9", "--B0", "2/9", "--r", "24/25",
+             "--H", "45.46070939"],
+            ["reproduce-tables", "--map", shift_map_path, "--bins", "1000",
+             "--out-dir", str(d / "first"), "--cache-dir", cache],
+            ["reproduce-tables", "--map", shift_map_path, "--bins", "1000",
+             "--out-dir", str(d / "second"), "--cache-dir", cache],
+            ["escape", "--map", shift_map_path, "--bins", "100", "--hole", "0,1/10",
+             "--out", str(d / "escape.json")],
+        ]
+        outputs = []
+        for argv in commands:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            outputs.append((code, *capsys.readouterr()))
+        reports = {path.relative_to(d).as_posix(): strip_timings(path.read_text())
+                   for path in sorted(d.rglob("*.json"))}
+        return outputs, reports
+
+    def test_reused_parser_gives_fresh_parser_outputs(self, tmp_path, shift_map_path,
+                                                      capsys, monkeypatch):
+        (tmp_path / "reused").mkdir()
+        (tmp_path / "fresh").mkdir()
+        cli._build_parser.cache_clear()
+        reused = self._sequence(tmp_path / "reused", shift_map_path, capsys)
+        built = cli._build_parser.cache_info()
+        assert (built.misses, built.hits) == (1, 5)
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = self._sequence(tmp_path / "fresh", shift_map_path, capsys)
+        assert [code for code, *_ in reused[0]] == [0, 2, 0, 1, 1, 0]
+        assert reused == fresh
+        assert len(reused[1]) == 6
+
+    def test_dispatch_reads_the_module_at_call_time(self, monkeypatch, capsys):
+        argv = ["kl-constants", "--alpha0", "1/9", "--B0", "2/9", "--r", "24/25", "--H", "45"]
+        assert main(argv) == 0
+        calls = []
+        monkeypatch.setattr(cli, "_cmd_kl_constants", lambda args: calls.append(args) or 7)
+        assert main(argv) == 7
+        assert [(a.subcommand, a.H) for a in calls] == [("kl-constants", 45.0)]
+        assert "func" not in vars(calls[0])
 
 
 def _strict_json(text: str):

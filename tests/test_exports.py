@@ -124,6 +124,16 @@ def test_warm_reproduce_tables_leaves_scipy_unloaded(tmp_path):
     assert _cli_in_fresh_process(*argv) == [0, False, False]      # warm: reads records
 
 
+def test_import_builds_no_parser():
+    # the parser is built by the first call of main, not by the import
+    src = Path(holecert.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = "import holecert.cli as c; print(c._build_parser.cache_info().misses)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["0"]
+
+
 #: the perfbench tracer targets that name no object at this revision; the
 #: tracer skips them silently, so a renamed layer must show up here instead
 #: of reading 0 in the traced metrics

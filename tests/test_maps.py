@@ -1,4 +1,5 @@
 import json
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import holecert as hc
+import map_oracle
 from ulam_oracle import branch_preimage, inverse
 from holecert.maps import (
     Branch,
@@ -42,6 +44,16 @@ class TestRationalParsing:
     def test_garbage_rejected(self):
         with pytest.raises(MapConfigError):
             as_rational("one third")
+
+    @pytest.mark.parametrize("value, text", [
+        (float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf"),
+    ])
+    def test_non_finite_float_rejected(self, value, text):
+        # Fraction("nan") used to escape as a bare ValueError
+        with pytest.raises(MapConfigError) as exc:
+            as_rational(value)
+        assert str(exc.value) == f"cannot parse rational from {text}"
+        assert type(exc.value) is MapConfigError
 
 
 class TestEvaluate:
@@ -250,6 +262,21 @@ class TestConfigIO:
         with pytest.raises(MapConfigError, match="cannot parse rational"):
             map_from_dict(json.loads(json.dumps(cfg)))
 
+    @pytest.mark.parametrize("field, literal, text", [
+        ("alpha0", "NaN", "nan"), ("B0", "1e400", "inf"), ("slope", "-1e400", "-inf"),
+    ])
+    def test_non_finite_json_number_rejected(self, tmp_path, field, literal, text):
+        # json.load reads NaN and 1e400 as the floats nan and inf
+        cfg = {"alpha0": "1/2", "B0": "0", "branches": [
+            {"kind": "linear", "domain": ["0", "1/2"], "slope": "2", "intercept": "0"},
+            {"kind": "linear", "domain": ["1/2", "1"], "slope": "2", "intercept": "-1"}]}
+        target = cfg["branches"][0] if field == "slope" else cfg
+        target[field] = "@"
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(cfg).replace('"@"', literal))
+        with pytest.raises(MapConfigError, match=f"^cannot parse rational from {text}$"):
+            hc.load_map(path)
+
     def test_fingerprint_stable(self, bundled_map):
         again = hc.load_map(hc.bundled_map_path())
         assert again.fingerprint == bundled_map.fingerprint
@@ -295,3 +322,128 @@ class TestHelpers:
         assert affine_onto(m.branches)
         assert all(b.image == (0, 1) and b.increasing for b in m.branches)
         assert decreasing.image == (F(0), F(1, 2))
+
+
+#: rationals for coefficients, and for image ends (0 and 1 often, a little
+#: beyond [0, 1] sometimes)
+COEFFICIENTS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+IMAGE_ENDS = st.sampled_from([F(0), F(1)]) | st.fractions(F(-1, 4), F(5, 4), max_denominator=8)
+
+
+@st.composite
+def branch_entries(draw, lo, hi):
+    """A config entry on [lo, hi): a branch fitted onto drawn image ends
+    (affine or Moebius, either orientation), or drawn coefficients."""
+    if hi > lo and draw(st.integers(0, 2)):
+        ya, yb = sorted(draw(st.lists(IMAGE_ENDS, min_size=2, max_size=2, unique=True)))
+        base, h = (ya, yb - ya) if draw(st.booleans()) else (yb, ya - yb)
+        # t -> t/(t + c(1 - t)) on t = (x - lo)/(hi - lo) bends the affine
+        # branch; c = 1 leaves it affine with s = hi - lo
+        c = draw(st.sampled_from([None, F(1)]) | st.fractions(F(1, 4), 4, max_denominator=4))
+        if c is None:
+            p = h / (hi - lo)
+            q, r, s = base - p * lo, F(0), F(1)
+        else:
+            s = c * (hi - lo) - (1 - c) * lo
+            p, q, r = base * (1 - c) + h, base * s - h * lo, 1 - c
+    else:
+        p, q = draw(COEFFICIENTS), draw(COEFFICIENTS)
+        r, s = (F(0), F(1)) if draw(st.booleans()) else (draw(COEFFICIENTS), draw(COEFFICIENTS))
+    domain = [str(lo), str(hi)]
+    if r == 0 and s == 1 and draw(st.booleans()):
+        return {"kind": "linear", "domain": domain, "slope": str(p), "intercept": str(q)}
+    return {"kind": "moebius", "domain": domain, **{k: str(v) for k, v in zip("pqrs", (p, q, r, s))}}
+
+
+@st.composite
+def map_configs(draw):
+    """Configs of one to four branches; some leave a gap or an overlap, give
+    a branch an empty domain or one reaching beyond [0, 1), or omit alpha0."""
+    cuts = draw(st.lists(st.fractions(0, 1, max_denominator=12).filter(lambda x: 0 < x < 1),
+                         max_size=3, unique=True))
+    ends = [F(0), *sorted(cuts), F(1)]
+    domains = list(zip(ends, ends[1:]))
+    defect = draw(st.sampled_from(["none"] * 4 + ["gap", "overlap", "empty", "beyond"]))
+    i = draw(st.integers(0, len(domains) - 1))
+    lo, hi = domains[i]
+    domains[i] = {"none": (lo, hi), "gap": (lo, (lo + hi) / 2), "overlap": (lo, (hi + 1) / 2),
+                  "empty": (lo, lo), "beyond": (lo - F(1, 4), hi)}[defect]
+    cfg = {"label": "drawn", "branches": [draw(branch_entries(lo, hi)) for lo, hi in domains]}
+    if draw(st.integers(0, 3)):
+        cfg["alpha0"] = str(draw(st.fractions(0, 1, max_denominator=9)))
+        cfg["B0"] = str(draw(st.fractions(-1, 2, max_denominator=9)))
+    return cfg
+
+
+def built_or_raised(build, cfg):
+    """``(summary or (exception type, message), warnings)`` of one build."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            result = build(cfg)
+        except Exception as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in seen]
+
+
+def summarise(cfg):
+    m = map_from_dict(cfg)
+    return {"branches": [map_oracle.summary(b) for b in m.branches], "alpha0": m.alpha0,
+            "B0": m.B0, "min_derivative": m.min_derivative(), "fingerprint": m.fingerprint}
+
+
+def config(*branches, **constants):
+    """A config of Moebius entries ``(lo, hi, p, q, r, s)``, and alpha0 = 1/2,
+    B0 = 0 unless given."""
+    return {**{"alpha0": "1/2", "B0": "0"}, **constants, "branches": [
+        {"kind": "moebius", "domain": [lo, hi], **dict(zip("pqrs", coeffs))}
+        for lo, hi, *coeffs in branches]}
+
+
+DOUBLING = [("0", "1/2", "2", "0", "0", "1"), ("1/2", "1", "2", "-1", "0", "1")]
+
+#: one config per check of the reference, and maps with and without the warning
+CONFIGS = {
+    "bundled": json.loads(Path(hc.bundled_map_path()).read_text()),
+    "shift3": hc.full_branch_linear(3).to_dict(),
+    "decreasing-moebius": config(("0", "1/2", "-2", "1", "1", "1"), DOUBLING[1],
+                                 alpha0="3/4", B0="2"),
+    "identity": config(("0", "1", "1", "0", "0", "1")),
+    "gap": config(("0", "1/3", "2", "0", "0", "1"), DOUBLING[1]),
+    "overlap": config(("0", "2/3", "3/2", "0", "0", "1"), DOUBLING[1]),
+    "short": config(DOUBLING[0]),
+    "empty-domain": config(("0", "0", "2", "0", "0", "1"), *DOUBLING),
+    "constant": config(("0", "1/2", "1", "1", "1", "1"), DOUBLING[1]),
+    "pole": config(("0", "1/2", "1", "0", "-2", "1"), DOUBLING[1]),
+    "image-outside": config(("0", "1/2", "3", "0", "0", "1"), DOUBLING[1]),
+    "alpha0": config(*DOUBLING, alpha0="1"),
+    "B0": config(*DOUBLING, B0="-1/9"),
+    "no-constants-moebius": {"branches": json.loads(Path(hc.bundled_map_path()).read_text())
+                             ["branches"]},
+    "no-constants-affine": {"branches": config(DOUBLING[0], ("1/2", "1", "4", "-2", "0", "2"))
+                            ["branches"]},
+}
+
+
+def assert_matches_reference(cfg):
+    expected, expected_warnings = built_or_raised(map_oracle.map_from_config, cfg)
+    got, got_warnings = built_or_raised(summarise, cfg)
+    assert got == expected
+    assert got_warnings == expected_warnings
+    if isinstance(expected, dict):
+        slow = expected["min_derivative"] <= 1
+        assert [c for c, _ in got_warnings] == [ExpansionWarning] * slow
+
+
+class TestIntegerForm:
+    """The construction-time integer form against the Fraction checks it
+    replaced (``tests/map_oracle.py``)."""
+
+    @given(map_configs())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_fraction_checks(self, cfg):
+        assert_matches_reference(cfg)
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_matches_fraction_checks_on(self, name):
+        assert_matches_reference(CONFIGS[name])

@@ -404,6 +404,25 @@ class TestQPowerNorms:
             assert row_norms == [0.0] * (N_POWERS + 1)
             assert col_norms == [1.0] + [0.0] * N_POWERS
 
+    @pytest.mark.parametrize("label, n_bins", [
+        ("bundled", 5000), ("shift10", 1000), ("kfold20", 1500), ("decreasing", 1001),
+        ("shared", 100),
+    ])
+    def test_bit_identical_to_csr_sums(self, bundled_map, decreasing_map, label, n_bins):
+        # the k = 1 sums taken from the nonzeros and the blocks seeded from
+        # M's rows change no bit against the CSR matrices they replace; the
+        # "shared" map's branches meet inside a bin, so one row has both
+        shared = hc.PiecewiseMap([Branch(F(0), F(2, 7), F(-7, 2), F(1)),
+                                  Branch(F(2, 7), F(1), F(7, 5), F(-2, 5))],
+                                 alpha0=F(5, 7), B0=0, label="shared")
+        tmap = {"bundled": bundled_map, "shift10": hc.full_branch_linear(10),
+                "kfold20": kfold_moebius(20), "decreasing": decreasing_map,
+                "shared": shared}[label]
+        M = hc.build_closed(tmap, n_bins)
+        P, u = M.matrix, compute_record(M).mass_vector
+        assert _q_power_norms(P, u) == spectral_oracle.excess_q_power_norms(
+            P, u, N_POWERS, _BLOCK)
+
     @pytest.mark.parametrize("n_bins", [600, 1500])
     def test_memory_stays_in_column_blocks(self, n_bins):
         # no global P^2: a few dense n x _BLOCK blocks plus O(nnz(P)) arrays

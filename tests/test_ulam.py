@@ -398,7 +398,7 @@ class TestGroupedAssembly:
 
     def test_repeat_build_uses_cached_branch_data(self, monkeypatch):
         m = kfold_moebius(20)
-        assert all("_integers" not in b.__dict__ for b in m.branches)   # lazy
+        assert all("_integers" in b.__dict__ for b in m.branches)   # set at construction
         first = hc.build_closed(m, 150).matrix
 
         def refuse(self, x):
