@@ -1,7 +1,9 @@
 """Memory cache for closed Ulam matrices; memory/disk cache for spectral records.
 
 Closed matrices are keyed by (map fingerprint, bin count) and kept only
-for the process lifetime.  Spectral records are keyed the same way, since
+for the process lifetime, as the factors that the assembly makes: a
+record computed here never expands its matrix, and escape estimates
+expand theirs once.  Spectral records are keyed the same way, since
 everything they hold (unit eigenvalue, invariant density, power norms of
 the mass-free part) is independent of the peripheral threshold r and the
 separation delta.  The matrix power computations are by far the most
@@ -12,10 +14,12 @@ slicing).  A record is one flat file: a JSON header line
 (the scalars, the schema tag and each array's length), then the
 little-endian float64 row family, column family and mass vector.  A file
 whose ``schema`` tag differs from :data:`RECORD_SCHEMA` was written by an
-older layout or older norm code, and one whose map fingerprint, bin
-count, mass-vector length, the length of either power-norm family or
-payload size does not fit is not the record asked for; either is
-recomputed and overwritten, as is a file that cannot be read or parsed.
+older layout or older record code (schema 9 iterated the full matrix for
+the mass vector, which now comes from the quotient chain and differs at
+rounding level), and one whose map fingerprint, bin count, mass-vector
+length, the length of either power-norm family or payload size does not
+fit is not the record asked for; either is recomputed and overwritten, as
+is a file that cannot be read or parsed.
 
 All writes are atomic (temp file + rename).  The cache directory comes
 from the HOLECERT_CACHE_DIR environment variable when not given
@@ -39,7 +43,7 @@ CACHE_ENV_VAR = "HOLECERT_CACHE_DIR"
 
 #: layout tag of spectral records: raise it whenever the code that fills a
 #: record changes; a file with another tag is recomputed
-RECORD_SCHEMA = 9
+RECORD_SCHEMA = 10
 
 #: kind of each file the cache owns, by suffix (older versions wrote npz
 #: records and text matrices); anything else in the directory is left alone

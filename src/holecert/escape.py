@@ -241,7 +241,7 @@ def asymptotic_ratio(tmap: PiecewiseMap, y, widths, bins_per_hole: int, *,
         f_star_value, source = 1.0, "uniform-exact"
     else:
         # the finest partition's density, read in the bin of y
-        _lam, u, _bracket, _it = invariant_density(closed)    # its transpose is cached
+        _lam, u, _bracket, _it = invariant_density(closed)
         f_star_value = float(u[int(y * n)] * n)
         source = "ulam-advisory"
     predicted = f_star_value

@@ -303,6 +303,8 @@ def map_from_dict(cfg: dict) -> PiecewiseMap:
         raise MapConfigError("config must be a JSON object whose 'branches' is a list "
                              "of branch objects")
     branches = [_branch_from_dict(b) for b in branches]
+    if not branches:    # before the default constants, whose minimum needs a branch
+        raise MapConfigError("map needs at least one branch")
     label = cfg.get("label", "map")
     if "alpha0" in cfg:
         alpha0 = as_rational(cfg["alpha0"])

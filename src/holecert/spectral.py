@@ -18,16 +18,21 @@ that is x Q = x P - (sum x) u P, are stored:
 * ``q_power_norms_colsum``  column family (matrix 1-norm); entry 0 is 1.
 
 P is row-stochastic and u sums to 1, so e_i Q^k = e_i P^k - u P^k exactly.
-Q is normed from the nonzeros of P.  The later powers are taken in the
-quotient chain of P's equal rows, which is exactly lumpable (Kemeny-Snell):
-with B the m distinct rows of P and A the n x m 0/1 class membership,
-P = A B, so the distinct rows of P^k are M^(k-1) B with M = B A (m x m).
-Narrow dense column blocks of the quotient iterate are stepped by the CSR
-matrix M^T, and v_k = u A M^(k-1) follows the same recurrence from A^T u,
-so w_k = u P^k = v_k B.  Each power's single subtraction is taken in the
-quotient, e_c M^(k-1) - v_k, where equal rows cancel it exactly, and only
-that difference is expanded by B^T to take |e_i P^k - w_k|.  No power of P
-is formed, and every stepping product multiplies nonnegative numbers.
+Everything is computed from the factors P = A B, with B the m distinct
+rows of P and A the n x m 0/1 class membership, and P itself is never
+formed.  The assembly hands over its distinct rows
+(``UlamMatrix.rows``), and :func:`_equal_rows` over those alone merges
+the classes it did not group.  Equal rows make the chain exactly lumpable
+(Kemeny-Snell, *Finite Markov Chains* 6.3): the distinct rows of P^k are
+M^(k-1) B with the quotient M = B A (m x m).  Q is normed from the
+nonzeros of B for k = 1, each class weighted by its row count.  For the
+later powers narrow dense column blocks of the quotient iterate are
+stepped by the CSR matrix M^T, and v_k = u A M^(k-1) follows the same
+recurrence from A^T u, so w_k = u P^k = v_k B.  Each power's single
+subtraction is taken in the quotient, e_c M^(k-1) - v_k, where equal rows
+cancel it exactly, and only that difference is expanded by B^T to take
+|e_i P^k - w_k|.  No power of P is formed, and every stepping product
+multiplies nonnegative numbers.
 
 ``h_star`` bounds the resolvent with the column family, the convention
 under which the reference outputs for the bundled example map were
@@ -35,9 +40,10 @@ produced.  The row family is the induced norm for the density action;
 ``neumann_bound`` takes either family, and certification reports the
 row family's Neumann bound alongside for audit.
 
-The invariant mass vector u is the iterate of power iteration stopped by
-a Collatz-Wielandt bracket of the dominant eigenvalue, which must contain
-1 to within its rounding bound.
+The invariant mass vector is u = v B, with v the iterate of power
+iteration on the quotient M stopped by a Collatz-Wielandt bracket of the
+dominant eigenvalue, which must contain 1 to within its rounding bound:
+v M = v gives u P = v B A B = v M B = u.
 
 No eigensolver is needed for the spectral layout.  P is row-stochastic,
 so the sum-zero row vectors form an invariant subspace on which P acts as
@@ -283,55 +289,78 @@ def _equal_rows(P: sp.csr_matrix):
     return np.unique(rep, return_inverse=True, return_counts=True)
 
 
-def _q_power_norms(P: sp.csr_matrix, u: np.ndarray) -> tuple[list[float], list[float]]:
-    """Row- and column-family norms of Q^k, k = 0..N_POWERS.
+def _lumped(matrix: UlamMatrix):
+    """``(B, M, classes)``: the m distinct rows of P, in the order of the
+    first bin that has each, their quotient chain M = B A and the class of
+    each bin, so P = A B with A the n x m 0/1 class membership.
+    M[c, d] is the mass that a row of class c sends into the bins of
+    class d.
 
-    Q = (1 - Pi1) P, i.e. x Q = x P - (sum x) u P.  P is row-stochastic
-    and u sums to 1, so e_i Q^k = e_i P^k - w_k with w_k = u P^k.
-
-    k = 1 from the nonzeros of P: row i of Q has L1 norm sum over the
-    support of row i of (|P_ij - w_j| - |w_j|), plus ||w||_1; column j has
-    the same sum down column j, plus n |w_j| (w = w_1).
-
-    k >= 2 in the quotient of the m distinct rows of P: P = A B with
-    B = P[first] and A the n x m 0/1 class membership, so the distinct rows
-    of P^k are M^(k-1) B with M = B A.  Per block of ``_BLOCK`` distinct
-    rows, S = (M^T)[:, block] steps as S <- M^T S (CSR, dense m x block);
-    v_k = (u A M^(k-1))^T is stepped the same way from A^T u, so
-    w_k = B^T v_k.  The deviation is subtracted in the quotient and then
-    expanded, Z = |B^T (S - v_k)| = |(those rows of P^k) - w_k|^T, so the
-    stepping products stay nonnegative.  Column sums of Z are row-family
-    norms; its row sums, weighted by each row's count in P and added over
-    the blocks in order, are the column family.
+    The classes are found by :func:`_equal_rows` over the matrix's
+    assembled rows alone, which merges the equal rows that the assembly did
+    not group (a tent map's mirrored branches); the assembled rows are in
+    the order of their first bins, so the classes are exactly those of
+    ``_equal_rows(P)``.
     """
-    import numpy as np
     import scipy.sparse as sp
 
-    n = P.shape[0]
-    w = u @ P
-    row_norms = [float(np.max(np.abs(1.0 - u) + (np.abs(u).sum() - np.abs(u))))]
-    col_norms = [1.0]
-    wj = w[P.indices]
-    excess = np.abs(P.data - wj) - np.abs(wj)
-    # reduceat over the row starts (no Ulam row is empty) adds in the order
-    # of scipy's CSR row sums, and bincount down the columns in the order of
-    # its column sums.  Q = 0 cancels to roundoff of either sign; a norm is >= 0
-    row_norms.append(max(0.0, float(np.max(np.add.reduceat(excess, P.indptr[:-1])
-                                           + np.abs(w).sum()))))
-    col_norms.append(max(0.0, float(np.max(np.bincount(P.indices, excess, n)
-                                           + n * np.abs(w)))))
-    # classes of equal rows of P (the linear branches of a map repeat theirs)
-    first, classes, copies = _equal_rows(P)
+    rows = matrix.rows
+    first, classes, _ = _equal_rows(rows)
+    if matrix.row_of is not None:
+        classes = classes[matrix.row_of]
     m = len(first)
-    B = P[first]
+    B = rows if m == rows.shape[0] else rows[first]     # first is 0 .. m-1 when all differ
     M = sp.csr_matrix((B.data, classes[B.indices], B.indptr), shape=(m, m),
                       copy=True)    # summing duplicates sorts in place; B keeps its order
     M.sum_duplicates()
+    return B, M, classes
+
+
+def _q_power_norms(B: sp.csr_matrix, M: sp.csr_matrix, classes: np.ndarray,
+                   u: np.ndarray) -> tuple[list[float], list[float]]:
+    """Row- and column-family norms of Q^k, k = 0..N_POWERS, from the
+    factors P = A B (``classes`` gives A) and their quotient M = B A.
+
+    Q = (1 - Pi1) P, i.e. x Q = x P - (sum x) u P.  P is row-stochastic
+    and u sums to 1, so e_i Q^k = e_i P^k - w_k with w_k = u P^k; the
+    distinct rows of P^k are M^(k-1) B, and w_k = v_k B with
+    v_k = u A M^(k-1), stepped from v_1 = A^T u.
+
+    k = 1 from the nonzeros of B: row i of Q has L1 norm sum over the
+    support of row i of (|P_ij - w_j| - |w_j|), plus ||w||_1, equal within
+    a class; column j has that excess summed down column j, each class's
+    weighted by its row count, plus n |w_j| (w = w_1).
+
+    k >= 2 per block of ``_BLOCK`` distinct rows, S = (M^T)[:, block]
+    steps as S <- M^T S (CSR, dense m x block).  The deviation is
+    subtracted in the quotient and then expanded, Z = |B^T (S - v_k)| =
+    |(those rows of P^k) - w_k|^T, so the stepping products stay
+    nonnegative.  Column sums of Z are row-family norms; its row sums,
+    weighted by each row's count in P and added over the blocks in order,
+    are the column family.
+    """
+    import numpy as np
+
+    m, n = B.shape
+    copies = np.bincount(classes, minlength=m)
     BT, MT = B.T.tocsr(), M.T.tocsr()
     # v_k = u A M^(k-1), so w_k = v_k B and equal rows cancel v_k exactly
     v = [np.bincount(classes, weights=u, minlength=m)]
     for _ in range(N_POWERS - 1):
         v.append(MT @ v[-1])
+    w = BT @ v[0]
+    row_norms = [float(np.max(np.abs(1.0 - u) + (np.abs(u).sum() - np.abs(u))))]
+    col_norms = [1.0]
+    wj = w[B.indices]
+    excess = np.abs(B.data - wj) - np.abs(wj)
+    # reduceat over the row starts (no Ulam row is empty) adds in the order
+    # of scipy's CSR row sums.  Q = 0 cancels to roundoff of either sign; a
+    # norm is >= 0
+    row_norms.append(max(0.0, float(np.max(np.add.reduceat(excess, B.indptr[:-1])
+                                           + np.abs(w).sum()))))
+    excess *= copies.repeat(np.diff(B.indptr))
+    col_norms.append(max(0.0, float(np.max(np.bincount(B.indices, excess, n)
+                                           + n * np.abs(w)))))
     ones = np.ones(n)
     row_maxima = np.zeros(N_POWERS - 1)
     col_sums = np.zeros((N_POWERS - 1, n))
@@ -355,41 +384,53 @@ def _q_power_norms(P: sp.csr_matrix, u: np.ndarray) -> tuple[list[float], list[f
     return row_norms, col_norms
 
 
-def invariant_density(P: sp.csr_matrix | UlamMatrix):
-    """``(eigenvalue, u, (lower, upper), iterations)`` of a closed Ulam
-    matrix: u its invariant mass vector (>= 0, summing to 1) and the
-    Collatz-Wielandt bracket of :func:`dominant_left_eigenpair`.
-
-    Each ratio of the bracket is a sum of at most c products, c the largest
-    column count of P, and one division, so it is within (c + 1) 2^-53
-    relative of the exact ratio.  Raises :class:`NoUnitEigenvalueError`
-    when the bracket, widened outward by that bound, excludes 1, and
-    :class:`InvariantDensityError` when u has a negative entry (P has one).
-    """
+def _density(B: sp.csr_matrix, M: sp.csr_matrix):
+    """``(eigenvalue, u, (lower, upper), iterations)``: u = v B, with v the
+    power iterate of the quotient M = B A and ``(lower, upper)`` its
+    Collatz-Wielandt bracket (see :func:`invariant_density`)."""
     import numpy as np
 
-    lam, u, (lower, upper), iterations = dominant_left_eigenpair(P)
-    A = P.matrix if isinstance(P, UlamMatrix) else P
-    slack = (int(np.bincount(A.indices, minlength=1).max()) + 1) * 2.0**-53
+    lam, v, (lower, upper), iterations = dominant_left_eigenpair(M)
+    slack = (int(np.bincount(M.indices, minlength=1).max()) + 1) * 2.0**-53
     if not lower * (1.0 - slack) <= 1.0 <= upper * (1.0 + slack):
         raise NoUnitEigenvalueError(f"the dominant eigenvalue's bracket [{lower!r}, {upper!r}], "
                                     f"widened by {slack:.3g} relative, excludes 1")
+    u = v @ B
     if u.min() < 0.0:
         raise InvariantDensityError(f"invariant density has a negative entry ({u.min():.3e})")
     return lam, u, (lower, upper), iterations
 
 
+def invariant_density(matrix: UlamMatrix):
+    """``(eigenvalue, u, (lower, upper), iterations)`` of a closed Ulam
+    matrix: u its invariant mass vector (>= 0, summing to 1) and a
+    Collatz-Wielandt bracket of :func:`dominant_left_eigenpair`.
+
+    The iteration runs on the quotient M = B A of P's equal rows
+    (:func:`_lumped`): if v M = v, then u = v B has u P = v B A B = v M B
+    = u, and P's spectral radius is M's.  Each ratio of the bracket is a
+    sum of at most c products, c the largest column count of M, and one
+    division, so it is within (c + 1) 2^-53 relative of the exact ratio.
+    Raises :class:`NoUnitEigenvalueError` when the bracket, widened outward
+    by that bound, excludes 1, and :class:`InvariantDensityError` when u
+    has a negative entry (P has one).
+    """
+    B, M, _ = _lumped(matrix)
+    return _density(B, M)
+
+
 def compute_record(matrix: UlamMatrix) -> SpectralRecord:
-    """All r-independent spectral data of a closed Ulam matrix; raises as
-    :func:`invariant_density` does, so a sub-stochastic matrix gives
-    :class:`NoUnitEigenvalueError`."""
+    """All r-independent spectral data of a closed Ulam matrix, from its
+    factors alone (P is not formed); raises as :func:`invariant_density`
+    does, so a sub-stochastic matrix gives :class:`NoUnitEigenvalueError`."""
     import numpy as np
 
-    P = matrix.matrix
-    lam, u, _bracket, iterations = invariant_density(P)
-    row_norms, col_norms = _q_power_norms(P, u)
+    B, M, classes = _lumped(matrix)
+    lam, u, _bracket, iterations = _density(B, M)
+    row_norms, col_norms = _q_power_norms(B, M, classes, u)
     _check_submultiplicative(row_norms, "row")
     _check_submultiplicative(col_norms, "column")
+    w = np.bincount(classes, weights=u, minlength=B.shape[0]) @ B      # u P
 
     return SpectralRecord(
         n_bins=matrix.n_bins,
@@ -399,7 +440,7 @@ def compute_record(matrix: UlamMatrix) -> SpectralRecord:
         projection_norm=float(np.abs(u).sum()),
         q_power_norms=tuple(row_norms),
         q_power_norms_colsum=tuple(col_norms),
-        unit_residual=float(np.abs(u @ P - lam * u).sum()),
+        unit_residual=float(np.abs(w - lam * u).sum()),
         power_iterations=iterations,
     )
 

@@ -4,15 +4,26 @@ The closed-system matrix has entries
 
     P[i, j] = lambda(bin_i  intersect  T^-1 bin_j) / lambda(bin_i),
 
-assembled in one streamed pass.  One vectorised integer pass per run of
-intervals computes the run's cells (a run holds a few thousand cells, so
-its arrays stay small; a branch with more is cut into several runs): int64
-when one a-priori bound keeps every integer of every branch below 2^53,
-Python integers otherwise.  Runs come in domain order, so rows never go
-backwards: each run's cells are appended to ``indices`` and ``data``,
-allocated once at a bound on the cell count, and its cells per row are
-counted into ``indptr``.  scipy then sorts the columns of the rows that a
-decreasing branch wrote back to front or that two branches share.
+assembled as its factors P = A B: B holds the distinct rows that the
+assembly computes, and A (``UlamMatrix.row_of``) gives each bin its row
+among them.  Branches that are translates of one another by a whole
+number of bins (the same Moebius map about their left ends, the same
+length and the same grid phase) have equal rows away from their ends, so
+only the first branch of each such family is assembled; a map's other
+equal rows (a tent map's mirrored branches) are merged later, by the
+spectral record.  Of the 1500 rows of perfbench's 20-branch Moebius map
+at 1500 bins (19 of its branches are translates) 150 are assembled, and
+of the 1000 rows of 10x mod 1 at 1000 bins 100.
+
+The assembled branches are streamed in one pass.  One vectorised integer
+pass per run of intervals computes the run's cells (a run holds a few
+thousand cells, so its arrays stay small; a branch with more is cut into
+several runs): int64 when one a-priori bound keeps every integer of every
+assembled branch below 2^53, Python integers otherwise.  Runs come in
+domain order, so rows never go backwards: each run's cells are appended to
+``indices`` and ``data``, allocated once at a bound on the cell count, and
+its cells per row are counted into ``indptr``.  scipy then sorts the
+columns of the rows that a decreasing branch wrote back to front.
 
 Every branch is a Moebius map (p, q, r, s) (a linear branch has r = 0,
 s = 1); with integer coefficients P, Q, R, S the preimage of the grid
@@ -20,10 +31,13 @@ point j/n is (S j - Q n)/(P n - R j), so every entry is an exact rational,
 rounded once to float64 and never rescaled.  The branch computes its
 integer coefficients and endpoints once and keeps them, so a repeated
 assembly does no ``Fraction`` arithmetic outside the shared rows below.
-In a row where branches meet, the cells of one column are summed exactly
-in ``Fraction`` before that rounding.  Closed rows sum to 1 exactly
-before it (the map is a self-map of [0, 1]), so a rounded row's exact sum
-is within 2^-53 of 1.  The open-system matrix P_H for a hole aligned with
+A row where branches meet is assembled on its own: each branch's cells
+there (a member's are its family's first branch's) are summed exactly in
+``Fraction`` per column before that rounding.  Closed rows sum to 1
+exactly before it (the map is a self-map of [0, 1]), so a rounded row's
+exact sum is within 2^-53 of 1.  ``UlamMatrix.matrix`` expands P from the
+factors by one row gather on first use, the same bytes as assembling
+every row.  The open-system matrix P_H for a hole aligned with
 the partition is the closed matrix with the rows of all bins inside the
 hole zeroed; it is sub-stochastic and its dominant eigenvalue is the
 discrete escape factor.  Since ``x P_H = (x 1_{not H}) P``,
@@ -32,17 +46,18 @@ estimates step the closed matrix's cached CSR transpose
 (``UlamMatrix.transposed``) with the mask applied, and the explicit ``P_H``
 lives only in the tests' reference (``tests/escape_oracle.py``).
 
-Matrices are ``scipy.sparse.csr_matrix`` wrapped with their bin count and
-the map's fingerprint.  numpy and ``scipy.sparse`` are imported inside the
-functions that make or read arrays, not with this module, so a run that
-builds no matrix (a warm ``reproduce-tables``, ``kl-constants``,
-``cache``) loads neither.
+The factors are ``scipy.sparse.csr_matrix`` rows and an index array,
+wrapped with their bin count and the map's fingerprint.  numpy and
+``scipy.sparse`` are imported inside the functions that make or read
+arrays, not with this module, so a run that builds no matrix (a warm
+``reproduce-tables``, ``kl-constants``, ``cache``) loads neither.
 Matrices live only in the process that built them: the pipeline persists
 the spectral record of a closed matrix, never the matrix.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,12 +115,24 @@ class Hole:
 
 @dataclass
 class UlamMatrix:
-    """The sparse closed Ulam matrix of a map on ``n_bins`` uniform bins,
-    with the map's fingerprint."""
+    """The closed Ulam matrix P of a map on ``n_bins`` uniform bins, with
+    the map's fingerprint, held as its factors P = A B.
+
+    ``rows`` is B, a CSR matrix of distinct rows, ordered by the first bin
+    that uses each; ``row_of[i]`` is the row of bin i among them (A is its
+    0/1 membership).  ``row_of = None`` is the trivial factorisation, in
+    which ``rows`` is P itself: a hand-built CSR matrix is that.
+    """
 
     n_bins: int
-    matrix: sp.csr_matrix
+    rows: sp.csr_matrix
     map_fingerprint: str
+    row_of: np.ndarray | None = None
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """P, expanded from its factors by one row gather on first use and kept."""
+        return self.rows if self.row_of is None else self.rows[self.row_of]
 
     def row_sums(self) -> np.ndarray:
         import numpy as np
@@ -268,25 +295,59 @@ def _cells(branches, grids, run, n: int, dtype):
     return first.astype(np.int64, copy=False), counts, cols, num, den
 
 
+def _translates(branches, grids, n: int) -> tuple[list[int], list[int]]:
+    """``(rep, shift)``: for each branch, the first branch of its family
+    of translates and how many rows below that branch it lies.
+
+    Branches are translates by a whole number of bins, so that their rows
+    away from their ends are equal, when they have the same Moebius
+    coefficients about their left ends, the same length and the same grid
+    phase lo n mod 1.  Each is compared in lowest terms, from the branch's
+    integer data: x = lo + t gives (P lo_d t + P lo_n + Q lo_d)/(R lo_d t +
+    R lo_n + S lo_d), signed so that its value at t = 0 has a positive
+    denominator.
+    """
+    rep, shift, seen = [], [], {}
+    for b, branch in enumerate(branches):
+        P, Q, R, S, lo_n, lo_d, hi_n, hi_d = branch._integers[:8]
+        coeffs = (P * lo_d, P * lo_n + Q * lo_d, R * lo_d, R * lo_n + S * lo_d)
+        g = math.gcd(*coeffs) if coeffs[3] > 0 else -math.gcd(*coeffs)
+        length = (hi_n * lo_d - lo_n * hi_d, hi_d * lo_d)
+        phase = (lo_n * n % lo_d, lo_d)
+        gl, gp = math.gcd(*length), math.gcd(*phase)
+        key = (*(c // g for c in coeffs), length[0] // gl, length[1] // gl,
+               phase[0] // gp, phase[1] // gp)
+        first = seen.setdefault(key, b)
+        rep.append(first)
+        shift.append(grids[b][2] - grids[first][2])
+    return rep, shift
+
+
 def build_closed(tmap: PiecewiseMap, n_bins: int) -> UlamMatrix:
     """Assemble the row-stochastic Ulam matrix of the closed system on the
-    uniform partition of [0, 1) into ``n_bins`` bins.
+    uniform partition of [0, 1) into ``n_bins`` bins, as its distinct rows
+    and the row of each bin (see :class:`UlamMatrix`).
 
     Every entry is an exact rational from integer preimages of the grid
-    points, rounded once to float64.  One vectorised pass per run of
-    intervals from :func:`_groups` computes the run's cells, in int64 when
-    one a-priori bound allows it for every branch (see :func:`_int_dtype`).
-    The cells are written in stream order into ``indices`` and ``data``,
-    allocated once at the bound on the cells that :func:`_groups` uses, and
-    shrunk in place at the end.  Each run counts into ``indptr`` the
-    intervals that begin inside a row, and a row holds one cell more than
-    it has such intervals.  Only a row that is an end row of two or more
-    branches can hold a cell of each, in the same column too: such a
-    column's cells are summed as ``Fraction``, the rounded sum goes into
-    its first slot and 0.0 into the others, which ``eliminate_zeros``
-    drops.  ``sort_indices`` orders the columns when a branch decreases or
-    a row is shared.  numpy and ``scipy.sparse`` are imported here, on the
-    first build.
+    points, rounded once to float64.  Only the first branch of each family
+    of translates (:func:`_translates`) is assembled: every other member's
+    rows are that branch's rows, except at its ends.  One vectorised pass
+    per run of intervals from :func:`_groups` computes the run's cells, in
+    int64 when one a-priori bound allows it for every assembled branch
+    (see :func:`_int_dtype`).  The cells are written in stream order into
+    ``indices`` and ``data``, allocated once at the bound on the cells that
+    :func:`_groups` uses for the assembled branches, and shrunk in place at
+    the end.  Each run counts into ``indptr`` the intervals that begin
+    inside a row, and a row holds one cell more than it has such
+    intervals; rows are numbered in the order of the assembled branches,
+    so a member's rows leave no gap.
+
+    A row where two or more branches meet is assembled on its own: each
+    branch's cells there are its family's first branch's cells in the
+    matching end row, and the cells of one column are summed as
+    ``Fraction`` before the one rounding.  ``sort_indices`` orders the
+    columns when a branch decreases.  numpy and ``scipy.sparse`` are
+    imported here, on the first build.
     """
     import numpy as np
     import scipy.sparse as sp
@@ -295,19 +356,43 @@ def build_closed(tmap: PiecewiseMap, n_bins: int) -> UlamMatrix:
     if n < 1:
         raise ValueError("partition needs at least one bin")
     branches = tmap.branches
-    dtype = _int_dtype(branches, n)
     grids = [_grid(b, n) for b in branches]
-    cap = sum(j1 - j0 + i1 - i0 for j0, j1, i0, i1 in grids)
-    index = np.int32 if max(n, cap) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(n + 1, dtype=index)
-    indices, data = np.empty(cap, dtype=index), np.empty(cap)
+    rep, shift = _translates(branches, grids, n)
+    own = [b for b, r in enumerate(rep) if r == b]      # the branches assembled
+    sub, sub_grids = [branches[b] for b in own], [grids[b] for b in own]
     # rows where a branch begins and the one before it ends
+    shared = sorted({g[2] for f, g in zip(grids, grids[1:]) if g[2] == f[3]})
     in_shared = np.zeros(n, dtype=bool)
-    in_shared[[g[2] for f, g in zip(grids, grids[1:]) if g[2] == f[3]]] = True
-    shared: dict[tuple[int, int], list] = {}    # (row, col): [exact sum, *slots]
+    in_shared[shared] = True
+    dtype = _int_dtype(sub, n)
+    cap = sum(j1 - j0 + i1 - i0 for j0, j1, i0, i1 in sub_grids)
+    index = np.int32 if max(n, cap) <= np.iinfo(np.int32).max else np.int64
+    if len(own) < len(branches):
+        # the rows of the assembled branches, numbered in order
+        bounds = np.zeros(n + 1, dtype=index)
+        np.add.at(bounds, [g[2] for g in sub_grids], 1)
+        np.add.at(bounds, [g[3] + 1 for g in sub_grids], -1)
+        covered = np.cumsum(bounds, out=bounds)[:-1] > 0
+        local = covered.cumsum(dtype=index)
+        local -= 1
+        m = int(local[-1]) + 1
+    else:
+        covered, local, m = None, None, n
+    indptr = np.zeros(m + 1, dtype=index)
+    indices, data = np.empty(cap, dtype=index), np.empty(cap)
+    edges: dict[tuple[int, int], list] = {}     # (branch, row): its cells there
     done = stop = 0
-    for run in _groups(grids):
-        first, counts, c, num, den = _cells(branches, grids, run, n, dtype)
+    for run in _groups(sub_grids):
+        first, counts, c, num, den = _cells(sub, sub_grids, run, n, dtype)
+        if in_shared[first[0]:first[-1] + counts[-1]].any():
+            r = _ramps(first, np.ones_like(first), counts)
+            edge = np.flatnonzero(in_shared[r])
+            owner = np.repeat([own[b] for b, _, _ in run], [tb - ta for _, ta, tb in run])
+            for key, col, x, y in zip(zip(owner.repeat(counts)[edge].tolist(), r[edge].tolist()),
+                                      c[edge].tolist(), num[edge].tolist(), den[edge].tolist()):
+                edges.setdefault(key, []).append((col, Fraction(x, y)))
+        if local is not None:
+            first = local[first]
         # count into indptr[i + 1] the intervals that begin inside row i:
         # interval t does when the interval before it ends in row first[t]
         ends = first + counts           # past each interval's last row
@@ -316,28 +401,75 @@ def build_closed(tmap: PiecewiseMap, n_bins: int) -> UlamMatrix:
         stop = ends[-1]
         indices[done:done + len(c)] = c
         data[done:done + len(c)] = num / den
-        if in_shared[first[0]:stop].any():
-            r = _ramps(first, np.ones_like(first), counts)
-            edge = np.flatnonzero(in_shared[r])
-            for key, at, x, y in zip(zip(r[edge].tolist(), c[edge].tolist()),
-                                     (edge + done).tolist(), num[edge].tolist(),
-                                     den[edge].tolist()):
-                entry = shared.setdefault(key, [0])
-                entry[0] += Fraction(x, y)
-                entry.append(at)
         done += len(c)
     indptr[1:] += 1                     # a row holds one cell more than that
     np.cumsum(indptr, out=indptr)
     indices.resize(done, refcheck=False)
     data.resize(done, refcheck=False)
-    repeats = []
-    for total, at, *again in shared.values():
-        data[at] = float(total)
-        repeats += again
-    data[repeats] = 0.0
-    matrix = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-    if shared or not all(b.increasing for b in branches):
-        matrix.sort_indices()
-    if repeats:
-        matrix.eliminate_zeros()
-    return UlamMatrix(n, matrix, tmap.fingerprint)
+    rows = sp.csr_matrix((data, indices, indptr), shape=(m, n))
+    if shared:
+        rows = _with_shared_rows(rows, shared, covered, local, grids, rep, shift, edges)
+    if not all(b.increasing for b in sub):
+        rows.sort_indices()
+    if len(own) == len(branches):
+        return UlamMatrix(n, rows, tmap.fingerprint)
+    # a member's row is its family's first branch's row that many rows up
+    source = np.repeat(np.array(shift, dtype=index), np.diff([g[2] for g in grids] + [n]))
+    source[in_shared] = 0
+    np.subtract(np.arange(n, dtype=index), source, out=source)
+    final = (covered | in_shared).cumsum(dtype=index)
+    final -= 1
+    return UlamMatrix(n, rows, tmap.fingerprint, final[source])
+
+
+def _with_shared_rows(rows, shared, covered, local, grids, rep, shift, edges):
+    """``rows`` with each shared row, a row where branches meet, holding the
+    exact sum of every branch's cells there, rounded once.
+
+    ``edges`` holds the cells of the assembled branches in their shared
+    rows; a member's are those of its family's first branch, ``shift`` rows
+    up.  When every branch that meets another inside a bin is assembled,
+    each shared row already holds all its cells, and their sums overwrite
+    them in place (``eliminate_zeros`` drops the slots of summed repeats).
+    Otherwise the rows are stacked and gathered again, with the shared ones
+    replaced or inserted in the order of their bins.  ``covered`` marks the
+    assembled rows and ``local`` numbers them (both None: every row is
+    assembled).
+    """
+    import numpy as np
+    import scipy.sparse as sp
+
+    meeting = {s: [] for s in shared}
+    for b, (_, _, i0, i1) in enumerate(grids):
+        for s in {i0, i1}.intersection(meeting):
+            meeting[s].append(b)
+    sums = []
+    for s in shared:
+        exact: dict[int, Fraction] = {}
+        for b in meeting[s]:
+            for col, value in edges[rep[b], s - shift[b]]:
+                exact[col] = exact.get(col, 0) + value
+        cols = sorted(exact)
+        sums.append((cols, [float(exact[col]) for col in cols]))
+    if all(rep[b] == b for group in meeting.values() for b in group):
+        ptr, spare = rows.indptr, False
+        for i, (cols, values) in zip(shared if local is None else local[shared], sums):
+            start, stop = ptr[i], ptr[i] + len(cols)
+            rows.indices[start:stop] = cols
+            rows.data[start:stop] = values
+            rows.data[stop:ptr[i + 1]] = 0.0
+            spare |= stop < ptr[i + 1]
+        if spare:
+            rows.eliminate_zeros()
+        return rows
+    extra = sp.csr_matrix(([v for _, values in sums for v in values],
+                           np.array([c for cols, _ in sums for c in cols],
+                                    dtype=rows.indices.dtype),
+                           np.cumsum([0] + [len(cols) for cols, _ in sums])),
+                          shape=(len(shared), rows.shape[1]))
+    in_shared = np.zeros(len(covered), dtype=bool)
+    in_shared[shared] = True
+    keep = np.flatnonzero(covered | in_shared)
+    is_shared = in_shared[keep]
+    order = np.where(is_shared, rows.shape[0] + np.cumsum(is_shared) - 1, local[keep])
+    return sp.vstack([rows, extra], format="csr")[order]

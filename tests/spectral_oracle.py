@@ -17,14 +17,21 @@ two differ only by rounding.
 ``excess_q_power_norms`` is the fast path as it read before it took the
 k = 1 sums straight from the nonzeros and seeded each block by scattering
 the rows of M: it builds a throwaway ``excess`` CSR matrix for k = 1 and
-slices, transposes and densifies M per block.  The fast path must equal
-it bit for bit.
+slices, transposes and densifies M per block.
+
+``csr_q_power_norms`` and ``csr_invariant_density`` are the record as it
+was computed from the expanded matrix P, before the record used only the
+factors P = A B: power iteration on P itself, the classes of equal rows
+found over all n rows, and the k = 1 sums over the nonzeros of P with
+w = u P.  At the same u the factored norms must equal both references bit
+for bit for k >= 2, and to rounding for k = 1.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from holecert.spectral import _equal_rows
+from holecert.spectral import (NoUnitEigenvalueError, _BLOCK, _equal_rows,
+                               dominant_left_eigenpair)
 
 
 def q_power_norms(P, u, n_powers: int, block_size: int = 1024):
@@ -132,4 +139,57 @@ def excess_q_power_norms(P, u, n_powers: int, block_size: int):
             np.abs(dev, out=dev)
             row_maxima[k] = max(row_maxima[k], (ones @ dev).max())
             col_sums[k] += dev @ copies[start:start + block_size]
+    return row_norms + row_maxima.tolist(), col_norms + col_sums.max(axis=1).tolist()
+
+
+def csr_invariant_density(P):
+    """``(eigenvalue, u, (lower, upper), iterations)`` from power iteration
+    on the CSR matrix P, with the bracket widened by (c + 1) 2^-53, c the
+    largest column count of P."""
+    lam, u, (lower, upper), iterations = dominant_left_eigenpair(P)
+    slack = (int(np.bincount(P.indices, minlength=1).max()) + 1) * 2.0**-53
+    if not lower * (1.0 - slack) <= 1.0 <= upper * (1.0 + slack):
+        raise NoUnitEigenvalueError(f"bracket [{lower!r}, {upper!r}] excludes 1")
+    return lam, u, (lower, upper), iterations
+
+
+def csr_q_power_norms(P, u, n_powers: int):
+    """Row- and column-family norms of Q^k, k = 0..n_powers, with the k = 1
+    sums over the nonzeros of P (w = u P) and the classes of equal rows
+    found over all of P's rows."""
+    n = P.shape[0]
+    w = u @ P
+    row_norms = [float(np.max(np.abs(1.0 - u) + (np.abs(u).sum() - np.abs(u))))]
+    col_norms = [1.0]
+    wj = w[P.indices]
+    excess = np.abs(P.data - wj) - np.abs(wj)
+    row_norms.append(max(0.0, float(np.max(np.add.reduceat(excess, P.indptr[:-1])
+                                           + np.abs(w).sum()))))
+    col_norms.append(max(0.0, float(np.max(np.bincount(P.indices, excess, n)
+                                           + n * np.abs(w)))))
+    first, classes, copies = _equal_rows(P)
+    m = len(first)
+    B = P[first]
+    M = sp.csr_matrix((B.data, classes[B.indices], B.indptr), shape=(m, m), copy=True)
+    M.sum_duplicates()
+    BT, MT = B.T.tocsr(), M.T.tocsr()
+    v = [np.bincount(classes, weights=u, minlength=m)]
+    for _ in range(n_powers - 1):
+        v.append(MT @ v[-1])
+    ones = np.ones(n)
+    row_maxima = np.zeros(n_powers - 1)
+    col_sums = np.zeros((n_powers - 1, n))
+    m_rows = np.repeat(np.arange(m), np.diff(M.indptr))
+    for start in range(0, m, _BLOCK):
+        stop = min(start + _BLOCK, m)
+        nz = slice(M.indptr[start], M.indptr[stop])
+        S = np.zeros((m, stop - start))
+        S[M.indices[nz], m_rows[nz] - start] = M.data[nz]
+        for k in range(n_powers - 1):
+            if k:
+                S = MT @ S
+            dev = BT @ (S - v[k + 1][:, None])
+            np.abs(dev, out=dev)
+            row_maxima[k] = max(row_maxima[k], (ones @ dev).max())
+            col_sums[k] += dev @ copies[start:start + _BLOCK]
     return row_norms + row_maxima.tolist(), col_norms + col_sums.max(axis=1).tolist()

@@ -82,7 +82,7 @@ def test_record_from_older_norm_code_is_recomputed(tmp_path, shift10):
     cache = hc.PipelineCache(tmp_path)
     record = cache.spectral_record(shift10, 100)
     path = cache._record_path(shift10.fingerprint, 100)
-    assert json.loads(path.read_bytes().partition(b"\n")[0])["schema"] == hc.cache.RECORD_SCHEMA == 9
+    assert json.loads(path.read_bytes().partition(b"\n")[0])["schema"] == hc.cache.RECORD_SCHEMA == 10
     _rewrite_record(path, schema=6, q_power_norms=np.full(7, 0.5))
 
     rebuilt = hc.PipelineCache(tmp_path)
@@ -236,7 +236,7 @@ def test_record_file_matches_numpy_writer(tmp_path, bundled_map, shift10, decrea
     lambda data: b"[7]" + data[data.index(b"\n"):],
     lambda data: data + bytes(8),
     lambda data: data.replace(b'"lengths": [7, 7, 40]', b'"lengths": [7, 8, 39]'),
-    lambda data: data.replace(b'"schema": 9', b'"schema": 8'),
+    lambda data: data.replace(b'"schema": 10', b'"schema": 9'),
 ], ids=["truncated", "truncated-mid-value", "header-only", "no-newline", "header-not-json",
         "header-not-object", "payload-too-long", "lengths-disagree", "wrong-schema"])
 def test_damaged_record_is_recomputed(tmp_path, bundled_map, damage):

@@ -238,6 +238,12 @@ class TestCertifyCommand:
         assert rc == 1
         assert capsys.readouterr().err == f"error: cannot parse rational from {text}\n"
 
+    def test_empty_branch_list_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"branches": []}))
+        assert main(["certify", "--map", str(path), "--ell", "1/25"]) == 1
+        assert capsys.readouterr().err == "error: map needs at least one branch\n"
+
 
 class TestCacheCommands:
     def test_list_inspect(self, cli_certified, capsys):

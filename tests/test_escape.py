@@ -125,7 +125,8 @@ class TestMaskedIteration:
 
     @pytest.mark.parametrize("label, widths, bins_per_hole", [
         ("shift10", [F(1, 10), F(1, 100)], 10),
-        # the advisory f* is read off the finest matrix with its transpose
+        # the advisory f* is read off the finest matrix, through the small
+        # quotient of its equal rows (whose transposes are left out below)
         ("bundled", [F(1, 50), F(1, 100)], 5),
     ])
     def test_cache_shares_transpose_between_points(self, shift10, bundled_map, monkeypatch,
@@ -136,7 +137,7 @@ class TestMaskedIteration:
         for y in (F(0), F(1, 7), math.sqrt(2) - 1):
             hc.asymptotic_ratio(tmap, y, widths, bins_per_hole, cache=cache)
         n_bins = [int(bins_per_hole / w) for w in widths]
-        assert [m.shape for m in transposed] == [(n, n) for n in n_bins]
+        assert [m.shape for m in transposed if m.shape[0] in n_bins] == [(n, n) for n in n_bins]
 
     def test_closed_matrix_checks_kept(self, shift10):
         closed = hc.build_closed(shift10, 20)

@@ -277,6 +277,12 @@ class TestConfigIO:
         with pytest.raises(MapConfigError, match=f"^cannot parse rational from {text}$"):
             hc.load_map(path)
 
+    @pytest.mark.parametrize("constants", [{}, {"alpha0": "1/2"}], ids=["default", "given"])
+    def test_empty_branch_list_rejected(self, constants):
+        # without alpha0 the default constants used to take the minimum of no slopes
+        with pytest.raises(MapConfigError, match="^map needs at least one branch$"):
+            map_from_dict({**constants, "branches": []})
+
     def test_fingerprint_stable(self, bundled_map):
         again = hc.load_map(hc.bundled_map_path())
         assert again.fingerprint == bundled_map.fingerprint

@@ -37,6 +37,16 @@ def hand_matrix(entries):
     return UlamMatrix(arr.shape[0], sp.csr_matrix(arr), "test")
 
 
+def factors(P):
+    """``(B, M, classes)`` of a CSR matrix P, taken as the trivial factorisation."""
+    return spectral._lumped(UlamMatrix(P.shape[0], sp.csr_matrix(P), "test"))
+
+
+def factored_norms(P, u):
+    """:func:`_q_power_norms` of P's factors."""
+    return _q_power_norms(*factors(P), u)
+
+
 @pytest.fixture(scope="module")
 def doubling2(doubling):
     return hc.build_closed(doubling, 2)
@@ -230,13 +240,13 @@ class TestEigenAnalysis:
         ((1.0, 1.0), [1.0 + 1e-9, -1e-9], InvariantDensityError, "negative entry"),
     ], ids=["bracket-excludes-1", "negative-mass"])
     def test_invariant_density_checks(self, monkeypatch, bracket, mass, error, match):
-        # a power iteration that hands back a bracket 8 * 2^-53 above 1, past
-        # its rounding bound 3 * 2^-53 for two entries per column, or a
-        # negative mass
+        # a power iteration of the quotient (here P itself, whose two rows
+        # differ) that hands back a bracket 8 * 2^-53 above 1, past its
+        # rounding bound 2 * 2^-53 for one entry per column, or a negative mass
         monkeypatch.setattr("holecert.spectral.dominant_left_eigenpair",
                             lambda P: (1.0, np.array(mass), bracket, 1))
         with pytest.raises(error, match=match):
-            compute_record(hand_matrix([[0.5, 0.5], [0.5, 0.5]]))
+            compute_record(hand_matrix([[0.0, 1.0], [1.0, 0.0]]))
 
     @pytest.mark.parametrize("n_bins", [10, 100, 1000, 100_000])
     def test_unit_bracket_of_shift10(self, shift10, n_bins):
@@ -361,7 +371,7 @@ def random_stochastic(seed, n, density):
 
 def _assert_norms_match(P, u, expected, atol):
     P = sp.csr_matrix(P)
-    got = _q_power_norms(P, u)
+    got = factored_norms(P, u)
     # the deviations used to be formed over all bins, not in the quotient
     previous = spectral_oracle.quotient_q_power_norms(P, u, N_POWERS, _BLOCK)
     for family, reference, before in zip(got, expected, previous):
@@ -400,7 +410,7 @@ class TestQPowerNorms:
         if n_bins == 1:
             # P = [[1]], so Q = 0 and only the column family's head is 1
             assert P.toarray().tolist() == [[1.0]]
-            row_norms, col_norms = _q_power_norms(P, u)
+            row_norms, col_norms = factored_norms(P, u)
             assert row_norms == [0.0] * (N_POWERS + 1)
             assert col_norms == [1.0] + [0.0] * N_POWERS
 
@@ -409,9 +419,10 @@ class TestQPowerNorms:
         ("shared", 100),
     ])
     def test_bit_identical_to_csr_sums(self, bundled_map, decreasing_map, label, n_bins):
-        # the k = 1 sums taken from the nonzeros and the blocks seeded from
-        # M's rows change no bit against the CSR matrices they replace; the
-        # "shared" map's branches meet inside a bin, so one row has both
+        # the blocks seeded from M's rows change no bit of the powers k >= 2
+        # against the CSR matrices they replace; the k = 1 sums, now taken
+        # per class from B, agree to rounding; the "shared" map's branches
+        # meet inside a bin, so one row has both
         shared = hc.PiecewiseMap([Branch(F(0), F(2, 7), F(-7, 2), F(1)),
                                   Branch(F(2, 7), F(1), F(7, 5), F(-2, 5))],
                                  alpha0=F(5, 7), B0=0, label="shared")
@@ -420,17 +431,22 @@ class TestQPowerNorms:
                 "shared": shared}[label]
         M = hc.build_closed(tmap, n_bins)
         P, u = M.matrix, compute_record(M).mass_vector
-        assert _q_power_norms(P, u) == spectral_oracle.excess_q_power_norms(
-            P, u, N_POWERS, _BLOCK)
+        got = _q_power_norms(*spectral._lumped(M), u)
+        ref = spectral_oracle.excess_q_power_norms(P, u, N_POWERS, _BLOCK)
+        for family, before in zip(got, ref):
+            assert family[2:] == before[2:]
+            assert family[0] == before[0]
+            assert abs(family[1] - before[1]) <= 4 * 2.0**-52 * before[1]
 
     @pytest.mark.parametrize("n_bins", [600, 1500])
     def test_memory_stays_in_column_blocks(self, n_bins):
         # no global P^2: a few dense n x _BLOCK blocks plus O(nnz(P)) arrays
         M = hc.build_closed(kfold_moebius(20), n_bins)
         P, u = M.matrix, compute_record(M).mass_vector
+        B, quotient, classes = factors(P)
         tracemalloc.start()
         try:
-            _q_power_norms(P, u)
+            _q_power_norms(B, quotient, classes, u)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -460,9 +476,13 @@ class TestQPowerNorms:
         P = sp.csr_matrix(np.tile(r / r.sum(), (n, 1)))
         u = rng.multinomial(2**40, np.full(n, 1.0 / n)) / 2.0**40
         assert u.sum() == 1.0 and np.add.accumulate(u)[-1] == 1.0
-        for norms in _q_power_norms(P, u):
-            assert all(0.0 <= v <= 1e-15 for v in norms[2:])
-        _assert_norms_match(P, u, spectral_oracle.quotient_q_power_norms(P, u, N_POWERS), 1e-15)
+        # per class, w = u P = (sum u) r = r exactly, so Q = 0 cancels to 0.0
+        # from k = 1 on (summed over the rows of P, the column family left up
+        # to 1.7e-12 of roundoff at k = 1 and n = 1500)
+        got = factored_norms(P, u)
+        for family, before in zip(got, spectral_oracle.quotient_q_power_norms(P, u, N_POWERS)):
+            assert family[0] == before[0]
+            assert family[1:] == [0.0] * N_POWERS
 
     def test_zero_powers_clamped(self, shift10_10):
         # P = 1 u exactly, so Q = 0 and the sparse k = 1 formula cancels to roundoff
@@ -534,9 +554,9 @@ class TestEqualRows:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert len(got[0]) == {"all-equal": 1, "all-distinct": 300}.get(label, len(got[0]))
         u = np.full(P.shape[0], 1.0 / P.shape[0])
-        norms = _q_power_norms(P, u)
+        norms = factored_norms(P, u)
         monkeypatch.setattr(spectral, "_equal_rows", _byte_key_classes)
-        assert _q_power_norms(P, u) == norms
+        assert factored_norms(P, u) == norms
 
     @pytest.mark.parametrize("rows, n_classes", [
         ([[(0, 0.5), (1, 0.5)], [(0, 0.5), (1, np.nextafter(0.5, 1.0))],
@@ -553,6 +573,51 @@ class TestEqualRows:
         assert len(first) == n_classes and copies.sum() == P.shape[0]
         for a, b in zip((first, classes, copies), _byte_key_classes(P)):
             assert a.tobytes() == b.tobytes()
+
+
+class TestFactoredRecord:
+    """The record from the factors P = A B against the record computed from
+    P itself (``spectral_oracle``): power iteration on P and the norms with
+    the classes found over all of P's rows and w = u P."""
+
+    @pytest.mark.parametrize("label, n_bins, u_rtol", [
+        ("kfold20", 1500, 1e-13), ("bundled", 5000, 1e-13), ("bundled", 1000, 1e-13),
+        ("shift10", 1000, 1e-13), ("tent", 1000, 1e-13),
+        # the slowest to converge (40 steps): both iterates stop at a bracket
+        # of relative width 1e-12 and still differ by 3.3e-13
+        ("decreasing", 1001, 1e-12),
+    ])
+    def test_matches_p_iteration(self, bundled_map, shift10, decreasing_map, label, n_bins,
+                                 u_rtol):
+        tent = hc.PiecewiseMap([Branch(F(0), F(1, 2), F(2), F(0)),
+                                Branch(F(1, 2), F(1), F(-2), F(2))], F(1, 2), 0, "tent")
+        tmap = {"kfold20": kfold_moebius(20), "bundled": bundled_map, "shift10": shift10,
+                "tent": tent, "decreasing": decreasing_map}[label]
+        closed = hc.build_closed(tmap, n_bins)
+        record = compute_record(closed)
+        assert "matrix" not in vars(closed)     # the record never expands P
+        B, M, classes = spectral._lumped(closed)
+        lam, u, (lower, upper), _ = spectral._density(B, M)
+        slack = (np.bincount(M.indices).max() + 1) * 2.0**-53
+        assert lower * (1 - slack) <= 1.0 <= upper * (1 + slack)
+        P = closed.matrix
+        _, u_p, _, _ = spectral_oracle.csr_invariant_density(P)
+        assert np.all(np.abs(u - u_p) <= u_rtol * u_p)
+        assert record.mass_vector.tobytes() == u.tobytes() and record.eigenvalues == (lam,)
+        assert abs(record.unit_residual - np.abs(u @ P - lam * u).sum()) <= 1e-15
+        # at the same u: the powers k >= 2 bit for bit; at k = 1 the row
+        # family sums per class with w = (A^T u) B (bit for bit on the bench
+        # and bundled maps, 2 ulp apart on 10x mod 1), and the column family
+        # weights each class by its row count
+        got = _q_power_norms(B, M, classes, u_p)
+        ref = spectral_oracle.csr_q_power_norms(P, u_p, N_POWERS)
+        for family, before in zip(got, ref):
+            assert family[0] == before[0] and family[2:] == before[2:]
+        row, col = got[0][1], got[1][1]
+        assert abs(col - ref[1][1]) <= 2.0**-52 * ref[1][1]
+        if label in ("kfold20", "bundled"):
+            assert row == ref[0][1]
+        assert abs(row - ref[0][1]) <= 4 * 2.0**-52 * ref[0][1]
 
 
 class TestNeumannBound:

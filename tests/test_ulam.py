@@ -11,7 +11,7 @@ import holecert as hc
 import ulam_branchwise
 import ulam_oracle
 from escape_oracle import build_open
-from holecert import ulam
+from holecert import spectral, ulam
 from holecert.maps import Branch, ExpansionWarning
 from holecert.ulam import HoleAlignmentError, _cells, _grid, _groups, _int_dtype
 
@@ -409,6 +409,153 @@ class TestGroupedAssembly:
         for a, b in zip((first.indptr, first.indices, first.data),
                         (again.indptr, again.indices, again.data)):
             assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def translate_maps(draw):
+    """``(map, d)``: a map with a run of 2-5 branches of length 1/d and one
+    shape, translates (a linear or Moebius branch of either orientation, at
+    an integer or a rational slope) or mirrored pairs, between filler
+    branches.  The run starts at a rational point, so on most meshes its
+    branches end inside bins and share their end rows with their
+    neighbours; on a multiple of d bins its branches share one phase."""
+    k = draw(st.integers(min_value=2, max_value=5))
+    d = draw(st.integers(min_value=k, max_value=3 * k))
+    length = F(1, d)
+    start = (1 - k * length) * draw(st.sampled_from([F(0), F(1)])
+                                    | st.fractions(0, 1, max_denominator=7))
+    ends = sorted(draw(st.lists(st.sampled_from([F(0), F(1), F(1, 3), F(1, 2), F(3, 4)]),
+                                min_size=2, max_size=2, unique=True)))
+    kind = draw(st.sampled_from(["linear", "moebius"]))
+    increasing, mirrored = draw(st.booleans()), draw(st.booleans())
+    c = draw(st.sampled_from([F(1, 3), F(5, 2)]))
+    branches = []
+    if start > 0:
+        branches.append(onto_branch("moebius", F(0), start, F(0), F(1), True, F(3, 2)))
+    for t in range(k):
+        lo = start + t * length
+        flipped = mirrored and t % 2 == 1
+        branches.append(onto_branch(kind, lo, lo + length, *ends, increasing != flipped, c))
+    if start + k * length < 1:
+        branches.append(onto_branch("linear", start + k * length, F(1), F(0), F(1), False))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExpansionWarning)
+        return hc.PiecewiseMap(branches, alpha0=F(1, 2), B0=0, label="translates"), d
+
+
+def tent_map():
+    return hc.PiecewiseMap([Branch(F(0), F(1, 2), F(2), F(0)), Branch(F(1, 2), F(1), F(-2), F(2))],
+                           alpha0=F(1, 2), B0=0, label="tent")
+
+
+def assert_factors_match(tmap, n):
+    """P from the factors is the oracle's matrix (and the branchwise
+    assembly's, byte for byte), and the merged classes of its rows are those
+    of ``_equal_rows(P)``, array for array."""
+    U = hc.build_closed(tmap, n)
+    assert_matches_oracle(tmap, n)
+    P = U.matrix
+    for got, ref in zip((P.indptr, P.indices, P.data), ulam_branchwise.closed_csr(tmap, n)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    B, _, classes = spectral._lumped(U)
+    first, ref_classes, copies = spectral._equal_rows(P)
+    assert classes.dtype == ref_classes.dtype and classes.tobytes() == ref_classes.tobytes()
+    assert np.unique(classes, return_index=True)[1].tobytes() == first.tobytes()
+    assert np.bincount(classes).tobytes() == copies.tobytes()
+    ref = P[first]
+    for got, want in zip((B.indptr, B.indices, B.data), (ref.indptr, ref.indices, ref.data)):
+        assert got.tobytes() == want.tobytes()
+    # the rows are ordered by the first bin that has each
+    seen = np.maximum.accumulate(U.row_of) if U.row_of is not None else np.arange(n)
+    assert np.array_equal(np.unique(seen), np.arange(U.rows.shape[0]))
+    return U
+
+
+def assembled_rows(monkeypatch, tmap, n):
+    """The rows that build_closed computes cells for."""
+    rows = set()
+    cells = ulam._cells
+
+    def counting(*args):
+        out = cells(*args)
+        for f, c in zip(out[0].tolist(), out[1].tolist()):
+            rows.update(range(f, f + c))
+        return out
+
+    monkeypatch.setattr(ulam, "_cells", counting)
+    hc.build_closed(tmap, n)
+    return rows
+
+
+class TestTranslateFamilies:
+    """The assembly of one branch per family of translates, against the
+    exact oracle and the equal-row classes of the full matrix."""
+
+    @given(translate_maps(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_random_translates(self, drawn, data):
+        # any mesh, or a multiple of d bins, on which the run is one family
+        # of translates (or two, of mirrored branches) even off the grid
+        tmap, d = drawn
+        n = data.draw(st.integers(min_value=1, max_value=120)
+                      | st.integers(min_value=1, max_value=120 // d).map(lambda t: t * d))
+        assert_factors_match(tmap, n)
+
+    @given(translate_maps(), st.integers(min_value=1, max_value=4))
+    @settings(max_examples=20, deadline=None)
+    def test_random_translates_on_their_grid(self, drawn, multiple):
+        # a mesh of the breakpoints' common denominator: no row is shared
+        tmap, _ = drawn
+        n = multiple * math.lcm(*(b.lo.denominator for b in tmap.branches))
+        assume(n <= 400)
+        assert_factors_match(tmap, n)
+
+    @pytest.mark.parametrize("label, n", [
+        (label, n) for label in ("bundled", "kfold20", "shift10", "tent", "decreasing")
+        for n in (1, 7, 20, 21, 100, 150, 1000, 1001, 1500)
+    ] + [
+        # families whose members meet other branches inside a bin
+        ("kfold20", 1510), ("shift10", 15), ("shift10", 1005),
+    ])
+    def test_named_maps(self, bundled_map, shift10, decreasing_map, label, n):
+        tmap = {"bundled": bundled_map, "kfold20": kfold_moebius(20), "shift10": shift10,
+                "tent": tent_map(), "decreasing": decreasing_map}[label]
+        assert_factors_match(tmap, n)
+
+    @pytest.mark.parametrize("label, n, distinct", [("kfold20", 1500, 150),
+                                                    ("shift10", 1000, 100)])
+    def test_cells_only_for_distinct_rows(self, monkeypatch, shift10, label, n, distinct):
+        # the bench map's 19 linear branches are one family, as are 10x mod 1's
+        tmap = {"kfold20": kfold_moebius(20), "shift10": shift10}[label]
+        assert len(assembled_rows(monkeypatch, tmap, n)) == distinct
+        assert hc.build_closed(tmap, n).rows.shape == (distinct, n)
+
+    @pytest.mark.parametrize("n", [8, 12, 37, 40])
+    def test_object_path_translates(self, n):
+        # three translates whose coefficient denominators pass 2^64, so the
+        # family is assembled in Python integers; on 12 bins their ends
+        # fall inside bins, which they share with their neighbours
+        ends = [F(1, 8) + F(i, 4) for i in range(4)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExpansionWarning)
+            m = hc.PiecewiseMap(
+                [onto_branch("linear", F(0), ends[0], F(0), F(1), True)]
+                + [onto_branch("moebius", a, b, F(0), F(1), True, HUGE)
+                   for a, b in zip(ends, ends[1:])]
+                + [onto_branch("linear", ends[-1], F(1), F(0), F(1), False)],
+                alpha0=F(1, 2), B0=0, label="huge-translates")
+        assert cell_dtypes(m, n) == {np.dtype(object)}
+        assert_factors_match(m, n)
+
+    def test_hand_built_matrix_is_its_own_factor(self):
+        import scipy.sparse as sp
+
+        P = sp.csr_matrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        U = ulam.UlamMatrix(2, P, "hand")
+        assert U.matrix is P and U.row_of is None
+        B, M, classes = spectral._lumped(U)
+        assert B.shape == (1, 2) and M.toarray().tolist() == [[1.0]]
+        assert classes.tolist() == [0, 0]
 
 
 class TestBuildOpen:
