@@ -19,13 +19,14 @@ that is x Q = x P - (sum x) u P, are stored:
 
 P is row-stochastic and u sums to 1, so e_i Q^k = e_i P^k - u P^k exactly.
 Everything is computed from the factors P = A B, with B the m distinct
-rows of P and A the n x m 0/1 class membership, and P itself is never
-formed.  The assembly hands over its distinct rows
-(``UlamMatrix.rows``), and :func:`_equal_rows` over those alone merges
-the classes it did not group.  Equal rows make the chain exactly lumpable
-(Kemeny-Snell, *Finite Markov Chains* 6.3): the distinct rows of P^k are
-M^(k-1) B with the quotient M = B A (m x m).  Q is normed from the
-nonzeros of B for k = 1, each class weighted by its row count.  For the
+rows of P and A the n x m 0/1 class membership, and P itself is not
+kept: its nonzeros are gathered from B only for the k = 1 norms, which
+then add in P's row order, bit for bit as over the expanded matrix.  The
+assembly hands over its distinct rows (``UlamMatrix.rows``), and
+:func:`_equal_rows` over those alone merges the classes it did not
+group; ``UlamMatrix.lumped`` keeps the result.  Equal rows make the chain
+exactly lumpable (Kemeny-Snell, *Finite Markov Chains* 6.3): the distinct
+rows of P^k are M^(k-1) B with the quotient M = B A (m x m).  For the
 later powers narrow dense column blocks of the quotient iterate are
 stepped by the CSR matrix M^T, and v_k = u A M^(k-1) follows the same
 recurrence from A^T u, so w_k = u P^k = v_k B.  Each power's single
@@ -290,11 +291,14 @@ def _equal_rows(P: sp.csr_matrix):
 
 
 def _lumped(matrix: UlamMatrix):
-    """``(B, M, classes)``: the m distinct rows of P, in the order of the
-    first bin that has each, their quotient chain M = B A and the class of
-    each bin, so P = A B with A the n x m 0/1 class membership.
+    """``(B, quotient, classes)``: the m distinct rows of P, in the order of
+    the first bin that has each, their quotient chain M = B A and the class
+    of each bin, so P = A B with A the n x m 0/1 class membership.
     M[c, d] is the mass that a row of class c sends into the bins of
-    class d.
+    class d; ``quotient`` holds it as a trivially factored
+    :class:`UlamMatrix` on the m classes, so its transpose is built once
+    for every iteration and power stepped on it.  Read through
+    ``UlamMatrix.lumped``, which keeps the result.
 
     The classes are found by :func:`_equal_rows` over the matrix's
     assembled rows alone, which merges the equal rows that the assembly did
@@ -313,10 +317,10 @@ def _lumped(matrix: UlamMatrix):
     M = sp.csr_matrix((B.data, classes[B.indices], B.indptr), shape=(m, m),
                       copy=True)    # summing duplicates sorts in place; B keeps its order
     M.sum_duplicates()
-    return B, M, classes
+    return B, UlamMatrix(m, M, matrix.map_fingerprint), classes
 
 
-def _q_power_norms(B: sp.csr_matrix, M: sp.csr_matrix, classes: np.ndarray,
+def _q_power_norms(B: sp.csr_matrix, quotient: UlamMatrix, classes: np.ndarray,
                    u: np.ndarray) -> tuple[list[float], list[float]]:
     """Row- and column-family norms of Q^k, k = 0..N_POWERS, from the
     factors P = A B (``classes`` gives A) and their quotient M = B A.
@@ -326,10 +330,11 @@ def _q_power_norms(B: sp.csr_matrix, M: sp.csr_matrix, classes: np.ndarray,
     distinct rows of P^k are M^(k-1) B, and w_k = v_k B with
     v_k = u A M^(k-1), stepped from v_1 = A^T u.
 
-    k = 1 from the nonzeros of B: row i of Q has L1 norm sum over the
-    support of row i of (|P_ij - w_j| - |w_j|), plus ||w||_1, equal within
-    a class; column j has that excess summed down column j, each class's
-    weighted by its row count, plus n |w_j| (w = w_1).
+    k = 1 from the nonzeros of P, gathered from B for these sums alone and
+    dropped after them (O(nnz(P))), so that w = u P and the column sums add
+    in P's row order: row i of Q has L1 norm sum over the support of row i
+    of (|P_ij - w_j| - |w_j|), plus ||w||_1; column j has that excess
+    summed down column j, plus n |w_j| (w = w_1).
 
     k >= 2 per block of ``_BLOCK`` distinct rows, S = (M^T)[:, block]
     steps as S <- M^T S (CSR, dense m x block).  The deviation is
@@ -342,25 +347,27 @@ def _q_power_norms(B: sp.csr_matrix, M: sp.csr_matrix, classes: np.ndarray,
     import numpy as np
 
     m, n = B.shape
+    M, MT = quotient.matrix, quotient.transposed
+    row_norms = [float(np.max(np.abs(1.0 - u) + (np.abs(u).sum() - np.abs(u))))]
+    col_norms = [1.0]
+    P = B[classes]
+    w = u @ P
+    wj = w[P.indices]
+    excess = np.abs(P.data - wj) - np.abs(wj)
+    # reduceat over the row starts (no Ulam row is empty) adds in the order
+    # of scipy's CSR row sums.  Q = 0 cancels to roundoff of either sign; a
+    # norm is >= 0
+    row_norms.append(max(0.0, float(np.max(np.add.reduceat(excess, P.indptr[:-1])
+                                           + np.abs(w).sum()))))
+    col_norms.append(max(0.0, float(np.max(np.bincount(P.indices, excess, n)
+                                           + n * np.abs(w)))))
+    del P, w, wj, excess
     copies = np.bincount(classes, minlength=m)
-    BT, MT = B.T.tocsr(), M.T.tocsr()
+    BT = B.T.tocsr()
     # v_k = u A M^(k-1), so w_k = v_k B and equal rows cancel v_k exactly
     v = [np.bincount(classes, weights=u, minlength=m)]
     for _ in range(N_POWERS - 1):
         v.append(MT @ v[-1])
-    w = BT @ v[0]
-    row_norms = [float(np.max(np.abs(1.0 - u) + (np.abs(u).sum() - np.abs(u))))]
-    col_norms = [1.0]
-    wj = w[B.indices]
-    excess = np.abs(B.data - wj) - np.abs(wj)
-    # reduceat over the row starts (no Ulam row is empty) adds in the order
-    # of scipy's CSR row sums.  Q = 0 cancels to roundoff of either sign; a
-    # norm is >= 0
-    row_norms.append(max(0.0, float(np.max(np.add.reduceat(excess, B.indptr[:-1])
-                                           + np.abs(w).sum()))))
-    excess *= copies.repeat(np.diff(B.indptr))
-    col_norms.append(max(0.0, float(np.max(np.bincount(B.indices, excess, n)
-                                           + n * np.abs(w)))))
     ones = np.ones(n)
     row_maxima = np.zeros(N_POWERS - 1)
     col_sums = np.zeros((N_POWERS - 1, n))
@@ -384,14 +391,14 @@ def _q_power_norms(B: sp.csr_matrix, M: sp.csr_matrix, classes: np.ndarray,
     return row_norms, col_norms
 
 
-def _density(B: sp.csr_matrix, M: sp.csr_matrix):
+def _density(B: sp.csr_matrix, quotient: UlamMatrix):
     """``(eigenvalue, u, (lower, upper), iterations)``: u = v B, with v the
     power iterate of the quotient M = B A and ``(lower, upper)`` its
     Collatz-Wielandt bracket (see :func:`invariant_density`)."""
     import numpy as np
 
-    lam, v, (lower, upper), iterations = dominant_left_eigenpair(M)
-    slack = (int(np.bincount(M.indices, minlength=1).max()) + 1) * 2.0**-53
+    lam, v, (lower, upper), iterations = dominant_left_eigenpair(quotient)
+    slack = (int(np.bincount(quotient.matrix.indices, minlength=1).max()) + 1) * 2.0**-53
     if not lower * (1.0 - slack) <= 1.0 <= upper * (1.0 + slack):
         raise NoUnitEigenvalueError(f"the dominant eigenvalue's bracket [{lower!r}, {upper!r}], "
                                     f"widened by {slack:.3g} relative, excludes 1")
@@ -407,27 +414,28 @@ def invariant_density(matrix: UlamMatrix):
     Collatz-Wielandt bracket of :func:`dominant_left_eigenpair`.
 
     The iteration runs on the quotient M = B A of P's equal rows
-    (:func:`_lumped`): if v M = v, then u = v B has u P = v B A B = v M B
-    = u, and P's spectral radius is M's.  Each ratio of the bracket is a
-    sum of at most c products, c the largest column count of M, and one
-    division, so it is within (c + 1) 2^-53 relative of the exact ratio.
-    Raises :class:`NoUnitEigenvalueError` when the bracket, widened outward
-    by that bound, excludes 1, and :class:`InvariantDensityError` when u
-    has a negative entry (P has one).
+    (``UlamMatrix.lumped``): if v M = v, then u = v B has u P = v B A B =
+    v M B = u, and P's spectral radius is M's.  Each ratio of the bracket
+    is a sum of at most c products, c the largest column count of M, and
+    one division, so it is within (c + 1) 2^-53 relative of the exact
+    ratio.  Raises :class:`NoUnitEigenvalueError` when the bracket, widened
+    outward by that bound, excludes 1, and :class:`InvariantDensityError`
+    when u has a negative entry (P has one).
     """
-    B, M, _ = _lumped(matrix)
-    return _density(B, M)
+    B, quotient, _ = matrix.lumped
+    return _density(B, quotient)
 
 
 def compute_record(matrix: UlamMatrix) -> SpectralRecord:
     """All r-independent spectral data of a closed Ulam matrix, from its
-    factors alone (P is not formed); raises as :func:`invariant_density`
-    does, so a sub-stochastic matrix gives :class:`NoUnitEigenvalueError`."""
+    factors (P's nonzeros are gathered only for the k = 1 norms, and not
+    kept); raises as :func:`invariant_density` does, so a sub-stochastic
+    matrix gives :class:`NoUnitEigenvalueError`."""
     import numpy as np
 
-    B, M, classes = _lumped(matrix)
-    lam, u, _bracket, iterations = _density(B, M)
-    row_norms, col_norms = _q_power_norms(B, M, classes, u)
+    B, quotient, classes = matrix.lumped
+    lam, u, _bracket, iterations = _density(B, quotient)
+    row_norms, col_norms = _q_power_norms(B, quotient, classes, u)
     _check_submultiplicative(row_norms, "row")
     _check_submultiplicative(col_norms, "column")
     w = np.bincount(classes, weights=u, minlength=B.shape[0]) @ B      # u P

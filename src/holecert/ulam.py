@@ -6,10 +6,10 @@ The closed-system matrix has entries
 
 assembled as its factors P = A B: B holds the distinct rows that the
 assembly computes, and A (``UlamMatrix.row_of``) gives each bin its row
-among them.  Branches that are translates of one another by a whole
-number of bins (the same Moebius map about their left ends, the same
-length and the same grid phase) have equal rows away from their ends, so
-only the first branch of each such family is assembled; a map's other
+among them.  Branches with both ends on the grid that are translates of
+one another by a whole number of bins (the same Moebius map about their
+left ends and the same length) have equal rows, so only the first
+branch of each such family is assembled; a map's other
 equal rows (a tent map's mirrored branches) are merged later, by the
 spectral record.  Of the 1500 rows of perfbench's 20-branch Moebius map
 at 1500 bins (19 of its branches are translates) 150 are assembled, and
@@ -23,7 +23,8 @@ assembled branch below 2^53, Python integers otherwise.  Runs come in
 domain order, so rows never go backwards: each run's cells are appended to
 ``indices`` and ``data``, allocated once at a bound on the cell count, and
 its cells per row are counted into ``indptr``.  scipy then sorts the
-columns of the rows that a decreasing branch wrote back to front.
+columns of the rows that a decreasing branch wrote back to front or that
+two branches share.
 
 Every branch is a Moebius map (p, q, r, s) (a linear branch has r = 0,
 s = 1); with integer coefficients P, Q, R, S the preimage of the grid
@@ -31,9 +32,9 @@ point j/n is (S j - Q n)/(P n - R j), so every entry is an exact rational,
 rounded once to float64 and never rescaled.  The branch computes its
 integer coefficients and endpoints once and keeps them, so a repeated
 assembly does no ``Fraction`` arithmetic outside the shared rows below.
-A row where branches meet is assembled on its own: each branch's cells
-there (a member's are its family's first branch's) are summed exactly in
-``Fraction`` per column before that rounding.  Closed rows sum to 1
+In a row where branches meet inside a bin (all of them assembled: a
+branch with an end inside a bin has no family) each column's cells are
+summed exactly in ``Fraction`` before that rounding.  Closed rows sum to 1
 exactly before it (the map is a self-map of [0, 1]), so a rounded row's
 exact sum is within 2^-53 of 1.  ``UlamMatrix.matrix`` expands P from the
 factors by one row gather on first use, the same bytes as assembling
@@ -141,6 +142,15 @@ class UlamMatrix:
 
     def toarray(self) -> np.ndarray:
         return self.matrix.toarray()
+
+    @cached_property
+    def lumped(self):
+        """``(B, quotient, classes)`` of P's equal rows (see
+        :func:`holecert.spectral._lumped`), found on first use and kept for
+        the density and the record."""
+        from .spectral import _lumped
+
+        return _lumped(self)
 
     @cached_property
     def transposed(self) -> sp.csr_matrix:
@@ -299,25 +309,25 @@ def _translates(branches, grids, n: int) -> tuple[list[int], list[int]]:
     """``(rep, shift)``: for each branch, the first branch of its family
     of translates and how many rows below that branch it lies.
 
-    Branches are translates by a whole number of bins, so that their rows
-    away from their ends are equal, when they have the same Moebius
-    coefficients about their left ends, the same length and the same grid
-    phase lo n mod 1.  Each is compared in lowest terms, from the branch's
-    integer data: x = lo + t gives (P lo_d t + P lo_n + Q lo_d)/(R lo_d t +
-    R lo_n + S lo_d), signed so that its value at t = 0 has a positive
-    denominator.
+    A branch whose ends both lie on the grid (lo n and hi n are whole)
+    covers its rows whole, so it has the rows of any other such branch with
+    the same number of rows and the same Moebius coefficients about its
+    left end, shifted by a whole number of bins.  The coefficients are
+    compared in lowest terms, from the branch's integer data: x = lo + t
+    gives (P lo_d t + P lo_n + Q lo_d)/(R lo_d t + R lo_n + S lo_d), signed
+    so that its value at t = 0 has a positive denominator.  A branch with
+    an end inside a bin is a family of its own, so every branch that meets
+    another inside a bin is assembled.
     """
     rep, shift, seen = [], [], {}
     for b, branch in enumerate(branches):
         P, Q, R, S, lo_n, lo_d, hi_n, hi_d = branch._integers[:8]
-        coeffs = (P * lo_d, P * lo_n + Q * lo_d, R * lo_d, R * lo_n + S * lo_d)
-        g = math.gcd(*coeffs) if coeffs[3] > 0 else -math.gcd(*coeffs)
-        length = (hi_n * lo_d - lo_n * hi_d, hi_d * lo_d)
-        phase = (lo_n * n % lo_d, lo_d)
-        gl, gp = math.gcd(*length), math.gcd(*phase)
-        key = (*(c // g for c in coeffs), length[0] // gl, length[1] // gl,
-               phase[0] // gp, phase[1] // gp)
-        first = seen.setdefault(key, b)
+        first = b
+        if lo_n * n % lo_d == 0 and hi_n * n % hi_d == 0:
+            coeffs = (P * lo_d, P * lo_n + Q * lo_d, R * lo_d, R * lo_n + S * lo_d)
+            g = math.gcd(*coeffs) if coeffs[3] > 0 else -math.gcd(*coeffs)
+            key = (*(c // g for c in coeffs), grids[b][3] - grids[b][2])
+            first = seen.setdefault(key, b)
         rep.append(first)
         shift.append(grids[b][2] - grids[first][2])
     return rep, shift
@@ -331,10 +341,10 @@ def build_closed(tmap: PiecewiseMap, n_bins: int) -> UlamMatrix:
     Every entry is an exact rational from integer preimages of the grid
     points, rounded once to float64.  Only the first branch of each family
     of translates (:func:`_translates`) is assembled: every other member's
-    rows are that branch's rows, except at its ends.  One vectorised pass
-    per run of intervals from :func:`_groups` computes the run's cells, in
-    int64 when one a-priori bound allows it for every assembled branch
-    (see :func:`_int_dtype`).  The cells are written in stream order into
+    rows are that branch's rows.  One vectorised pass per run of intervals
+    from :func:`_groups` computes the run's cells, in int64 when one
+    a-priori bound allows it for every assembled branch (see
+    :func:`_int_dtype`).  The cells are written in stream order into
     ``indices`` and ``data``, allocated once at the bound on the cells that
     :func:`_groups` uses for the assembled branches, and shrunk in place at
     the end.  Each run counts into ``indptr`` the intervals that begin
@@ -342,12 +352,13 @@ def build_closed(tmap: PiecewiseMap, n_bins: int) -> UlamMatrix:
     intervals; rows are numbered in the order of the assembled branches,
     so a member's rows leave no gap.
 
-    A row where two or more branches meet is assembled on its own: each
-    branch's cells there are its family's first branch's cells in the
-    matching end row, and the cells of one column are summed as
-    ``Fraction`` before the one rounding.  ``sort_indices`` orders the
-    columns when a branch decreases.  numpy and ``scipy.sparse`` are
-    imported here, on the first build.
+    Only a row that is an end row of two or more branches can hold a cell
+    of each, in the same column too, and both branches are assembled: such
+    a column's cells are summed as ``Fraction``, the rounded sum goes into
+    its first slot and 0.0 into the others, which ``eliminate_zeros``
+    drops.  ``sort_indices`` orders the columns when a branch decreases or
+    a row is shared.  numpy and ``scipy.sparse`` are imported here, on the
+    first build.
     """
     import numpy as np
     import scipy.sparse as sp
@@ -360,10 +371,6 @@ def build_closed(tmap: PiecewiseMap, n_bins: int) -> UlamMatrix:
     rep, shift = _translates(branches, grids, n)
     own = [b for b, r in enumerate(rep) if r == b]      # the branches assembled
     sub, sub_grids = [branches[b] for b in own], [grids[b] for b in own]
-    # rows where a branch begins and the one before it ends
-    shared = sorted({g[2] for f, g in zip(grids, grids[1:]) if g[2] == f[3]})
-    in_shared = np.zeros(n, dtype=bool)
-    in_shared[shared] = True
     dtype = _int_dtype(sub, n)
     cap = sum(j1 - j0 + i1 - i0 for j0, j1, i0, i1 in sub_grids)
     index = np.int32 if max(n, cap) <= np.iinfo(np.int32).max else np.int64
@@ -372,25 +379,29 @@ def build_closed(tmap: PiecewiseMap, n_bins: int) -> UlamMatrix:
         bounds = np.zeros(n + 1, dtype=index)
         np.add.at(bounds, [g[2] for g in sub_grids], 1)
         np.add.at(bounds, [g[3] + 1 for g in sub_grids], -1)
-        covered = np.cumsum(bounds, out=bounds)[:-1] > 0
-        local = covered.cumsum(dtype=index)
+        local = (np.cumsum(bounds, out=bounds)[:-1] > 0).cumsum(dtype=index)
         local -= 1
         m = int(local[-1]) + 1
     else:
-        covered, local, m = None, None, n
+        local, m = None, n
     indptr = np.zeros(m + 1, dtype=index)
     indices, data = np.empty(cap, dtype=index), np.empty(cap)
-    edges: dict[tuple[int, int], list] = {}     # (branch, row): its cells there
+    # rows where a branch begins and the one before it ends
+    in_shared = np.zeros(n, dtype=bool)
+    in_shared[[g[2] for f, g in zip(grids, grids[1:]) if g[2] == f[3]]] = True
+    shared: dict[tuple[int, int], list] = {}    # (row, col): [exact sum, *slots]
     done = stop = 0
     for run in _groups(sub_grids):
         first, counts, c, num, den = _cells(sub, sub_grids, run, n, dtype)
         if in_shared[first[0]:first[-1] + counts[-1]].any():
             r = _ramps(first, np.ones_like(first), counts)
             edge = np.flatnonzero(in_shared[r])
-            owner = np.repeat([own[b] for b, _, _ in run], [tb - ta for _, ta, tb in run])
-            for key, col, x, y in zip(zip(owner.repeat(counts)[edge].tolist(), r[edge].tolist()),
-                                      c[edge].tolist(), num[edge].tolist(), den[edge].tolist()):
-                edges.setdefault(key, []).append((col, Fraction(x, y)))
+            for key, at, x, y in zip(zip(r[edge].tolist(), c[edge].tolist()),
+                                     (edge + done).tolist(), num[edge].tolist(),
+                                     den[edge].tolist()):
+                entry = shared.setdefault(key, [0])
+                entry[0] += Fraction(x, y)
+                entry.append(at)
         if local is not None:
             first = local[first]
         # count into indptr[i + 1] the intervals that begin inside row i:
@@ -406,70 +417,19 @@ def build_closed(tmap: PiecewiseMap, n_bins: int) -> UlamMatrix:
     np.cumsum(indptr, out=indptr)
     indices.resize(done, refcheck=False)
     data.resize(done, refcheck=False)
+    repeats = []
+    for total, at, *again in shared.values():
+        data[at] = float(total)
+        repeats += again
+    data[repeats] = 0.0
     rows = sp.csr_matrix((data, indices, indptr), shape=(m, n))
-    if shared:
-        rows = _with_shared_rows(rows, shared, covered, local, grids, rep, shift, edges)
-    if not all(b.increasing for b in sub):
+    if shared or not all(b.increasing for b in sub):
         rows.sort_indices()
-    if len(own) == len(branches):
+    if repeats:
+        rows.eliminate_zeros()
+    if local is None:
         return UlamMatrix(n, rows, tmap.fingerprint)
     # a member's row is its family's first branch's row that many rows up
     source = np.repeat(np.array(shift, dtype=index), np.diff([g[2] for g in grids] + [n]))
-    source[in_shared] = 0
     np.subtract(np.arange(n, dtype=index), source, out=source)
-    final = (covered | in_shared).cumsum(dtype=index)
-    final -= 1
-    return UlamMatrix(n, rows, tmap.fingerprint, final[source])
-
-
-def _with_shared_rows(rows, shared, covered, local, grids, rep, shift, edges):
-    """``rows`` with each shared row, a row where branches meet, holding the
-    exact sum of every branch's cells there, rounded once.
-
-    ``edges`` holds the cells of the assembled branches in their shared
-    rows; a member's are those of its family's first branch, ``shift`` rows
-    up.  When every branch that meets another inside a bin is assembled,
-    each shared row already holds all its cells, and their sums overwrite
-    them in place (``eliminate_zeros`` drops the slots of summed repeats).
-    Otherwise the rows are stacked and gathered again, with the shared ones
-    replaced or inserted in the order of their bins.  ``covered`` marks the
-    assembled rows and ``local`` numbers them (both None: every row is
-    assembled).
-    """
-    import numpy as np
-    import scipy.sparse as sp
-
-    meeting = {s: [] for s in shared}
-    for b, (_, _, i0, i1) in enumerate(grids):
-        for s in {i0, i1}.intersection(meeting):
-            meeting[s].append(b)
-    sums = []
-    for s in shared:
-        exact: dict[int, Fraction] = {}
-        for b in meeting[s]:
-            for col, value in edges[rep[b], s - shift[b]]:
-                exact[col] = exact.get(col, 0) + value
-        cols = sorted(exact)
-        sums.append((cols, [float(exact[col]) for col in cols]))
-    if all(rep[b] == b for group in meeting.values() for b in group):
-        ptr, spare = rows.indptr, False
-        for i, (cols, values) in zip(shared if local is None else local[shared], sums):
-            start, stop = ptr[i], ptr[i] + len(cols)
-            rows.indices[start:stop] = cols
-            rows.data[start:stop] = values
-            rows.data[stop:ptr[i + 1]] = 0.0
-            spare |= stop < ptr[i + 1]
-        if spare:
-            rows.eliminate_zeros()
-        return rows
-    extra = sp.csr_matrix(([v for _, values in sums for v in values],
-                           np.array([c for cols, _ in sums for c in cols],
-                                    dtype=rows.indices.dtype),
-                           np.cumsum([0] + [len(cols) for cols, _ in sums])),
-                          shape=(len(shared), rows.shape[1]))
-    in_shared = np.zeros(len(covered), dtype=bool)
-    in_shared[shared] = True
-    keep = np.flatnonzero(covered | in_shared)
-    is_shared = in_shared[keep]
-    order = np.where(is_shared, rows.shape[0] + np.cumsum(is_shared) - 1, local[keep])
-    return sp.vstack([rows, extra], format="csr")[order]
+    return UlamMatrix(n, rows, tmap.fingerprint, local[source])

@@ -125,8 +125,9 @@ class TestMaskedIteration:
 
     @pytest.mark.parametrize("label, widths, bins_per_hole", [
         ("shift10", [F(1, 10), F(1, 100)], 10),
-        # the advisory f* is read off the finest matrix, through the small
-        # quotient of its equal rows (whose transposes are left out below)
+        # the advisory f* is read off the finest matrix, through the
+        # quotient chain of its equal rows, whose transpose is kept too;
+        # u = v B reads B through its transpose, a view that copies nothing
         ("bundled", [F(1, 50), F(1, 100)], 5),
     ])
     def test_cache_shares_transpose_between_points(self, shift10, bundled_map, monkeypatch,
@@ -136,8 +137,13 @@ class TestMaskedIteration:
         transposed = count_transposes(monkeypatch)
         for y in (F(0), F(1, 7), math.sqrt(2) - 1):
             hc.asymptotic_ratio(tmap, y, widths, bins_per_hole, cache=cache)
-        n_bins = [int(bins_per_hole / w) for w in widths]
-        assert [m.shape for m in transposed if m.shape[0] in n_bins] == [(n, n) for n in n_bins]
+        closed = [cache.closed_matrix(tmap, int(bins_per_hole / w)) for w in widths]
+        expected = [m.matrix for m in closed]
+        if label == "bundled":
+            B, quotient, _ = closed[-1].lumped
+            expected += [quotient.matrix, B, B, B]
+        assert len(transposed) == len(expected)
+        assert all(a is b for a, b in zip(transposed, expected))
 
     def test_closed_matrix_checks_kept(self, shift10):
         closed = hc.build_closed(shift10, 20)

@@ -38,13 +38,19 @@ def hand_matrix(entries):
 
 
 def factors(P):
-    """``(B, M, classes)`` of a CSR matrix P, taken as the trivial factorisation."""
-    return spectral._lumped(UlamMatrix(P.shape[0], sp.csr_matrix(P), "test"))
+    """``(B, quotient, classes)`` of a CSR matrix P, taken as the trivial
+    factorisation."""
+    return UlamMatrix(P.shape[0], sp.csr_matrix(P), "test").lumped
 
 
 def factored_norms(P, u):
     """:func:`_q_power_norms` of P's factors."""
-    return _q_power_norms(*factors(P), u)
+    return norms_of(factors(P), u)
+
+
+def norms_of(lumped, u):
+    """:func:`_q_power_norms` of factors ``(B, quotient, classes)`` at u."""
+    return _q_power_norms(*lumped, u)
 
 
 @pytest.fixture(scope="module")
@@ -419,10 +425,9 @@ class TestQPowerNorms:
         ("shared", 100),
     ])
     def test_bit_identical_to_csr_sums(self, bundled_map, decreasing_map, label, n_bins):
-        # the blocks seeded from M's rows change no bit of the powers k >= 2
-        # against the CSR matrices they replace; the k = 1 sums, now taken
-        # per class from B, agree to rounding; the "shared" map's branches
-        # meet inside a bin, so one row has both
+        # the k = 1 sums taken from the nonzeros and the blocks seeded from
+        # M's rows change no bit against the CSR matrices they replace; the
+        # "shared" map's branches meet inside a bin, so one row has both
         shared = hc.PiecewiseMap([Branch(F(0), F(2, 7), F(-7, 2), F(1)),
                                   Branch(F(2, 7), F(1), F(7, 5), F(-2, 5))],
                                  alpha0=F(5, 7), B0=0, label="shared")
@@ -431,22 +436,17 @@ class TestQPowerNorms:
                 "shared": shared}[label]
         M = hc.build_closed(tmap, n_bins)
         P, u = M.matrix, compute_record(M).mass_vector
-        got = _q_power_norms(*spectral._lumped(M), u)
-        ref = spectral_oracle.excess_q_power_norms(P, u, N_POWERS, _BLOCK)
-        for family, before in zip(got, ref):
-            assert family[2:] == before[2:]
-            assert family[0] == before[0]
-            assert abs(family[1] - before[1]) <= 4 * 2.0**-52 * before[1]
+        assert norms_of(M.lumped, u) == spectral_oracle.excess_q_power_norms(
+            P, u, N_POWERS, _BLOCK)
 
     @pytest.mark.parametrize("n_bins", [600, 1500])
     def test_memory_stays_in_column_blocks(self, n_bins):
         # no global P^2: a few dense n x _BLOCK blocks plus O(nnz(P)) arrays
         M = hc.build_closed(kfold_moebius(20), n_bins)
         P, u = M.matrix, compute_record(M).mass_vector
-        B, quotient, classes = factors(P)
         tracemalloc.start()
         try:
-            _q_power_norms(B, quotient, classes, u)
+            factored_norms(P, u)    # the classes of all n rows, the quotient and the norms
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -476,13 +476,9 @@ class TestQPowerNorms:
         P = sp.csr_matrix(np.tile(r / r.sum(), (n, 1)))
         u = rng.multinomial(2**40, np.full(n, 1.0 / n)) / 2.0**40
         assert u.sum() == 1.0 and np.add.accumulate(u)[-1] == 1.0
-        # per class, w = u P = (sum u) r = r exactly, so Q = 0 cancels to 0.0
-        # from k = 1 on (summed over the rows of P, the column family left up
-        # to 1.7e-12 of roundoff at k = 1 and n = 1500)
-        got = factored_norms(P, u)
-        for family, before in zip(got, spectral_oracle.quotient_q_power_norms(P, u, N_POWERS)):
-            assert family[0] == before[0]
-            assert family[1:] == [0.0] * N_POWERS
+        for norms in factored_norms(P, u):
+            assert all(0.0 <= v <= 1e-15 for v in norms[2:])
+        _assert_norms_match(P, u, spectral_oracle.quotient_q_power_norms(P, u, N_POWERS), 1e-15)
 
     def test_zero_powers_clamped(self, shift10_10):
         # P = 1 u exactly, so Q = 0 and the sparse k = 1 formula cancels to roundoff
@@ -596,28 +592,18 @@ class TestFactoredRecord:
         closed = hc.build_closed(tmap, n_bins)
         record = compute_record(closed)
         assert "matrix" not in vars(closed)     # the record never expands P
-        B, M, classes = spectral._lumped(closed)
-        lam, u, (lower, upper), _ = spectral._density(B, M)
-        slack = (np.bincount(M.indices).max() + 1) * 2.0**-53
+        B, quotient, classes = closed.lumped
+        lam, u, (lower, upper), _ = spectral._density(B, quotient)
+        slack = (np.bincount(quotient.matrix.indices).max() + 1) * 2.0**-53
         assert lower * (1 - slack) <= 1.0 <= upper * (1 + slack)
         P = closed.matrix
         _, u_p, _, _ = spectral_oracle.csr_invariant_density(P)
         assert np.all(np.abs(u - u_p) <= u_rtol * u_p)
         assert record.mass_vector.tobytes() == u.tobytes() and record.eigenvalues == (lam,)
         assert abs(record.unit_residual - np.abs(u @ P - lam * u).sum()) <= 1e-15
-        # at the same u: the powers k >= 2 bit for bit; at k = 1 the row
-        # family sums per class with w = (A^T u) B (bit for bit on the bench
-        # and bundled maps, 2 ulp apart on 10x mod 1), and the column family
-        # weights each class by its row count
-        got = _q_power_norms(B, M, classes, u_p)
-        ref = spectral_oracle.csr_q_power_norms(P, u_p, N_POWERS)
-        for family, before in zip(got, ref):
-            assert family[0] == before[0] and family[2:] == before[2:]
-        row, col = got[0][1], got[1][1]
-        assert abs(col - ref[1][1]) <= 2.0**-52 * ref[1][1]
-        if label in ("kfold20", "bundled"):
-            assert row == ref[0][1]
-        assert abs(row - ref[0][1]) <= 4 * 2.0**-52 * ref[0][1]
+        # at the same u, both families bit for bit
+        assert norms_of((B, quotient, classes), u_p) == spectral_oracle.csr_q_power_norms(
+            P, u_p, N_POWERS)
 
 
 class TestNeumannBound:

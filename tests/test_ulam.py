@@ -417,8 +417,9 @@ def translate_maps(draw):
     shape, translates (a linear or Moebius branch of either orientation, at
     an integer or a rational slope) or mirrored pairs, between filler
     branches.  The run starts at a rational point, so on most meshes its
-    branches end inside bins and share their end rows with their
-    neighbours; on a multiple of d bins its branches share one phase."""
+    branches end inside bins, share their end rows with their neighbours
+    and are assembled each on its own; on a mesh that holds its ends they
+    are one family."""
     k = draw(st.integers(min_value=2, max_value=5))
     d = draw(st.integers(min_value=k, max_value=3 * k))
     length = F(1, d)
@@ -457,7 +458,7 @@ def assert_factors_match(tmap, n):
     P = U.matrix
     for got, ref in zip((P.indptr, P.indices, P.data), ulam_branchwise.closed_csr(tmap, n)):
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-    B, _, classes = spectral._lumped(U)
+    B, _, classes = U.lumped
     first, ref_classes, copies = spectral._equal_rows(P)
     assert classes.dtype == ref_classes.dtype and classes.tobytes() == ref_classes.tobytes()
     assert np.unique(classes, return_index=True)[1].tobytes() == first.tobytes()
@@ -495,7 +496,7 @@ class TestTranslateFamilies:
     @settings(max_examples=80, deadline=None)
     def test_random_translates(self, drawn, data):
         # any mesh, or a multiple of d bins, on which the run is one family
-        # of translates (or two, of mirrored branches) even off the grid
+        # of translates (or two, of mirrored branches) when it starts on the grid
         tmap, d = drawn
         n = data.draw(st.integers(min_value=1, max_value=120)
                       | st.integers(min_value=1, max_value=120 // d).map(lambda t: t * d))
@@ -514,7 +515,8 @@ class TestTranslateFamilies:
         (label, n) for label in ("bundled", "kfold20", "shift10", "tent", "decreasing")
         for n in (1, 7, 20, 21, 100, 150, 1000, 1001, 1500)
     ] + [
-        # families whose members meet other branches inside a bin
+        # meshes on which some translates end inside a bin, so that only
+        # those with both ends on the grid form families
         ("kfold20", 1510), ("shift10", 15), ("shift10", 1005),
     ])
     def test_named_maps(self, bundled_map, shift10, decreasing_map, label, n):
@@ -553,9 +555,10 @@ class TestTranslateFamilies:
         P = sp.csr_matrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
         U = ulam.UlamMatrix(2, P, "hand")
         assert U.matrix is P and U.row_of is None
-        B, M, classes = spectral._lumped(U)
-        assert B.shape == (1, 2) and M.toarray().tolist() == [[1.0]]
+        B, quotient, classes = U.lumped
+        assert B.shape == (1, 2) and quotient.toarray().tolist() == [[1.0]]
         assert classes.tolist() == [0, 0]
+        assert U.lumped[1] is quotient     # found once and kept
 
 
 class TestBuildOpen:
