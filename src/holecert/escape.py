@@ -1,13 +1,13 @@
 """Escape behavior of concrete open systems.
 
 The dominant eigenpair of the sub-stochastic open Ulam matrix (the closed
-one with the hole's rows zeroed, stepped as a mask on the closed matrix)
-gives the discrete escape factor e_H (escape rate -ln e_H), a
-Collatz-Wielandt bracket of it and the conditionally invariant density
-estimate.  A second tool runs the shrinking-hole experiment: for nested
-aligned holes around a point y, the ratios (1 - e_H) / lambda(H) approach
-f*(y) when y is non-periodic and f*(y) (1 - 1/|(T^p)'(y)|) when y has
-period p, f* the invariant density.
+one with the hole's rows zeroed, stepped as the masked chain B D A of the
+closed matrix's factors) gives the discrete escape factor e_H (escape
+rate -ln e_H), a Collatz-Wielandt bracket of it and the conditionally
+invariant density estimate.  A second tool runs the shrinking-hole
+experiment: for nested aligned holes around a point y, the ratios
+(1 - e_H) / lambda(H) approach f*(y) when y is non-periodic and
+f*(y) (1 - 1/|(T^p)'(y)|) when y has period p, f* the invariant density.
 Ulam densities only converge in L1, so any pointwise f* read off the
 closed matrix is advisory; for full-branch piecewise-linear maps f* = 1
 is exact and used directly.  numpy is imported inside the functions that
@@ -70,21 +70,32 @@ def estimate_escape(closed: UlamMatrix, hole: Hole) -> EscapeEstimate:
     leave by an ulp.  A hole that swallows everything reachable yields
     e_H = 0 with ``total_escape`` set.
 
-    The open system is the closed matrix with the hole's bins masked: each
-    step is ``P^T (x * keep)`` with the closed matrix's cached transpose
-    and ``keep`` zero on the hole's bins, bit for bit the iteration on the
-    explicit open matrix P_H.  Every hole on one closed matrix shares that
-    transpose.  The hole's endpoints must be multiples of 1/n for the
-    matrix's bin count n (:class:`~holecert.ulam.HoleAlignmentError`).
+    The open matrix is P_H = D A B, with P = A B the closed matrix's
+    factors (``closed.rows``, ``closed.row_of``) and D the 0/1 mask of the
+    bins outside the hole.  The iteration runs on the m x m chain
+    M_H = B D A, which has P_H's nonzero eigenvalues (Horn-Johnson, *Matrix
+    Analysis*, 1.3); the columns of a row that fall in one class stay
+    duplicate entries, which each step adds.  v M_H = e_H v gives the accim
+    mass vector x = v B, normalised: x P_H = v M_H B = e_H x.  The hole's
+    endpoints must be multiples of 1/n for the matrix's bin count n
+    (:class:`~holecert.ulam.HoleAlignmentError`).
     """
     import numpy as np
+    import scipy.sparse as sp
 
     n = closed.n_bins
     hole_bins = hole.bin_range(n)   # raises HoleAlignmentError if misaligned
     keep = np.ones(n)
     keep[hole_bins.start:hole_bins.stop] = 0.0
-    lam, x, (lower, upper), iters = dominant_left_eigenpair(closed, keep=keep)
+    B, row_of = closed.rows, closed.row_of
+    m = B.shape[0]
+    cols = B.indices if row_of is None else row_of[B.indices]
+    M_H = sp.csr_matrix((B.data * keep[B.indices], cols, B.indptr), shape=(m, m))
+    lam, v, (lower, upper), iters = dominant_left_eigenpair(M_H)
     lam = min(max(lam, lower), upper)
+    x = B.T @ v
+    if lam:
+        x /= x.sum()
     return EscapeEstimate(hole=hole, n_bins=n, e_H=lam, e_H_lower=lower, e_H_upper=upper,
                           escape_rate=-math.log(lam) if lam else math.inf,
                           accim_density=x * n, iterations=iters, total_escape=lam == 0.0)

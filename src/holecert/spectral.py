@@ -44,7 +44,8 @@ row family's Neumann bound alongside for audit.
 The invariant mass vector is u = v B, with v the iterate of power
 iteration on the quotient M stopped by a Collatz-Wielandt bracket of the
 dominant eigenvalue, which must contain 1 to within its rounding bound:
-v M = v gives u P = v B A B = v M B = u.
+v M = v gives u P = v B A B = v M B = u.  Escape estimates run the same
+iteration on an open system's masked chain B D A (:mod:`holecert.escape`).
 
 No eigensolver is needed for the spectral layout.  P is row-stochastic,
 so the sum-zero row vectors form an invariant subspace on which P acts as
@@ -77,11 +78,11 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .ulam import UlamMatrix
-
 if TYPE_CHECKING:
     import numpy as np
     import scipy.sparse as sp
+
+    from .ulam import UlamMatrix
 
 __all__ = [
     "SpectralRecord",
@@ -126,13 +127,14 @@ class NeumannDivergenceError(ArithmeticError):
     """Neumann tail ratio q >= 1 at the record's truncation index."""
 
 
-def dominant_left_eigenpair(P: sp.csr_matrix | UlamMatrix, keep: np.ndarray | None = None):
+def dominant_left_eigenpair(A: sp.csr_matrix):
     """Power iteration for the dominant left eigenpair of a nonnegative matrix A.
 
-    Steps ``y = x A``, as ``A^T x`` with A^T in CSR, from the uniform vector
-    with L1 normalization and returns ``(value, x, (lower, upper),
-    iterations)``: the last mass ratio ``sum(y)``, the normalized iterate
-    and the Collatz-Wielandt bracket (Horn-Johnson, *Matrix Analysis*, 8.1)
+    Steps ``y = x A``, as ``A^T x`` with A^T the CSC view of A (no copy),
+    from the uniform vector with L1 normalization and returns ``(value, x,
+    (lower, upper), iterations)``: the last mass ratio ``sum(y)``, the
+    normalized iterate and the Collatz-Wielandt bracket (Horn-Johnson,
+    *Matrix Analysis*, 8.1)
 
         min y_i / x_i  <=  rho(A)  <=  max y_i / x_i      over the x_i > 0.
 
@@ -146,23 +148,16 @@ def dominant_left_eigenpair(P: sp.csr_matrix | UlamMatrix, keep: np.ndarray | No
     Zero entries of x drop out of the bracket, which still encloses rho(A):
     the iterate's support only shrinks and keeps every bin on a cycle of A,
     so A restricted to it keeps every irreducible class of A and rho(A).
-
-    ``P`` is a CSR matrix, whose transpose is built for this call, or an
-    :class:`UlamMatrix`, whose cached ``transposed`` is used.  A 0/1
-    ``keep`` mask makes A the matrix P with the rows where it is 0 zeroed,
-    ``x -> (x * keep) @ P``: the open system of a hole, as its closed
-    matrix with the hole's bins masked.  Bit for bit the same as iterating
-    the explicit open matrix P_H, since its dropped entries only add
-    ``P[i, j] * 0.0`` to nonnegative sums.
+    Duplicate entries of A are added by the step like any others.
     """
     import numpy as np
 
-    PT = P.transposed if isinstance(P, UlamMatrix) else P.T.tocsr()
-    n = PT.shape[0]
+    AT = A.T
+    n = AT.shape[0]
     x = np.full(n, 1.0 / n)
     previous = math.inf
     for it in range(1, 10**6 + 1):
-        y = PT @ (x if keep is None else x * keep)
+        y = AT @ x
         value = float(y.sum())
         if value == 0.0:
             return 0.0, y, (0.0, 0.0), it
@@ -295,10 +290,9 @@ def _lumped(matrix: UlamMatrix):
     the first bin that has each, their quotient chain M = B A and the class
     of each bin, so P = A B with A the n x m 0/1 class membership.
     M[c, d] is the mass that a row of class c sends into the bins of
-    class d; ``quotient`` holds it as a trivially factored
-    :class:`UlamMatrix` on the m classes, so its transpose is built once
-    for every iteration and power stepped on it.  Read through
-    ``UlamMatrix.lumped``, which keeps the result.
+    class d; ``quotient`` holds it as an m x m CSR matrix with no
+    duplicate entries.  Read through ``UlamMatrix.lumped``, which keeps
+    the result.
 
     The classes are found by :func:`_equal_rows` over the matrix's
     assembled rows alone, which merges the equal rows that the assembly did
@@ -317,10 +311,10 @@ def _lumped(matrix: UlamMatrix):
     M = sp.csr_matrix((B.data, classes[B.indices], B.indptr), shape=(m, m),
                       copy=True)    # summing duplicates sorts in place; B keeps its order
     M.sum_duplicates()
-    return B, UlamMatrix(m, M, matrix.map_fingerprint), classes
+    return B, M, classes
 
 
-def _q_power_norms(B: sp.csr_matrix, quotient: UlamMatrix, classes: np.ndarray,
+def _q_power_norms(B: sp.csr_matrix, M: sp.csr_matrix, classes: np.ndarray,
                    u: np.ndarray) -> tuple[list[float], list[float]]:
     """Row- and column-family norms of Q^k, k = 0..N_POWERS, from the
     factors P = A B (``classes`` gives A) and their quotient M = B A.
@@ -347,7 +341,7 @@ def _q_power_norms(B: sp.csr_matrix, quotient: UlamMatrix, classes: np.ndarray,
     import numpy as np
 
     m, n = B.shape
-    M, MT = quotient.matrix, quotient.transposed
+    MT = M.T.tocsr()
     row_norms = [float(np.max(np.abs(1.0 - u) + (np.abs(u).sum() - np.abs(u))))]
     col_norms = [1.0]
     P = B[classes]
@@ -391,14 +385,14 @@ def _q_power_norms(B: sp.csr_matrix, quotient: UlamMatrix, classes: np.ndarray,
     return row_norms, col_norms
 
 
-def _density(B: sp.csr_matrix, quotient: UlamMatrix):
+def _density(B: sp.csr_matrix, M: sp.csr_matrix):
     """``(eigenvalue, u, (lower, upper), iterations)``: u = v B, with v the
     power iterate of the quotient M = B A and ``(lower, upper)`` its
     Collatz-Wielandt bracket (see :func:`invariant_density`)."""
     import numpy as np
 
-    lam, v, (lower, upper), iterations = dominant_left_eigenpair(quotient)
-    slack = (int(np.bincount(quotient.matrix.indices, minlength=1).max()) + 1) * 2.0**-53
+    lam, v, (lower, upper), iterations = dominant_left_eigenpair(M)
+    slack = (int(np.bincount(M.indices, minlength=1).max()) + 1) * 2.0**-53
     if not lower * (1.0 - slack) <= 1.0 <= upper * (1.0 + slack):
         raise NoUnitEigenvalueError(f"the dominant eigenvalue's bracket [{lower!r}, {upper!r}], "
                                     f"widened by {slack:.3g} relative, excludes 1")
@@ -422,8 +416,8 @@ def invariant_density(matrix: UlamMatrix):
     outward by that bound, excludes 1, and :class:`InvariantDensityError`
     when u has a negative entry (P has one).
     """
-    B, quotient, _ = matrix.lumped
-    return _density(B, quotient)
+    B, M, _ = matrix.lumped
+    return _density(B, M)
 
 
 def compute_record(matrix: UlamMatrix) -> SpectralRecord:
@@ -433,9 +427,9 @@ def compute_record(matrix: UlamMatrix) -> SpectralRecord:
     matrix gives :class:`NoUnitEigenvalueError`."""
     import numpy as np
 
-    B, quotient, classes = matrix.lumped
-    lam, u, _bracket, iterations = _density(B, quotient)
-    row_norms, col_norms = _q_power_norms(B, quotient, classes, u)
+    B, M, classes = matrix.lumped
+    lam, u, _bracket, iterations = _density(B, M)
+    row_norms, col_norms = _q_power_norms(B, M, classes, u)
     _check_submultiplicative(row_norms, "row")
     _check_submultiplicative(col_norms, "column")
     w = np.bincount(classes, weights=u, minlength=B.shape[0]) @ B      # u P

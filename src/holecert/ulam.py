@@ -37,15 +37,15 @@ branch with an end inside a bin has no family) each column's cells are
 summed exactly in ``Fraction`` before that rounding.  Closed rows sum to 1
 exactly before it (the map is a self-map of [0, 1]), so a rounded row's
 exact sum is within 2^-53 of 1.  ``UlamMatrix.matrix`` expands P from the
-factors by one row gather on first use, the same bytes as assembling
-every row.  The open-system matrix P_H for a hole aligned with
-the partition is the closed matrix with the rows of all bins inside the
-hole zeroed; it is sub-stochastic and its dominant eigenvalue is the
-discrete escape factor.  Since ``x P_H = (x 1_{not H}) P``,
-an open system is its closed matrix plus a mask of the hole's bins: escape
-estimates step the closed matrix's cached CSR transpose
-(``UlamMatrix.transposed``) with the mask applied, and the explicit ``P_H``
-lives only in the tests' reference (``tests/escape_oracle.py``).
+factors by one row gather on first use, for ``toarray``, ``row_sums`` and
+the tests: no path that certifies or estimates escape reads it.  The
+open-system matrix P_H for a hole aligned with the partition is the
+closed matrix with the rows of all bins inside the hole zeroed; it is
+sub-stochastic and its dominant eigenvalue is the discrete escape factor.
+Escape estimates step the m x m chain B D A, D the mask of the bins
+outside the hole, which has P_H = D A B's nonzero eigenvalues; the
+explicit ``P_H`` lives only in the tests' reference
+(``tests/escape_oracle.py``).
 
 The factors are ``scipy.sparse.csr_matrix`` rows and an index array,
 wrapped with their bin count and the map's fingerprint.  numpy and
@@ -151,12 +151,6 @@ class UlamMatrix:
         from .spectral import _lumped
 
         return _lumped(self)
-
-    @cached_property
-    def transposed(self) -> sp.csr_matrix:
-        """P^T in CSR, built on first use and kept: ``x @ P`` as ``P^T @ x``
-        for every hole stepped on this matrix."""
-        return self.matrix.T.tocsr()
 
 
 # -- assembly ------------------------------------------------------------------

@@ -80,3 +80,15 @@ def cap_power_steps(monkeypatch):
         monkeypatch.setattr(hc.spectral, "range",
                             lambda start, stop: builtins.range(start, steps + 1), raising=False)
     return cap
+
+
+@pytest.fixture
+def escape_eigenpairs(monkeypatch):
+    """The results of ``dominant_left_eigenpair`` as ``estimate_escape``
+    calls it, looked up in ``holecert.escape`` where perfbench's tracer
+    wraps it, in call order."""
+    calls = []
+    step = hc.spectral.dominant_left_eigenpair
+    monkeypatch.setattr(hc.escape, "dominant_left_eigenpair",
+                        lambda A: calls.append(step(A)) or calls[-1])
+    return calls

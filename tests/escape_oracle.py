@@ -1,14 +1,16 @@
 """Reference escape estimates: the open Ulam matrix formed explicitly, and
 the power iteration stopped by tolerances.
 
-``holecert.escape.estimate_escape`` steps the closed matrix's cached
-transpose with the hole's bins masked.  :func:`build_open` copies the
-closed matrix without the hole's rows, and :func:`open_matrix_escape`
-runs ``dominant_left_eigenpair`` on that copy through a transpose built
-for the call.  The library never forms this open matrix P_H; the tests
-compare the masked iteration against it: ``e_H``, its bracket,
-``iterations``, ``total_escape`` and the bytes of ``accim_density`` must
-agree.
+``holecert.escape.estimate_escape`` steps the m x m chain M_H = B D A of
+the closed matrix's factors P = A B, D the mask of the bins outside the
+hole.  :func:`build_open` copies the expanded closed matrix without the
+hole's rows, and :func:`open_matrix_escape` runs
+``dominant_left_eigenpair`` on that copy.  The library never forms this
+open matrix P_H.  It has M_H's nonzero eigenvalues, but its sums run in
+another order, so the tests compare the two to rounding: ``e_H`` in P_H's
+bracket widened by 1e-12 relative and within 1e-12 relative of its
+estimate, ``accim_density`` within 1e-12 in L1 (as masses),
+``total_escape`` equal and ``iterations`` within 2.
 
 :func:`tolerance_escape` is the estimate as it was before the
 Collatz-Wielandt bracket stopped the iteration: successive mass ratios and

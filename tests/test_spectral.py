@@ -113,25 +113,31 @@ class TestPowerIteration:
         assert not x.any()
 
     @pytest.mark.parametrize("masked", [False, True])
-    def test_step_count_is_an_int(self, shift10_10, masked):
-        # perfbench/tracing.py adds result[3] into its iteration counters.
+    def test_step_count_is_an_int(self, shift10_10, escape_eigenpairs, masked):
+        # perfbench/tracing.py adds result[3] into its iteration counters;
+        # for an escape estimate it wraps the name in holecert.escape.
         # A rank-one stochastic matrix maps the uniform vector to itself, and
         # the second step is the first on which the mass ratio has settled.
-        keep = np.ones(10) if masked else None
-        result = dominant_left_eigenpair(shift10_10, keep=keep)
-        assert type(result[3]) is int and result[3] == 2
+        if masked:
+            est = hc.estimate_escape(shift10_10, hc.Hole(F(0), F(1, 10)))
+            assert len(escape_eigenpairs) == 1 and escape_eigenpairs[0][3] == est.iterations
+            result = escape_eigenpairs[0]
+        else:
+            result = dominant_left_eigenpair(shift10_10.matrix)
+            assert result[3] == 2
+        assert type(result[3]) is int
 
     def test_bracket_that_never_narrows(self, shift10_10, cap_power_steps):
         # the first step has no settled mass ratio to test the bracket on
         cap_power_steps(1)
         with pytest.raises(PowerIterationError, match="did not narrow .* in 1 steps"):
-            dominant_left_eigenpair(shift10_10)
+            dominant_left_eigenpair(shift10_10.matrix)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(1, 40),
            st.sampled_from(["closed", "open", "zero", "hole"]))
     @settings(max_examples=40, deadline=None)
     def test_matches_row_vector_loop(self, seed, n, kind):
-        # the transposed-CSR iteration against an x @ P loop
+        # the iteration against a loop that steps x @ P and stops by the same rule
         rng = np.random.default_rng(seed)
         A = rng.random((n, n)) * (rng.random((n, n)) < 0.4) + 1e-3
         A /= A.sum(axis=1, keepdims=True)
@@ -224,11 +230,17 @@ class TestEigenAnalysis:
         assert density.sum() / 100 == pytest.approx(1.0, abs=1e-13)
 
     def test_record_keeps_no_transpose(self, bundled_map):
-        # the record's power iteration transposes for the call only; a
-        # closed matrix keeps a transpose once an escape estimate asks
+        # the record reads the factors and the quotient of P's equal rows;
+        # no closed matrix keeps P or a transpose of it, in the record or
+        # in a certification run
         M = hc.build_closed(bundled_map, 100)
         compute_record(M)
-        assert "transposed" not in vars(M)
+        assert "matrix" not in vars(M) and "transposed" not in vars(M)
+        cache = hc.PipelineCache()
+        assert hc.run_certification(bundled_map, F(1, 25), 1000,
+                                    cache=cache).status == "certified"
+        assert all("matrix" not in vars(cache.closed_matrix(bundled_map, n))
+                   for n in (1000, 10000))
 
     def test_requires_closed_mode(self, shift10):
         # a sub-stochastic matrix wrapped by hand has no unit eigenvalue
@@ -594,7 +606,7 @@ class TestFactoredRecord:
         assert "matrix" not in vars(closed)     # the record never expands P
         B, quotient, classes = closed.lumped
         lam, u, (lower, upper), _ = spectral._density(B, quotient)
-        slack = (np.bincount(quotient.matrix.indices).max() + 1) * 2.0**-53
+        slack = (np.bincount(quotient.indices).max() + 1) * 2.0**-53
         assert lower * (1 - slack) <= 1.0 <= upper * (1 + slack)
         P = closed.matrix
         _, u_p, _, _ = spectral_oracle.csr_invariant_density(P)
