@@ -2,7 +2,8 @@
 
 The dominant eigenpair of the sub-stochastic open Ulam matrix (the closed
 one with the hole's rows zeroed, stepped as the masked chain B D A of the
-closed matrix's factors) gives the discrete escape factor e_H (escape
+closed matrix's factors, on the classes of its assembly; the holes on one
+matrix share its column array) gives the discrete escape factor e_H (escape
 rate -ln e_H), a Collatz-Wielandt bracket of it and the conditionally
 invariant density estimate.  A second tool runs the shrinking-hole
 experiment: for nested aligned holes around a point y, the ratios
@@ -73,32 +74,25 @@ def estimate_escape(closed: UlamMatrix, hole: Hole) -> EscapeEstimate:
     The open matrix is P_H = D A B, with P = A B the closed matrix's
     factors (``closed.rows``, ``closed.row_of``) and D the 0/1 mask of the
     bins outside the hole.  The iteration runs on the m x m chain
-    M_H = B D A, which has P_H's nonzero eigenvalues (Horn-Johnson, *Matrix
-    Analysis*, 1.3); the columns of a row that fall in one class stay
-    duplicate entries, which each step adds.  v M_H = e_H v gives the accim
-    mass vector x = v B, normalised: x P_H = v M_H B = e_H x.  The hole's
-    endpoints must be multiples of 1/n for the matrix's bin count n
+    M_H = B D A (``closed.masked_quotient``), which has P_H's nonzero
+    eigenvalues (Horn-Johnson, *Matrix Analysis*, 1.3); the columns of a
+    row that fall in one class stay duplicate entries, which each step
+    adds.  v M_H = e_H v gives the accim mass vector x = v B, normalised:
+    x P_H = v M_H B = e_H x.  The hole's endpoints must be multiples of
+    1/n for the matrix's bin count n
     (:class:`~holecert.ulam.HoleAlignmentError`).
     """
-    import numpy as np
-    import scipy.sparse as sp
-
     n = closed.n_bins
     hole_bins = hole.bin_range(n)   # raises HoleAlignmentError if misaligned
-    keep = np.ones(n)
-    keep[hole_bins.start:hole_bins.stop] = 0.0
-    B, row_of = closed.rows, closed.row_of
-    m = B.shape[0]
-    cols = B.indices if row_of is None else row_of[B.indices]
-    M_H = sp.csr_matrix((B.data * keep[B.indices], cols, B.indptr), shape=(m, m))
-    lam, v, (lower, upper), iters = dominant_left_eigenpair(M_H)
+    lam, v, (lower, upper), iters = dominant_left_eigenpair(closed.masked_quotient(hole_bins))
     lam = min(max(lam, lower), upper)
-    x = B.T @ v
+    x = closed.rows.T @ v
     if lam:
         x /= x.sum()
+    x *= n
     return EscapeEstimate(hole=hole, n_bins=n, e_H=lam, e_H_lower=lower, e_H_upper=upper,
                           escape_rate=-math.log(lam) if lam else math.inf,
-                          accim_density=x * n, iterations=iters, total_escape=lam == 0.0)
+                          accim_density=x, iterations=iters, total_escape=lam == 0.0)
 
 
 @dataclass(frozen=True)

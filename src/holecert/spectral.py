@@ -18,18 +18,17 @@ that is x Q = x P - (sum x) u P, are stored:
 * ``q_power_norms_colsum``  column family (matrix 1-norm); entry 0 is 1.
 
 P is row-stochastic and u sums to 1, so e_i Q^k = e_i P^k - u P^k exactly.
-Everything is computed from the factors P = A B, with B the m distinct
-rows of P and A the n x m 0/1 class membership, and P itself is not
-kept: its nonzeros are gathered from B only for the k = 1 norms, which
-then add in P's row order, bit for bit as over the expanded matrix.  The
-assembly hands over its distinct rows (``UlamMatrix.rows``), and
-:func:`_equal_rows` over those alone merges the classes it did not
-group; ``UlamMatrix.lumped`` keeps the result.  Equal rows make the chain
-exactly lumpable (Kemeny-Snell, *Finite Markov Chains* 6.3): the distinct
-rows of P^k are M^(k-1) B with the quotient M = B A (m x m).  For the
-later powers narrow dense column blocks of the quotient iterate are
-stepped by the CSR matrix M^T, and v_k = u A M^(k-1) follows the same
-recurrence from A^T u, so w_k = u P^k = v_k B.  Each power's single
+Everything is computed from the factors P = A B that the assembly hands
+over, B its m rows (``UlamMatrix.rows``) and A the n x m 0/1 membership
+of its classes (``UlamMatrix.row_of``), and P itself is not kept: its
+nonzeros are gathered from B only for the k = 1 norms, which then add in
+P's row order, bit for bit as over the expanded matrix.  Equal rows make
+the chain exactly lumpable (Kemeny-Snell, *Finite Markov Chains* 6.3):
+the rows of P^k are M^(k-1) B with the quotient M = B A (m x m,
+``UlamMatrix.quotient``).  For the later powers narrow dense column
+blocks of the quotient iterate are stepped by the CSR matrix M^T, and
+v_k = u A M^(k-1) follows the same recurrence from A^T u, so
+w_k = u P^k = v_k B.  Each power's single
 subtraction is taken in the quotient, e_c M^(k-1) - v_k, where equal rows
 cancel it exactly, and only that difference is expanded by B^T to take
 |e_i P^k - w_k|.  No power of P is formed, and every stepping product
@@ -163,7 +162,8 @@ def dominant_left_eigenpair(A: sp.csr_matrix):
             return 0.0, y, (0.0, 0.0), it
         if abs(value - previous) <= BRACKET_WIDTH * value:
             support = x > 0.0
-            ratios = y[support] / x[support]
+            ratios = y[support]
+            ratios /= x[support]
             lower, upper = float(ratios.min()), float(ratios.max())
             if upper - lower <= BRACKET_WIDTH * upper:
                 y /= value
@@ -257,63 +257,6 @@ def _check_submultiplicative(norms, label: str) -> None:
                 )
 
 
-def _equal_rows(P: sp.csr_matrix):
-    """Classes of equal rows of a float64 CSR matrix: ``(first, classes,
-    copies)``, the lowest row of each class, the class of each row and the
-    rows in each class, with the classes in the order of their lowest rows.
-
-    Rows are equal when their column indices and data bits are.  The rows
-    of each length are sorted by a table of their length, indices and data
-    bits; the sort is stable, so each class's lowest row comes first, and a
-    class starts wherever a sorted row differs from the one before it.
-    """
-    import numpy as np
-
-    indptr = P.indptr
-    nnz = np.diff(indptr)
-    bits = P.data.view(np.int64)
-    rep = np.empty(P.shape[0], dtype=np.intp)
-    for length in np.unique(nnz):
-        rows = np.flatnonzero(nnz == length)
-        at = indptr[rows, None] + np.arange(length)
-        # the length column gives lexsort a key even for empty rows
-        table = np.hstack((np.full((len(rows), 1), length), P.indices[at], bits[at]))
-        order = np.lexsort(table.T)
-        table, rows = table[order], rows[order]
-        new = np.r_[True, (table[1:] != table[:-1]).any(axis=1)]
-        rep[rows] = rows[new][np.cumsum(new) - 1]
-    return np.unique(rep, return_inverse=True, return_counts=True)
-
-
-def _lumped(matrix: UlamMatrix):
-    """``(B, quotient, classes)``: the m distinct rows of P, in the order of
-    the first bin that has each, their quotient chain M = B A and the class
-    of each bin, so P = A B with A the n x m 0/1 class membership.
-    M[c, d] is the mass that a row of class c sends into the bins of
-    class d; ``quotient`` holds it as an m x m CSR matrix with no
-    duplicate entries.  Read through ``UlamMatrix.lumped``, which keeps
-    the result.
-
-    The classes are found by :func:`_equal_rows` over the matrix's
-    assembled rows alone, which merges the equal rows that the assembly did
-    not group (a tent map's mirrored branches); the assembled rows are in
-    the order of their first bins, so the classes are exactly those of
-    ``_equal_rows(P)``.
-    """
-    import scipy.sparse as sp
-
-    rows = matrix.rows
-    first, classes, _ = _equal_rows(rows)
-    if matrix.row_of is not None:
-        classes = classes[matrix.row_of]
-    m = len(first)
-    B = rows if m == rows.shape[0] else rows[first]     # first is 0 .. m-1 when all differ
-    M = sp.csr_matrix((B.data, classes[B.indices], B.indptr), shape=(m, m),
-                      copy=True)    # summing duplicates sorts in place; B keeps its order
-    M.sum_duplicates()
-    return B, M, classes
-
-
 def _q_power_norms(B: sp.csr_matrix, M: sp.csr_matrix, classes: np.ndarray,
                    u: np.ndarray) -> tuple[list[float], list[float]]:
     """Row- and column-family norms of Q^k, k = 0..N_POWERS, from the
@@ -321,7 +264,7 @@ def _q_power_norms(B: sp.csr_matrix, M: sp.csr_matrix, classes: np.ndarray,
 
     Q = (1 - Pi1) P, i.e. x Q = x P - (sum x) u P.  P is row-stochastic
     and u sums to 1, so e_i Q^k = e_i P^k - w_k with w_k = u P^k; the
-    distinct rows of P^k are M^(k-1) B, and w_k = v_k B with
+    rows of P^k are M^(k-1) B, and w_k = v_k B with
     v_k = u A M^(k-1), stepped from v_1 = A^T u.
 
     k = 1 from the nonzeros of P, gathered from B for these sums alone and
@@ -330,7 +273,7 @@ def _q_power_norms(B: sp.csr_matrix, M: sp.csr_matrix, classes: np.ndarray,
     of (|P_ij - w_j| - |w_j|), plus ||w||_1; column j has that excess
     summed down column j, plus n |w_j| (w = w_1).
 
-    k >= 2 per block of ``_BLOCK`` distinct rows, S = (M^T)[:, block]
+    k >= 2 per block of ``_BLOCK`` rows of B, S = (M^T)[:, block]
     steps as S <- M^T S (CSR, dense m x block).  The deviation is
     subtracted in the quotient and then expanded, Z = |B^T (S - v_k)| =
     |(those rows of P^k) - w_k|^T, so the stepping products stay
@@ -385,39 +328,32 @@ def _q_power_norms(B: sp.csr_matrix, M: sp.csr_matrix, classes: np.ndarray,
     return row_norms, col_norms
 
 
-def _density(B: sp.csr_matrix, M: sp.csr_matrix):
-    """``(eigenvalue, u, (lower, upper), iterations)``: u = v B, with v the
-    power iterate of the quotient M = B A and ``(lower, upper)`` its
-    Collatz-Wielandt bracket (see :func:`invariant_density`)."""
-    import numpy as np
-
-    lam, v, (lower, upper), iterations = dominant_left_eigenpair(M)
-    slack = (int(np.bincount(M.indices, minlength=1).max()) + 1) * 2.0**-53
-    if not lower * (1.0 - slack) <= 1.0 <= upper * (1.0 + slack):
-        raise NoUnitEigenvalueError(f"the dominant eigenvalue's bracket [{lower!r}, {upper!r}], "
-                                    f"widened by {slack:.3g} relative, excludes 1")
-    u = v @ B
-    if u.min() < 0.0:
-        raise InvariantDensityError(f"invariant density has a negative entry ({u.min():.3e})")
-    return lam, u, (lower, upper), iterations
-
-
 def invariant_density(matrix: UlamMatrix):
     """``(eigenvalue, u, (lower, upper), iterations)`` of a closed Ulam
     matrix: u its invariant mass vector (>= 0, summing to 1) and a
     Collatz-Wielandt bracket of :func:`dominant_left_eigenpair`.
 
-    The iteration runs on the quotient M = B A of P's equal rows
-    (``UlamMatrix.lumped``): if v M = v, then u = v B has u P = v B A B =
-    v M B = u, and P's spectral radius is M's.  Each ratio of the bracket
-    is a sum of at most c products, c the largest column count of M, and
-    one division, so it is within (c + 1) 2^-53 relative of the exact
-    ratio.  Raises :class:`NoUnitEigenvalueError` when the bracket, widened
-    outward by that bound, excludes 1, and :class:`InvariantDensityError`
-    when u has a negative entry (P has one).
+    The iteration runs on the quotient M = B A (``UlamMatrix.quotient``):
+    if v M = v, then u = v B has u P = v B A B = v M B = u, and P's
+    spectral radius is M's.  Each ratio of the bracket is a sum of at most
+    c products, c the largest column count of M, and one division, so it
+    is within (c + 1) 2^-53 relative of the exact ratio.  Raises
+    :class:`NoUnitEigenvalueError` when the bracket, widened outward by
+    that bound, excludes 1, and :class:`InvariantDensityError` when u has
+    a negative entry (P has one).
     """
-    B, M, _ = matrix.lumped
-    return _density(B, M)
+    import numpy as np
+
+    M = matrix.quotient
+    lam, v, (lower, upper), iterations = dominant_left_eigenpair(M)
+    slack = (int(np.bincount(M.indices, minlength=1).max()) + 1) * 2.0**-53
+    if not lower * (1.0 - slack) <= 1.0 <= upper * (1.0 + slack):
+        raise NoUnitEigenvalueError(f"the dominant eigenvalue's bracket [{lower!r}, {upper!r}], "
+                                    f"widened by {slack:.3g} relative, excludes 1")
+    u = v @ matrix.rows
+    if u.min() < 0.0:
+        raise InvariantDensityError(f"invariant density has a negative entry ({u.min():.3e})")
+    return lam, u, (lower, upper), iterations
 
 
 def compute_record(matrix: UlamMatrix) -> SpectralRecord:
@@ -427,8 +363,9 @@ def compute_record(matrix: UlamMatrix) -> SpectralRecord:
     matrix gives :class:`NoUnitEigenvalueError`."""
     import numpy as np
 
-    B, M, classes = matrix.lumped
-    lam, u, _bracket, iterations = _density(B, M)
+    B, M = matrix.rows, matrix.quotient
+    classes = np.arange(matrix.n_bins) if matrix.row_of is None else matrix.row_of
+    lam, u, _bracket, iterations = invariant_density(matrix)
     row_norms, col_norms = _q_power_norms(B, M, classes, u)
     _check_submultiplicative(row_norms, "row")
     _check_submultiplicative(col_norms, "column")

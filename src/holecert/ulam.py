@@ -4,16 +4,19 @@ The closed-system matrix has entries
 
     P[i, j] = lambda(bin_i  intersect  T^-1 bin_j) / lambda(bin_i),
 
-assembled as its factors P = A B: B holds the distinct rows that the
-assembly computes, and A (``UlamMatrix.row_of``) gives each bin its row
-among them.  Branches with both ends on the grid that are translates of
-one another by a whole number of bins (the same Moebius map about their
-left ends and the same length) have equal rows, so only the first
-branch of each such family is assembled; a map's other
-equal rows (a tent map's mirrored branches) are merged later, by the
-spectral record.  Of the 1500 rows of perfbench's 20-branch Moebius map
-at 1500 bins (19 of its branches are translates) 150 are assembled, and
-of the 1000 rows of 10x mod 1 at 1000 bins 100.
+assembled as its factors P = A B: B holds the rows that the assembly
+computes, and A (``UlamMatrix.row_of``) gives each bin its row
+among them.  Branches with both ends on the grid and the same length
+have equal rows when they are translates of one another by a whole
+number of bins (the same Moebius map about their left ends) or mirror
+images (the same map about the one's left end and, with x reversed, the
+other's right end), in reverse order for a mirror image, so only the
+first branch of each such family is assembled.  These classes are the
+only ones: every later layer works in the quotient by them, and equal
+rows of no family (a symmetric map's branches with ends inside bins)
+stay apart.  Of the 1500 rows of perfbench's 20-branch Moebius map at
+1500 bins (19 of its branches are translates) 150 are assembled, of the
+1000 rows of 10x mod 1 at 1000 bins 100, and of a tent map's 500.
 
 The assembled branches are streamed in one pass.  One vectorised integer
 pass per run of intervals computes the run's cells (a run holds a few
@@ -42,10 +45,12 @@ the tests: no path that certifies or estimates escape reads it.  The
 open-system matrix P_H for a hole aligned with the partition is the
 closed matrix with the rows of all bins inside the hole zeroed; it is
 sub-stochastic and its dominant eigenvalue is the discrete escape factor.
-Escape estimates step the m x m chain B D A, D the mask of the bins
-outside the hole, which has P_H = D A B's nonzero eigenvalues; the
-explicit ``P_H`` lives only in the tests' reference
-(``tests/escape_oracle.py``).
+Escape estimates step the m x m chain B D A
+(``UlamMatrix.masked_quotient``), D the mask of the bins outside the
+hole, which has P_H = D A B's nonzero eigenvalues; the explicit ``P_H``
+lives only in the tests' reference (``tests/escape_oracle.py``).  With
+no hole it is the quotient B A that the spectral record steps
+(``UlamMatrix.quotient``), and both share one column array.
 
 The factors are ``scipy.sparse.csr_matrix`` rows and an index array,
 wrapped with their bin count and the map's fingerprint.  numpy and
@@ -119,10 +124,11 @@ class UlamMatrix:
     """The closed Ulam matrix P of a map on ``n_bins`` uniform bins, with
     the map's fingerprint, held as its factors P = A B.
 
-    ``rows`` is B, a CSR matrix of distinct rows, ordered by the first bin
-    that uses each; ``row_of[i]`` is the row of bin i among them (A is its
-    0/1 membership).  ``row_of = None`` is the trivial factorisation, in
-    which ``rows`` is P itself: a hand-built CSR matrix is that.
+    ``rows`` is B, a CSR matrix of the rows that the assembly computes,
+    ordered by the first bin that uses each; ``row_of[i]`` is the row of
+    bin i among them, its class (A is its 0/1 membership).  ``row_of =
+    None`` is the trivial factorisation, in which ``rows`` is P itself and
+    each bin is a class of its own: a hand-built CSR matrix is that.
     """
 
     n_bins: int
@@ -144,13 +150,34 @@ class UlamMatrix:
         return self.matrix.toarray()
 
     @cached_property
-    def lumped(self):
-        """``(B, quotient, classes)`` of P's equal rows (see
-        :func:`holecert.spectral._lumped`), found on first use and kept for
-        the density and the record."""
-        from .spectral import _lumped
+    def quotient(self) -> sp.csr_matrix:
+        """The m x m quotient chain M = B A, kept: M[c, d] is the mass that
+        row c sends into the bins of row d, with no duplicate entries."""
+        M = self.masked_quotient(range(0)).copy()   # summing sorts in place
+        M.sum_duplicates()
+        return M
 
-        return _lumped(self)
+    def masked_quotient(self, hole: range) -> sp.csr_matrix:
+        """B D A, D the 0/1 mask of the bins outside ``hole`` (a range of
+        bins): B's nonzeros in the columns of their bins' rows, with those
+        in the hole's bins zeroed, and with the columns of a row that fall
+        in one class left as duplicate entries.  It shares B's ``indptr``
+        and the column array, which is kept for the next hole."""
+        import numpy as np
+        import scipy.sparse as sp
+
+        B, m = self.rows, self.rows.shape[0]
+        data = B.data
+        if hole:
+            inside = B.indices >= hole.start
+            inside &= B.indices < hole.stop
+            data = np.where(inside, 0.0, data)
+        return sp.csr_matrix((data, self._columns, B.indptr), shape=(m, m))
+
+    @cached_property
+    def _columns(self) -> np.ndarray:
+        """``row_of[B.indices]``: the class of the bin of each nonzero of B."""
+        return self.rows.indices if self.row_of is None else self.row_of[self.rows.indices]
 
 
 # -- assembly ------------------------------------------------------------------
@@ -299,43 +326,58 @@ def _cells(branches, grids, run, n: int, dtype):
     return first.astype(np.int64, copy=False), counts, cols, num, den
 
 
-def _translates(branches, grids, n: int) -> tuple[list[int], list[int]]:
-    """``(rep, shift)``: for each branch, the first branch of its family
-    of translates and how many rows below that branch it lies.
+def _translates(branches, grids, n: int) -> list[tuple[int, bool]]:
+    """``(rep, mirrored)`` for each branch: the first branch of its family
+    and whether the branch is that branch's mirror image.
 
     A branch whose ends both lie on the grid (lo n and hi n are whole)
-    covers its rows whole, so it has the rows of any other such branch with
-    the same number of rows and the same Moebius coefficients about its
-    left end, shifted by a whole number of bins.  The coefficients are
+    covers its rows whole.  So it has the rows of any other such branch
+    with the same number of rows and the same Moebius coefficients about
+    its left end, shifted by a whole number of bins (a translate), and, in
+    reverse order, the rows of one whose coefficients about its right end
+    with x reversed are those (a mirror image).  The coefficients are
     compared in lowest terms, from the branch's integer data: x = lo + t
-    gives (P lo_d t + P lo_n + Q lo_d)/(R lo_d t + R lo_n + S lo_d), signed
-    so that its value at t = 0 has a positive denominator.  A branch with
-    an end inside a bin is a family of its own, so every branch that meets
-    another inside a bin is assembled.
+    gives (P lo_d t + P lo_n + Q lo_d)/(R lo_d t + R lo_n + S lo_d), and
+    x = hi - t gives (-P hi_d t + P hi_n + Q hi_d)/(-R hi_d t + R hi_n +
+    S hi_d), each signed so that its value at t = 0 has a positive
+    denominator; the second is formed only when the first names no
+    family.  A branch with an end inside a bin is a family of its own, so
+    every branch that meets another inside a bin is assembled.
     """
-    rep, shift, seen = [], [], {}
+    families, seen = [], {}
     for b, branch in enumerate(branches):
         P, Q, R, S, lo_n, lo_d, hi_n, hi_d = branch._integers[:8]
-        first = b
+        family = (b, False)
         if lo_n * n % lo_d == 0 and hi_n * n % hi_d == 0:
-            coeffs = (P * lo_d, P * lo_n + Q * lo_d, R * lo_d, R * lo_n + S * lo_d)
-            g = math.gcd(*coeffs) if coeffs[3] > 0 else -math.gcd(*coeffs)
-            key = (*(c // g for c in coeffs), grids[b][3] - grids[b][2])
-            first = seen.setdefault(key, b)
-        rep.append(first)
-        shift.append(grids[b][2] - grids[first][2])
-    return rep, shift
+            rows = grids[b][3] - grids[b][2]
+            key = _lowest(P * lo_d, P * lo_n + Q * lo_d, R * lo_d, R * lo_n + S * lo_d, rows)
+            if key in seen:
+                family = (seen[key], False)
+            elif (mirror := _lowest(-P * hi_d, P * hi_n + Q * hi_d, -R * hi_d,
+                                    R * hi_n + S * hi_d, rows)) in seen:
+                family = (seen[mirror], True)
+            else:
+                seen[key] = b
+        families.append(family)
+    return families
+
+
+def _lowest(p, q, r, s, rows) -> tuple[int, ...]:
+    """The coefficients (p, q, r, s) in lowest terms with s > 0, and ``rows``."""
+    g = math.gcd(p, q, r, s) if s > 0 else -math.gcd(p, q, r, s)
+    return p // g, q // g, r // g, s // g, rows
 
 
 def build_closed(tmap: PiecewiseMap, n_bins: int) -> UlamMatrix:
     """Assemble the row-stochastic Ulam matrix of the closed system on the
-    uniform partition of [0, 1) into ``n_bins`` bins, as its distinct rows
+    uniform partition of [0, 1) into ``n_bins`` bins, as the rows it computes
     and the row of each bin (see :class:`UlamMatrix`).
 
     Every entry is an exact rational from integer preimages of the grid
     points, rounded once to float64.  Only the first branch of each family
-    of translates (:func:`_translates`) is assembled: every other member's
-    rows are that branch's rows.  One vectorised pass per run of intervals
+    of translates and mirror images (:func:`_translates`) is assembled:
+    every other member's rows are that branch's rows, in reverse order for
+    a mirror image.  One vectorised pass per run of intervals
     from :func:`_groups` computes the run's cells, in int64 when one
     a-priori bound allows it for every assembled branch (see
     :func:`_int_dtype`).  The cells are written in stream order into
@@ -362,8 +404,8 @@ def build_closed(tmap: PiecewiseMap, n_bins: int) -> UlamMatrix:
         raise ValueError("partition needs at least one bin")
     branches = tmap.branches
     grids = [_grid(b, n) for b in branches]
-    rep, shift = _translates(branches, grids, n)
-    own = [b for b, r in enumerate(rep) if r == b]      # the branches assembled
+    families = _translates(branches, grids, n)
+    own = [b for b, (rep, _) in enumerate(families) if rep == b]    # the branches assembled
     sub, sub_grids = [branches[b] for b in own], [grids[b] for b in own]
     dtype = _int_dtype(sub, n)
     cap = sum(j1 - j0 + i1 - i0 for j0, j1, i0, i1 in sub_grids)
@@ -423,7 +465,12 @@ def build_closed(tmap: PiecewiseMap, n_bins: int) -> UlamMatrix:
         rows.eliminate_zeros()
     if local is None:
         return UlamMatrix(n, rows, tmap.fingerprint)
-    # a member's row is its family's first branch's row that many rows up
-    source = np.repeat(np.array(shift, dtype=index), np.diff([g[2] for g in grids] + [n]))
-    np.subtract(np.arange(n, dtype=index), source, out=source)
+    # a member's bin takes the row of its family's first branch's bin that
+    # many bins on, counted from the other end for a mirror image
+    source = np.arange(n, dtype=index)
+    for b, (rep, mirrored) in enumerate(families):
+        if rep != b:
+            _, _, i0, i1 = grids[b]
+            start = grids[rep][2]
+            source[i0:i1 + 1] = source[start:start + i1 - i0 + 1][::-1 if mirrored else 1]
     return UlamMatrix(n, rows, tmap.fingerprint, local[source])

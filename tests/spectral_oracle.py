@@ -25,13 +25,44 @@ factors P = A B: power iteration on P itself, the classes of equal rows
 found over all n rows, and the k = 1 sums over the nonzeros of P with
 w = u P.  At the same u the factored norms must equal both references bit
 for bit for k >= 2, and to rounding for k = 1.
+
+``_equal_rows`` is the sort over rows' bits that the record used to merge
+the equal rows that the assembly did not group; these references and the
+tests of the assembly's classes find P's equal rows with it.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from holecert.spectral import (NoUnitEigenvalueError, _BLOCK, _equal_rows,
-                               dominant_left_eigenpair)
+from holecert.spectral import NoUnitEigenvalueError, _BLOCK, dominant_left_eigenpair
+
+
+def _equal_rows(P: sp.csr_matrix):
+    """Classes of equal rows of a float64 CSR matrix: ``(first, classes,
+    copies)``, the lowest row of each class, the class of each row and the
+    rows in each class, with the classes in the order of their lowest rows.
+
+    Rows are equal when their column indices and data bits are.  The rows
+    of each length are sorted by a table of their length, indices and data
+    bits; the sort is stable, so each class's lowest row comes first, and a
+    class starts wherever a sorted row differs from the one before it.
+    """
+    import numpy as np
+
+    indptr = P.indptr
+    nnz = np.diff(indptr)
+    bits = P.data.view(np.int64)
+    rep = np.empty(P.shape[0], dtype=np.intp)
+    for length in np.unique(nnz):
+        rows = np.flatnonzero(nnz == length)
+        at = indptr[rows, None] + np.arange(length)
+        # the length column gives lexsort a key even for empty rows
+        table = np.hstack((np.full((len(rows), 1), length), P.indices[at], bits[at]))
+        order = np.lexsort(table.T)
+        table, rows = table[order], rows[order]
+        new = np.r_[True, (table[1:] != table[:-1]).any(axis=1)]
+        rep[rows] = rows[new][np.cumsum(new) - 1]
+    return np.unique(rep, return_inverse=True, return_counts=True)
 
 
 def q_power_norms(P, u, n_powers: int, block_size: int = 1024):

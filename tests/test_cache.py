@@ -82,7 +82,7 @@ def test_record_from_older_norm_code_is_recomputed(tmp_path, shift10):
     cache = hc.PipelineCache(tmp_path)
     record = cache.spectral_record(shift10, 100)
     path = cache._record_path(shift10.fingerprint, 100)
-    assert json.loads(path.read_bytes().partition(b"\n")[0])["schema"] == hc.cache.RECORD_SCHEMA == 10
+    assert json.loads(path.read_bytes().partition(b"\n")[0])["schema"] == hc.cache.RECORD_SCHEMA == 11
     _rewrite_record(path, schema=6, q_power_norms=np.full(7, 0.5))
 
     rebuilt = hc.PipelineCache(tmp_path)
@@ -236,7 +236,7 @@ def test_record_file_matches_numpy_writer(tmp_path, bundled_map, shift10, decrea
     lambda data: b"[7]" + data[data.index(b"\n"):],
     lambda data: data + bytes(8),
     lambda data: data.replace(b'"lengths": [7, 7, 40]', b'"lengths": [7, 8, 39]'),
-    lambda data: data.replace(b'"schema": 10', b'"schema": 9'),
+    lambda data: data.replace(b'"schema": 11', b'"schema": 10'),
 ], ids=["truncated", "truncated-mid-value", "header-only", "no-newline", "header-not-json",
         "header-not-object", "payload-too-long", "lengths-disagree", "wrong-schema"])
 def test_damaged_record_is_recomputed(tmp_path, bundled_map, damage):
@@ -256,7 +256,9 @@ def test_damaged_record_is_recomputed(tmp_path, bundled_map, damage):
     assert path.read_bytes() == data
 
 
-def test_legacy_record_listed_and_purged_but_never_read(tmp_path, shift10):
+def test_legacy_record_left_alone(tmp_path, shift10):
+    # the npz records of older versions are not the cache's: never read,
+    # listed or purged
     cache = hc.PipelineCache(tmp_path)
     current = cache._record_path(shift10.fingerprint, 10)
     legacy = current.with_name(current.name.replace(".spectral.bin", ".spectral.npz"))
@@ -264,10 +266,9 @@ def test_legacy_record_listed_and_purged_but_never_read(tmp_path, shift10):
         np.savez(fh, mass_vector=np.full(10, 0.1), meta=json.dumps({"schema": 6}))
     cache.spectral_record(shift10, 10)
     assert cache.stats["spectral_builds"] == 1
-    assert [(e["file"], e["kind"]) for e in cache.entries()] == [
-        (current.name, "spectral"), (legacy.name, "legacy spectral")]
-    assert cache.purge() == 2
-    assert list(tmp_path.iterdir()) == []
+    assert [(e["file"], e["kind"]) for e in cache.entries()] == [(current.name, "spectral")]
+    assert cache.purge() == 1
+    assert list(tmp_path.iterdir()) == [legacy]
 
 
 def test_directory_created_on_first_write(tmp_path, shift10):

@@ -263,19 +263,19 @@ class TestCacheCommands:
         main(["certify", "--map", shift_map_path, "--ell", "1/25",
               "--bins-init", "10", "--cache-dir", str(scratch),
               "--out", str(tmp_path / "c.json")])
-        # cache directories of older versions also hold text matrices
+        # a file the cache does not own is neither listed nor purged: the
+        # text matrices of older versions are not the cache's either
         (scratch / "x.matrix.txt").write_text("n_bins 1\n")
-        # a file the cache does not own is neither listed nor purged
         (scratch / "notes.txt").write_text("keep me\n")
         capsys.readouterr()
         assert main(["cache", "inspect", "--cache-dir", str(scratch)]) == 0
         inspected = capsys.readouterr().out
-        assert "legacy matrix" in inspected and "notes.txt" not in inspected
+        assert "matrix" not in inspected and "notes.txt" not in inspected
         assert main(["cache", "purge", "--cache-dir", str(scratch)]) == 0
-        assert "purged 2 cached files" in capsys.readouterr().out
+        assert "purged 1 cached files" in capsys.readouterr().out
         assert main(["cache", "list", "--cache-dir", str(scratch)]) == 0
         assert "empty" in capsys.readouterr().out
-        assert (scratch / "notes.txt").exists()
+        assert (scratch / "notes.txt").exists() and (scratch / "x.matrix.txt").exists()
 
     @pytest.mark.parametrize("action", ["list", "inspect", "purge"])
     def test_read_only_commands_create_no_directory(self, tmp_path, capsys, action):

@@ -11,7 +11,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import holecert as hc
 from holecert.maps import as_rational
-from holecert import spectral
 from escape_oracle import build_open, open_matrix_escape, tolerance_escape
 from holecert.escape import (
     PERIOD_SEARCH_LIMIT,
@@ -110,11 +109,13 @@ class TestMaskedIteration:
     @pytest.mark.parametrize("n", [10, 11, 100, 1000, 5000])
     @pytest.mark.parametrize("label", ["shift10", "bundled", "decreasing", "tent"])
     def test_matches_open_matrix(self, shift10, bundled_map, decreasing_map, tent, label, n):
-        # the tent map's mirrored rows are equal, but the assembly does not
-        # group them: its M_H is stepped on the assembled rows
+        # the tent map's mirror images are one family on an even mesh, so
+        # its M_H is stepped on n/2 rows there, and on n rows on an odd one
         tmap = {"shift10": shift10, "bundled": bundled_map, "decreasing": decreasing_map,
                 "tent": tent}[label]
         closed = hc.build_closed(tmap, n)
+        if label == "tent":
+            assert closed.rows.shape[0] == (n if n % 2 else n // 2)
         for hole in oracle_holes(n):
             assert_close_estimate(estimate_escape(closed, hole),
                                   open_matrix_escape(tmap, n, hole, closed=closed))
@@ -135,12 +136,16 @@ class TestMaskedIteration:
 
     def test_one_transpose_for_many_holes(self, bundled_map):
         # each hole steps the transpose view of its own M_H and reads B
-        # through its transpose view; the closed matrix keeps neither P
-        # (UlamMatrix.matrix, a cached property) nor a transpose between holes
+        # through its transpose view; between holes the closed matrix keeps
+        # the column array of M_H, but neither P (UlamMatrix.matrix, a
+        # cached property) nor a transpose
         closed = hc.build_closed(bundled_map, 500)
+        columns = []
         for hole in oracle_holes(500):
             estimate_escape(closed, hole)
-        assert sorted(vars(closed)) == ["map_fingerprint", "n_bins", "row_of", "rows"]
+            columns.append(vars(closed)["_columns"])
+        assert sorted(vars(closed)) == ["_columns", "map_fingerprint", "n_bins", "row_of", "rows"]
+        assert all(c is columns[0] for c in columns)    # gathered once, for every hole
         assert not hasattr(hc.UlamMatrix, "transposed")
 
     @pytest.mark.parametrize("label, widths, bins_per_hole", [
@@ -149,20 +154,22 @@ class TestMaskedIteration:
         # quotient of its equal rows, which the points on one cache share
         ("bundled", [F(1, 50), F(1, 100)], 5),
     ])
-    def test_cache_shares_transpose_between_points(self, shift10, bundled_map, monkeypatch,
-                                                   label, widths, bins_per_hole):
+    def test_cache_shares_transpose_between_points(self, shift10, bundled_map, label, widths,
+                                                   bins_per_hole):
         tmap = {"shift10": shift10, "bundled": bundled_map}[label]
         cache = hc.PipelineCache()
-        lumped, lump = [], spectral._lumped
-        monkeypatch.setattr(spectral, "_lumped", lambda m: lumped.append(m) or lump(m))
+        closed = [cache.closed_matrix(tmap, int(bins_per_hole / w)) for w in widths]
+        quotients = []
         for y in (F(0), F(1, 7), math.sqrt(2) - 1):
             hc.asymptotic_ratio(tmap, y, widths, bins_per_hole, cache=cache)
-        closed = [cache.closed_matrix(tmap, int(bins_per_hole / w)) for w in widths]
+            quotients.append([vars(m).get("quotient") for m in closed])
         assert all("matrix" not in vars(m) for m in closed)
-        # 10x mod 1 has f* = 1 and needs no quotient
-        expected = [closed[-1]] if label == "bundled" else []
-        assert len(lumped) == len(expected)
-        assert all(a is b for a, b in zip(lumped, expected))
+        # 10x mod 1 has f* = 1 and needs no quotient; the bundled map builds
+        # the finest matrix's once
+        assert all(q[:-1] == [None] for q in quotients)
+        finest = [q[-1] for q in quotients]
+        assert all(q is finest[0] for q in finest)
+        assert (finest[0] is None) == (label == "shift10")
 
     def test_peak_memory_below_expanded_p(self, shift10):
         # a fresh build and one hole hold the factors and M_H, never P

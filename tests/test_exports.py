@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import json
@@ -37,6 +38,22 @@ def test_public_surface_is_frozen():
 def test_all_names_resolve(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_no_private_imports_between_modules():
+    # a module reads another holecert module through its public names only:
+    # an underscore name imported across modules is a decision shared
+    # between them
+    src = Path(holecert.__file__).resolve().parent
+    private = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").partition(".")[0] == "holecert"):
+                private += [f"{path.stem}: {'.' * node.level}{node.module or ''} {alias.name}"
+                            for alias in node.names
+                            if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert private == []
 
 
 #: prints, as JSON, the top-level names of the modules that importing the

@@ -22,7 +22,6 @@ from holecert.spectral import (
     PowerIterationError,
     SpectralStructureError,
     _BLOCK,
-    _equal_rows,
     _q_power_norms,
     compute_record,
     dominant_left_eigenpair,
@@ -30,6 +29,7 @@ from holecert.spectral import (
     neumann_bound,
 )
 from holecert.ulam import UlamMatrix
+from spectral_oracle import _equal_rows
 
 
 def hand_matrix(entries):
@@ -38,9 +38,11 @@ def hand_matrix(entries):
 
 
 def factors(P):
-    """``(B, quotient, classes)`` of a CSR matrix P, taken as the trivial
-    factorisation."""
-    return UlamMatrix(P.shape[0], sp.csr_matrix(P), "test").lumped
+    """P as hand-built factors: its distinct rows, found by the oracle's
+    ``_equal_rows``, and the row of each bin among them."""
+    P = sp.csr_matrix(P)
+    first, classes, _ = _equal_rows(P)
+    return UlamMatrix(P.shape[0], P[first], "test", classes)
 
 
 def factored_norms(P, u):
@@ -48,9 +50,10 @@ def factored_norms(P, u):
     return norms_of(factors(P), u)
 
 
-def norms_of(lumped, u):
-    """:func:`_q_power_norms` of factors ``(B, quotient, classes)`` at u."""
-    return _q_power_norms(*lumped, u)
+def norms_of(matrix, u):
+    """:func:`_q_power_norms` of an Ulam matrix's factors and quotient at u."""
+    classes = np.arange(matrix.n_bins) if matrix.row_of is None else matrix.row_of
+    return _q_power_norms(matrix.rows, matrix.quotient, classes, u)
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +140,7 @@ class TestPowerIteration:
            st.sampled_from(["closed", "open", "zero", "hole"]))
     @settings(max_examples=40, deadline=None)
     def test_matches_row_vector_loop(self, seed, n, kind):
-        # the iteration against a loop that steps x @ P and stops by the same rule
+        # the iteration against a dense loop that stops by the same rule
         rng = np.random.default_rng(seed)
         A = rng.random((n, n)) * (rng.random((n, n)) < 0.4) + 1e-3
         A /= A.sum(axis=1, keepdims=True)
@@ -184,12 +187,17 @@ class TestPowerIteration:
 
 
 def _row_vector_power_iteration(P):
-    """The power iteration with ``x @ P`` on every step."""
-    n = P.shape[0]
+    """The power iteration on the dense array of P, stepping y = x P as the
+    sum of the rows x_i P_i in row order (the order in which the sparse
+    step adds its products, so the two agree bit for bit)."""
+    A = P.toarray()
+    n = A.shape[0]
     x = np.full(n, 1.0 / n)
     previous = math.inf
     for it in range(1, 10**6 + 1):
-        y = x @ P
+        y = np.zeros(n)
+        for xi, row in zip(x, A):
+            y += xi * row
         value = float(y.sum())
         if value == 0.0:
             return 0.0, y, (0.0, 0.0), it
@@ -448,7 +456,7 @@ class TestQPowerNorms:
                 "shared": shared}[label]
         M = hc.build_closed(tmap, n_bins)
         P, u = M.matrix, compute_record(M).mass_vector
-        assert norms_of(M.lumped, u) == spectral_oracle.excess_q_power_norms(
+        assert norms_of(M, u) == spectral_oracle.excess_q_power_norms(
             P, u, N_POWERS, _BLOCK)
 
     @pytest.mark.parametrize("n_bins", [600, 1500])
@@ -485,10 +493,12 @@ class TestQPowerNorms:
         rng = np.random.default_rng(n)
         r = np.zeros(n)
         r[rng.choice(n, min(n, 40), replace=False)] = rng.random(min(n, 40)) + 0.01
-        P = sp.csr_matrix(np.tile(r / r.sum(), (n, 1)))
+        # hand-built factors: the one row r and the row of every bin
+        matrix = UlamMatrix(n, sp.csr_matrix(r / r.sum()), "test", np.zeros(n, dtype=np.intp))
+        P = matrix.matrix
         u = rng.multinomial(2**40, np.full(n, 1.0 / n)) / 2.0**40
         assert u.sum() == 1.0 and np.add.accumulate(u)[-1] == 1.0
-        for norms in factored_norms(P, u):
+        for norms in norms_of(matrix, u):
             assert all(0.0 <= v <= 1e-15 for v in norms[2:])
         _assert_norms_match(P, u, spectral_oracle.quotient_q_power_norms(P, u, N_POWERS), 1e-15)
 
@@ -555,16 +565,12 @@ class TestEqualRows:
 
     @pytest.mark.parametrize("label", ["kfold20", "bundled", "shift10", "all-equal",
                                        "all-distinct"])
-    def test_matches_byte_keys(self, bundled_map, monkeypatch, label):
+    def test_matches_byte_keys(self, bundled_map, label):
         P = self.matrix(label, bundled_map)
         got, ref = _equal_rows(P), _byte_key_classes(P)
         for a, b in zip(got, ref):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert len(got[0]) == {"all-equal": 1, "all-distinct": 300}.get(label, len(got[0]))
-        u = np.full(P.shape[0], 1.0 / P.shape[0])
-        norms = factored_norms(P, u)
-        monkeypatch.setattr(spectral, "_equal_rows", _byte_key_classes)
-        assert factored_norms(P, u) == norms
 
     @pytest.mark.parametrize("rows, n_classes", [
         ([[(0, 0.5), (1, 0.5)], [(0, 0.5), (1, np.nextafter(0.5, 1.0))],
@@ -604,18 +610,25 @@ class TestFactoredRecord:
         closed = hc.build_closed(tmap, n_bins)
         record = compute_record(closed)
         assert "matrix" not in vars(closed)     # the record never expands P
-        B, quotient, classes = closed.lumped
-        lam, u, (lower, upper), _ = spectral._density(B, quotient)
-        slack = (np.bincount(quotient.indices).max() + 1) * 2.0**-53
+        lam, u, (lower, upper), _ = spectral.invariant_density(closed)
+        slack = (np.bincount(closed.quotient.indices).max() + 1) * 2.0**-53
         assert lower * (1 - slack) <= 1.0 <= upper * (1 + slack)
         P = closed.matrix
         _, u_p, _, _ = spectral_oracle.csr_invariant_density(P)
         assert np.all(np.abs(u - u_p) <= u_rtol * u_p)
         assert record.mass_vector.tobytes() == u.tobytes() and record.eigenvalues == (lam,)
         assert abs(record.unit_residual - np.abs(u @ P - lam * u).sum()) <= 1e-15
-        # at the same u, both families bit for bit
-        assert norms_of((B, quotient, classes), u_p) == spectral_oracle.csr_q_power_norms(
-            P, u_p, N_POWERS)
+        # at the same u and the same classes, both families bit for bit.  The
+        # assembly leaves apart equal rows of branches that end inside a bin
+        # (two of the decreasing map's at 1001 bins), which moves the norms
+        # by rounding only
+        ref = spectral_oracle.csr_q_power_norms(P, u_p, N_POWERS)
+        assert norms_of(factors(P), u_p) == ref
+        got = norms_of(closed, u_p)
+        if closed.rows.shape[0] == len(_equal_rows(P)[0]):
+            assert got == ref
+        for family, want in zip(got, ref):
+            assert all(abs(a - b) <= 1e-14 * b for a, b in zip(family, want))
 
 
 class TestNeumannBound:

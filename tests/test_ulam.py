@@ -11,9 +11,10 @@ import holecert as hc
 import ulam_branchwise
 import ulam_oracle
 from escape_oracle import build_open
-from holecert import spectral, ulam
+from holecert import ulam
 from holecert.maps import Branch, ExpansionWarning
 from holecert.ulam import HoleAlignmentError, _cells, _grid, _groups, _int_dtype
+from spectral_oracle import _equal_rows
 
 
 def brute_force_entry(tmap, n, i, j, samples=4000):
@@ -415,11 +416,11 @@ class TestGroupedAssembly:
 def translate_maps(draw):
     """``(map, d)``: a map with a run of 2-5 branches of length 1/d and one
     shape, translates (a linear or Moebius branch of either orientation, at
-    an integer or a rational slope) or mirrored pairs, between filler
-    branches.  The run starts at a rational point, so on most meshes its
-    branches end inside bins, share their end rows with their neighbours
-    and are assembled each on its own; on a mesh that holds its ends they
-    are one family."""
+    an integer or a rational slope) or, alternately, its mirror images,
+    between filler branches.  The run starts at a rational point, so on
+    most meshes its branches end inside bins, share their end rows with
+    their neighbours and are assembled each on its own; on a mesh that
+    holds its ends they are one family."""
     k = draw(st.integers(min_value=2, max_value=5))
     d = draw(st.integers(min_value=k, max_value=3 * k))
     length = F(1, d)
@@ -436,7 +437,7 @@ def translate_maps(draw):
     for t in range(k):
         lo = start + t * length
         flipped = mirrored and t % 2 == 1
-        branches.append(onto_branch(kind, lo, lo + length, *ends, increasing != flipped, c))
+        branches.append(mirror_image(kind, lo, lo + length, *ends, increasing, c, flipped))
     if start + k * length < 1:
         branches.append(onto_branch("linear", start + k * length, F(1), F(0), F(1), False))
     with warnings.catch_warnings():
@@ -444,31 +445,71 @@ def translate_maps(draw):
         return hc.PiecewiseMap(branches, alpha0=F(1, 2), B0=0, label="translates"), d
 
 
+def mirror_image(kind, a, b, ya, yb, increasing, c, flipped=True):
+    """``onto_branch(kind, a, b, ya, yb, increasing, c)``, or with ``flipped``
+    its mirror image x -> branch(a + b - x): the bend t/(t + c(1 - t)) at
+    1 - t is 1 minus the bend 1/c at t, so that is the branch of the other
+    orientation that bends by 1/c."""
+    if flipped:
+        return onto_branch(kind, a, b, ya, yb, not increasing, 1 / c)
+    return onto_branch(kind, a, b, ya, yb, increasing, c)
+
+
+@st.composite
+def mirror_maps(draw):
+    """``(map, k)``: k = 2-6 branches of length 1/k that cover [0, 1), each
+    one shape (a linear or Moebius branch onto one image, that expands) or
+    its mirror image, with either first.  On a mesh of a multiple of k bins
+    they are one family, and every branch expands, so no two rows of one
+    branch are equal: the family's classes are all the equal rows of P."""
+    k = draw(st.integers(min_value=2, max_value=6))
+    kind = draw(st.sampled_from(["linear", "moebius"]))
+    c = draw(st.sampled_from([F(1, 3), F(5, 2)])) if kind == "moebius" else F(1)
+    ya, yb = sorted(draw(st.lists(st.sampled_from([F(0), F(1), F(1, 3), F(1, 2), F(3, 4)]),
+                                  min_size=2, max_size=2, unique=True)))
+    assume((yb - ya) * k * min(c, 1 / c) >= 1)      # the least slope is at least 1
+    increasing = draw(st.booleans())
+    flips = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    branches = [mirror_image(kind, F(t, k), F(t + 1, k), ya, yb, increasing, c, flipped)
+                for t, flipped in enumerate(flips)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExpansionWarning)
+        return hc.PiecewiseMap(branches, alpha0=F(1, 2), B0=0, label="mirrors"), k
+
+
 def tent_map():
     return hc.PiecewiseMap([Branch(F(0), F(1, 2), F(2), F(0)), Branch(F(1, 2), F(1), F(-2), F(2))],
                            alpha0=F(1, 2), B0=0, label="tent")
 
 
-def assert_factors_match(tmap, n):
+def on_grid(tmap, n):
+    """Whether every branch of the map starts and ends on the n-bin grid."""
+    return all((b.lo * n).denominator == (b.hi * n).denominator == 1 for b in tmap.branches)
+
+
+def assert_factors_match(tmap, n, exact=None):
     """P from the factors is the oracle's matrix (and the branchwise
-    assembly's, byte for byte), and the merged classes of its rows are those
-    of ``_equal_rows(P)``, array for array."""
+    assembly's, byte for byte), B holds its rows at the first bin of each
+    class, and each class of the assembly lies inside one class of
+    ``_equal_rows(P)``.  With ``exact`` (by default when the map's branch
+    ends lie on the grid) the classes are those of ``_equal_rows(P)``."""
     U = hc.build_closed(tmap, n)
     assert_matches_oracle(tmap, n)
     P = U.matrix
     for got, ref in zip((P.indptr, P.indices, P.data), ulam_branchwise.closed_csr(tmap, n)):
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-    B, _, classes = U.lumped
-    first, ref_classes, copies = spectral._equal_rows(P)
-    assert classes.dtype == ref_classes.dtype and classes.tobytes() == ref_classes.tobytes()
-    assert np.unique(classes, return_index=True)[1].tobytes() == first.tobytes()
-    assert np.bincount(classes).tobytes() == copies.tobytes()
+    classes = np.arange(n) if U.row_of is None else U.row_of
+    first = np.unique(classes, return_index=True)[1]
     ref = P[first]
-    for got, want in zip((B.indptr, B.indices, B.data), (ref.indptr, ref.indices, ref.data)):
+    for got, want in zip((U.rows.indptr, U.rows.indices, U.rows.data),
+                         (ref.indptr, ref.indices, ref.data)):
         assert got.tobytes() == want.tobytes()
     # the rows are ordered by the first bin that has each
-    seen = np.maximum.accumulate(U.row_of) if U.row_of is not None else np.arange(n)
-    assert np.array_equal(np.unique(seen), np.arange(U.rows.shape[0]))
+    assert np.array_equal(np.unique(np.maximum.accumulate(classes)), np.arange(len(first)))
+    _, equal, _ = _equal_rows(P)
+    assert np.array_equal(equal[first][classes], equal)
+    if on_grid(tmap, n) if exact is None else exact:
+        assert np.array_equal(classes, equal)
     return U
 
 
@@ -496,11 +537,14 @@ class TestTranslateFamilies:
     @settings(max_examples=80, deadline=None)
     def test_random_translates(self, drawn, data):
         # any mesh, or a multiple of d bins, on which the run is one family
-        # of translates (or two, of mirrored branches) when it starts on the grid
+        # of translates and mirror images when it starts on the grid.  P may
+        # hold equal rows of no family (a branch that contracts repeats a
+        # row, and a filler can have a member's slope), so the classes need
+        # only lie inside those of P's equal rows
         tmap, d = drawn
         n = data.draw(st.integers(min_value=1, max_value=120)
                       | st.integers(min_value=1, max_value=120 // d).map(lambda t: t * d))
-        assert_factors_match(tmap, n)
+        assert_factors_match(tmap, n, exact=False)
 
     @given(translate_maps(), st.integers(min_value=1, max_value=4))
     @settings(max_examples=20, deadline=None)
@@ -509,7 +553,18 @@ class TestTranslateFamilies:
         tmap, _ = drawn
         n = multiple * math.lcm(*(b.lo.denominator for b in tmap.branches))
         assume(n <= 400)
-        assert_factors_match(tmap, n)
+        assert_factors_match(tmap, n, exact=False)
+
+    @given(mirror_maps(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_mirrors(self, drawn, data):
+        # on a multiple of k bins the branches are one family, whose classes
+        # are those of P's equal rows; on other meshes each is assembled
+        tmap, k = drawn
+        n = data.draw(st.integers(min_value=1, max_value=120)
+                      | st.integers(min_value=1, max_value=120 // k).map(lambda t: t * k))
+        U = assert_factors_match(tmap, n)
+        assert U.rows.shape[0] == (n // k if n % k == 0 else n)
 
     @pytest.mark.parametrize("label, n", [
         (label, n) for label in ("bundled", "kfold20", "shift10", "tent", "decreasing")
@@ -525,10 +580,11 @@ class TestTranslateFamilies:
         assert_factors_match(tmap, n)
 
     @pytest.mark.parametrize("label, n, distinct", [("kfold20", 1500, 150),
-                                                    ("shift10", 1000, 100)])
+                                                    ("shift10", 1000, 100), ("tent", 1000, 500)])
     def test_cells_only_for_distinct_rows(self, monkeypatch, shift10, label, n, distinct):
-        # the bench map's 19 linear branches are one family, as are 10x mod 1's
-        tmap = {"kfold20": kfold_moebius(20), "shift10": shift10}[label]
+        # the bench map's 19 linear branches are one family, as are 10x mod
+        # 1's, and the tent map's two mirror images
+        tmap = {"kfold20": kfold_moebius(20), "shift10": shift10, "tent": tent_map()}[label]
         assert len(assembled_rows(monkeypatch, tmap, n)) == distinct
         assert hc.build_closed(tmap, n).rows.shape == (distinct, n)
 
@@ -555,10 +611,15 @@ class TestTranslateFamilies:
         P = sp.csr_matrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
         U = ulam.UlamMatrix(2, P, "hand")
         assert U.matrix is P and U.row_of is None
-        B, quotient, classes = U.lumped
-        assert B.shape == (1, 2) and quotient.toarray().tolist() == [[1.0]]
-        assert classes.tolist() == [0, 0]
-        assert U.lumped[1] is quotient     # found once and kept
+        # its equal rows stay apart: only the assembly decides the classes
+        quotient = U.quotient
+        assert quotient.toarray().tolist() == [[0.5, 0.5], [0.5, 0.5]]
+        assert U.quotient is quotient      # built once and kept
+        # hand-built factors with the row of each bin given
+        U = ulam.UlamMatrix(2, P[:1], "hand", np.zeros(2, dtype=np.intp))
+        assert U.quotient.toarray().tolist() == [[1.0]] and U.quotient.nnz == 1
+        # summing the quotient's duplicates leaves B's nonzeros as they were
+        assert U.rows.nnz == 2 and np.array_equal(U.toarray(), P.toarray())
 
 
 class TestBuildOpen:
